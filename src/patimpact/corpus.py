@@ -261,12 +261,21 @@ def _parse_party(obj: dict) -> Party:
     return Party(country=str(obj.get("country", "")), name=obj.get("name"))
 
 
-def _parse_record(obj: dict, domain_ipc_prefix: str) -> PatentRecord:
+def _parse_record(obj: object, domain_ipc_prefix: str) -> PatentRecord:
+    """Build a record, turning every malformed field into a CorpusError."""
+    if not isinstance(obj, dict):
+        raise CorpusError(f"record is a JSON {type(obj).__name__}, not an object")
     try:
         patent_id = str(obj["id"])
     except KeyError:
         raise CorpusError("record without id") from None
+    try:
+        return _build_record(obj, patent_id, domain_ipc_prefix)
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise CorpusError(f"{patent_id}: malformed field value: {exc}") from None
 
+
+def _build_record(obj: dict, patent_id: str, domain_ipc_prefix: str) -> PatentRecord:
     def _dates_and_refs() -> tuple:
         filing = parse_date(obj["filing_date"])
         grant = parse_date(obj["grant_date"])

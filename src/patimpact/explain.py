@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .corpus import Horizon, ImpactClass
 from .indicators import FEATURE_NAMES, N_FEATURES
-from .mtl import MtlModel, predict_proba
+from .mtl import InferenceWorkspace, MtlModel, infer_proba
 from .seeding import derive_seed
 
 MAX_EXACT_GROUPS = 20
@@ -129,14 +129,37 @@ class AttributionRow:
 
 
 ModelLike = Union[MtlModel, Callable[[np.ndarray], np.ndarray]]
+TargetSpec = Union[AttributionTarget, Sequence[AttributionTarget], None]
 
 
-def _value_fn(model: ModelLike, target: Optional[AttributionTarget]) -> Callable[[np.ndarray], np.ndarray]:
+def _evaluator(
+    model: ModelLike, targets: Optional[Sequence[AttributionTarget]]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Maps (rows, dims) inputs to (n_outputs, rows) outputs: for a trained
+    model one output per target, all read from a single trunk pass through a
+    reused workspace; for a callable its one output."""
     if isinstance(model, MtlModel):
-        if target is None:
+        if not targets:
             raise ValueError("an attribution target is required for trained models")
-        return lambda X: predict_proba(model, X, target.horizon)[:, int(target.impact_class)]
-    return lambda X: np.asarray(model(X), dtype=np.float64).reshape(-1)
+        tasks = tuple(dict.fromkeys(t.horizon for t in targets))
+        workspace = InferenceWorkspace()
+
+        def evaluate(X: np.ndarray) -> np.ndarray:
+            probs = infer_proba(model, X, tasks, workspace)
+            return np.stack([probs[t.horizon][:, int(t.impact_class)] for t in targets])
+
+        return evaluate
+    if targets is not None and len(targets) > 1:
+        raise ValueError("a callable model has one output; pass at most one target")
+    return lambda X: np.asarray(model(X), dtype=np.float64).reshape(1, -1)
+
+
+def _resolve_grouping(instance: np.ndarray, grouping: Optional[FeatureGrouping]) -> FeatureGrouping:
+    if grouping is not None:
+        return grouping
+    if instance.size == N_FEATURES:
+        return default_grouping()
+    return FeatureGrouping.singletons([f"x{i}" for i in range(instance.size)])
 
 
 def _group_values(instance: np.ndarray, grouping: FeatureGrouping,
@@ -156,14 +179,11 @@ def shapley_exact(
 ) -> AttributionRow:
     """Exact Shapley values by full subset enumeration (<= 20 groups)."""
     instance = np.asarray(instance, dtype=np.float64).reshape(-1)
-    if grouping is None:
-        grouping = default_grouping() if instance.size == N_FEATURES else FeatureGrouping.singletons(
-            [f"x{i}" for i in range(instance.size)]
-        )
+    grouping = _resolve_grouping(instance, grouping)
     g = grouping.n_groups
     if g > MAX_EXACT_GROUPS:
         raise ValueError(f"{g} groups exceeds the exact enumeration bound {MAX_EXACT_GROUPS}")
-    f = _value_fn(model, target)
+    f = _evaluator(model, None if target is None else [target])
     bg = background.matrix
 
     # one value-function evaluation per coalition, cached by bitmask
@@ -174,7 +194,7 @@ def shapley_exact(
             if mask >> gi & 1:
                 dims = list(grouping.members[gi])
                 composite[:, dims] = instance[dims]
-        values[mask] = float(f(composite).mean())
+        values[mask] = float(f(composite)[0].mean())
 
     fact = [math.factorial(i) for i in range(g + 1)]
     weight_by_size = [fact[s] * fact[g - s - 1] / fact[g] for s in range(g)]
@@ -200,93 +220,103 @@ def shapley_sampled(
     model: ModelLike,
     instance: np.ndarray,
     background: BackgroundSet,
-    target: Optional[AttributionTarget] = None,
+    target: TargetSpec = None,
     grouping: Optional[FeatureGrouping] = None,
     n_permutations: int = 200,
     seed: int = 0,
     instance_id: str = "",
     display_values: Optional[np.ndarray] = None,
-) -> AttributionRow:
+) -> Union[AttributionRow, list[AttributionRow]]:
     """Permutation-sampling Shapley estimate with Monte-Carlo standard errors.
 
     Each sampled permutation contributes one marginal-contribution sample per
-    group; the estimator is unbiased and deterministic per seed.
+    group; the estimator is unbiased and deterministic per seed. `target` may
+    also be a sequence of targets of one trained model: they then share the
+    sampled permutations, each coalition batch goes through the trunk once
+    for all of them, and one row per target comes back, in target order.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
+    many = target is not None and not isinstance(target, AttributionTarget)
+    targets = list(target) if many else None if target is None else [target]
     instance = np.asarray(instance, dtype=np.float64).reshape(-1)
-    if grouping is None:
-        grouping = default_grouping() if instance.size == N_FEATURES else FeatureGrouping.singletons(
-            [f"x{i}" for i in range(instance.size)]
-        )
+    grouping = _resolve_grouping(instance, grouping)
     g = grouping.n_groups
-    f = _value_fn(model, target)
+    evaluate = _evaluator(model, targets)
     bg = background.matrix
-    m = bg.shape[0]
+    m, d = bg.shape
     rng = np.random.default_rng(seed)
 
-    base_value = float(f(bg).mean())
-    samples = np.empty((n_permutations, g))
-    model_output = base_value
+    base_values = evaluate(bg).mean(axis=1)
+    n_out = base_values.size
+    member = np.zeros((g, d), dtype=bool)
+    for gi, dims in enumerate(grouping.members):
+        member[gi, list(dims)] = True
+    composites = np.empty((g, m, d))
+    samples = np.empty((n_out, n_permutations, g))
     for p in range(n_permutations):
         order = rng.permutation(g)
-        # coalition states after each join, evaluated in one batched call
-        composites = np.empty((g, m, bg.shape[1]))
-        composite = bg.copy()
-        for step, gi in enumerate(order):
-            dims = list(grouping.members[gi])
-            composite[:, dims] = instance[dims]
-            composites[step] = composite
-        step_values = f(composites.reshape(g * m, -1)).reshape(g, m).mean(axis=1)
-        prev = base_value
-        for step, gi in enumerate(order):
-            samples[p, gi] = step_values[step] - prev
-            prev = step_values[step]
-        model_output = float(step_values[-1])
+        # coalition state after each join: composites[s] holds the instance's
+        # values on groups order[:s + 1] and the background's elsewhere
+        joined = np.logical_or.accumulate(member[order], axis=0)
+        np.copyto(composites, bg)
+        np.copyto(composites, instance, where=joined[:, None, :])
+        step_values = evaluate(composites.reshape(g * m, d)).reshape(n_out, g, m).mean(axis=2)
+        samples[:, p, order] = np.diff(step_values, axis=1, prepend=base_values[:, None])
 
-    phi = samples.mean(axis=0)
-    if n_permutations > 1:
-        std_err = samples.std(axis=0, ddof=1) / math.sqrt(n_permutations)
-    else:
-        std_err = np.zeros(g)
-    return AttributionRow(
-        instance_id=instance_id,
-        phi=phi,
-        base_value=base_value,
-        model_output=model_output,
-        group_values=_group_values(instance, grouping, display_values),
-        std_err=std_err,
-    )
+    group_values = _group_values(instance, grouping, display_values)
+    rows = []
+    for k in range(n_out):
+        if n_permutations > 1:
+            std_err = samples[k].std(axis=0, ddof=1) / math.sqrt(n_permutations)
+        else:
+            std_err = np.zeros(g)
+        rows.append(
+            AttributionRow(
+                instance_id=instance_id,
+                phi=samples[k].mean(axis=0),
+                base_value=float(base_values[k]),
+                model_output=float(step_values[k, -1]),
+                group_values=group_values,
+                std_err=std_err,
+            )
+        )
+    return rows if many else rows[0]
 
 
 def attribute_instances(
     model: ModelLike,
     instances: Mapping[str, np.ndarray],
     background: BackgroundSet,
-    target: Optional[AttributionTarget] = None,
+    target: TargetSpec = None,
     grouping: Optional[FeatureGrouping] = None,
     n_permutations: int = 200,
     seed: int = 0,
     display_values: Optional[Mapping[str, np.ndarray]] = None,
-) -> list[AttributionRow]:
+) -> Union[list[AttributionRow], list[tuple[AttributionTarget, list[AttributionRow]]]]:
     """Sampled attribution per instance; each instance gets an independent
-    sub-seed derived from (seed, instance id), so results are order-free."""
-    rows = []
-    for pid in instances:
-        rows.append(
-            shapley_sampled(
-                model,
-                instances[pid],
-                background,
-                target=target,
-                grouping=grouping,
-                n_permutations=n_permutations,
-                seed=derive_seed(seed, "shapley", pid),
-                instance_id=pid,
-                display_values=None if display_values is None else display_values.get(pid),
-            )
+    sub-seed derived from (seed, instance id), so results are order-free.
+
+    With a sequence of targets, each instance's targets share its permutations
+    and the result is one (target, rows) pair per target.
+    """
+    per_instance = [
+        shapley_sampled(
+            model,
+            instances[pid],
+            background,
+            target=target,
+            grouping=grouping,
+            n_permutations=n_permutations,
+            seed=derive_seed(seed, "shapley", pid),
+            instance_id=pid,
+            display_values=None if display_values is None else display_values.get(pid),
         )
-    return rows
+        for pid in instances
+    ]
+    if target is None or isinstance(target, AttributionTarget):
+        return per_instance
+    return [(t, [rows[k] for rows in per_instance]) for k, t in enumerate(target)]
 
 
 # --------------------------------------------------------------------------
@@ -300,8 +330,12 @@ def global_importance(
     if not rows:
         raise ValueError("no attribution rows")
     mean_abs = np.mean([np.abs(r.phi) for r in rows], axis=0)
-    ranked = sorted(zip(grouping.names, mean_abs), key=lambda kv: (-kv[1], kv[0]))
-    return [(name, float(v)) for name, v in ranked]
+    return rank_groups(zip(grouping.names, mean_abs))
+
+
+def rank_groups(importance: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
+    """(group, importance) pairs by importance, descending; ties by name, ascending."""
+    return sorted(((name, float(v)) for name, v in importance), key=lambda kv: (-kv[1], kv[0]))
 
 
 def group_summary(
@@ -362,10 +396,10 @@ def export_group_summary_csv(path, records: Sequence[Mapping]) -> None:
 
 def export_attributions_csv(
     path,
-    rows: Sequence[AttributionRow],
+    by_target: Sequence[tuple[AttributionTarget, Sequence[AttributionRow]]],
     grouping: FeatureGrouping,
-    target: AttributionTarget,
 ) -> None:
+    """One CSV holding the rows of every (target, rows) pair, in pair order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -374,22 +408,23 @@ def export_attributions_csv(
                 "base_value", "model_output", "horizon", "class",
             ]
         )
-        for row in rows:
-            for gi, name in enumerate(grouping.names):
-                stderr = "" if row.std_err is None else repr(float(row.std_err[gi]))
-                writer.writerow(
-                    [
-                        row.instance_id,
-                        name,
-                        repr(float(row.group_values[gi])),
-                        repr(float(row.phi[gi])),
-                        stderr,
-                        repr(row.base_value),
-                        repr(row.model_output),
-                        target.horizon.key,
-                        target.impact_class.name,
-                    ]
-                )
+        for target, rows in by_target:
+            for row in rows:
+                for gi, name in enumerate(grouping.names):
+                    stderr = "" if row.std_err is None else repr(float(row.std_err[gi]))
+                    writer.writerow(
+                        [
+                            row.instance_id,
+                            name,
+                            repr(float(row.group_values[gi])),
+                            repr(float(row.phi[gi])),
+                            stderr,
+                            repr(row.base_value),
+                            repr(row.model_output),
+                            target.horizon.key,
+                            target.impact_class.name,
+                        ]
+                    )
 
 
 def _color_for_rank(rank: float) -> str:

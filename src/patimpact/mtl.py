@@ -163,10 +163,14 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax (max-logit subtraction)."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_inplace(np.array(logits, dtype=np.float64))
+
+
+def _softmax_inplace(z: np.ndarray) -> np.ndarray:
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -287,12 +291,15 @@ def forward(
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite model input")
-    if training and model.config.shared_dropout_rate > 0 and dropout_rng is None:
-        dropout_rng = derived_rng(model.config.seed, "dropout", "adhoc")
-    cache = _forward_batch(model, x, training, dropout_rng)
+    if training:
+        if model.config.shared_dropout_rate > 0 and dropout_rng is None:
+            dropout_rng = derived_rng(model.config.seed, "dropout", "adhoc")
+        all_logits = _forward_batch(model, x, True, dropout_rng).logits
+    else:
+        all_logits = infer_logits(model, x)
     out = {}
     for task in model.tasks:
-        logits = cache.logits[task][0]
+        logits = all_logits[task][0]
         probs = softmax(logits)
         out[task] = TaskOutput(
             logits=logits,
@@ -307,19 +314,88 @@ def predict(model: MtlModel, x: np.ndarray) -> dict[Horizon, ImpactClass]:
     return {task: out.predicted_class for task, out in forward(model, x).items()}
 
 
+class InferenceWorkspace:
+    """Activation buffers that `infer_logits` reuses from call to call.
+
+    Each layer writes into its own buffer, which grows when a batch is larger
+    than any before and is otherwise sliced to the batch's rows, so a stream
+    of batches no larger than the first allocates nothing after it. Results
+    alias the buffers and are overwritten by the next call that shares the
+    workspace.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[tuple, np.ndarray] = {}
+
+    def take(self, key: tuple, rows: int, width: int) -> np.ndarray:
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
+            buf = np.empty((rows, width))
+            self._buffers[key] = buf
+        return buf[:rows]
+
+
+def _dense_into(a: np.ndarray, layer: DenseLayer, out: np.ndarray, rectify: bool) -> np.ndarray:
+    np.matmul(a, layer.W, out=out)
+    out += layer.b
+    if rectify:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def infer_logits(
+    model: MtlModel,
+    X: np.ndarray,
+    tasks: Optional[Sequence[Horizon]] = None,
+    workspace: Optional[InferenceWorkspace] = None,
+) -> dict[Horizon, np.ndarray]:
+    """Inference-only forward: one trunk pass feeding every requested head.
+
+    Keeps no per-layer cache for backprop and does the bias add and ReLU in
+    place, so with a reused workspace it allocates no activations. The
+    arithmetic is that of `_forward_batch(training=False)`, bit for bit.
+    """
+    ws = workspace if workspace is not None else InferenceWorkspace()
+    a = np.asarray(X, dtype=np.float64)
+    n = a.shape[0]
+    for i, layer in enumerate(model.shared):
+        a = _dense_into(a, layer, ws.take(("shared", i), n, layer.W.shape[1]), True)
+    trunk_out = a
+    logits = {}
+    for task in tasks if tasks is not None else model.tasks:
+        layers = model.heads[task]
+        a = trunk_out
+        for i, layer in enumerate(layers):
+            out = ws.take(("head", task, i), n, layer.W.shape[1])
+            a = _dense_into(a, layer, out, i < len(layers) - 1)
+        logits[task] = a
+    return logits
+
+
+def infer_proba(
+    model: MtlModel,
+    X: np.ndarray,
+    tasks: Optional[Sequence[Horizon]] = None,
+    workspace: Optional[InferenceWorkspace] = None,
+) -> dict[Horizon, np.ndarray]:
+    """(n, 3) class probabilities of every requested task from one trunk pass;
+    the softmax overwrites the logits in the workspace."""
+    logits = infer_logits(model, X, tasks, workspace)
+    return {task: _softmax_inplace(z) for task, z in logits.items()}
+
+
 def predict_batch(
     model: MtlModel, X: np.ndarray, tasks: Optional[Sequence[Horizon]] = None
 ) -> dict[Horizon, np.ndarray]:
-    cache = _forward_batch(model, X, training=False, tasks=tasks)
     return {
-        task: np.argmax(logits, axis=1) for task, logits in cache.logits.items()
+        task: np.argmax(logits, axis=1)
+        for task, logits in infer_logits(model, X, tasks).items()
     }
 
 
 def predict_proba(model: MtlModel, X: np.ndarray, task: Horizon) -> np.ndarray:
     """(n, 3) class probabilities for one task."""
-    cache = _forward_batch(model, X, training=False, tasks=(task,))
-    return softmax(cache.logits[task])
+    return infer_proba(model, X, (task,))[task]
 
 
 def multi_task_loss(

@@ -686,58 +686,25 @@ def stage_explain(cfg: PipelineConfig) -> list[str]:
 
     grouping = explain_mod.default_grouping()
     trajectory_of = {r.patent_id: r.trajectory for r in rows}
-    outputs = []
-    all_rows_by_horizon = {}
-    for h in HORIZONS:
-        target = explain_mod.AttributionTarget(
-            horizon=h, impact_class=cfg.explain.target_class
-        )
-        instances = {
-            pid: std.transform(matrix[pos[pid]]) for pid in instance_ids
-        }
-        display = {pid: matrix[pos[pid]] for pid in instance_ids}
-        att_rows = explain_mod.attribute_instances(
-            model,
-            instances,
-            background,
-            target=target,
-            grouping=grouping,
-            n_permutations=cfg.explain.n_permutations,
-            seed=derive_seed(seed, h.key),
-            display_values=display,
-        )
-        all_rows_by_horizon[h] = (target, att_rows)
+    targets = [
+        explain_mod.AttributionTarget(horizon=h, impact_class=cfg.explain.target_class)
+        for h in HORIZONS
+    ]
+    by_target = explain_mod.attribute_instances(
+        model,
+        {pid: std.transform(matrix[pos[pid]]) for pid in instance_ids},
+        background,
+        target=targets,
+        grouping=grouping,
+        n_permutations=cfg.explain.n_permutations,
+        seed=seed,
+        display_values={pid: matrix[pos[pid]] for pid in instance_ids},
+    )
+    explain_mod.export_attributions_csv(cfg.path(F_ATTRIBUTIONS), by_target, grouping)
+    outputs = [F_ATTRIBUTIONS]
 
-    # one CSV holding all horizons
-    with open(cfg.path(F_ATTRIBUTIONS), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "instance_id", "group", "feature_value", "phi", "std_err",
-                "base_value", "model_output", "horizon", "class",
-            ]
-        )
-        for h in HORIZONS:
-            target, att_rows = all_rows_by_horizon[h]
-            for row in att_rows:
-                for gi, gname in enumerate(grouping.names):
-                    writer.writerow(
-                        [
-                            row.instance_id,
-                            gname,
-                            repr(float(row.group_values[gi])),
-                            repr(float(row.phi[gi])),
-                            repr(float(row.std_err[gi])),
-                            repr(row.base_value),
-                            repr(row.model_output),
-                            target.horizon.key,
-                            target.impact_class.name,
-                        ]
-                    )
-    outputs.append(F_ATTRIBUTIONS)
-
-    for h in HORIZONS:
-        target, att_rows = all_rows_by_horizon[h]
+    for target, att_rows in by_target:
+        h = target.horizon
         labels = trajectory_of if cfg.explain.filter_pattern is not None else None
         _, records = explain_mod.group_summary(
             att_rows,
@@ -987,12 +954,12 @@ def stage_report(cfg: PipelineConfig) -> list[str]:
                     sums.setdefault(r["group"], []).append(abs(float(r["phi"])))
             if not sums:
                 continue
-            ranked = sorted(
-                ((sum(v) / len(v), g) for g, v in sums.items()), reverse=True
+            ranked = explain_mod.rank_groups(
+                (g, sum(v) / len(v)) for g, v in sums.items()
             )[: cfg.explain.top_k]
             lines.append(
                 f"- **{h.key}-term**: "
-                + ", ".join(f"{g} ({m:.4f})" for m, g in ranked)
+                + ", ".join(f"{g} ({m:.4f})" for g, m in ranked)
             )
         lines.append("")
 

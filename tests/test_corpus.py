@@ -113,6 +113,25 @@ class TestLoading:
         corpus = load_corpus(path, "H01M", strict=False)
         assert corpus.ids() == ["B"]
 
+    def test_non_object_line_strict_vs_lenient(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("[1, 2]\n" + json.dumps(_record_obj("B", "2006-01-01")) + "\n")
+        with pytest.raises(CorpusError, match=r":1: record is a JSON list"):
+            load_corpus(path, "H01M")
+        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
+
+    # "many" fails int() with ValueError; 1e400 is written as Infinity,
+    # parsed back to inf, and fails int() with OverflowError
+    @pytest.mark.parametrize("count", ["many", 1e400], ids=["many", "1e400"])
+    def test_non_numeric_count_strict_vs_lenient(self, tmp_path, count):
+        path = tmp_path / "c.jsonl"
+        bad = _record_obj("A", "2005-01-01")
+        bad["dependent_claim_count"] = count
+        _write_jsonl(path, [_record_obj("B", "2006-01-01"), bad])
+        with pytest.raises(CorpusError, match=r":2: A: malformed field value"):
+            load_corpus(path, "H01M")
+        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
+
     def test_unknown_fields_ignored(self, tmp_path):
         path = tmp_path / "c.jsonl"
         obj = _record_obj("A", "2005-01-01")

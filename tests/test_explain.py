@@ -221,6 +221,70 @@ class TestTrainedModelIntegration:
             shapley_sampled(model, X[0], BackgroundSet(X[:10]), n_permutations=2)
 
 
+MULTI_TARGETS = [
+    AttributionTarget(horizon=Horizon.SHORT, impact_class=ImpactClass.BT),
+    AttributionTarget(horizon=Horizon.MID, impact_class=ImpactClass.VT),
+    AttributionTarget(horizon=Horizon.LONG, impact_class=ImpactClass.BT),
+    AttributionTarget(horizon=Horizon.MID, impact_class=ImpactClass.BT),
+]
+
+
+class TestSharedPermutations:
+    def test_each_target_equals_its_single_target_run(self, trained):
+        model, X = trained
+        background = BackgroundSet.sample(X, size=40, seed=1)
+        rows = shapley_sampled(
+            model, X[5], background, target=MULTI_TARGETS, n_permutations=30, seed=4,
+            instance_id="p5",
+        )
+        assert len(rows) == len(MULTI_TARGETS)
+        for target, row in zip(MULTI_TARGETS, rows):
+            single = shapley_sampled(
+                model, X[5], background, target=target, n_permutations=30, seed=4,
+                instance_id="p5",
+            )
+            assert row.instance_id == "p5"
+            np.testing.assert_allclose(row.phi, single.phi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(row.std_err, single.std_err, rtol=0, atol=1e-12)
+            assert row.base_value == pytest.approx(single.base_value, abs=1e-12)
+            assert row.model_output == pytest.approx(single.model_output, abs=1e-12)
+
+    def test_efficiency_and_model_output_per_target(self, trained):
+        model, X = trained
+        background = BackgroundSet.sample(X, size=40, seed=2)
+        instance = X[11]
+        rows = shapley_sampled(
+            model, instance, background, target=MULTI_TARGETS, n_permutations=25, seed=6
+        )
+        for target, row in zip(MULTI_TARGETS, rows):
+            assert row.efficiency_gap() < 1e-9
+            prob = predict_proba(model, instance.reshape(1, -1), target.horizon)
+            assert row.model_output == pytest.approx(
+                float(prob[0, int(target.impact_class)]), abs=1e-12
+            )
+
+    def test_attribute_instances_pairs_targets_with_rows(self, trained):
+        model, X = trained
+        background = BackgroundSet.sample(X, size=30, seed=3)
+        instances = {f"p{i}": X[i] for i in (7, 2, 9)}
+        pairs = attribute_instances(
+            model, instances, background, target=MULTI_TARGETS[:3], n_permutations=10, seed=8
+        )
+        assert [t for t, _ in pairs] == MULTI_TARGETS[:3]
+        for target, rows in pairs:
+            single = attribute_instances(
+                model, instances, background, target=target, n_permutations=10, seed=8
+            )
+            assert [r.instance_id for r in rows] == list(instances)
+            for r, s in zip(rows, single):
+                np.testing.assert_allclose(r.phi, s.phi, rtol=0, atol=1e-12)
+
+    def test_callable_has_one_output(self, toy_background, toy_instance):
+        two = [MULTI_TARGETS[0], MULTI_TARGETS[1]]
+        with pytest.raises(ValueError, match="one output"):
+            shapley_sampled(toy_model, toy_instance, toy_background, target=two, n_permutations=2)
+
+
 class TestAggregation:
     def _rows(self):
         rng = np.random.default_rng(40)
@@ -306,15 +370,18 @@ class TestExport:
         )
         path = tmp_path / "att.csv"
         target = AttributionTarget(horizon=Horizon.LONG, impact_class=ImpactClass.BT)
-        export_attributions_csv(path, [row], grouping, target)
+        other = AttributionTarget(horizon=Horizon.SHORT, impact_class=ImpactClass.VT)
+        export_attributions_csv(path, [(target, [row]), (other, [row])], grouping)
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "instance_id,group,feature_value,phi,std_err,"
             "base_value,model_output,horizon,class"
         )
-        assert len(lines) == 3
+        assert len(lines) == 5
         assert lines[1].startswith("inst-1,a,")
         assert lines[1].endswith("long,BT")
+        assert lines[3].endswith("short,VT")
+        assert lines[1].rsplit(",", 2)[0] == lines[3].rsplit(",", 2)[0]
 
     def test_svg_deterministic(self, tmp_path):
         rng = np.random.default_rng(51)

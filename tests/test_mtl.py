@@ -10,6 +10,7 @@ import pytest
 from patimpact.corpus import HORIZONS, Horizon, ImpactClass
 from patimpact.mtl import (
     MISSING_LABEL,
+    InferenceWorkspace,
     NetworkConfig,
     TaskOutput,
     TrainConfig,
@@ -20,6 +21,7 @@ from patimpact.mtl import (
     forward,
     gradient_check,
     grid_search,
+    infer_proba,
     init_network,
     load_checkpoint,
     log_softmax,
@@ -188,6 +190,46 @@ class TestForwardPredict:
         d = forward(model, x, training=True, dropout_rng=rng2)
         for h in HORIZONS:
             np.testing.assert_array_equal(c[h].logits, d[h].logits)
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            NetworkConfig(seed=3),
+            NetworkConfig(seed=4, task_head_widths={Horizon.MID: (64,)}),
+            NetworkConfig(
+                seed=5,
+                shared_layer_widths=(20, 12),
+                task_head_widths={Horizon.SHORT: (7,), Horizon.MID: (), Horizon.LONG: (9, 5, 3)},
+            ),
+        ],
+        ids=["mtl-default", "stl-mid", "custom-heads"],
+    )
+    def test_equals_forward_batch_through_a_reused_workspace(self, config):
+        model = init_network(config)
+        rng = np.random.default_rng(8)
+        for _, arr in model.parameters():  # nonzero biases exercise the bias add
+            arr += rng.normal(0.0, 0.1, size=arr.shape)
+        workspace = InferenceWorkspace()
+        for n in (3000, 100, 3000):  # a shrink then a regrow catches stale rows
+            X = rng.normal(size=(n, config.input_dim))
+            ref = _forward_batch(model, X, training=False)
+            got = infer_proba(model, X, workspace=workspace)
+            assert list(got) == list(model.tasks)
+            for task in model.tasks:
+                assert got[task].shape == (n, 3)
+                assert np.array_equal(got[task], softmax(ref.logits[task]))
+            preds = predict_batch(model, X)
+            for task in model.tasks:
+                assert np.array_equal(preds[task], np.argmax(ref.logits[task], axis=1))
+                assert np.array_equal(predict_proba(model, X, task), softmax(ref.logits[task]))
+
+    def test_task_subset_skips_other_heads(self):
+        model = init_network(NetworkConfig(seed=6))
+        X = np.random.default_rng(9).normal(size=(50, model.config.input_dim))
+        got = infer_proba(model, X, tasks=(Horizon.LONG, Horizon.SHORT))
+        assert list(got) == [Horizon.LONG, Horizon.SHORT]
 
 
 class TestLoss:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,21 @@ class TestRunPipeline:
             "## Topic impact scores",
         ):
             assert heading in text
+
+    def test_report_ranks_tied_groups_by_name(self, completed_run, tmp_path):
+        cfg, _ = completed_run
+        for name in ("thresholds.json", "labels.csv", "metrics.csv"):
+            shutil.copy(cfg.path(name), tmp_path / name)
+        # mean |phi|: y 0.5, then x and z tied at 0.25
+        phis = {"z": (0.25, -0.25), "y": (0.5, -0.5), "x": (-0.25, 0.25)}
+        lines = ["instance_id,group,feature_value,phi,std_err,base_value,model_output,horizon,class"]
+        for i in range(2):
+            for group, phi in phis.items():
+                lines.append(f"p{i},{group},0.0,{phi[i]!r},0.0,0.5,0.5,mid,BT")
+        (tmp_path / "attributions.csv").write_text("\n".join(lines) + "\n")
+        stage_report(config_from_obj(base_config_obj(tmp_path)))
+        report = (tmp_path / "report.md").read_text()
+        assert "- **mid-term**: y (0.5000), x (0.2500), z (0.2500)" in report
 
     def test_stage_failure_writes_partial_manifest(self, tmp_path):
         out = tmp_path / "out"
@@ -335,6 +351,24 @@ class TestCli:
         config.write_text(json.dumps(obj))
         # stage wraps the parse failure as a stage error
         assert cli.main(["ingest", "--config", str(config)]) in (2, 3)
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "[1, 2]",
+            json.dumps({"id": "A", "filing_date": "2004-01-01", "grant_date": "2005-01-01",
+                        "dependent_claim_count": "many"}),
+        ],
+        ids=["not-an-object", "non-numeric-count"],
+    )
+    def test_malformed_record_exits_2(self, tmp_path, bad_line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(bad_line + "\n")
+        config = self._write_config(tmp_path, corpus_path=str(bad))
+        obj = json.loads(config.read_text())
+        del obj["synth"]
+        config.write_text(json.dumps(obj))
+        assert cli.main(["ingest", "--config", str(config)]) == 2
 
     def test_seed_override_changes_outputs(self, tmp_path):
         config = self._write_config(tmp_path)
