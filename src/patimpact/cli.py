@@ -9,7 +9,6 @@ error, 2 data error, 3 stage failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ from .pipeline import (
     PipelineConfig,
     StageError,
     config_from_obj,
+    read_config_obj,
     run_pipeline,
     stage_corpus,
     stage_cv,
@@ -34,6 +34,7 @@ from .pipeline import (
     stage_train,
     stage_validate,
 )
+from .validate import JT_METHODS
 
 log = logging.getLogger("patimpact")
 
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jt-test", help="ordered-trend tests of value indicators")
     _add_common(p)
-    p.add_argument("--method", choices=["normal_approx", "permutation"], default=None)
+    p.add_argument("--method", choices=JT_METHODS, default=None)
     p.add_argument("--n-permutations", type=int, default=None)
 
     p = sub.add_parser("topic-score", help="topic impact scores per grant year")
@@ -95,14 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_with_overrides(args: argparse.Namespace) -> PipelineConfig:
     path = Path(args.config)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config JSON in {path}: {exc}") from None
-
+    obj = read_config_obj(path)
     if args.seed is not None:
         obj["seed"] = args.seed
     if args.out is not None:

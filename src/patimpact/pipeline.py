@@ -143,6 +143,10 @@ class PipelineConfig:
             raise ConfigError(f"output directory {self.out_dir} does not exist")
         if self.threshold_mode not in ("fixed", "stanine"):
             raise ConfigError(f"unknown threshold_mode {self.threshold_mode!r}")
+        if self.validation.method not in validate_mod.JT_METHODS:
+            raise ConfigError(f"unknown validation.method {self.validation.method!r}")
+        if self.validation.n_permutations < 1:
+            raise ConfigError("validation.n_permutations must be >= 1")
         if self.validation.group_by not in ("predicted", "actual"):
             raise ConfigError("validation.group_by must be 'predicted' or 'actual'")
         if self.validation.scope not in ("all", "test"):
@@ -197,16 +201,20 @@ def _train_from_obj(obj: dict, seed: int) -> mtl_mod.TrainConfig:
     return mtl_mod.TrainConfig(**kwargs)
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse and validate a pipeline config JSON file."""
+def read_config_obj(path) -> dict:
+    """The raw JSON object of a config file; unreadable or malformed is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config JSON in {path}: {exc}") from None
-    return config_from_obj(obj, base_dir=Path(path).parent)
+
+
+def load_config(path) -> PipelineConfig:
+    """Parse and validate a pipeline config JSON file."""
+    return config_from_obj(read_config_obj(path), base_dir=Path(path).parent)
 
 
 def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfig:

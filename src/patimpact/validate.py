@@ -13,15 +13,17 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus import Corpus, ImpactClass
+from .corpus import Corpus, ImpactClass, PostHoc
 
 CLASS_ORDERED = (ImpactClass.MT, ImpactClass.VT, ImpactClass.BT)
 
 VALUE_INDICATORS = ("maintenance_years", "transfer_count", "family_size")
+
+JT_METHODS = ("normal_approx", "permutation")
 
 DEFAULT_TOPIC_WEIGHTS: dict[ImpactClass, float] = {
     ImpactClass.BT: 10.0,
@@ -109,58 +111,128 @@ def _upper_tail_p(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def _twice_jt(counts: np.ndarray) -> np.ndarray:
+    """2·JT per row of a (rows, groups, codes) count table, in integers.
+
+    A value with code c scores 2 per value of a lower group below c and 1
+    per value of a lower group tied with it.
+    """
+    lower = counts[:, 0]
+    twice = np.zeros(counts.shape[0], dtype=np.int64)
+    for j in range(1, counts.shape[1]):
+        score = np.cumsum(lower, axis=1)
+        score *= 2
+        score -= lower  # 2·#(< c) + #(= c) over the groups below j
+        twice += np.einsum("rc,rc->r", counts[:, j], score)
+        lower = lower + counts[:, j]
+    return twice
+
+
+# permutations scored per batch; bounds the (batch, groups, codes) count table
+_PERMUTATION_CHUNK = 64
+
+
+def _permutation_exceedances(
+    batch: Sequence[OrderedGroups], observed: Sequence[float], seed: int, n_permutations: int
+) -> list[int]:
+    """#{JT_perm >= JT_obs} per entry; all entries score the same permutations.
+
+    Row r of each drawn index matrix is the next ``rng.permutation`` of the
+    pooled values, so the counts equal a one-permutation-at-a-time loop.
+    Statistics are doubled to stay integral. Pairs with a bottom-group
+    member add n² - n₀² - Σ s(x) over the values drawn into the upper
+    groups, with s(x) = 2·#(> x) + #(= x) over the pool, so only the upper
+    groups' draws enter the per-code count table; the bottom class, MT, is
+    the largest one.
+    """
+    sizes = batch[0].sizes
+    n, n_bottom, n_upper = sum(sizes), sizes[0], len(sizes) - 1
+    codes, scores, blocks, offsets = [], [], [], []
+    for g in batch:
+        code = np.unique(g.pooled(), return_inverse=True)[1].reshape(-1)
+        ties = np.bincount(code)
+        codes.append(code)
+        scores.append((2 * (n - np.cumsum(ties)) + ties)[code])
+        # (row, upper position) -> cell of a flat (rows, upper groups, codes) table
+        blocks.append(n_upper * ties.size)
+        offsets.append(
+            (np.arange(_PERMUTATION_CHUNK) * blocks[-1])[:, None]
+            + np.repeat(np.arange(n_upper) * ties.size, sizes[1:])
+        )
+    targets = [round(2.0 * obs) for obs in observed]
+    at_least = [0] * len(batch)
+    rng = np.random.default_rng(seed)
+    identity = np.arange(n)
+    for start in range(0, n_permutations, _PERMUTATION_CHUNK):
+        rows = min(_PERMUTATION_CHUNK, n_permutations - start)
+        upper = rng.permuted(np.broadcast_to(identity, (rows, n)), axis=1)[:, n_bottom:]
+        for k in range(len(batch)):
+            cell = codes[k][upper]
+            cell += offsets[k][:rows]
+            counts = np.bincount(cell.reshape(-1), minlength=rows * blocks[k])
+            twice = (
+                n * n - n_bottom * n_bottom
+                - scores[k][upper].sum(axis=1)
+                + _twice_jt(counts.reshape(rows, n_upper, -1))
+            )
+            at_least[k] += int(np.count_nonzero(twice >= targets[k]))
+    return at_least
+
+
 def jonckheere_terpstra(
-    groups: OrderedGroups,
+    groups: Union[OrderedGroups, Sequence[OrderedGroups]],
     method: str = "normal_approx",
     seed: int = 0,
     n_permutations: int = 10_000,
-) -> JTResult:
+) -> Union[JTResult, list[JTResult]]:
     """One-sided (increasing) ordered-trend test across the groups.
 
     Permutation mode reassigns pooled observations to same-sized groups and
-    uses p = (1 + #{JT_perm >= JT_obs}) / (1 + n_permutations).
+    uses p = (1 + #{JT_perm >= JT_obs}) / (1 + n_permutations). `groups` may
+    also be a sequence of OrderedGroups with equal group sizes, such as
+    several indicators measured on the same units: they then share the
+    permutations drawn from `seed`, and one result per entry comes back, in
+    order.
     """
-    observed = jt_statistic(groups.groups)
-    pooled = groups.pooled()
-    mean, variance = _null_moments(groups.sizes, pooled)
+    many = not isinstance(groups, OrderedGroups)
+    batch = list(groups) if many else [groups]
+    if not batch:
+        raise ValueError("need at least one OrderedGroups")
+    if any(g.sizes != batch[0].sizes for g in batch):
+        raise ValueError("all OrderedGroups must have the same group sizes")
+    if method not in JT_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "permutation" and n_permutations < 1:
+        raise ValueError("n_permutations must be >= 1")
 
+    observed = [jt_statistic(g.groups) for g in batch]
+    moments = [_null_moments(g.sizes, g.pooled()) for g in batch]
+    zs = [
+        (obs - mean) / math.sqrt(variance) if variance > 0 else 0.0
+        for obs, (mean, variance) in zip(observed, moments)
+    ]
     if method == "normal_approx":
-        if variance <= 0:
+        if any(variance <= 0 for _, variance in moments):
             raise ValueError(
                 "degenerate null variance (all observations tied); use permutation"
             )
-        z = (observed - mean) / math.sqrt(variance)
-        return JTResult(
-            jt_statistic=observed,
+        p_values = [_upper_tail_p(z) for z in zs]
+    else:
+        at_least = _permutation_exceedances(batch, observed, seed, n_permutations)
+        p_values = [(1 + count) / (1 + n_permutations) for count in at_least]
+    results = [
+        JTResult(
+            jt_statistic=obs,
             mean_h0=mean,
             variance_h0=variance,
             z=z,
-            p_value=_upper_tail_p(z),
-            method="normal_approx",
+            p_value=p,
+            method=method,
+            n_permutations=n_permutations if method == "permutation" else None,
         )
-    if method != "permutation":
-        raise ValueError(f"unknown method {method!r}")
-
-    rng = np.random.default_rng(seed)
-    sizes = groups.sizes
-    bounds = np.cumsum(sizes)[:-1]
-    at_least = 0
-    for _ in range(n_permutations):
-        shuffled = rng.permutation(pooled)
-        perm_groups = np.split(shuffled, bounds)
-        if jt_statistic(perm_groups) >= observed:
-            at_least += 1
-    p = (1 + at_least) / (1 + n_permutations)
-    z = (observed - mean) / math.sqrt(variance) if variance > 0 else 0.0
-    return JTResult(
-        jt_statistic=observed,
-        mean_h0=mean,
-        variance_h0=variance,
-        z=z,
-        p_value=p,
-        method="permutation",
-        n_permutations=n_permutations,
-    )
+        for obs, (mean, variance), z, p in zip(observed, moments, zs, p_values)
+    ]
+    return results if many else results[0]
 
 
 # --------------------------------------------------------------------------
@@ -185,36 +257,43 @@ def validate_value_indicators(
     """Trend test for each post-hoc value indicator, groups ordered MT<VT<BT.
 
     Patents without post-hoc fields are excluded (counted, never imputed).
-    Raises if any class group ends up empty.
+    Raises if any class group ends up empty. The indicators share one
+    patent order, so in permutation mode they share one permutation draw.
     """
     if not classes:
         raise ValueError("no classified patents to validate")
-    out: dict[str, IndicatorValidation] = {}
-    for indicator in VALUE_INDICATORS:
-        values: dict[ImpactClass, list[float]] = {c: [] for c in CLASS_ORDERED}
-        excluded = 0
-        for pid, cls in classes.items():
-            rec = corpus.get(pid)
-            if rec.post_hoc is None:
-                excluded += 1
-                continue
-            values[cls].append(float(getattr(rec.post_hoc, indicator)))
-        empty = [c.name for c in CLASS_ORDERED if not values[c]]
-        if empty:
-            raise ValueError(
-                f"{indicator}: empty class group(s) {empty} after {excluded} exclusion(s)"
+    members: dict[ImpactClass, list[PostHoc]] = {c: [] for c in CLASS_ORDERED}
+    excluded = 0
+    for pid, cls in classes.items():
+        post_hoc = corpus.get(pid).post_hoc
+        if post_hoc is None:
+            excluded += 1
+        else:
+            members[cls].append(post_hoc)
+    empty = [c.name for c in CLASS_ORDERED if not members[c]]
+    if empty:
+        raise ValueError(f"empty class group(s) {empty} after {excluded} exclusion(s)")
+    batch = [
+        OrderedGroups(
+            tuple(
+                np.array([float(getattr(ph, indicator)) for ph in members[c]])
+                for c in CLASS_ORDERED
             )
-        groups = OrderedGroups(tuple(np.array(values[c]) for c in CLASS_ORDERED))
-        result = jonckheere_terpstra(
-            groups, method=method, seed=seed, n_permutations=n_permutations
         )
-        out[indicator] = IndicatorValidation(
+        for indicator in VALUE_INDICATORS
+    ]
+    results = jonckheere_terpstra(
+        batch, method=method, seed=seed, n_permutations=n_permutations
+    )
+    return {
+        indicator: IndicatorValidation(
             indicator=indicator,
             result=result,
             n_excluded=excluded,
             group_sizes=groups.sizes,
         )
-    return out
+        for indicator, groups, result in zip(VALUE_INDICATORS, batch, results)
+    }
 
 
 def export_validation_csv(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from patimpact import cli
+from patimpact.corpus import HORIZONS, ImpactClass, load_corpus
 from patimpact.pipeline import (
     ConfigError,
     F_MANIFEST,
@@ -24,6 +25,10 @@ from patimpact.pipeline import (
     stage_evaluate,
     stage_report,
 )
+from patimpact.seeding import derive_seed
+from patimpact.validate import CLASS_ORDERED, VALUE_INDICATORS, OrderedGroups
+
+from test_validate import loop_permutation_p
 
 
 def base_config_obj(out_dir: Path, **overrides) -> dict:
@@ -93,6 +98,19 @@ class TestConfig:
         assert ca.config_hash() == cb.config_hash()
         cc = config_from_obj(base_config_obj(a, seed=8))
         assert cc.config_hash() != ca.config_hash()
+
+    @pytest.mark.parametrize(
+        "validation, message",
+        [
+            ({"method": "bootstrap"}, "validation.method"),
+            ({"method": "permutation", "n_permutations": 0}, "n_permutations"),
+            ({"n_permutations": -1}, "n_permutations"),
+        ],
+    )
+    def test_bad_validation_settings(self, tmp_path, validation, message):
+        obj = base_config_obj(tmp_path, validation=validation)
+        with pytest.raises(ConfigError, match=message):
+            config_from_obj(obj)
 
     def test_load_config_resolves_relative_paths(self, tmp_path):
         (tmp_path / "out").mkdir()
@@ -207,6 +225,39 @@ class TestRunPipeline:
         message = str(exc_info.value)
         for name in ("thresholds.json", "labels.csv", "metrics.csv"):
             assert name in message
+
+
+class TestValidateStage:
+    def test_permutation_p_values_match_loop_oracle(self, completed_run, tmp_path):
+        cfg, _ = completed_run
+        for name in ("corpus.jsonl", "predictions.csv"):
+            shutil.copy(cfg.path(name), tmp_path / name)
+        obj = base_config_obj(
+            tmp_path, validation={"method": "permutation", "n_permutations": 2000}
+        )
+        STAGES["validate"](config_from_obj(obj))
+
+        corpus = load_corpus(tmp_path / "corpus.jsonl", "H01M")
+        with open(tmp_path / "predictions.csv") as fh:
+            predictions = list(csv.DictReader(fh))
+        with open(tmp_path / "validation.csv") as fh:
+            written = {(r["horizon"], r["indicator"]): r for r in csv.DictReader(fh)}
+        assert len(written) == len(HORIZONS) * len(VALUE_INDICATORS)
+        for h in HORIZONS:
+            members = {c: [] for c in CLASS_ORDERED}
+            for row in predictions:
+                post_hoc = corpus.get(row["patent_id"]).post_hoc
+                if post_hoc is not None:
+                    members[ImpactClass.from_name(row[f"{h.key}_predicted"])].append(post_hoc)
+            seed = derive_seed(derive_seed(7, "validate"), h.key)
+            for indicator in VALUE_INDICATORS:
+                groups = OrderedGroups(tuple(
+                    np.array([float(getattr(ph, indicator)) for ph in members[c]])
+                    for c in CLASS_ORDERED
+                ))
+                row = written[(h.key, indicator)]
+                assert row["method"] == "permutation"
+                assert row["p_value"] == repr(loop_permutation_p(groups, seed, 2000))
 
 
 class TestDeterminismAndComposability:
@@ -337,6 +388,12 @@ class TestCli:
         del obj["synth"]
         config.write_text(json.dumps(obj))
         assert cli.main(["synth", "--config", str(config)]) == 1
+
+    def test_bad_validation_settings_exit_1(self, tmp_path):
+        config = self._write_config(tmp_path)
+        assert cli.main(["jt-test", "--config", str(config), "--n-permutations", "-1"]) == 1
+        bad_method = self._write_config(tmp_path, validation={"method": "bootstrap"})
+        assert cli.main(["jt-test", "--config", str(bad_method)]) == 1
 
     def test_stage_failure_exit_code(self, tmp_path):
         config = self._write_config(tmp_path)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from patimpact.corpus import Corpus, ImpactClass, PostHoc
@@ -33,6 +35,23 @@ def brute_force_jt(groups) -> float:
                     elif a == b:
                         total += 0.5
     return total
+
+
+def loop_permutation_p(groups: OrderedGroups, seed: int, n_permutations: int) -> float:
+    """The one-permutation-at-a-time test: the oracle for the vectorised one."""
+    observed = jt_statistic(groups.groups)
+    pooled = groups.pooled()
+    rng = np.random.default_rng(seed)
+    bounds = np.cumsum(groups.sizes)[:-1]
+    at_least = 0
+    for _ in range(n_permutations):
+        if jt_statistic(np.split(rng.permutation(pooled), bounds)) >= observed:
+            at_least += 1
+    return (1 + at_least) / (1 + n_permutations)
+
+
+tied_group = st.lists(st.integers(0, 5), min_size=1, max_size=12)
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 class TestStatistic:
@@ -92,6 +111,88 @@ class TestStatistic:
         base = jt_statistic(groups)
         assert jt_statistic([np.exp(g) for g in groups]) == base
         assert jt_statistic([3 * g + 10 for g in groups]) == base
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=10), min_size=2, max_size=4))
+    def test_matches_exhaustive_oracle_heavily_tied(self, groups):
+        arrays = [np.array(g, dtype=float) for g in groups]
+        assert jt_statistic(arrays) == brute_force_jt(arrays)
+
+
+class TestPermutationCounts:
+    @PROPERTY_SETTINGS
+    @given(
+        groups=st.lists(tied_group, min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        n_permutations=st.integers(1, 150),
+    )
+    def test_matches_loop_oracle_on_tied_data(self, groups, seed, n_permutations):
+        og = OrderedGroups(tuple(np.array(g, dtype=float) for g in groups))
+        result = jonckheere_terpstra(
+            og, method="permutation", seed=seed, n_permutations=n_permutations
+        )
+        assert result.p_value == loop_permutation_p(og, seed, n_permutations)
+        assert result.n_permutations == n_permutations
+
+    @PROPERTY_SETTINGS
+    @given(
+        sizes=st.lists(st.integers(1, 8), min_size=2, max_size=4),
+        n_entries=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        n_permutations=st.integers(1, 150),
+        data=st.data(),
+    )
+    def test_multi_group_call_equals_single_calls(
+        self, sizes, n_entries, seed, n_permutations, data
+    ):
+        batch = [
+            OrderedGroups(tuple(
+                np.array(data.draw(st.lists(st.integers(0, 4), min_size=s, max_size=s)),
+                         dtype=float)
+                for s in sizes
+            ))
+            for _ in range(n_entries)
+        ]
+        together = jonckheere_terpstra(
+            batch, method="permutation", seed=seed, n_permutations=n_permutations
+        )
+        assert together == [
+            jonckheere_terpstra(og, method="permutation", seed=seed,
+                                n_permutations=n_permutations)
+            for og in batch
+        ]
+
+    def test_large_counts_match_loop(self):
+        # chunk-crossing counts in the hundreds to thousands: no trend, then a
+        # decreasing one, where almost every permutation scores >= observed
+        rng = np.random.default_rng(14)
+        for seed, shift in ((0, 0), (1, -3)):
+            og = OrderedGroups(tuple(
+                rng.integers(0, 20, size=s).astype(float) + shift * k
+                for k, s in enumerate((120, 40, 15))
+            ))
+            p = jonckheere_terpstra(og, method="permutation", seed=seed, n_permutations=3000)
+            assert p.p_value * 3001 - 1 > 100
+            assert p.p_value == loop_permutation_p(og, seed, 3000)
+
+    def test_normal_approx_batch_equals_single_calls(self):
+        rng = np.random.default_rng(15)
+        batch = [OrderedGroups(tuple(rng.normal(size=s) for s in (9, 7, 5))) for _ in range(3)]
+        assert jonckheere_terpstra(batch) == [jonckheere_terpstra(og) for og in batch]
+
+    @pytest.mark.parametrize("n_permutations", [0, -1])
+    def test_permutation_count_below_one_rejected(self, n_permutations):
+        groups = OrderedGroups((np.arange(3.0), np.arange(3.0) + 1))
+        with pytest.raises(ValueError, match="n_permutations"):
+            jonckheere_terpstra(groups, method="permutation", n_permutations=n_permutations)
+
+    def test_batch_needs_equal_sizes_and_an_entry(self):
+        a = OrderedGroups((np.arange(3.0), np.arange(3.0)))
+        b = OrderedGroups((np.arange(2.0), np.arange(4.0)))
+        with pytest.raises(ValueError, match="same group sizes"):
+            jonckheere_terpstra([a, b], method="permutation", n_permutations=10)
+        with pytest.raises(ValueError, match="at least one"):
+            jonckheere_terpstra([])
 
 
 class TestPValues:
