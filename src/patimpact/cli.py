@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import pipeline
 from .corpus import CorpusError
 from .pipeline import (
     ConfigError,
@@ -22,17 +23,6 @@ from .pipeline import (
     config_from_obj,
     read_config_obj,
     run_pipeline,
-    stage_corpus,
-    stage_cv,
-    stage_evaluate,
-    stage_explain,
-    stage_features,
-    stage_gridsearch,
-    stage_label,
-    stage_report,
-    stage_topic_score,
-    stage_train,
-    stage_validate,
 )
 from .validate import JT_METHODS
 
@@ -43,11 +33,19 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_STAGE = 3
 
+# subcommands that run a stage of another name; every other single-stage
+# subcommand runs the stage of its own name
+COMMAND_STAGE = {"synth": "corpus", "ingest": "corpus", "jt-test": "validate"}
 
+
+# Options whose dest starts with "cfg." override the config entry named by
+# the rest of the dest: a top-level key or "block.key".
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="pipeline config JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override global seed")
-    parser.add_argument("--out", default=None, help="override output directory")
+    parser.add_argument("--seed", dest="cfg.seed", metavar="SEED", type=int,
+                        help="override global seed")
+    parser.add_argument("--out", dest="cfg.out_dir", metavar="DIR",
+                        help="override output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="derive thresholds and impact classes")
     _add_common(p)
-    p.add_argument("--mode", choices=["fixed", "stanine"], default=None)
+    p.add_argument("--mode", dest="cfg.threshold_mode", choices=["fixed", "stanine"])
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
     _add_common(p)
@@ -79,17 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="Shapley attributions on test patents")
     _add_common(p)
-    p.add_argument("--n-permutations", type=int, default=None)
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--n-permutations", dest="cfg.explain.n_permutations", metavar="N",
+                   type=int)
+    p.add_argument("--top-k", dest="cfg.explain.top_k", metavar="K", type=int)
 
     p = sub.add_parser("jt-test", help="ordered-trend tests of value indicators")
     _add_common(p)
-    p.add_argument("--method", choices=JT_METHODS, default=None)
-    p.add_argument("--n-permutations", type=int, default=None)
+    p.add_argument("--method", dest="cfg.validation.method", choices=JT_METHODS)
+    p.add_argument("--n-permutations", dest="cfg.validation.n_permutations",
+                   metavar="N", type=int)
 
     p = sub.add_parser("topic-score", help="topic impact scores per grant year")
     _add_common(p)
-    p.add_argument("--horizon", choices=["short", "mid", "long"], default=None)
+    p.add_argument("--horizon", dest="cfg.topic.horizon", choices=["short", "mid", "long"])
 
     return parser
 
@@ -97,23 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_with_overrides(args: argparse.Namespace) -> PipelineConfig:
     path = Path(args.config)
     obj = read_config_obj(path)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.out is not None:
-        obj["out_dir"] = args.out
-    if getattr(args, "mode", None) is not None:
-        obj["threshold_mode"] = args.mode
-    if getattr(args, "n_permutations", None) is not None:
-        if args.command == "explain":
-            obj.setdefault("explain", {})["n_permutations"] = args.n_permutations
-        else:
-            obj.setdefault("validation", {})["n_permutations"] = args.n_permutations
-    if getattr(args, "top_k", None) is not None:
-        obj.setdefault("explain", {})["top_k"] = args.top_k
-    if getattr(args, "method", None) is not None:
-        obj.setdefault("validation", {})["method"] = args.method
-    if getattr(args, "horizon", None) is not None:
-        obj.setdefault("topic", {})["horizon"] = args.horizon
+    for dest, value in vars(args).items():
+        if dest.startswith("cfg.") and value is not None:
+            block, _, key = dest[len("cfg."):].rpartition(".")
+            (obj.setdefault(block, {}) if block else obj)[key] = value
     return config_from_obj(obj, base_dir=path.parent)
 
 
@@ -139,28 +126,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "pipeline complete: %d stages, outputs in %s",
                 len(manifest.stages), cfg.out_dir,
             )
-        elif args.command in ("synth", "ingest"):
-            _report_outputs(stage_corpus(cfg))
-        elif args.command == "label":
-            _report_outputs(stage_label(cfg))
-        elif args.command == "features":
-            _report_outputs(stage_features(cfg))
-        elif args.command == "gridsearch":
-            _report_outputs(stage_gridsearch(cfg))
-        elif args.command == "train":
-            _report_outputs(stage_train(cfg))
-        elif args.command == "evaluate":
-            _report_outputs(stage_evaluate(cfg))
-        elif args.command == "cv":
-            _report_outputs(stage_cv(cfg, k=args.folds))
-        elif args.command == "explain":
-            _report_outputs(stage_explain(cfg))
-        elif args.command == "jt-test":
-            _report_outputs(stage_validate(cfg))
-        elif args.command == "topic-score":
-            _report_outputs(stage_topic_score(cfg))
-        elif args.command == "report":
-            _report_outputs(stage_report(cfg))
+        else:
+            kwargs = {"k": args.folds} if args.command == "cv" else {}
+            stage = pipeline.STAGES[COMMAND_STAGE.get(args.command, args.command)]
+            for name in stage(cfg, **kwargs):
+                log.info("wrote %s", name)
     except CorpusError as exc:
         log.error("data error: %s", exc)
         return EXIT_DATA
@@ -168,11 +138,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log.error("%s", exc)
         return EXIT_STAGE
     return EXIT_OK
-
-
-def _report_outputs(names: list[str]) -> None:
-    for name in names:
-        log.info("wrote %s", name)
 
 
 if __name__ == "__main__":

@@ -122,6 +122,65 @@ class EpochStats:
     val_loss_per_task: dict[Horizon, float]
 
 
+def _by_horizon(conv: Callable) -> Callable:
+    return lambda obj: {Horizon.from_key(k): conv(v) for k, v in obj.items()}
+
+
+# The JSON fields of each dataclass that checkpoints, best_config.json and the
+# config's network/train blocks hold, with the conversion from the JSON value.
+_JSON_FIELDS: dict[type, dict[str, Callable]] = {
+    NetworkConfig: {
+        "input_dim": int,
+        "shared_layer_widths": tuple,
+        "task_head_widths": _by_horizon(tuple),
+        "classes_per_task": int,
+        "shared_dropout_rate": float,
+        "seed": int,
+    },
+    TrainConfig: {
+        "learning_rate": float,
+        "batch_size": int,
+        "max_epochs": int,
+        "early_stop_patience": int,
+        "task_loss_weights": _by_horizon(float),
+        "validation_fraction": float,
+        "optimizer": str,
+        "class_weighting": bool,
+    },
+    EpochStats: {
+        "epoch": int,
+        "train_loss_total": float,
+        "val_loss_total": float,
+        "train_loss_per_task": _by_horizon(float),
+        "val_loss_per_task": _by_horizon(float),
+    },
+}
+
+
+def _json_value(value):
+    if isinstance(value, Mapping):
+        return {h.key: _json_value(v) for h, v in value.items()}
+    return list(value) if isinstance(value, (tuple, list)) else value
+
+
+def to_json(obj) -> dict:
+    """The JSON fields of a NetworkConfig, TrainConfig or EpochStats."""
+    return {name: _json_value(getattr(obj, name)) for name in _JSON_FIELDS[type(obj)]}
+
+
+def from_json(cls, obj, keys=None, name=None, **derived):
+    """A ``cls`` from its JSON fields plus the ``derived`` ones; a key outside
+    ``keys`` (default: every JSON field) is a ValueError that names it."""
+    fields = _JSON_FIELDS[cls]
+    name = name or cls.__name__
+    if not isinstance(obj, Mapping):
+        raise TypeError(f"{name} must be a JSON object")
+    unknown = sorted(set(obj) - set(fields if keys is None else keys))
+    if unknown:
+        raise ValueError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return cls(**derived, **{k: fields[k](v) for k, v in obj.items()})
+
+
 @dataclass
 class MtlModel:
     config: NetworkConfig
@@ -796,16 +855,7 @@ NETWORK_FIELDS = {
     "input_dim",
 }
 
-TRAIN_FIELDS = {
-    "learning_rate",
-    "batch_size",
-    "max_epochs",
-    "early_stop_patience",
-    "task_loss_weights",
-    "validation_fraction",
-    "optimizer",
-    "class_weighting",
-}
+TRAIN_FIELDS = set(_JSON_FIELDS[TrainConfig])
 
 
 @dataclass(frozen=True)
@@ -917,36 +967,10 @@ def grid_search(
 CHECKPOINT_SCHEMA = "patimpact-checkpoint/1"
 
 
-def _network_to_json(config: NetworkConfig) -> dict:
-    return {
-        "input_dim": config.input_dim,
-        "shared_layer_widths": list(config.shared_layer_widths),
-        "task_head_widths": {
-            h.key: list(w) for h, w in config.task_head_widths.items()
-        },
-        "classes_per_task": config.classes_per_task,
-        "shared_dropout_rate": config.shared_dropout_rate,
-        "seed": config.seed,
-    }
-
-
-def _network_from_json(obj: dict) -> NetworkConfig:
-    return NetworkConfig(
-        input_dim=int(obj["input_dim"]),
-        shared_layer_widths=tuple(obj["shared_layer_widths"]),
-        task_head_widths={
-            Horizon.from_key(k): tuple(v) for k, v in obj["task_head_widths"].items()
-        },
-        classes_per_task=int(obj["classes_per_task"]),
-        shared_dropout_rate=float(obj["shared_dropout_rate"]),
-        seed=int(obj["seed"]),
-    )
-
-
 def save_checkpoint(path, model: MtlModel) -> None:
     obj = {
         "schema": CHECKPOINT_SCHEMA,
-        "network": _network_to_json(model.config),
+        "network": to_json(model.config),
         "standardizer": (
             model.standardizer.to_json_obj() if model.standardizer else None
         ),
@@ -954,16 +978,7 @@ def save_checkpoint(path, model: MtlModel) -> None:
             {"name": name, "shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in model.parameters()
         ],
-        "history": [
-            {
-                "epoch": e.epoch,
-                "train_loss_total": e.train_loss_total,
-                "val_loss_total": e.val_loss_total,
-                "train_loss_per_task": {t.key: v for t, v in e.train_loss_per_task.items()},
-                "val_loss_per_task": {t.key: v for t, v in e.val_loss_per_task.items()},
-            }
-            for e in model.history
-        ],
+        "history": [to_json(e) for e in model.history],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True)
@@ -975,27 +990,14 @@ def load_checkpoint(path) -> MtlModel:
         obj = json.load(fh)
     if obj.get("schema") != CHECKPOINT_SCHEMA:
         raise ValueError(f"unsupported checkpoint schema {obj.get('schema')!r}")
-    model = init_network(_network_from_json(obj["network"]))
+    model = init_network(from_json(NetworkConfig, obj["network"]))
     by_name = {p["name"]: p for p in obj["parameters"]}
     for name, arr in model.parameters():
         saved = by_name[name]
         arr[...] = np.array(saved["data"]).reshape(saved["shape"])
     if obj.get("standardizer"):
         model.standardizer = Standardizer.from_json_obj(obj["standardizer"])
-    model.history = [
-        EpochStats(
-            epoch=int(e["epoch"]),
-            train_loss_total=float(e["train_loss_total"]),
-            val_loss_total=float(e["val_loss_total"]),
-            train_loss_per_task={
-                Horizon.from_key(k): float(v) for k, v in e["train_loss_per_task"].items()
-            },
-            val_loss_per_task={
-                Horizon.from_key(k): float(v) for k, v in e["val_loss_per_task"].items()
-            },
-        )
-        for e in obj.get("history", [])
-    ]
+    model.history = [from_json(EpochStats, e) for e in obj.get("history", [])]
     return model
 
 

@@ -5,7 +5,9 @@ label, features, optional grid search, train, evaluate, explain, validate,
 topic-score, report. Each stage is independently runnable, consumes only
 prior-stage files from the output directory, and derives its RNG seed from
 the global seed and its stage name, so a full run and a manual stage-by-stage
-run produce identical artifacts.
+run produce identical artifacts. Stages read their inputs through a
+RunContext, which parses each artifact once; a full run shares one context
+across its stages, and a stage called on its own builds its own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from functools import wraps
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -141,18 +145,22 @@ class PipelineConfig:
             raise ConfigError("exactly one of corpus_path / synth must be set")
         if not self.out_dir.is_dir():
             raise ConfigError(f"output directory {self.out_dir} does not exist")
-        if self.threshold_mode not in ("fixed", "stanine"):
-            raise ConfigError(f"unknown threshold_mode {self.threshold_mode!r}")
-        if self.validation.method not in validate_mod.JT_METHODS:
-            raise ConfigError(f"unknown validation.method {self.validation.method!r}")
-        if self.validation.n_permutations < 1:
-            raise ConfigError("validation.n_permutations must be >= 1")
-        if self.validation.group_by not in ("predicted", "actual"):
-            raise ConfigError("validation.group_by must be 'predicted' or 'actual'")
-        if self.validation.scope not in ("all", "test"):
-            raise ConfigError("validation.scope must be 'all' or 'test'")
-        if self.topic.group_by not in ("predicted", "actual"):
-            raise ConfigError("topic.group_by must be 'predicted' or 'actual'")
+        for name, value, allowed in (
+            ("threshold_mode", self.threshold_mode, ("fixed", "stanine")),
+            ("validation.method", self.validation.method, validate_mod.JT_METHODS),
+            ("validation.group_by", self.validation.group_by, ("predicted", "actual")),
+            ("validation.scope", self.validation.scope, ("all", "test")),
+            ("topic.group_by", self.topic.group_by, ("predicted", "actual")),
+        ):
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {list(allowed)}, not {value!r}")
+        for name, value in (
+            ("explain.n_permutations", self.explain.n_permutations),
+            ("explain.background_size", self.explain.background_size),
+            ("validation.n_permutations", self.validation.n_permutations),
+        ):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     def path(self, name: str) -> Path:
         return self.out_dir / name
@@ -167,38 +175,8 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _network_from_obj(obj: dict, seed: int) -> mtl_mod.NetworkConfig:
-    kwargs: dict = {"seed": seed}
-    if "shared_layer_widths" in obj:
-        kwargs["shared_layer_widths"] = tuple(obj["shared_layer_widths"])
-    if "task_head_widths" in obj:
-        kwargs["task_head_widths"] = {
-            Horizon.from_key(k): tuple(v) for k, v in obj["task_head_widths"].items()
-        }
-    if "shared_dropout_rate" in obj:
-        kwargs["shared_dropout_rate"] = float(obj["shared_dropout_rate"])
-    return mtl_mod.NetworkConfig(**kwargs)
-
-
-def _train_from_obj(obj: dict, seed: int) -> mtl_mod.TrainConfig:
-    kwargs: dict = {"seed": seed}
-    simple = {
-        "learning_rate": float,
-        "batch_size": int,
-        "max_epochs": int,
-        "early_stop_patience": int,
-        "validation_fraction": float,
-        "optimizer": str,
-        "class_weighting": bool,
-    }
-    for key, conv in simple.items():
-        if key in obj:
-            kwargs[key] = conv(obj[key])
-    if "task_loss_weights" in obj:
-        kwargs["task_loss_weights"] = {
-            Horizon.from_key(k): float(v) for k, v in obj["task_loss_weights"].items()
-        }
-    return mtl_mod.TrainConfig(**kwargs)
+# network keys a config may set; input_dim and the seeds are derived
+CONFIG_NETWORK_KEYS = ("shared_layer_widths", "task_head_widths", "shared_dropout_rate")
 
 
 def read_config_obj(path) -> dict:
@@ -258,9 +236,11 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
             raise ConfigError("grid requires a non-empty space")
         grid = GridSettings(space=dict(g["space"]), k=int(g.get("k", 5)))
 
-    exp = obj.get("explain", {})
-    val = obj.get("validation", {})
-    top = obj.get("topic", {})
+    def settings(cls, block: str, **convert):
+        # the keys the block holds, converted; other fields keep their defaults
+        values = obj.get(block, {})
+        return cls(**{k: conv(values[k]) for k, conv in convert.items() if k in values})
+
     try:
         cfg = PipelineConfig(
             out_dir=resolve(str(obj["out_dir"])),
@@ -273,27 +253,29 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
             home_country=str(obj.get("home_country", "US")),
             threshold_mode=str(obj.get("threshold_mode", "fixed")),
             test_year=(None if obj.get("test_year") is None else int(obj["test_year"])),
-            network=_network_from_obj(obj.get("network", {}), derive_seed(seed, "init")),
-            train=_train_from_obj(obj.get("train", {}), derive_seed(seed, "train")),
+            network=mtl_mod.from_json(
+                mtl_mod.NetworkConfig, obj.get("network", {}), CONFIG_NETWORK_KEYS,
+                "network", seed=derive_seed(seed, "init"),
+            ),
+            train=mtl_mod.from_json(
+                mtl_mod.TrainConfig, obj.get("train", {}), name="train",
+                seed=derive_seed(seed, "train"),
+            ),
             grid=grid,
             compare_stl=bool(obj.get("compare_stl", True)),
-            explain=ExplainSettings(
-                n_instances=int(exp.get("n_instances", 20)),
-                n_permutations=int(exp.get("n_permutations", 100)),
-                background_size=int(exp.get("background_size", 100)),
-                top_k=int(exp.get("top_k", 10)),
-                target_class=ImpactClass.from_name(str(exp.get("target_class", "BT"))),
-                filter_pattern=exp.get("filter_pattern"),
+            explain=settings(
+                ExplainSettings, "explain",
+                n_instances=int, n_permutations=int, background_size=int, top_k=int,
+                target_class=lambda v: ImpactClass.from_name(str(v)),
+                filter_pattern=lambda v: v,
             ),
-            validation=ValidationSettings(
-                method=str(val.get("method", "normal_approx")),
-                n_permutations=int(val.get("n_permutations", 10_000)),
-                group_by=str(val.get("group_by", "predicted")),
-                scope=str(val.get("scope", "all")),
+            validation=settings(
+                ValidationSettings, "validation",
+                method=str, n_permutations=int, group_by=str, scope=str,
             ),
-            topic=TopicSettings(
-                horizon=Horizon.from_key(str(top.get("horizon", "long"))),
-                group_by=str(top.get("group_by", "actual")),
+            topic=settings(
+                TopicSettings, "topic",
+                horizon=lambda v: Horizon.from_key(str(v)), group_by=str,
             ),
             raw=obj,
         )
@@ -304,78 +286,157 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
 
 
 # --------------------------------------------------------------------------
-# stage helpers
+# artifact I/O and the run context
 # --------------------------------------------------------------------------
 
-def _require(cfg: PipelineConfig, stage: str, *names: str) -> None:
-    missing = [n for n in names if not cfg.path(n).exists()]
-    if missing:
-        raise StageError(
-            stage, f"missing prerequisite file(s): {', '.join(missing)}"
-        )
+def _read_csv(path) -> list[dict]:
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
-def _load_corpus(cfg: PipelineConfig, stage: str) -> Corpus:
-    _require(cfg, stage, F_CORPUS)
-    return corpus_mod.load_corpus(cfg.path(F_CORPUS), cfg.domain_ipc_prefix)
+def _write_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, obj, indent: Optional[int] = 2) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
 class LabelRow:
     patent_id: str
     grant_year: int
-    counts: dict[Horizon, int]
     classes: dict[Horizon, ImpactClass]
     trajectory: str
 
 
-def _write_labels_csv(path, rows: list[LabelRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["patent_id", "grant_year"]
-            + [f"{h.key}_count" for h in HORIZONS]
-            + [f"{h.key}_class" for h in HORIZONS]
-            + ["trajectory"]
+def _read_labels(path) -> tuple[list[LabelRow], dict[str, LabelRow]]:
+    """The label rows of labels.csv and the row of each patent id."""
+    rows = [
+        LabelRow(
+            patent_id=rec["patent_id"],
+            grant_year=int(rec["grant_year"]),
+            classes={h: ImpactClass.from_name(rec[f"{h.key}_class"]) for h in HORIZONS},
+            trajectory=rec["trajectory"],
         )
-        for row in rows:
-            writer.writerow(
-                [row.patent_id, row.grant_year]
-                + [row.counts[h] for h in HORIZONS]
-                + [row.classes[h].name for h in HORIZONS]
-                + [row.trajectory]
+        for rec in _read_csv(path)
+    ]
+    return rows, {r.patent_id: r for r in rows}
+
+
+def _read_features(path) -> tuple[dict[str, int], np.ndarray]:
+    """The row of each patent id in features.csv and the feature matrix."""
+    ids, matrix = ind.load_features_csv(path)
+    return {pid: i for i, pid in enumerate(ids)}, matrix
+
+
+class RunContext:
+    """One run's config plus the artifacts its stages read.
+
+    Each artifact is parsed from the output directory at most once while the
+    context holds it; a missing one is a StageError of the running stage. A
+    context serves one run, in which every artifact is written before it is
+    read.
+    """
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+        self.stage = ""
+        self._loaded: dict[str, object] = {}
+
+    def require(self, *names: str) -> None:
+        missing = [n for n in names if not self.cfg.path(n).exists()]
+        if missing:
+            raise StageError(
+                self.stage, f"missing prerequisite file(s): {', '.join(missing)}"
             )
 
+    def _load(self, name: str, parse: Callable):
+        if name not in self._loaded:
+            self.require(name)
+            self._loaded[name] = parse(self.cfg.path(name))
+        return self._loaded[name]
 
-def _read_labels_csv(path) -> list[LabelRow]:
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                LabelRow(
-                    patent_id=rec["patent_id"],
-                    grant_year=int(rec["grant_year"]),
-                    counts={h: int(rec[f"{h.key}_count"]) for h in HORIZONS},
-                    classes={
-                        h: ImpactClass.from_name(rec[f"{h.key}_class"]) for h in HORIZONS
-                    },
-                    trajectory=rec["trajectory"],
-                )
-            )
-    return rows
+    def keep_only(self, names) -> None:
+        """Drop every loaded artifact whose file is not in ``names``.
+
+        Dropping the corpus drops everything: objects parsed while it was
+        held sit among its freed memory and would keep that memory resident.
+        """
+        if F_CORPUS in self._loaded and F_CORPUS not in names:
+            names = ()
+        self._loaded = {k: v for k, v in self._loaded.items() if k in names}
+
+    @property
+    def corpus(self) -> Corpus:
+        return self._load(
+            F_CORPUS, lambda p: corpus_mod.load_corpus(p, self.cfg.domain_ipc_prefix)
+        )
+
+    @property
+    def labels(self) -> list[LabelRow]:
+        return self._load(F_LABELS, _read_labels)[0]
+
+    @property
+    def label_by_id(self) -> dict[str, LabelRow]:
+        return self._load(F_LABELS, _read_labels)[1]
+
+    def feature_rows(self, ids) -> np.ndarray:
+        pos, matrix = self._load(F_FEATURES, _read_features)
+        return matrix[[pos[p] for p in ids]]
+
+    @property
+    def split(self) -> dict:
+        return self._load(F_SPLIT, lambda p: json.loads(p.read_text(encoding="utf-8")))
+
+    @property
+    def model(self) -> mtl_mod.MtlModel:
+        return self._load(F_MODEL, mtl_mod.load_checkpoint)
 
 
-def _read_predictions_csv(path) -> list[dict]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+STAGES: dict[str, Callable[..., list[str]]] = {}
+# the artifact files each stage reads through its context; a run holds an
+# artifact only while the next stage reads it too
+STAGE_READS: dict[str, tuple[str, ...]] = {}
+
+
+def _stage(name: str, reads: tuple[str, ...] = ()):
+    """Register ``body(ctx, **kwargs)`` in STAGES as ``stage(cfg, ctx=None, **kwargs)``.
+
+    Without a ``ctx`` the stage reads through a context of its own. A
+    ValueError or OSError becomes a StageError; a CorpusError passes as is.
+    """
+
+    def register(body):
+        @wraps(body)
+        def stage(cfg: PipelineConfig, ctx: Optional[RunContext] = None, **kwargs):
+            ctx = ctx if ctx is not None else RunContext(cfg)
+            ctx.stage = name
+            try:
+                return body(ctx, **kwargs)
+            except (ValueError, OSError) as exc:
+                raise StageError(name, str(exc)) from exc
+
+        STAGES[name] = stage
+        STAGE_READS[name] = reads
+        return stage
+
+    return register
 
 
 # --------------------------------------------------------------------------
 # stages
 # --------------------------------------------------------------------------
 
-def stage_corpus(cfg: PipelineConfig) -> list[str]:
+@_stage("corpus")
+def stage_corpus(ctx: RunContext) -> list[str]:
     """Synthesize or ingest, then persist the normalized corpus snapshot."""
+    cfg = ctx.cfg
     if cfg.synth is not None:
         corpus = generate_synthetic(cfg.synth)
     else:
@@ -392,19 +453,18 @@ def _modeling_ids(corpus: Corpus) -> tuple[list[str], dict[str, int]]:
     excluded = {h.key: 0 for h in HORIZONS}
     modeling = []
     for rec in sorted(corpus.records.values(), key=lambda r: (r.grant_date, r.id)):
-        ok = True
-        for h in HORIZONS:
-            if add_years(rec.grant_date, h.years) > end:
-                excluded[h.key] += 1
-                ok = False
-        if ok:
+        cut = [h for h in HORIZONS if add_years(rec.grant_date, h.years) > end]
+        for h in cut:
+            excluded[h.key] += 1
+        if not cut:
             modeling.append(rec.id)
     return modeling, excluded
 
 
-def stage_label(cfg: PipelineConfig) -> list[str]:
+@_stage("label", reads=(F_CORPUS,))
+def stage_label(ctx: RunContext) -> list[str]:
     """Count forward citations, derive/emit thresholds, write class labels."""
-    corpus = _load_corpus(cfg, "label")
+    cfg, corpus = ctx.cfg, ctx.corpus
     modeling, excluded = _modeling_ids(corpus)
     if not modeling:
         raise StageError("label", "no patent has a full window for every horizon")
@@ -412,67 +472,59 @@ def stage_label(cfg: PipelineConfig) -> list[str]:
 
     pairs = {}
     for h in HORIZONS:
-        if cfg.threshold_mode == "fixed":
-            pairs[h.key] = derive_thresholds(corpus, h, "fixed")
-        else:
-            eligible = [
-                pid
-                for pid, rec in corpus.records.items()
-                if add_years(rec.grant_date, h.years) <= end
-            ]
-            try:
-                pairs[h.key] = derive_thresholds(corpus, h, "stanine", ids=eligible)
-            except CorpusError as exc:
-                raise StageError("label", f"stanine derivation failed: {exc}") from None
-    thresholds = ClassThresholds(
-        short=pairs["short"], mid=pairs["mid"], long=pairs["long"]
-    )
-    with open(cfg.path(F_THRESHOLDS), "w", encoding="utf-8") as fh:
-        json.dump(thresholds.to_json_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # stanine cut points come from the patents with a full window
+        eligible = None if cfg.threshold_mode == "fixed" else [
+            pid for pid, rec in corpus.records.items()
+            if add_years(rec.grant_date, h.years) <= end
+        ]
+        try:
+            pairs[h.key] = derive_thresholds(corpus, h, cfg.threshold_mode, ids=eligible)
+        except CorpusError as exc:
+            raise StageError("label", f"stanine derivation failed: {exc}") from None
+    thresholds = ClassThresholds(**pairs)
+    _write_json(cfg.path(F_THRESHOLDS), thresholds.to_json_obj())
 
     rows = []
     for pid in modeling:
         counts = {h: forward_citation_count(corpus, pid, h) for h in HORIZONS}
-        classes = {
-            h: assign_impact_class(counts[h], thresholds, h) for h in HORIZONS
-        }
+        classes = [assign_impact_class(counts[h], thresholds, h) for h in HORIZONS]
         rows.append(
-            LabelRow(
-                patent_id=pid,
-                grant_year=corpus.get(pid).grant_date.year,
-                counts=counts,
-                classes=classes,
-                trajectory=trajectory_pattern(
-                    classes[Horizon.SHORT], classes[Horizon.MID], classes[Horizon.LONG]
-                ).value,
-            )
+            [pid, corpus.get(pid).grant_date.year]
+            + [counts[h] for h in HORIZONS]
+            + [c.name for c in classes]
+            + [trajectory_pattern(*classes).value]
         )
-    _write_labels_csv(cfg.path(F_LABELS), rows)
+    _write_csv(
+        cfg.path(F_LABELS),
+        ["patent_id", "grant_year"]
+        + [f"{h.key}_count" for h in HORIZONS]
+        + [f"{h.key}_class" for h in HORIZONS]
+        + ["trajectory"],
+        rows,
+    )
     log.info("labeled %d patents; exclusions per horizon: %s", len(rows), excluded)
     return [F_THRESHOLDS, F_LABELS]
 
 
-def stage_features(cfg: PipelineConfig) -> list[str]:
+@_stage("features", reads=(F_CORPUS, F_LABELS))
+def stage_features(ctx: RunContext) -> list[str]:
     """Extract the indicator matrix for every labeled patent."""
-    corpus = _load_corpus(cfg, "features")
-    _require(cfg, "features", F_LABELS)
-    ids = [row.patent_id for row in _read_labels_csv(cfg.path(F_LABELS))]
-    matrix = ind.extract_feature_matrix(corpus, ids, home_country=cfg.home_country)
-    ind.export_features_csv(cfg.path(F_FEATURES), ids, matrix)
+    ids = [row.patent_id for row in ctx.labels]
+    matrix = ind.extract_feature_matrix(ctx.corpus, ids, home_country=ctx.cfg.home_country)
+    ind.export_features_csv(ctx.cfg.path(F_FEATURES), ids, matrix)
     return [F_FEATURES]
 
 
-def _temporal_split(
-    cfg: PipelineConfig, rows: list[LabelRow]
-) -> tuple[list[str], list[str], int]:
-    years = sorted({r.grant_year for r in rows})
-    test_year = cfg.test_year if cfg.test_year is not None else years[-1]
+def _temporal_split(ctx: RunContext) -> tuple[list[str], list[str], int]:
+    rows = ctx.labels
+    test_year = ctx.cfg.test_year
+    if test_year is None:
+        test_year = max(r.grant_year for r in rows)
     train_ids = [r.patent_id for r in rows if r.grant_year < test_year]
     test_ids = [r.patent_id for r in rows if r.grant_year == test_year]
-    dropped = [r.patent_id for r in rows if r.grant_year > test_year]
-    if dropped:
-        log.warning("%d labeled patents are newer than the test year", len(dropped))
+    newer = sum(r.grant_year > test_year for r in rows)
+    if newer:
+        log.warning("%d labeled patents are newer than the test year", newer)
     if not train_ids or not test_ids:
         raise StageError(
             "train",
@@ -482,32 +534,27 @@ def _temporal_split(
     return train_ids, test_ids, test_year
 
 
-def _label_arrays(
-    rows: list[LabelRow], ids: list[str]
-) -> dict[Horizon, np.ndarray]:
-    by_id = {r.patent_id: r for r in rows}
-    return {
+def _training_set(
+    ctx: RunContext, ids: list[str]
+) -> tuple[np.ndarray, dict[Horizon, np.ndarray]]:
+    """Raw features and class indices of ``ids``."""
+    by_id = ctx.label_by_id
+    return ctx.feature_rows(ids), {
         h: np.array([int(by_id[pid].classes[h]) for pid in ids], dtype=np.int64)
         for h in HORIZONS
     }
 
 
-def stage_gridsearch(cfg: PipelineConfig) -> list[str]:
+@_stage("gridsearch", reads=(F_LABELS, F_FEATURES))
+def stage_gridsearch(ctx: RunContext) -> list[str]:
     """Exhaustive hyperparameter search on the training split."""
+    cfg = ctx.cfg
     if cfg.grid is None:
         raise StageError("gridsearch", "config has no grid.space")
-    _require(cfg, "gridsearch", F_LABELS, F_FEATURES)
-    rows = _read_labels_csv(cfg.path(F_LABELS))
-    ids, matrix = ind.load_features_csv(cfg.path(F_FEATURES))
-    train_ids, _, _ = _temporal_split(cfg, rows)
-    pos = {pid: i for i, pid in enumerate(ids)}
-    X_train = matrix[[pos[p] for p in train_ids]]
+    X_train, labels = _training_set(ctx, _temporal_split(ctx)[0])
     std = ind.fit_standardizer(X_train)
-    labels = _label_arrays(rows, train_ids)
-
-    space = dict(cfg.grid.space)
     result = mtl_mod.grid_search(
-        space,
+        dict(cfg.grid.space),
         std.transform(X_train),
         labels,
         k=cfg.grid.k,
@@ -515,43 +562,31 @@ def stage_gridsearch(cfg: PipelineConfig) -> list[str]:
         base_network=cfg.network,
         base_train=cfg.train,
     )
-    with open(cfg.path(F_GRIDSEARCH), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "assignment", "score", "fold_scores"])
-        for i, cell in enumerate(result.cells):
-            writer.writerow(
-                [
-                    i,
-                    json.dumps(dict(cell.assignment), sort_keys=True),
-                    repr(cell.score),
-                    json.dumps([round(s, 12) for s in cell.fold_scores]),
-                ]
-            )
-    best = {
+    _write_csv(
+        cfg.path(F_GRIDSEARCH),
+        ["cell", "assignment", "score", "fold_scores"],
+        (
+            [
+                i,
+                json.dumps(dict(cell.assignment), sort_keys=True),
+                repr(cell.score),
+                json.dumps([round(s, 12) for s in cell.fold_scores]),
+            ]
+            for i, cell in enumerate(result.cells)
+        ),
+    )
+    _write_json(cfg.path(F_BEST_CONFIG), {
         "score": result.best_score,
-        "network": mtl_mod._network_to_json(result.best_network),
-        "train": {
-            "learning_rate": result.best_train.learning_rate,
-            "batch_size": result.best_train.batch_size,
-            "max_epochs": result.best_train.max_epochs,
-            "early_stop_patience": result.best_train.early_stop_patience,
-            "task_loss_weights": {
-                h.key: w for h, w in result.best_train.task_loss_weights.items()
-            },
-            "validation_fraction": result.best_train.validation_fraction,
-            "optimizer": result.best_train.optimizer,
-            "class_weighting": result.best_train.class_weighting,
-        },
-    }
-    with open(cfg.path(F_BEST_CONFIG), "w", encoding="utf-8") as fh:
-        json.dump(best, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "network": mtl_mod.to_json(result.best_network),
+        "train": mtl_mod.to_json(result.best_train),
+    })
     return [F_GRIDSEARCH, F_BEST_CONFIG]
 
 
 def _configs_for_training(
-    cfg: PipelineConfig,
+    ctx: RunContext,
 ) -> tuple[mtl_mod.NetworkConfig, mtl_mod.TrainConfig]:
+    cfg = ctx.cfg
     if cfg.grid is None:
         return cfg.network, cfg.train
     best_path = cfg.path(F_BEST_CONFIG)
@@ -559,39 +594,35 @@ def _configs_for_training(
         raise StageError(
             "train", f"config has grid.space but {F_BEST_CONFIG} is missing; run gridsearch"
         )
-    with open(best_path, "r", encoding="utf-8") as fh:
-        best = json.load(fh)
-    network = mtl_mod._network_from_json(best["network"])
-    train_cfg = _train_from_obj(best["train"], derive_seed(cfg.seed, "train"))
-    return network, train_cfg
+    best = json.loads(best_path.read_text(encoding="utf-8"))
+    return (
+        mtl_mod.from_json(mtl_mod.NetworkConfig, best["network"]),
+        mtl_mod.from_json(mtl_mod.TrainConfig, best["train"], seed=cfg.train.seed),
+    )
 
 
-def stage_train(cfg: PipelineConfig) -> list[str]:
+@_stage("train", reads=(F_LABELS, F_FEATURES))
+def stage_train(ctx: RunContext) -> list[str]:
     """Fit the standardizer and the multi-task model (plus ablations)."""
-    _require(cfg, "train", F_LABELS, F_FEATURES)
-    rows = _read_labels_csv(cfg.path(F_LABELS))
-    ids, matrix = ind.load_features_csv(cfg.path(F_FEATURES))
-    train_ids, test_ids, test_year = _temporal_split(cfg, rows)
-    pos = {pid: i for i, pid in enumerate(ids)}
-    X_train = matrix[[pos[p] for p in train_ids]]
+    cfg = ctx.cfg
+    train_ids, test_ids, test_year = _temporal_split(ctx)
+    X_train, labels = _training_set(ctx, train_ids)
 
     std = ind.fit_standardizer(X_train)
     ind.save_standardizer(cfg.path(F_STANDARDIZER), std)
-    with open(cfg.path(F_SPLIT), "w", encoding="utf-8") as fh:
-        json.dump(
-            {"test_year": test_year, "train_ids": train_ids, "test_ids": test_ids},
-            fh,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(
+        cfg.path(F_SPLIT),
+        {"test_year": test_year, "train_ids": train_ids, "test_ids": test_ids},
+        indent=None,
+    )
 
-    network, train_cfg = _configs_for_training(cfg)
-    labels = _label_arrays(rows, train_ids)
+    network, train_cfg = _configs_for_training(ctx)
+    X = std.transform(X_train)
     model = mtl_mod.init_network(network)
     model.standardizer = std
     try:
-        mtl_mod.train(model, std.transform(X_train), labels, train_cfg)
-    except (ValueError, RuntimeError) as exc:
+        mtl_mod.train(model, X, labels, train_cfg)
+    except RuntimeError as exc:
         raise StageError("train", str(exc)) from None
     mtl_mod.save_checkpoint(cfg.path(F_MODEL), model)
     mtl_mod.export_training_log_csv(cfg.path(F_TRAINING_LOG), model)
@@ -599,9 +630,7 @@ def stage_train(cfg: PipelineConfig) -> list[str]:
 
     if cfg.compare_stl:
         for h in HORIZONS:
-            stl = mtl_mod.train_stl(
-                h, std.transform(X_train), labels[h], train_cfg, network=network
-            )
+            stl = mtl_mod.train_stl(h, X, labels[h], train_cfg, network=network)
             stl.standardizer = std
             name = f"stl_{h.key}.ckpt.json"
             mtl_mod.save_checkpoint(cfg.path(name), stl)
@@ -609,44 +638,38 @@ def stage_train(cfg: PipelineConfig) -> list[str]:
     return outputs
 
 
-def stage_evaluate(cfg: PipelineConfig) -> list[str]:
+def _confusion(actual, predicted) -> metrics_mod.ConfusionMatrix3:
+    """Confusion matrix of two sequences of classes or class indices."""
+    return metrics_mod.confusion_from_predictions(
+        [ImpactClass(int(v)) for v in actual], [ImpactClass(int(v)) for v in predicted]
+    )
+
+
+@_stage("evaluate", reads=(F_LABELS, F_FEATURES, F_SPLIT, F_MODEL))
+def stage_evaluate(ctx: RunContext) -> list[str]:
     """Predict, tabulate confusion matrices, and export metric tables."""
-    _require(cfg, "evaluate", F_LABELS, F_FEATURES, F_MODEL, F_SPLIT)
-    rows = _read_labels_csv(cfg.path(F_LABELS))
-    ids, matrix = ind.load_features_csv(cfg.path(F_FEATURES))
-    with open(cfg.path(F_SPLIT), "r", encoding="utf-8") as fh:
-        split = json.load(fh)
-    model = mtl_mod.load_checkpoint(cfg.path(F_MODEL))
-    std = model.standardizer
-    pos = {pid: i for i, pid in enumerate(ids)}
-    by_id = {r.patent_id: r for r in rows}
-
+    cfg, model, split, by_id = ctx.cfg, ctx.model, ctx.split, ctx.label_by_id
     all_ids = split["train_ids"] + split["test_ids"]
-    X = std.transform(matrix[[pos[p] for p in all_ids]])
+    n_train = len(split["train_ids"])
+    X = model.standardizer.transform(ctx.feature_rows(all_ids))
     preds = mtl_mod.predict_batch(model, X)
-    split_of = {pid: "train" for pid in split["train_ids"]}
-    split_of.update({pid: "test" for pid in split["test_ids"]})
 
-    with open(cfg.path(F_PREDICTIONS), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["patent_id", "split"]
-            + [f"{h.key}_actual" for h in HORIZONS]
-            + [f"{h.key}_predicted" for h in HORIZONS]
-        )
-        for i, pid in enumerate(all_ids):
-            writer.writerow(
-                [pid, split_of[pid]]
-                + [by_id[pid].classes[h].name for h in HORIZONS]
-                + [ImpactClass(int(preds[h][i])).name for h in HORIZONS]
-            )
+    _write_csv(
+        cfg.path(F_PREDICTIONS),
+        ["patent_id", "split"]
+        + [f"{h.key}_actual" for h in HORIZONS]
+        + [f"{h.key}_predicted" for h in HORIZONS],
+        (
+            [pid, "train" if i < n_train else "test"]
+            + [by_id[pid].classes[h].name for h in HORIZONS]
+            + [ImpactClass(int(preds[h][i])).name for h in HORIZONS]
+            for i, pid in enumerate(all_ids)
+        ),
+    )
 
-    test_index = [i for i, pid in enumerate(all_ids) if split_of[pid] == "test"]
-    mtl_cms = {}
-    for h in HORIZONS:
-        actual = [by_id[all_ids[i]].classes[h] for i in test_index]
-        predicted = [ImpactClass(int(preds[h][i])) for i in test_index]
-        mtl_cms[h] = metrics_mod.confusion_from_predictions(actual, predicted)
+    test_index = list(range(n_train, len(all_ids)))
+    actual = {h: [by_id[all_ids[i]].classes[h] for i in test_index] for h in HORIZONS}
+    mtl_cms = {h: _confusion(actual[h], preds[h][test_index]) for h in HORIZONS}
     metrics_mod.export_metrics_csv(cfg.path(F_METRICS), mtl_cms)
     metrics_mod.export_metrics_json(cfg.path(F_METRICS_JSON), mtl_cms)
     outputs = [F_PREDICTIONS, F_METRICS, F_METRICS_JSON]
@@ -658,87 +681,67 @@ def stage_evaluate(cfg: PipelineConfig) -> list[str]:
             if not path.exists():
                 raise StageError("evaluate", f"missing {path.name}; rerun train")
             stl = mtl_mod.load_checkpoint(path)
-            stl_pred = mtl_mod.predict_batch(
-                stl, std.transform(matrix[[pos[all_ids[i]] for i in test_index]])
-            )[h]
-            actual = [by_id[all_ids[i]].classes[h] for i in test_index]
-            predicted = [ImpactClass(int(v)) for v in stl_pred]
-            stl_cms[h] = metrics_mod.confusion_from_predictions(actual, predicted)
+            stl_cms[h] = _confusion(actual[h], mtl_mod.predict_batch(stl, X[test_index])[h])
         comparison = metrics_mod.compare_models(mtl_cms, stl_cms)
         metrics_mod.export_comparison_csv(cfg.path(F_COMPARISON), comparison)
         outputs.append(F_COMPARISON)
     return outputs
 
 
-def stage_explain(cfg: PipelineConfig) -> list[str]:
+@_stage("explain", reads=(F_LABELS, F_FEATURES, F_SPLIT, F_MODEL))
+def stage_explain(ctx: RunContext) -> list[str]:
     """Sampled Shapley attributions for a seeded subset of test patents."""
-    _require(cfg, "explain", F_LABELS, F_FEATURES, F_MODEL, F_SPLIT)
-    rows = _read_labels_csv(cfg.path(F_LABELS))
-    ids, matrix = ind.load_features_csv(cfg.path(F_FEATURES))
-    with open(cfg.path(F_SPLIT), "r", encoding="utf-8") as fh:
-        split = json.load(fh)
-    model = mtl_mod.load_checkpoint(cfg.path(F_MODEL))
+    cfg, model, split = ctx.cfg, ctx.model, ctx.split
     std = model.standardizer
-    pos = {pid: i for i, pid in enumerate(ids)}
     seed = cfg.stage_seed("explain")
 
-    train_X = std.transform(matrix[[pos[p] for p in split["train_ids"]]])
     background = explain_mod.BackgroundSet.sample(
-        train_X, size=cfg.explain.background_size, seed=derive_seed(seed, "background")
+        std.transform(ctx.feature_rows(split["train_ids"])),
+        size=cfg.explain.background_size,
+        seed=derive_seed(seed, "background"),
     )
     rng = np.random.default_rng(derive_seed(seed, "instances"))
     test_ids = list(split["test_ids"])
     n_pick = min(cfg.explain.n_instances, len(test_ids))
     picked = sorted(rng.choice(len(test_ids), size=n_pick, replace=False).tolist())
     instance_ids = [test_ids[i] for i in picked]
+    raw = ctx.feature_rows(instance_ids)
 
     grouping = explain_mod.default_grouping()
-    trajectory_of = {r.patent_id: r.trajectory for r in rows}
-    targets = [
-        explain_mod.AttributionTarget(horizon=h, impact_class=cfg.explain.target_class)
-        for h in HORIZONS
-    ]
+    trajectory_of = {r.patent_id: r.trajectory for r in ctx.labels}
     by_target = explain_mod.attribute_instances(
         model,
-        {pid: std.transform(matrix[pos[pid]]) for pid in instance_ids},
+        {pid: std.transform(x) for pid, x in zip(instance_ids, raw)},
         background,
-        target=targets,
+        target=[
+            explain_mod.AttributionTarget(horizon=h, impact_class=cfg.explain.target_class)
+            for h in HORIZONS
+        ],
         grouping=grouping,
         n_permutations=cfg.explain.n_permutations,
         seed=seed,
-        display_values={pid: matrix[pos[pid]] for pid in instance_ids},
+        display_values=dict(zip(instance_ids, raw)),
     )
     explain_mod.export_attributions_csv(cfg.path(F_ATTRIBUTIONS), by_target, grouping)
     outputs = [F_ATTRIBUTIONS]
 
+    pattern = cfg.explain.filter_pattern
     for target, att_rows in by_target:
         h = target.horizon
-        labels = trajectory_of if cfg.explain.filter_pattern is not None else None
-        _, records = explain_mod.group_summary(
-            att_rows,
-            grouping,
-            instance_labels=labels,
-            label_filter=cfg.explain.filter_pattern,
-            top_k=cfg.explain.top_k,
-        )
+        if pattern is not None:
+            att_rows = [r for r in att_rows if trajectory_of.get(r.instance_id) == pattern]
+        _, records = explain_mod.group_summary(att_rows, grouping, top_k=cfg.explain.top_k)
         stem = f"summary_{h.key}_{target.impact_class.name}"
         explain_mod.export_group_summary_csv(cfg.path(f"{stem}.csv"), records)
         outputs.append(f"{stem}.csv")
         if not records:
             log.warning(
-                "no explained %s instances with trajectory %r; skipping plot",
-                h.key, cfg.explain.filter_pattern,
+                "no explained %s instances with trajectory %r; skipping plot", h.key, pattern
             )
             continue
-        plot_rows = att_rows
-        if cfg.explain.filter_pattern is not None:
-            plot_rows = [
-                r for r in att_rows
-                if trajectory_of.get(r.instance_id) == cfg.explain.filter_pattern
-            ]
         explain_mod.render_beeswarm_svg(
             cfg.path(f"{stem}.svg"),
-            plot_rows,
+            att_rows,
             grouping,
             top_k=cfg.explain.top_k,
             title=f"{h.key}-term {target.impact_class.name} attribution summary",
@@ -747,32 +750,31 @@ def stage_explain(cfg: PipelineConfig) -> list[str]:
     return outputs
 
 
-def _classes_for_validation(
-    cfg: PipelineConfig, stage: str, group_by: str, scope: str
+def _predicted_classes(
+    ctx: RunContext, group_by: str, scope: str
 ) -> dict[Horizon, dict[str, ImpactClass]]:
-    _require(cfg, stage, F_PREDICTIONS)
-    pred_rows = _read_predictions_csv(cfg.path(F_PREDICTIONS))
-    col = "predicted" if group_by == "predicted" else "actual"
+    """Classes per horizon from predictions.csv: its ``actual`` or
+    ``predicted`` columns, for every patent or (``scope="test"``) the test split."""
+    ctx.require(F_PREDICTIONS)
     out: dict[Horizon, dict[str, ImpactClass]] = {h: {} for h in HORIZONS}
-    for rec in pred_rows:
+    for rec in _read_csv(ctx.cfg.path(F_PREDICTIONS)):
         if scope == "test" and rec["split"] != "test":
             continue
         for h in HORIZONS:
-            out[h][rec["patent_id"]] = ImpactClass.from_name(rec[f"{h.key}_{col}"])
+            out[h][rec["patent_id"]] = ImpactClass.from_name(rec[f"{h.key}_{group_by}"])
     return out
 
 
-def stage_validate(cfg: PipelineConfig) -> list[str]:
+@_stage("validate", reads=(F_CORPUS,))
+def stage_validate(ctx: RunContext) -> list[str]:
     """Ordered-trend tests of post-hoc value indicators per horizon."""
-    corpus = _load_corpus(cfg, "validate")
-    classes = _classes_for_validation(
-        cfg, "validate", cfg.validation.group_by, cfg.validation.scope
-    )
+    cfg = ctx.cfg
+    classes = _predicted_classes(ctx, cfg.validation.group_by, cfg.validation.scope)
     per_horizon = {}
     for h in HORIZONS:
         try:
             per_horizon[h.key] = validate_mod.validate_value_indicators(
-                corpus,
+                ctx.corpus,
                 classes[h],
                 method=cfg.validation.method,
                 seed=derive_seed(cfg.stage_seed("validate"), h.key),
@@ -784,57 +786,42 @@ def stage_validate(cfg: PipelineConfig) -> list[str]:
     return [F_VALIDATION]
 
 
-def stage_topic_score(cfg: PipelineConfig) -> list[str]:
+@_stage("topic-score", reads=(F_CORPUS, F_LABELS))
+def stage_topic_score(ctx: RunContext) -> list[str]:
     """Class-weighted topic impact scores per grant year."""
-    corpus = _load_corpus(cfg, "topic-score")
-    h = cfg.topic.horizon
+    cfg, h = ctx.cfg, ctx.cfg.topic.horizon
     if cfg.topic.group_by == "actual":
-        _require(cfg, "topic-score", F_LABELS)
-        rows = _read_labels_csv(cfg.path(F_LABELS))
-        classes = {r.patent_id: r.classes[h] for r in rows}
+        classes = {r.patent_id: r.classes[h] for r in ctx.labels}
     else:
-        classes = _classes_for_validation(cfg, "topic-score", "predicted", "all")[h]
-    try:
-        table = validate_mod.topic_impact_scores(corpus, classes)
-    except ValueError as exc:
-        raise StageError("topic-score", str(exc)) from None
+        classes = _predicted_classes(ctx, "predicted", "all")[h]
+    table = validate_mod.topic_impact_scores(ctx.corpus, classes)
     validate_mod.export_topic_scores_csv(cfg.path(F_TOPIC_CSV), table)
     validate_mod.export_topic_scores_json(cfg.path(F_TOPIC_JSON), table)
     return [F_TOPIC_CSV, F_TOPIC_JSON]
 
 
-def stage_cv(cfg: PipelineConfig, k: int = 5) -> list[str]:
+@_stage("cv", reads=(F_LABELS, F_FEATURES))
+def stage_cv(ctx: RunContext, k: int = 5) -> list[str]:
     """Stratified k-fold cross-validation of the configured model."""
-    _require(cfg, "cv", F_LABELS, F_FEATURES)
-    rows = _read_labels_csv(cfg.path(F_LABELS))
-    ids, matrix = ind.load_features_csv(cfg.path(F_FEATURES))
-    train_ids, _, _ = _temporal_split(cfg, rows)
-    pos = {pid: i for i, pid in enumerate(ids)}
-    X = matrix[[pos[p] for p in train_ids]]
-    labels = _label_arrays(rows, train_ids)
-    network, train_cfg = _configs_for_training(cfg)
+    cfg = ctx.cfg
+    X, labels = _training_set(ctx, _temporal_split(ctx)[0])
+    network, train_cfg = _configs_for_training(ctx)
 
     stratify = [ImpactClass(int(v)) for v in labels[Horizon.LONG]]
     folds = metrics_mod.stratified_kfold(
         stratify, k, derive_seed(cfg.stage_seed("cv"), "folds")
     )
-    with open(cfg.path(F_CV), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "horizon", "class", "metric", "value"])
-        for fold, (tr, te) in enumerate(folds.splits()):
-            std = ind.fit_standardizer(X[tr])
-            model = mtl_mod.init_network(network)
-            mtl_mod.train(
-                model, std.transform(X[tr]), {h: labels[h][tr] for h in HORIZONS}, train_cfg
-            )
-            preds = mtl_mod.predict_batch(model, std.transform(X[te]))
-            cms = {}
-            for h in HORIZONS:
-                actual = [ImpactClass(int(v)) for v in labels[h][te]]
-                predicted = [ImpactClass(int(v)) for v in preds[h]]
-                cms[h] = metrics_mod.confusion_from_predictions(actual, predicted)
-            for row in metrics_mod.metrics_rows(cms):
-                writer.writerow([fold, row[0], row[1], row[2], repr(row[3])])
+    rows = []
+    for fold, (tr, te) in enumerate(folds.splits()):
+        std = ind.fit_standardizer(X[tr])
+        model = mtl_mod.init_network(network)
+        mtl_mod.train(
+            model, std.transform(X[tr]), {h: labels[h][tr] for h in HORIZONS}, train_cfg
+        )
+        preds = mtl_mod.predict_batch(model, std.transform(X[te]))
+        cms = {h: _confusion(labels[h][te], preds[h]) for h in HORIZONS}
+        rows += [[fold, *row[:3], repr(row[3])] for row in metrics_mod.metrics_rows(cms)]
+    _write_csv(cfg.path(F_CV), ["fold", "horizon", "class", "metric", "value"], rows)
     return [F_CV]
 
 
@@ -842,168 +829,124 @@ def stage_cv(cfg: PipelineConfig, k: int = 5) -> list[str]:
 # report
 # --------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    if x != x:
-        return "nan"
-    if x == float("inf"):
-        return "inf"
-    return f"{x:.4f}"
+def _metric_tables(rows: list[dict], last: str, last_title: str, cell) -> list[str]:
+    """One markdown table per horizon: a row per metric, a column per class
+    (MT, VT, BT and ``last``). A horizon with whole-model rows, which only
+    metrics.csv has, gets a line with its micro accuracy and multiclass MCC."""
+    lines = []
+    for h in HORIZONS:
+        sub = [r for r in rows if r["horizon"] == h.key]
+        if not sub:
+            continue
+        lines += [
+            f"### {h.key}-term",
+            "",
+            f"| metric | MT | VT | BT | {last_title} |",
+            "|---|---|---|---|---|",
+        ]
+        for metric in metrics_mod.METRIC_NAMES:
+            cells = {r["class"]: cell(r) for r in sub if r["metric"] == metric}
+            lines.append(
+                f"| {metric} | "
+                + " | ".join(cells.get(c, "") for c in ("MT", "VT", "BT", last))
+                + " |"
+            )
+        lines.append("")
+        overall = {r["class"]: f"{float(r['value']):.4f}" for r in sub}
+        if "overall_micro" in overall:
+            lines += [
+                f"micro accuracy {overall['overall_micro']}, "
+                f"multiclass MCC {overall.get('overall_multiclass', '?')}",
+                "",
+            ]
+    return lines
 
 
-def stage_report(cfg: PipelineConfig) -> list[str]:
+@_stage("report", reads=(F_LABELS,))
+def stage_report(ctx: RunContext) -> list[str]:
     """Merge stage outputs into one human-readable markdown summary."""
-    required = [F_THRESHOLDS, F_LABELS, F_METRICS]
-    missing = [n for n in required if not cfg.path(n).exists()]
-    if missing:
-        raise StageError("report", f"missing prerequisite file(s): {', '.join(missing)}")
+    cfg = ctx.cfg
+    ctx.require(F_THRESHOLDS, F_LABELS, F_METRICS)
+    thresholds = json.loads(cfg.path(F_THRESHOLDS).read_text(encoding="utf-8"))
+    rows = ctx.labels
 
-    lines = ["# Technology impact analysis report", ""]
-    lines.append(f"- config hash: `{cfg.config_hash()}`")
-    lines.append(f"- seed: {cfg.seed}")
-    lines.append("")
-
-    with open(cfg.path(F_THRESHOLDS), "r", encoding="utf-8") as fh:
-        thresholds = json.load(fh)
-    rows = _read_labels_csv(cfg.path(F_LABELS))
-    lines.append("## Impact classes")
-    lines.append("")
-    lines.append("| horizon | BT rule | VT rule | MT | VT | BT | BT share |")
-    lines.append("|---|---|---|---|---|---|---|")
+    lines = [
+        "# Technology impact analysis report",
+        "",
+        f"- config hash: `{cfg.config_hash()}`",
+        f"- seed: {cfg.seed}",
+        "",
+        "## Impact classes",
+        "",
+        "| horizon | BT rule | VT rule | MT | VT | BT | BT share |",
+        "|---|---|---|---|---|---|---|",
+    ]
     for h in HORIZONS:
         t = thresholds[h.key]
-        counts = {c: 0 for c in ("MT", "VT", "BT")}
-        for r in rows:
-            counts[r.classes[h].name] += 1
-        n = max(1, len(rows))
+        counts = Counter(r.classes[h].name for r in rows)
         lines.append(
             f"| {h.key} | >= {t['bt_min']} | >= {t['vt_min']} | "
             f"{counts['MT']} | {counts['VT']} | {counts['BT']} | "
-            f"{counts['BT'] / n:.2%} |"
+            f"{counts['BT'] / max(1, len(rows)):.2%} |"
         )
-    lines.append("")
-
-    traj_counts: dict[str, int] = {}
-    for r in rows:
-        traj_counts[r.trajectory] = traj_counts.get(r.trajectory, 0) + 1
-    lines.append("## Trajectory patterns")
-    lines.append("")
-    for name in sorted(traj_counts):
-        lines.append(f"- {name}: {traj_counts[name]}")
-    lines.append("")
-
-    lines.append("## Test-set performance (multi-task model)")
-    lines.append("")
-    with open(cfg.path(F_METRICS), "r", newline="", encoding="utf-8") as fh:
-        metric_rows = list(csv.DictReader(fh))
-    for h in HORIZONS:
-        sub = [r for r in metric_rows if r["horizon"] == h.key]
-        if not sub:
-            continue
-        lines.append(f"### {h.key}-term")
-        lines.append("")
-        lines.append("| metric | MT | VT | BT | overall (macro) |")
-        lines.append("|---|---|---|---|---|")
-        for metric in metrics_mod.METRIC_NAMES:
-            cells = {}
-            for r in sub:
-                if r["metric"] == metric and r["class"] in ("MT", "VT", "BT", "overall_macro"):
-                    cells[r["class"]] = _fmt(float(r["value"]))
-            lines.append(
-                f"| {metric} | {cells.get('MT', '')} | {cells.get('VT', '')} | "
-                f"{cells.get('BT', '')} | {cells.get('overall_macro', '')} |"
-            )
-        extras = {
-            r["class"]: _fmt(float(r["value"]))
-            for r in sub
-            if r["class"] in ("overall_micro", "overall_multiclass")
-        }
-        lines.append("")
-        lines.append(
-            f"micro accuracy {extras.get('overall_micro', '?')}, "
-            f"multiclass MCC {extras.get('overall_multiclass', '?')}"
-        )
-        lines.append("")
+    traj_counts = Counter(r.trajectory for r in rows)
+    lines += ["", "## Trajectory patterns", ""]
+    lines += [f"- {name}: {traj_counts[name]}" for name in sorted(traj_counts)]
+    lines += ["", "## Test-set performance (multi-task model)", ""]
+    lines += _metric_tables(
+        _read_csv(cfg.path(F_METRICS)), "overall_macro", "overall (macro)",
+        lambda r: f"{float(r['value']):.4f}",
+    )
 
     if cfg.path(F_COMPARISON).exists():
-        lines.append("## Single-task ablation (value and delta vs multi-task)")
-        lines.append("")
-        with open(cfg.path(F_COMPARISON), "r", newline="", encoding="utf-8") as fh:
-            comp_rows = list(csv.DictReader(fh))
-        for h in HORIZONS:
-            sub = [r for r in comp_rows if r["horizon"] == h.key]
-            if not sub:
-                continue
-            lines.append(f"### {h.key}-term")
-            lines.append("")
-            lines.append("| metric | MT | VT | BT | overall |")
-            lines.append("|---|---|---|---|---|")
-            for metric in metrics_mod.METRIC_NAMES:
-                cells = {}
-                for r in sub:
-                    if r["metric"] == metric:
-                        cells[r["class"]] = (
-                            f"{_fmt(float(r['value']))} ({float(r['delta_vs_reference']):+.4f})"
-                        )
-                lines.append(
-                    f"| {metric} | {cells.get('MT', '')} | {cells.get('VT', '')} | "
-                    f"{cells.get('BT', '')} | {cells.get('overall', '')} |"
-                )
-            lines.append("")
+        lines += ["## Single-task ablation (value and delta vs multi-task)", ""]
+        lines += _metric_tables(
+            _read_csv(cfg.path(F_COMPARISON)), "overall", "overall",
+            lambda r: f"{float(r['value']):.4f} ({float(r['delta_vs_reference']):+.4f})",
+        )
 
     if cfg.path(F_ATTRIBUTIONS).exists():
-        lines.append("## Attribution: top indicators per horizon")
-        lines.append("")
-        with open(cfg.path(F_ATTRIBUTIONS), "r", newline="", encoding="utf-8") as fh:
-            att_rows = list(csv.DictReader(fh))
+        lines += ["## Attribution: top indicators per horizon", ""]
+        att_rows = _read_csv(cfg.path(F_ATTRIBUTIONS))
         for h in HORIZONS:
-            sums: dict[str, list[float]] = {}
+            phis: dict[str, list[float]] = {}
             for r in att_rows:
                 if r["horizon"] == h.key:
-                    sums.setdefault(r["group"], []).append(abs(float(r["phi"])))
-            if not sums:
-                continue
-            ranked = explain_mod.rank_groups(
-                (g, sum(v) / len(v)) for g, v in sums.items()
-            )[: cfg.explain.top_k]
-            lines.append(
-                f"- **{h.key}-term**: "
-                + ", ".join(f"{g} ({m:.4f})" for g, m in ranked)
-            )
+                    phis.setdefault(r["group"], []).append(abs(float(r["phi"])))
+            ranked = explain_mod.rank_groups((g, sum(v) / len(v)) for g, v in phis.items())
+            if ranked:
+                top = ", ".join(f"{g} ({m:.4f})" for g, m in ranked[: cfg.explain.top_k])
+                lines.append(f"- **{h.key}-term**: {top}")
         lines.append("")
 
     if cfg.path(F_VALIDATION).exists():
-        lines.append("## Ordered-trend validation of post-hoc value indicators")
-        lines.append("")
-        lines.append("| horizon | indicator | JT | z | p-value | method |")
-        lines.append("|---|---|---|---|---|---|")
-        with open(cfg.path(F_VALIDATION), "r", newline="", encoding="utf-8") as fh:
-            for r in csv.DictReader(fh):
-                lines.append(
-                    f"| {r['horizon']} | {r['indicator']} | {_fmt(float(r['jt_statistic']))} | "
-                    f"{_fmt(float(r['z']))} | {_fmt(float(r['p_value']))} | {r['method']} |"
-                )
+        lines += [
+            "## Ordered-trend validation of post-hoc value indicators",
+            "",
+            "| horizon | indicator | JT | z | p-value | method |",
+            "|---|---|---|---|---|---|",
+        ]
+        lines += [
+            f"| {r['horizon']} | {r['indicator']} | {float(r['jt_statistic']):.4f} | "
+            f"{float(r['z']):.4f} | {float(r['p_value']):.4f} | {r['method']} |"
+            for r in _read_csv(cfg.path(F_VALIDATION))
+        ]
         lines.append("")
 
     if cfg.path(F_TOPIC_CSV).exists():
-        lines.append("## Topic impact scores by grant year")
-        lines.append("")
-        with open(cfg.path(F_TOPIC_CSV), "r", newline="", encoding="utf-8") as fh:
-            topic_rows = list(csv.DictReader(fh))
+        lines += ["## Topic impact scores by grant year", ""]
+        topic_rows = _read_csv(cfg.path(F_TOPIC_CSV))
         years = sorted({int(r["year"]) for r in topic_rows})
         topics = sorted({r["topic"] for r in topic_rows})
         score = {(r["topic"], int(r["year"])): float(r["score"]) for r in topic_rows}
         lines.append("| topic | " + " | ".join(str(y) for y in years) + " |")
         lines.append("|---|" + "---|" * len(years))
         for topic in topics:
-            cells = [
-                _fmt(score[(topic, y)]) if (topic, y) in score else ""
-                for y in years
-            ]
+            cells = [f"{score[topic, y]:.4f}" if (topic, y) in score else "" for y in years]
             lines.append(f"| {topic} | " + " | ".join(cells) + " |")
         lines.append("")
 
-    with open(cfg.path(F_REPORT), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    cfg.path(F_REPORT).write_text("\n".join(lines), encoding="utf-8")
     return [F_REPORT]
 
 
@@ -1026,16 +969,7 @@ class RunManifest:
     error: Optional[str] = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "schema": MANIFEST_SCHEMA,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "stages": [
-                {"name": s.name, "seconds": s.seconds, "outputs": s.outputs}
-                for s in self.stages
-            ],
-            "error": self.error,
-        }
+        return {"schema": MANIFEST_SCHEMA, **asdict(self)}
 
 
 def _sha256(path: Path) -> str:
@@ -1047,25 +981,10 @@ def _sha256(path: Path) -> str:
 
 
 def _inventory(cfg: PipelineConfig, names: list[str]) -> list[dict]:
-    out = []
-    for name in names:
-        p = cfg.path(name)
-        out.append({"path": name, "sha256": _sha256(p), "bytes": p.stat().st_size})
-    return out
-
-
-STAGES: dict[str, Callable[[PipelineConfig], list[str]]] = {
-    "corpus": stage_corpus,
-    "label": stage_label,
-    "features": stage_features,
-    "gridsearch": stage_gridsearch,
-    "train": stage_train,
-    "evaluate": stage_evaluate,
-    "explain": stage_explain,
-    "validate": stage_validate,
-    "topic-score": stage_topic_score,
-    "report": stage_report,
-}
+    return [
+        {"path": n, "sha256": _sha256(cfg.path(n)), "bytes": cfg.path(n).stat().st_size}
+        for n in names
+    ]
 
 
 def pipeline_stage_names(cfg: PipelineConfig) -> list[str]:
@@ -1077,34 +996,23 @@ def pipeline_stage_names(cfg: PipelineConfig) -> list[str]:
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
-    """Execute every stage in order; a stage failure aborts after writing a
-    partial manifest. The manifest inventories every output with a checksum."""
+    """Execute every stage in order on one shared RunContext. A stage failure
+    aborts after writing a partial manifest. The manifest inventories every
+    output with a checksum."""
     cfg.validate()
     manifest = RunManifest(config_hash=cfg.config_hash(), seed=cfg.seed)
-    for name in pipeline_stage_names(cfg):
+    ctx = RunContext(cfg)
+    names = pipeline_stage_names(cfg)
+    for name, next_name in zip(names, names[1:] + [""]):
         t0 = time.perf_counter()
         try:
-            outputs = STAGES[name](cfg)
-        except StageError as exc:
-            manifest.error = str(exc)
-            _write_manifest(cfg, manifest)
+            outputs = STAGES[name](cfg, ctx)
+        except (StageError, CorpusError) as exc:
+            manifest.error = str(exc) if isinstance(exc, StageError) else f"[{name}] {exc}"
+            _write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
             raise
-        except (CorpusError, ValueError, OSError) as exc:
-            manifest.error = f"[{name}] {exc}"
-            _write_manifest(cfg, manifest)
-            raise StageError(name, str(exc)) from exc
-        manifest.stages.append(
-            StageRecord(
-                name=name,
-                seconds=round(time.perf_counter() - t0, 3),
-                outputs=_inventory(cfg, outputs),
-            )
-        )
-    _write_manifest(cfg, manifest)
+        ctx.keep_only(STAGE_READS.get(next_name, ()))
+        seconds = round(time.perf_counter() - t0, 3)
+        manifest.stages.append(StageRecord(name, seconds, _inventory(cfg, outputs)))
+    _write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
     return manifest
-
-
-def _write_manifest(cfg: PipelineConfig, manifest: RunManifest) -> None:
-    with open(cfg.path(F_MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_json_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from patimpact.corpus import HORIZONS, Horizon, ImpactClass
 from patimpact.mtl import (
     MISSING_LABEL,
+    EpochStats,
     InferenceWorkspace,
     NetworkConfig,
     TaskOutput,
@@ -19,6 +21,7 @@ from patimpact.mtl import (
     batch_loss,
     export_training_log_csv,
     forward,
+    from_json,
     gradient_check,
     grid_search,
     infer_proba,
@@ -31,6 +34,7 @@ from patimpact.mtl import (
     predict_proba,
     save_checkpoint,
     softmax,
+    to_json,
     train,
     train_stl,
 )
@@ -555,6 +559,42 @@ class TestPersistence:
             predict_batch(model, X)[Horizon.SHORT], predict_batch(again, X)[Horizon.SHORT]
         )
         assert len(again.history) == len(model.history)
+
+    def test_json_codec_roundtrip(self):
+        network = small_config(seed=41, dropout=0.25)
+        net_obj = json.loads(json.dumps(to_json(network)))
+        assert net_obj == {
+            "input_dim": 10, "shared_layer_widths": [8],
+            "task_head_widths": {"short": [5], "mid": [5], "long": [5]},
+            "classes_per_task": 3, "shared_dropout_rate": 0.25, "seed": 41,
+        }
+        assert from_json(NetworkConfig, net_obj) == network
+
+        train_cfg = TrainConfig(
+            learning_rate=0.01, batch_size=8, optimizer="sgd", class_weighting=True,
+            task_loss_weights={Horizon.SHORT: 1.0, Horizon.LONG: 2.0}, seed=5,
+        )
+        train_obj = json.loads(json.dumps(to_json(train_cfg)))
+        # the seed and the Adam constants are not part of the JSON form
+        assert set(train_obj) == {
+            "learning_rate", "batch_size", "max_epochs", "early_stop_patience",
+            "task_loss_weights", "validation_fraction", "optimizer", "class_weighting",
+        }
+        assert from_json(TrainConfig, train_obj, seed=5) == train_cfg
+
+        stats = EpochStats(
+            epoch=3, train_loss_total=1.5, val_loss_total=2.25,
+            train_loss_per_task={Horizon.MID: 0.5}, val_loss_per_task={Horizon.MID: 0.75},
+        )
+        assert from_json(EpochStats, json.loads(json.dumps(to_json(stats)))) == stats
+
+    def test_json_codec_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="beta1"):
+            from_json(TrainConfig, {"beta1": 0.8})
+        with pytest.raises(ValueError, match="in network: seed"):
+            from_json(
+                NetworkConfig, {"seed": 1}, keys=("shared_layer_widths",), name="network"
+            )
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patimpact import cli
+from patimpact import cli, mtl
+from patimpact import corpus as corpus_mod
 from patimpact.corpus import HORIZONS, ImpactClass, load_corpus
 from patimpact.pipeline import (
     ConfigError,
@@ -100,17 +101,68 @@ class TestConfig:
         assert cc.config_hash() != ca.config_hash()
 
     @pytest.mark.parametrize(
-        "validation, message",
+        "block, settings, message",
         [
-            ({"method": "bootstrap"}, "validation.method"),
-            ({"method": "permutation", "n_permutations": 0}, "n_permutations"),
-            ({"n_permutations": -1}, "n_permutations"),
+            ("validation", {"method": "bootstrap"}, "validation.method"),
+            ("validation", {"method": "permutation", "n_permutations": 0}, "n_permutations"),
+            ("validation", {"n_permutations": -1}, "n_permutations"),
+            ("explain", {"n_permutations": 0}, "explain.n_permutations"),
+            ("explain", {"background_size": 0}, "explain.background_size"),
+        ],
+        # the validation cases keep the ids they had before the explain cases
+        ids=[
+            "validation0-validation.method",
+            "validation1-n_permutations",
+            "validation2-n_permutations",
+            "explain0-explain.n_permutations",
+            "explain1-explain.background_size",
         ],
     )
-    def test_bad_validation_settings(self, tmp_path, validation, message):
-        obj = base_config_obj(tmp_path, validation=validation)
+    def test_bad_validation_settings(self, tmp_path, block, settings, message):
+        obj = base_config_obj(tmp_path, **{block: settings})
         with pytest.raises(ConfigError, match=message):
             config_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ("train", "learning_rat"),
+            ("train", "beta1"),
+            ("train", "seed"),
+            ("network", "input_dim"),
+            ("network", "seed"),
+            ("network", "classes_per_task"),
+        ],
+    )
+    def test_unknown_network_or_train_key(self, tmp_path, block, key):
+        obj = base_config_obj(tmp_path)
+        obj[block] = {**obj.get(block, {}), key: 1}
+        with pytest.raises(ConfigError, match=f"{block}: {key}"):
+            config_from_obj(obj)
+
+    def test_every_read_network_and_train_key_accepted(self, tmp_path):
+        network = {
+            "shared_layer_widths": [16, 8],
+            "task_head_widths": {"short": [8], "mid": [8], "long": [4]},
+            "shared_dropout_rate": 0.25,
+        }
+        train = {
+            "learning_rate": 0.01,
+            "batch_size": 8,
+            "max_epochs": 3,
+            "early_stop_patience": 2,
+            "task_loss_weights": {"short": 1.0, "mid": 0.5, "long": 2.0},
+            "validation_fraction": 0.2,
+            "optimizer": "sgd",
+            "class_weighting": True,
+        }
+        cfg = config_from_obj(base_config_obj(tmp_path, network=network, train=train))
+        assert mtl.to_json(cfg.network) == {
+            **network, "input_dim": 44, "classes_per_task": 3,
+            "seed": derive_seed(7, "init"),
+        }
+        assert mtl.to_json(cfg.train) == train
+        assert cfg.train.seed == derive_seed(7, "train")
 
     def test_load_config_resolves_relative_paths(self, tmp_path):
         (tmp_path / "out").mkdir()
@@ -287,6 +339,31 @@ class TestDeterminismAndComposability:
         assert checksums(b) == first
 
 
+class TestRunContext:
+    def test_corpus_parsed_once_per_group_of_corpus_stages(self, tmp_path, monkeypatch):
+        paths = []
+        real_load = corpus_mod.load_corpus
+
+        def counting_load(path, *args, **kwargs):
+            paths.append(Path(path).name)
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(corpus_mod, "load_corpus", counting_load)
+        obj = base_config_obj(
+            tmp_path,
+            synth={"n_patents": 250, "year_range": [1996, 2011]},
+            compare_stl=False,
+        )
+        obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 16}
+        cfg = config_from_obj(obj)
+        run_pipeline(cfg)
+        # label+features share one parse, validate+topic-score another
+        assert paths == ["corpus.jsonl", "corpus.jsonl"]
+        paths.clear()
+        STAGES["features"](cfg)
+        assert paths == ["corpus.jsonl"]
+
+
 class TestIngest:
     def test_ingest_normalizes_existing_corpus(self, tmp_path, synth_corpus_small):
         from patimpact.corpus import save_corpus
@@ -392,12 +469,26 @@ class TestCli:
     def test_bad_validation_settings_exit_1(self, tmp_path):
         config = self._write_config(tmp_path)
         assert cli.main(["jt-test", "--config", str(config), "--n-permutations", "-1"]) == 1
+        assert cli.main(["explain", "--config", str(config), "--n-permutations", "0"]) == 1
         bad_method = self._write_config(tmp_path, validation={"method": "bootstrap"})
         assert cli.main(["jt-test", "--config", str(bad_method)]) == 1
+        no_background = self._write_config(tmp_path, explain={"background_size": 0})
+        assert cli.main(["explain", "--config", str(no_background)]) == 1
+        typo = self._write_config(tmp_path, train={"learning_rat": 0.01})
+        assert cli.main(["train", "--config", str(typo)]) == 1
 
     def test_stage_failure_exit_code(self, tmp_path):
         config = self._write_config(tmp_path)
         assert cli.main(["evaluate", "--config", str(config)]) == 3
+        # a ValueError inside a single stage is a stage failure, not a traceback
+        out = tmp_path / "out"
+        (out / "labels.csv").write_text(
+            "patent_id,grant_year,short_count,mid_count,long_count,"
+            "short_class,mid_class,long_class,trajectory\n"
+            "A,2000,0,0,0,MT,MT,MT,flat\nB,2001,0,0,0,MT,MT,MT,flat\n"
+        )
+        (out / "features.csv").write_text("not,a,feature,header\n")
+        assert cli.main(["train", "--config", str(config)]) == 3
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -406,8 +497,7 @@ class TestCli:
         obj = json.loads(config.read_text())
         del obj["synth"]
         config.write_text(json.dumps(obj))
-        # stage wraps the parse failure as a stage error
-        assert cli.main(["ingest", "--config", str(config)]) in (2, 3)
+        assert cli.main(["ingest", "--config", str(config)]) == 2
 
     @pytest.mark.parametrize(
         "bad_line",
@@ -426,6 +516,10 @@ class TestCli:
         del obj["synth"]
         config.write_text(json.dumps(obj))
         assert cli.main(["ingest", "--config", str(config)]) == 2
+        assert cli.main(["run", "--config", str(config)]) == 2
+        manifest = json.loads((tmp_path / "out" / F_MANIFEST).read_text())
+        assert manifest["stages"] == []
+        assert manifest["error"].startswith("[corpus] ")
 
     def test_seed_override_changes_outputs(self, tmp_path):
         config = self._write_config(tmp_path)
