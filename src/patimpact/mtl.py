@@ -186,6 +186,7 @@ class MtlModel:
     config: NetworkConfig
     shared: list[DenseLayer]
     heads: dict[Horizon, list[DenseLayer]]
+    flat: np.ndarray  # every parameter in parameters() order; each W and b views it
     standardizer: Optional[Standardizer] = None
     history: list[EpochStats] = field(default_factory=list)
 
@@ -206,14 +207,13 @@ class MtlModel:
         return out
 
     def parameter_count(self) -> int:
-        return sum(arr.size for _, arr in self.parameters())
+        return self.flat.size
 
-    def copy_parameters(self) -> list[np.ndarray]:
-        return [arr.copy() for _, arr in self.parameters()]
+    def copy_parameters(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def restore_parameters(self, saved: Sequence[np.ndarray]) -> None:
-        for (_, arr), val in zip(self.parameters(), saved):
-            arr[...] = val
+    def restore_parameters(self, saved: np.ndarray) -> None:
+        self.flat[...] = saved
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -243,6 +243,29 @@ def _he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _zero_model(config: NetworkConfig) -> MtlModel:
+    """An all-zero model whose every W and b is a reshaped view into one new
+    float64 vector, laid out back to back in `parameters()` order."""
+    trunk = [config.input_dim, *config.shared_layer_widths]
+    chains = [trunk] + [
+        [trunk[-1], *config.task_head_widths[task], config.classes_per_task]
+        for task in config.tasks
+    ]
+    dims = [list(zip(widths, widths[1:])) for widths in chains]
+    flat = np.zeros(sum(fan_in * fan_out + fan_out for d in dims for fan_in, fan_out in d))
+    offset = 0
+
+    def layer(fan_in: int, fan_out: int) -> DenseLayer:
+        nonlocal offset
+        end = offset + fan_in * fan_out
+        W = flat[offset:end].reshape(fan_in, fan_out)
+        offset = end + fan_out
+        return DenseLayer(W=W, b=flat[end:offset])
+
+    shared, *heads = [[layer(*d) for d in chain_dims] for chain_dims in dims]
+    return MtlModel(config=config, shared=shared, heads=dict(zip(config.tasks, heads)), flat=flat)
+
+
 def init_network(config: NetworkConfig) -> MtlModel:
     """Variance-scaled symmetric init, zero biases, deterministic per seed.
 
@@ -250,30 +273,15 @@ def init_network(config: NetworkConfig) -> MtlModel:
     models that share a trunk configuration share its initial weights
     regardless of which heads exist.
     """
-    shared = []
+    model = _zero_model(config)
     rng = derived_rng(config.seed, "init", "shared")
-    fan_in = config.input_dim
-    for width in config.shared_layer_widths:
-        shared.append(DenseLayer(W=_he_uniform(rng, fan_in, width), b=np.zeros(width)))
-        fan_in = width
-    trunk_out = fan_in
-
-    heads = {}
+    for layer in model.shared:
+        layer.W[...] = _he_uniform(rng, *layer.W.shape)
     for task in config.tasks:
         rng = derived_rng(config.seed, "init", "head", task.key)
-        layers = []
-        fan_in = trunk_out
-        for width in config.task_head_widths[task]:
-            layers.append(DenseLayer(W=_he_uniform(rng, fan_in, width), b=np.zeros(width)))
-            fan_in = width
-        layers.append(
-            DenseLayer(
-                W=_he_uniform(rng, fan_in, config.classes_per_task),
-                b=np.zeros(config.classes_per_task),
-            )
-        )
-        heads[task] = layers
-    return MtlModel(config=config, shared=shared, heads=heads)
+        for layer in model.heads[task]:
+            layer.W[...] = _he_uniform(rng, *layer.W.shape)
+    return model
 
 
 # --------------------------------------------------------------------------
@@ -509,11 +517,15 @@ def _backward_batch(
     weights: Mapping[Horizon, float],
     tasks: Sequence[Horizon],
     class_weights: Optional[Mapping[Horizon, np.ndarray]] = None,
-) -> dict[str, np.ndarray]:
-    """Gradients of the weighted multi-task batch loss w.r.t. every parameter."""
-    grads: dict[str, np.ndarray] = {
-        name: np.zeros_like(arr) for name, arr in model.parameters()
-    }
+    grad: Optional[MtlModel] = None,
+) -> MtlModel:
+    """Gradients of the weighted multi-task batch loss w.r.t. every parameter.
+
+    They are written into the layer views of ``grad``, a model of the same
+    layout (a new one by default), which is cleared first and returned.
+    """
+    grad = grad if grad is not None else _zero_model(model.config)
+    grad.flat.fill(0.0)
     d_trunk = np.zeros_like(cache.trunk_out)
 
     for task in tasks:
@@ -525,8 +537,7 @@ def _backward_batch(
         n_valid = int(valid.sum())
         if n_valid == 0:
             continue
-        probs = softmax(cache.logits[task])
-        dlogits = probs.copy()
+        dlogits = softmax(cache.logits[task])
         rows = np.flatnonzero(valid)
         dlogits[rows, y[valid]] -= 1.0
         if class_weights is not None and task in class_weights:
@@ -537,28 +548,27 @@ def _backward_batch(
             dlogits[~valid] = 0.0
             dlogits *= w_task / n_valid
 
-        layers = model.heads[task]
+        layers, grad_layers = model.heads[task], grad.heads[task]
         delta = dlogits
         for i in range(len(layers) - 1, -1, -1):
-            a_in = cache.head_inputs[task][i]
-            grads[f"head.{task.key}.{i}.W"] += a_in.T @ delta
-            grads[f"head.{task.key}.{i}.b"] += delta.sum(axis=0)
+            np.matmul(cache.head_inputs[task][i].T, delta, out=grad_layers[i].W)
+            np.add.reduce(delta, axis=0, out=grad_layers[i].b)
             delta = delta @ layers[i].W.T
             if i > 0:
-                delta = delta * (cache.head_pre[task][i - 1] > 0)
-        d_trunk = d_trunk + delta
+                delta *= cache.head_pre[task][i - 1] > 0
+        d_trunk += delta
 
     delta = d_trunk
     for i in range(len(model.shared) - 1, -1, -1):
         mask = cache.dropout_masks[i]
         if mask is not None:
-            delta = delta * mask
-        delta = delta * (cache.shared_pre[i] > 0)
-        grads[f"shared.{i}.W"] += cache.shared_inputs[i].T @ delta
-        grads[f"shared.{i}.b"] += delta.sum(axis=0)
+            delta *= mask
+        delta *= cache.shared_pre[i] > 0
+        np.matmul(cache.shared_inputs[i].T, delta, out=grad.shared[i].W)
+        np.add.reduce(delta, axis=0, out=grad.shared[i].b)
         if i > 0:
             delta = delta @ model.shared[i].W.T
-    return grads
+    return grad
 
 
 def batch_loss(
@@ -581,29 +591,45 @@ def batch_loss(
 # --------------------------------------------------------------------------
 
 class _Adam:
-    def __init__(self, params: list[tuple[str, np.ndarray]], cfg: TrainConfig):
+    """Adam (or plain SGD) on the flat parameter vector.
+
+    A step is a fixed sequence of in-place ufunc calls on whole vectors, with
+    preallocated scratch, in the per-element order of the textbook update.
+    """
+
+    def __init__(self, params: np.ndarray, cfg: TrainConfig):
         self.cfg = cfg
-        self.m = {name: np.zeros_like(arr) for name, arr in params}
-        self.v = {name: np.zeros_like(arr) for name, arr in params}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
         self.t = 0
 
-    def step(self, params: list[tuple[str, np.ndarray]], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         cfg = self.cfg
         self.t += 1
+        update, denom = self._scratch
+        if cfg.optimizer == "sgd":
+            np.multiply(cfg.learning_rate, grads, out=update)
+            params -= update
+            return
         b1c = 1.0 - cfg.beta1 ** self.t
         b2c = 1.0 - cfg.beta2 ** self.t
-        for name, arr in params:
-            g = grads[name]
-            if cfg.optimizer == "sgd":
-                arr -= cfg.learning_rate * g
-                continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            arr -= cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.epsilon)
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
+        self.m *= cfg.beta1
+        np.multiply(1.0 - cfg.beta1, grads, out=update)
+        self.m += update
+        self.v *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, grads, out=update)
+        update *= grads
+        self.v += update
+        # params -= (lr (m / b1c)) / (sqrt(v / b2c) + eps)
+        np.divide(self.m, b1c, out=update)
+        update *= cfg.learning_rate
+        np.divide(self.v, b2c, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += cfg.epsilon
+        update /= denom
+        params -= update
 
 
 # --------------------------------------------------------------------------
@@ -689,7 +715,8 @@ def train(
 
     shuffle_rng = derived_rng(cfg.seed, "shuffle")
     dropout_rng = derived_rng(cfg.seed, "dropout")
-    optimizer = _Adam(model.parameters(), cfg)
+    optimizer = _Adam(model.flat, cfg)
+    grad = _zero_model(model.config)
 
     best_val = math.inf
     best_params = model.copy_parameters()
@@ -711,8 +738,8 @@ def train(
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}: {per_task}"
                 )
-            grads = _backward_batch(model, cache, yb, cfg.task_loss_weights, tasks, class_weights)
-            optimizer.step(model.parameters(), grads)
+            _backward_batch(model, cache, yb, cfg.task_loss_weights, tasks, class_weights, grad)
+            optimizer.step(model.flat, grad.flat)
             for t in tasks:
                 epoch_losses[t] += per_task[t]
             n_batches += 1
@@ -807,36 +834,28 @@ def gradient_check(
             margin_needed = 100.0 * step
             for attempt in range(50):
                 rng_j = derived_rng(seed, "gradcheck", "jitter", str(attempt))
-                for (_, arr), orig in zip(model.parameters(), saved):
-                    arr[...] = orig + rng_j.normal(0.0, jitter, size=arr.shape)
+                model.flat[...] = saved + rng_j.normal(0.0, jitter, size=saved.size)
                 if _kink_margin(model, X, tasks) > margin_needed:
                     break
             else:
                 raise RuntimeError("could not find a kink-free parameter point")
 
         cache = _forward_batch(model, X, training=False, tasks=tasks)
-        grads = _backward_batch(model, cache, y, cfg.task_loss_weights, tasks)
+        grads = _backward_batch(model, cache, y, cfg.task_loss_weights, tasks).flat
 
-        flat: list[tuple[str, int]] = []
-        for name, arr in model.parameters():
-            flat.extend((name, i) for i in range(arr.size))
+        params = model.flat
         rng = np.random.default_rng(seed)
-        n_coords = min(n_coordinates, len(flat))
-        picks = rng.choice(len(flat), size=n_coords, replace=False)
-
-        params = dict(model.parameters())
+        picks = rng.choice(params.size, size=min(n_coordinates, params.size), replace=False)
         max_rel = 0.0
-        for p in picks:
-            name, i = flat[int(p)]
-            arr = params[name]
-            orig = arr.flat[i]
-            arr.flat[i] = orig + step
+        for i in picks:
+            orig = params[i]
+            params[i] = orig + step
             loss_plus = batch_loss(model, X, y, cfg)
-            arr.flat[i] = orig - step
+            params[i] = orig - step
             loss_minus = batch_loss(model, X, y, cfg)
-            arr.flat[i] = orig
+            params[i] = orig
             g_num = (loss_plus - loss_minus) / (2.0 * step)
-            g_ana = grads[name].flat[i]
+            g_ana = grads[i]
             rel = abs(g_ana - g_num) / max(abs(g_ana), abs(g_num), 1e-8)
             max_rel = max(max_rel, rel)
         return max_rel
@@ -856,6 +875,8 @@ NETWORK_FIELDS = {
 }
 
 TRAIN_FIELDS = set(_JSON_FIELDS[TrainConfig])
+
+HYPERPARAMETERS = NETWORK_FIELDS | TRAIN_FIELDS
 
 
 @dataclass(frozen=True)
@@ -894,7 +915,7 @@ def grid_search(
         raise ValueError("empty search space")
     if k < 2:
         raise ValueError("k must be >= 2")
-    unknown = set(space) - NETWORK_FIELDS - TRAIN_FIELDS
+    unknown = set(space) - HYPERPARAMETERS
     if unknown:
         raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
 
@@ -990,7 +1011,7 @@ def load_checkpoint(path) -> MtlModel:
         obj = json.load(fh)
     if obj.get("schema") != CHECKPOINT_SCHEMA:
         raise ValueError(f"unsupported checkpoint schema {obj.get('schema')!r}")
-    model = init_network(from_json(NetworkConfig, obj["network"]))
+    model = _zero_model(from_json(NetworkConfig, obj["network"]))
     by_name = {p["name"]: p for p in obj["parameters"]}
     for name, arr in model.parameters():
         saved = by_name[name]

@@ -177,6 +177,10 @@ class PipelineConfig:
 
 # network keys a config may set; input_dim and the seeds are derived
 CONFIG_NETWORK_KEYS = ("shared_layer_widths", "task_head_widths", "shared_dropout_rate")
+CONFIG_SYNTH_KEYS = (
+    "n_patents", "year_range", "citation_attachment_exponent", "feature_signal_strength",
+    "mean_internal_citations", "mean_external_citations",
+)
 
 
 def read_config_obj(path) -> dict:
@@ -211,9 +215,21 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
     seed = int(obj.get("seed", 0))
     domain = str(obj.get("domain_ipc_prefix", "H01M"))
 
+    def block(name: str, keys) -> dict:
+        # the config's `name` object ({} when absent); a key outside `keys` is an error
+        values = obj.get(name)
+        if values is None:
+            return {}
+        if not isinstance(values, dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        unknown = sorted(set(values) - set(keys))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+        return values
+
     synth = None
     if obj.get("synth") is not None:
-        s = obj["synth"]
+        s = block("synth", CONFIG_SYNTH_KEYS)
         try:
             synth = SynthParams(
                 n_patents=int(s.get("n_patents", 2000)),
@@ -229,17 +245,27 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid synth params: {exc}") from None
 
-    grid = None
-    if obj.get("grid") is not None:
-        g = obj["grid"]
-        if not g.get("space"):
-            raise ConfigError("grid requires a non-empty space")
-        grid = GridSettings(space=dict(g["space"]), k=int(g.get("k", 5)))
+    def grid_settings() -> Optional[GridSettings]:
+        if obj.get("grid") is None:
+            return None
+        g = block("grid", ("space", "k"))
+        space = g.get("space")
+        if not space or not isinstance(space, dict):
+            raise ConfigError("grid requires a non-empty space object")
+        for key, candidates in space.items():
+            if key not in mtl_mod.HYPERPARAMETERS:
+                raise ConfigError(f"grid.space.{key} is not a hyperparameter")
+            if not isinstance(candidates, list) or not candidates:
+                raise ConfigError(f"grid.space.{key} must be a non-empty list")
+        k = int(g.get("k", 5))
+        if k < 2:
+            raise ConfigError("grid.k must be >= 2")
+        return GridSettings(space=dict(space), k=k)
 
-    def settings(cls, block: str, **convert):
+    def settings(cls, name: str, **convert):
         # the keys the block holds, converted; other fields keep their defaults
-        values = obj.get(block, {})
-        return cls(**{k: conv(values[k]) for k, conv in convert.items() if k in values})
+        values = block(name, convert)
+        return cls(**{k: convert[k](v) for k, v in values.items()})
 
     try:
         cfg = PipelineConfig(
@@ -261,7 +287,7 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
                 mtl_mod.TrainConfig, obj.get("train", {}), name="train",
                 seed=derive_seed(seed, "train"),
             ),
-            grid=grid,
+            grid=grid_settings(),
             compare_stl=bool(obj.get("compare_stl", True)),
             explain=settings(
                 ExplainSettings, "explain",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,12 @@ from patimpact.mtl import (
     NetworkConfig,
     TaskOutput,
     TrainConfig,
+    _Adam,
     _backward_batch,
+    _batch_task_losses,
     _forward_batch,
+    _inverse_frequency_weights,
+    _stratified_split,
     batch_loss,
     export_training_log_csv,
     forward,
@@ -38,6 +43,7 @@ from patimpact.mtl import (
     train,
     train_stl,
 )
+from patimpact.seeding import derive_seed, derived_rng
 
 ALL_TASKS = dict.fromkeys(HORIZONS)
 
@@ -50,6 +56,126 @@ def small_config(seed=0, dropout=0.0, input_dim=10):
         shared_dropout_rate=dropout,
         seed=seed,
     )
+
+
+def loop_backward(model, cache, labels, weights, tasks, class_weights=None):
+    """Per-array gradients keyed by parameter name, each summed into its own
+    zero array: the oracle for the gradients written into the flat vector."""
+    grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    d_trunk = np.zeros_like(cache.trunk_out)
+    for task in tasks:
+        w_task = float(weights.get(task, 0.0))
+        y = labels[task]
+        valid = y != MISSING_LABEL
+        if w_task == 0.0 or not valid.any():
+            continue
+        dlogits = softmax(cache.logits[task])
+        rows = np.flatnonzero(valid)
+        dlogits[rows, y[valid]] -= 1.0
+        if class_weights is not None and task in class_weights:
+            w_inst = np.zeros(len(y))
+            w_inst[rows] = class_weights[task][y[valid]]
+            dlogits *= (w_task / w_inst.sum()) * w_inst[:, None]
+        else:
+            dlogits[~valid] = 0.0
+            dlogits *= w_task / int(valid.sum())
+        layers = model.heads[task]
+        delta = dlogits
+        for i in range(len(layers) - 1, -1, -1):
+            grads[f"head.{task.key}.{i}.W"] += cache.head_inputs[task][i].T @ delta
+            grads[f"head.{task.key}.{i}.b"] += delta.sum(axis=0)
+            delta = delta @ layers[i].W.T
+            if i > 0:
+                delta = delta * (cache.head_pre[task][i - 1] > 0)
+        d_trunk = d_trunk + delta
+    delta = d_trunk
+    for i in range(len(model.shared) - 1, -1, -1):
+        if cache.dropout_masks[i] is not None:
+            delta = delta * cache.dropout_masks[i]
+        delta = delta * (cache.shared_pre[i] > 0)
+        grads[f"shared.{i}.W"] += cache.shared_inputs[i].T @ delta
+        grads[f"shared.{i}.b"] += delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ model.shared[i].W.T
+    return grads
+
+
+def loop_optimizer_step(state, model, grads, cfg):
+    """One Adam (or SGD) step, array by array, with moments keyed by name."""
+    state["t"] += 1
+    b1c = 1.0 - cfg.beta1 ** state["t"]
+    b2c = 1.0 - cfg.beta2 ** state["t"]
+    for name, arr in model.parameters():
+        g = grads[name]
+        if cfg.optimizer == "sgd":
+            arr -= cfg.learning_rate * g
+            continue
+        m = state["m"].setdefault(name, np.zeros_like(arr))
+        v = state["v"].setdefault(name, np.zeros_like(arr))
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        arr -= cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.epsilon)
+
+
+def loop_train(model, X, labels, cfg):
+    """`train` with per-array gradients and optimizer steps: its oracle."""
+    tasks = [t for t in model.tasks if cfg.weight(t) > 0]
+    y = {t: np.asarray(labels[t]) for t in tasks}
+    stratify = cfg.val_stratify_task
+    if stratify is None or stratify not in tasks:
+        stratify = Horizon.LONG if Horizon.LONG in tasks else tasks[-1]
+    train_idx, val_idx = _stratified_split(
+        y[stratify], cfg.validation_fraction, derive_seed(cfg.seed, "valsplit")
+    )
+    class_weights = None
+    if cfg.class_weighting:
+        class_weights = {t: _inverse_frequency_weights(y[t][train_idx]) for t in tasks}
+    X_tr, X_val = X[train_idx], X[val_idx]
+    y_tr = {t: y[t][train_idx] for t in tasks}
+    y_val = {t: y[t][val_idx] for t in tasks}
+    shuffle_rng = derived_rng(cfg.seed, "shuffle")
+    dropout_rng = derived_rng(cfg.seed, "dropout")
+    state = {"t": 0, "m": {}, "v": {}}
+    best_val, since = math.inf, 0
+    best = [arr.copy() for _, arr in model.parameters()]
+    model.history = []
+    for epoch in range(cfg.max_epochs):
+        order = shuffle_rng.permutation(len(X_tr))
+        sums = {t: 0.0 for t in tasks}
+        n_batches = 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            yb = {t: y_tr[t][batch] for t in tasks}
+            cache = _forward_batch(model, X_tr[batch], True, dropout_rng, tasks=tasks)
+            per_task = _batch_task_losses(cache.logits, yb, tasks, class_weights)
+            grads = loop_backward(model, cache, yb, cfg.task_loss_weights, tasks, class_weights)
+            loop_optimizer_step(state, model, grads, cfg)
+            for t in tasks:
+                sums[t] += per_task[t]
+            n_batches += 1
+        train_per_task = {t: sums[t] / n_batches for t in tasks}
+        val_cache = _forward_batch(model, X_val, False, tasks=tasks)
+        val_per_task = _batch_task_losses(val_cache.logits, y_val, tasks, class_weights)
+        val_total = sum(cfg.weight(t) * val_per_task[t] for t in tasks)
+        model.history.append(EpochStats(
+            epoch=epoch,
+            train_loss_total=sum(cfg.weight(t) * train_per_task[t] for t in tasks),
+            val_loss_total=val_total,
+            train_loss_per_task=train_per_task,
+            val_loss_per_task=val_per_task,
+        ))
+        if val_total < best_val:
+            best_val, since = val_total, 0
+            best = [arr.copy() for _, arr in model.parameters()]
+        else:
+            since += 1
+            if since > cfg.early_stop_patience:
+                break
+    for (_, arr), saved in zip(model.parameters(), best):
+        arr[...] = saved
+    return model
 
 
 def separable_data(n=500, input_dim=10, seed=0):
@@ -307,7 +433,7 @@ class TestGradients:
         weights = {Horizon.SHORT: 1.0, Horizon.MID: 0.0, Horizon.LONG: 0.0}
         cache = _forward_batch(model, X, False)
         grads = _backward_batch(model, cache, y, weights, list(HORIZONS))
-        for name, g in grads.items():
+        for name, g in grads.parameters():
             if name.startswith("head.mid") or name.startswith("head.long"):
                 assert np.all(g == 0.0)
             elif name.startswith("head.short"):
@@ -325,7 +451,9 @@ class TestGradients:
         cfg = TrainConfig(seed=0)
         yarr = {h: np.asarray(v) for h, v in y.items()}
         cache = _forward_batch(model, X, False)
-        grads = _backward_batch(model, cache, yarr, cfg.task_loss_weights, list(HORIZONS))
+        grads = dict(
+            _backward_batch(model, cache, yarr, cfg.task_loss_weights, list(HORIZONS)).parameters()
+        )
         base = batch_loss(model, X, yarr, cfg)
         deltas = {name: rng.normal(0, 1e-6, size=arr.shape) for name, arr in model.parameters()}
         predicted_change = sum(
@@ -487,6 +615,139 @@ class TestStlEquivalence:
                       network=small_config(seed=28))
         for (_, pa), (_, pb) in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
+
+
+def noisy_labels(n, seed, missing=0):
+    """Random features and labels; the first ``missing`` mid labels are masked."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 10))
+    y = {h: rng.integers(0, 3, size=n) for h in HORIZONS}
+    y[Horizon.MID][:missing] = MISSING_LABEL
+    return X, y
+
+
+class TestFlatParameters:
+    def assert_same_training(self, got, want):
+        assert np.array_equal(got.flat, want.flat)
+        assert got.history == want.history
+
+    def test_mtl_with_dropout_and_class_weights_matches_loop_oracle(self):
+        X, y = noisy_labels(150, seed=50, missing=40)
+        network = small_config(seed=51, dropout=0.3)
+        cfg = TrainConfig(seed=52, max_epochs=6, batch_size=16, class_weighting=True)
+        got = train(init_network(network), X, y, cfg)
+        want = loop_train(init_network(network), X, y, cfg)
+        self.assert_same_training(got, want)
+
+    def test_stl_matches_loop_oracle(self):
+        X, y = noisy_labels(150, seed=53)
+        network = small_config(seed=54, dropout=0.5)
+        cfg = TrainConfig(seed=55, max_epochs=5, batch_size=16)
+        got = train_stl(Horizon.SHORT, X, y[Horizon.SHORT], cfg, network=network)
+        single = replace(network, task_head_widths={Horizon.SHORT: (5,)})
+        single_cfg = replace(
+            cfg, task_loss_weights={Horizon.SHORT: 1.0}, val_stratify_task=Horizon.SHORT
+        )
+        want = loop_train(init_network(single), X, {Horizon.SHORT: y[Horizon.SHORT]}, single_cfg)
+        self.assert_same_training(got, want)
+
+    def test_sgd_matches_loop_oracle(self):
+        X, y = noisy_labels(150, seed=56)
+        network = small_config(seed=57)
+        cfg = TrainConfig(seed=58, max_epochs=5, batch_size=16, optimizer="sgd",
+                          learning_rate=0.05)
+        got = train(init_network(network), X, y, cfg)
+        want = loop_train(init_network(network), X, y, cfg)
+        self.assert_same_training(got, want)
+
+    def test_early_stop_restore_matches_loop_oracle(self):
+        X, y = noisy_labels(120, seed=59)
+        network = small_config(seed=60)
+        cfg = TrainConfig(seed=61, max_epochs=40, batch_size=16, early_stop_patience=2,
+                          learning_rate=2e-2)
+        got = train(init_network(network), X, y, cfg)
+        vals = [e.val_loss_total for e in got.history]
+        # the best epoch is not the last one, so train restored an earlier epoch
+        assert len(vals) < 40 and int(np.argmin(vals)) < len(vals) - 1
+        want = loop_train(init_network(network), X, y, cfg)
+        self.assert_same_training(got, want)
+
+    @staticmethod
+    def assert_views_alias_flat(model):
+        params = model.parameters()
+        assert sum(arr.size for _, arr in params) == model.flat.size == model.parameter_count()
+        for _, arr in params:
+            assert np.shares_memory(arr, model.flat)
+        # laid out back to back in parameters() order
+        model.flat[...] = np.arange(model.flat.size)
+        assert np.array_equal(
+            np.concatenate([arr.ravel() for _, arr in params]), np.arange(model.flat.size)
+        )
+
+    def test_views_alias_flat_after_init_and_load(self, tmp_path):
+        model = init_network(NetworkConfig(seed=62))
+        assert model.flat.dtype == np.float64 and model.flat.size == 31049
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path)
+        assert np.array_equal(loaded.flat, model.flat)
+        self.assert_views_alias_flat(model)
+        self.assert_views_alias_flat(loaded)
+
+    def test_copy_and_restore_are_vector_copies(self):
+        model = init_network(small_config(seed=63))
+        saved = model.copy_parameters()
+        assert not np.shares_memory(saved, model.flat)
+        model.flat += 1.0
+        model.restore_parameters(saved)
+        assert np.array_equal(model.flat, saved)
+        assert np.shares_memory(model.shared[0].W, model.flat)
+
+    def test_optimizer_steps_once_per_batch(self, monkeypatch):
+        steps = []
+        step = _Adam.step
+        monkeypatch.setattr(_Adam, "step", lambda self, *a: (steps.append(1), step(self, *a)))
+        X, y = noisy_labels(150, seed=64)
+        cfg = TrainConfig(seed=65, max_epochs=3, batch_size=16, early_stop_patience=3)
+        model = train(init_network(small_config(seed=66)), X, y, cfg)
+        train_idx, _ = _stratified_split(
+            y[Horizon.LONG], cfg.validation_fraction, derive_seed(cfg.seed, "valsplit")
+        )
+        assert len(model.history) == 3
+        assert len(steps) == 3 * math.ceil(len(train_idx) / cfg.batch_size)
+
+    def test_zero_weight_head_gets_zero_gradient_from_a_reused_buffer(self):
+        rng = np.random.default_rng(67)
+        model = init_network(small_config(seed=68))
+        X = rng.normal(size=(8, 10))
+        y = {h: rng.integers(0, 3, size=8) for h in HORIZONS}
+        cache = _forward_batch(model, X, False)
+        grad = _backward_batch(model, cache, y, {h: 1.0 for h in HORIZONS}, list(HORIZONS))
+        assert np.any(grad.heads[Horizon.LONG][0].W != 0.0)
+        assert np.any(grad.heads[Horizon.MID][0].W != 0.0)
+        # a second batch into the same buffer: long has weight 0, mid no valid label
+        y[Horizon.MID][:] = MISSING_LABEL
+        weights = {Horizon.SHORT: 1.0, Horizon.MID: 1.0, Horizon.LONG: 0.0}
+        again = _backward_batch(model, cache, y, weights, list(HORIZONS), grad=grad)
+        assert again is grad
+        want = loop_backward(model, cache, y, weights, list(HORIZONS))
+        for name, g in grad.parameters():
+            assert np.array_equal(g, want[name])
+            if name.startswith(("head.mid", "head.long")):
+                assert np.all(g == 0.0)
+            else:
+                assert np.any(g != 0.0)
+
+    def test_zero_weight_heads_keep_their_initial_parameters(self):
+        X, y = noisy_labels(150, seed=69)
+        model = init_network(small_config(seed=70))
+        before = dict((name, arr.copy()) for name, arr in model.parameters())
+        weights = {Horizon.MID: 1.0, Horizon.SHORT: 0.0, Horizon.LONG: 0.0}
+        train(model, X, y, TrainConfig(seed=71, max_epochs=3, task_loss_weights=weights,
+                                       batch_size=16))
+        for name, arr in model.parameters():
+            unchanged = np.array_equal(arr, before[name])
+            assert unchanged == name.startswith(("head.short", "head.long"))
 
 
 class TestGridSearch:

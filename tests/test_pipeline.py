@@ -164,6 +164,73 @@ class TestConfig:
         assert mtl.to_json(cfg.train) == train
         assert cfg.train.seed == derive_seed(7, "train")
 
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ("synth", "n_patent"),
+            ("synth", "recency_time_constant"),
+            ("explain", "n_permutation"),
+            ("validation", "methods"),
+            ("topic", "horizons"),
+            ("grid", "folds"),
+        ],
+    )
+    def test_unknown_block_key(self, tmp_path, block, key):
+        obj = base_config_obj(tmp_path, grid={"space": {"learning_rate": [1e-3]}})
+        obj[block] = {**obj[block], key: 5} if block in obj else {key: 5}
+        with pytest.raises(ConfigError, match=f"in {block}: {key}"):
+            config_from_obj(obj)
+
+    def test_every_read_block_key_accepted(self, tmp_path):
+        blocks = {
+            "synth": {
+                "n_patents": 400, "year_range": [1997, 2010],
+                "citation_attachment_exponent": 0.5, "feature_signal_strength": 2.0,
+                "mean_internal_citations": 4.0, "mean_external_citations": 1.5,
+            },
+            "explain": {
+                "n_instances": 2, "n_permutations": 9, "background_size": 7, "top_k": 3,
+                "target_class": "VT", "filter_pattern": "peak",
+            },
+            "validation": {
+                "method": "permutation", "n_permutations": 99, "group_by": "actual",
+                "scope": "test",
+            },
+            "topic": {"horizon": "mid", "group_by": "predicted"},
+            "grid": {"space": {"learning_rate": [1e-3, 1e-4], "batch_size": [16]}, "k": 3},
+        }
+        cfg = config_from_obj(base_config_obj(tmp_path, **blocks))
+        assert cfg.synth.n_patents == 400 and cfg.synth.year_range == (1997, 2010)
+        assert cfg.synth.mean_external_citations == 1.5
+        assert cfg.explain.background_size == 7
+        assert cfg.explain.target_class == ImpactClass.VT
+        assert cfg.validation.scope == "test" and cfg.validation.n_permutations == 99
+        assert cfg.topic.horizon.key == "mid" and cfg.topic.group_by == "predicted"
+        assert cfg.grid.space == blocks["grid"]["space"] and cfg.grid.k == 3
+
+    @pytest.mark.parametrize("block", ["synth", "explain", "validation", "topic", "grid"])
+    def test_block_must_be_an_object(self, tmp_path, block):
+        with pytest.raises(ConfigError, match=f"{block} must be a JSON object"):
+            config_from_obj(base_config_obj(tmp_path, **{block: [1, 2]}))
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"space": {"warp_factor": [9]}}, "grid.space.warp_factor is not a hyperparameter"),
+            ({"space": {"learning_rate": 1e-3}}, "grid.space.learning_rate must be a non-empty"),
+            ({"space": {"learning_rate": []}}, "grid.space.learning_rate must be a non-empty"),
+            ({"space": {}}, "non-empty space"),
+            ({"space": [["learning_rate", [1e-3]]]}, "non-empty space"),
+            ({"space": {"learning_rate": [1e-3]}, "k": 1}, "grid.k must be >= 2"),
+            ({"space": {"learning_rate": [1e-3]}, "k": "five"}, "five"),
+        ],
+        ids=["unknown-key", "scalar", "empty-list", "empty-space", "not-an-object", "k-1",
+             "k-not-a-number"],
+    )
+    def test_bad_grid(self, tmp_path, grid, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_obj(base_config_obj(tmp_path, grid=grid))
+
     def test_load_config_resolves_relative_paths(self, tmp_path):
         (tmp_path / "out").mkdir()
         obj = base_config_obj(Path("out"))
@@ -476,6 +543,25 @@ class TestCli:
         assert cli.main(["explain", "--config", str(no_background)]) == 1
         typo = self._write_config(tmp_path, train={"learning_rat": 0.01})
         assert cli.main(["train", "--config", str(typo)]) == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"synth": {"n_patent": 5}},
+            {"explain": {"n_permutation": 5}},
+            {"validation": {"metod": "permutation"}},
+            {"topic": {"horizon": "long", "groupby": "actual"}},
+            {"grid": {"space": {"warp_factor": [9]}}},
+            {"grid": {"space": {"learning_rate": 1e-3}}},
+            {"grid": {"space": {"learning_rate": [1e-3]}, "k": 1}},
+        ],
+        ids=["synth", "explain", "validation", "topic", "grid-key", "grid-value", "grid-k"],
+    )
+    def test_bad_config_block_exits_1_before_any_stage(self, tmp_path, overrides):
+        config = self._write_config(tmp_path, **overrides)
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert not (tmp_path / "out" / "corpus.jsonl").exists()
+        assert not (tmp_path / "out" / F_MANIFEST).exists()
 
     def test_stage_failure_exit_code(self, tmp_path):
         config = self._write_config(tmp_path)
