@@ -468,12 +468,6 @@ def forward_citation_count(corpus: Corpus, patent_id: str, horizon: Horizon) -> 
     return sum(1 for _, granted in entries if start < granted <= end)
 
 
-def has_full_window(corpus: Corpus, patent_id: str, horizon: Horizon) -> bool:
-    """True when the corpus extends past the patent's full horizon window."""
-    rec = corpus.get(patent_id)
-    return add_years(rec.grant_date, horizon.years) <= corpus.max_grant_date()
-
-
 @dataclass(frozen=True)
 class ThresholdPair:
     """Class cut points for one horizon: BT at >= bt_min, VT at >= vt_min."""

@@ -486,13 +486,28 @@ def multi_task_loss(
     return total
 
 
+SoftmaxParts = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _softmax_parts(logits: np.ndarray) -> SoftmaxParts:
+    """Row-wise pieces of a stable softmax: the max-shifted logits ``z``,
+    ``exp(z)`` and its row sums. The loss and its gradient share them."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return z, e, e.sum(axis=-1, keepdims=True)
+
+
 def _batch_task_losses(
     logits: dict[Horizon, np.ndarray],
     labels: Mapping[Horizon, np.ndarray],
     tasks: Sequence[Horizon],
     class_weights: Optional[Mapping[Horizon, np.ndarray]] = None,
+    parts: Optional[Mapping[Horizon, SoftmaxParts]] = None,
 ) -> dict[Horizon, float]:
-    """Per-task mean cross-entropy over instances with a label (not -1)."""
+    """Per-task mean cross-entropy over instances with a label (not -1).
+
+    ``parts`` holds each task's ``_softmax_parts`` when they are already known.
+    """
     out = {}
     for task in tasks:
         y = labels[task]
@@ -500,10 +515,12 @@ def _batch_task_losses(
         if not valid.any():
             out[task] = 0.0
             continue
-        logp = log_softmax(logits[task][valid])
-        ce = -logp[np.arange(valid.sum()), y[valid]]
+        z, _, row_sums = parts[task] if parts else _softmax_parts(logits[task])
+        rows, y_valid = np.flatnonzero(valid), y[valid]
+        # minus the log-softmax of each row's label
+        ce = -(z[rows, y_valid] - np.log(row_sums[rows, 0]))
         if class_weights is not None and task in class_weights:
-            w = class_weights[task][y[valid]]
+            w = class_weights[task][y_valid]
             out[task] = float((ce * w).sum() / w.sum())
         else:
             out[task] = float(ce.mean())
@@ -518,11 +535,13 @@ def _backward_batch(
     tasks: Sequence[Horizon],
     class_weights: Optional[Mapping[Horizon, np.ndarray]] = None,
     grad: Optional[MtlModel] = None,
+    parts: Optional[Mapping[Horizon, SoftmaxParts]] = None,
 ) -> MtlModel:
     """Gradients of the weighted multi-task batch loss w.r.t. every parameter.
 
     They are written into the layer views of ``grad``, a model of the same
     layout (a new one by default), which is cleared first and returned.
+    ``parts`` is as in ``_batch_task_losses``.
     """
     grad = grad if grad is not None else _zero_model(model.config)
     grad.flat.fill(0.0)
@@ -537,7 +556,8 @@ def _backward_batch(
         n_valid = int(valid.sum())
         if n_valid == 0:
             continue
-        dlogits = softmax(cache.logits[task])
+        _, e, row_sums = parts[task] if parts else _softmax_parts(cache.logits[task])
+        dlogits = e / row_sums
         rows = np.flatnonzero(valid)
         dlogits[rows, y[valid]] -= 1.0
         if class_weights is not None and task in class_weights:
@@ -732,13 +752,16 @@ def train(
             xb = X_tr[batch]
             yb = {t: y_tr[t][batch] for t in tasks}
             cache = _forward_batch(model, xb, True, dropout_rng, tasks=tasks)
-            per_task = _batch_task_losses(cache.logits, yb, tasks, class_weights)
+            parts = {t: _softmax_parts(cache.logits[t]) for t in tasks}
+            per_task = _batch_task_losses(cache.logits, yb, tasks, class_weights, parts)
             total = sum(cfg.weight(t) * per_task[t] for t in tasks)
             if not math.isfinite(total):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}: {per_task}"
                 )
-            _backward_batch(model, cache, yb, cfg.task_loss_weights, tasks, class_weights, grad)
+            _backward_batch(
+                model, cache, yb, cfg.task_loss_weights, tasks, class_weights, grad, parts
+            )
             optimizer.step(model.flat, grad.flat)
             for t in tasks:
                 epoch_losses[t] += per_task[t]

@@ -175,6 +175,11 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+CONFIG_TOP_LEVEL_KEYS = (
+    "schema", "out_dir", "seed", "corpus_path", "synth", "domain_ipc_prefix",
+    "home_country", "threshold_mode", "test_year", "network", "train", "grid",
+    "compare_stl", "explain", "validation", "topic",
+)
 # network keys a config may set; input_dim and the seeds are derived
 CONFIG_NETWORK_KEYS = ("shared_layer_widths", "task_head_widths", "shared_dropout_rate")
 CONFIG_SYNTH_KEYS = (
@@ -212,7 +217,15 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
 
     if "out_dir" not in obj:
         raise ConfigError("config requires out_dir")
-    seed = int(obj.get("seed", 0))
+    unknown = sorted(set(obj) - set(CONFIG_TOP_LEVEL_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
+    seed = obj.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be a JSON integer, got {seed!r}")
+    compare_stl = obj.get("compare_stl", True)
+    if not isinstance(compare_stl, bool):
+        raise ConfigError(f"compare_stl must be true or false, got {compare_stl!r}")
     domain = str(obj.get("domain_ipc_prefix", "H01M"))
 
     def block(name: str, keys) -> dict:
@@ -288,7 +301,7 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
                 seed=derive_seed(seed, "train"),
             ),
             grid=grid_settings(),
-            compare_stl=bool(obj.get("compare_stl", True)),
+            compare_stl=compare_stl,
             explain=settings(
                 ExplainSettings, "explain",
                 n_instances=int, n_permutations=int, background_size=int, top_k=int,

@@ -64,9 +64,48 @@ class SynthParams:
             raise ValueError("recency_time_constant must be > 0")
 
 
-def _random_day(rng: np.random.Generator, start: dt.date, end: dt.date) -> dt.date:
-    span = (end - start).days
-    return start + dt.timedelta(days=int(rng.integers(0, span + 1)))
+class _PoolDraw:
+    """One draw from a fixed pool with fixed weights, consuming the stream
+    exactly as ``Generator.choice(pool, p=weights)`` does: the same
+    normalised CDF, built once, and one ``random()`` per draw."""
+
+    def __init__(self, pool: list[str], weights: list[float]):
+        self.pool = pool
+        self.cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+        self.cdf /= self.cdf[-1]
+
+    def __call__(self, rng: np.random.Generator) -> str:
+        return self.pool[int(self.cdf.searchsorted(rng.random(), side="right"))]
+
+
+_COUNTRY = _PoolDraw(COUNTRY_POOL, COUNTRY_WEIGHTS)
+_TOPIC = _PoolDraw(TOPIC_POOL, TOPIC_WEIGHTS)
+
+
+def _draw_without_replacement(
+    rng: np.random.Generator, p: np.ndarray, size: int
+) -> np.ndarray:
+    """``Generator.choice(len(p), size, replace=False, p=p)``: the same indices
+    in the same order, from the same draws, without its validation or its
+    copy of ``p``. ``p`` must be normalised; it is overwritten."""
+    if np.count_nonzero(p > 0) < size:
+        raise ValueError("fewer non-zero entries in p than size")
+    found = np.empty(size, dtype=np.int64)
+    n_found = 0
+    while n_found < size:
+        x = rng.random(size - n_found)
+        if n_found > 0:
+            p[found[:n_found]] = 0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        new = cdf.searchsorted(x, side="right")
+        # first occurrence of each index, kept in draw order
+        _, first = np.unique(new, return_index=True)
+        first.sort()
+        new = new.take(first)
+        found[n_found : n_found + new.size] = new
+        n_found += new.size
+    return found
 
 
 def _ipc_code(rng: np.random.Generator, subclass: str) -> str:
@@ -109,7 +148,7 @@ def generate_synthetic(params: SynthParams) -> Corpus:
         n_assignees = 1 + int(rng.poisson(0.25))
         assignees = [
             Party(
-                country=str(rng.choice(COUNTRY_POOL, p=COUNTRY_WEIGHTS)),
+                country=_COUNTRY(rng),
                 name=f"FIRM-{int(rng.integers(0, n_firms)):04d}",
             )
             for _ in range(n_assignees)
@@ -117,14 +156,14 @@ def generate_synthetic(params: SynthParams) -> Corpus:
         n_inv = 1 + int(rng.poisson(1.5))
         inventors = [
             Party(
-                country=str(rng.choice(COUNTRY_POOL, p=COUNTRY_WEIGHTS)),
+                country=_COUNTRY(rng),
                 name=f"INV-{int(rng.integers(0, n_inventors)):05d}",
             )
             for _ in range(n_inv)
         ]
         priorities = tuple(
             Priority(
-                country=str(rng.choice(COUNTRY_POOL, p=COUNTRY_WEIGHTS)),
+                country=_COUNTRY(rng),
                 date=filing - dt.timedelta(days=int(30 + rng.integers(0, 365))),
             )
             for _ in range(int(rng.poisson(0.7)))
@@ -147,46 +186,55 @@ def generate_synthetic(params: SynthParams) -> Corpus:
                 "assignees": assignees,
                 "inventors": inventors,
                 "priorities": priorities,
-                "topic": str(rng.choice(TOPIC_POOL, p=TOPIC_WEIGHTS)),
+                "topic": _TOPIC(rng),
                 "signal": float(signal),
             }
         )
 
-    grants = np.array([p["grant"].toordinal() for p in patents])
+    grants = np.array([p["grant"].toordinal() for p in patents], dtype=np.float64)
     signal_weight = np.exp(
         params.feature_signal_strength * np.array([p["signal"] for p in patents])
     )
-    indegree = np.zeros(n, dtype=np.int64)
+    # an internal citation of patent i is the same record whoever cites it
+    prior_art = [
+        CitedRef(
+            country="US",
+            filing_date=p["filing"],
+            ipc_codes=tuple(p["codes"]),
+            cited_id=p["id"],
+            in_domain=any(c.startswith(params.domain_ipc_prefix) for c in p["codes"]),
+        )
+        for p in patents
+    ]
+    popularity = np.ones(n)  # in-degree + 1
+    weights_buf = np.empty(n)
+    exponent = params.citation_attachment_exponent
     backrefs: list[list[CitedRef]] = [[] for _ in range(n)]
 
     for j, citer in enumerate(patents):
         # prior art must be granted before the citing patent's filing date
-        k = int(np.searchsorted(grants, citer["filing"].toordinal(), side="left"))
+        filed = citer["filing"].toordinal()
+        k = int(np.searchsorted(grants, filed, side="left"))
         m_internal = min(int(rng.poisson(params.mean_internal_citations)), k)
         refs: list[CitedRef] = []
         if m_internal > 0:
             # attachment kernel: raw popularity discounted by prior-art age,
-            # all raised to the exponent (exponent 0 means uniform choice)
-            ages = (citer["filing"].toordinal() - grants[:k]) / 365.25
-            kernel = (indegree[:k] + 1.0) * np.exp(-ages / params.recency_time_constant)
-            weights = kernel ** params.citation_attachment_exponent
-            weights = weights * signal_weight[:k]
-            prob = weights / weights.sum()
-            chosen = rng.choice(k, size=m_internal, replace=False, p=prob)
-            for idx in sorted(int(c) for c in chosen):
-                cited = patents[idx]
-                refs.append(
-                    CitedRef(
-                        country="US",
-                        filing_date=cited["filing"],
-                        ipc_codes=tuple(cited["codes"]),
-                        cited_id=cited["id"],
-                        in_domain=any(
-                            c.startswith(params.domain_ipc_prefix) for c in cited["codes"]
-                        ),
-                    )
-                )
-                indegree[idx] += 1
+            # all raised to the exponent (exponent 0 means uniform choice);
+            # (grant - filed) / 365.25 is minus the age in years, bit for bit
+            weights = weights_buf[:k]
+            np.subtract(grants[:k], filed, out=weights)
+            weights /= 365.25
+            weights /= params.recency_time_constant
+            np.exp(weights, out=weights)
+            weights *= popularity[:k]
+            if exponent != 1.0:  # x ** 1.0 == x
+                weights **= exponent
+            weights *= signal_weight[:k]
+            weights /= weights.sum()
+            chosen = _draw_without_replacement(rng, weights, m_internal)
+            chosen.sort()
+            refs.extend(prior_art[idx] for idx in chosen.tolist())
+            popularity[chosen] += 1.0
         for _ in range(int(rng.poisson(params.mean_external_citations))):
             subclass = (
                 params.domain_ipc_prefix
@@ -196,7 +244,7 @@ def generate_synthetic(params: SynthParams) -> Corpus:
             code = _ipc_code(rng, subclass)
             refs.append(
                 CitedRef(
-                    country=str(rng.choice(COUNTRY_POOL, p=COUNTRY_WEIGHTS)),
+                    country=_COUNTRY(rng),
                     filing_date=citer["filing"] - dt.timedelta(days=int(rng.integers(200, 5500))),
                     ipc_codes=(code,),
                     cited_id=None,
@@ -207,7 +255,7 @@ def generate_synthetic(params: SynthParams) -> Corpus:
 
     records: dict[str, PatentRecord] = {}
     for i, p in enumerate(patents):
-        cited_total = int(indegree[i])
+        cited_total = int(popularity[i]) - 1
         maintenance = float(
             np.clip(rng.normal(4.0 + 2.0 * np.log1p(cited_total), 2.2), 0.5, 20.0)
         )

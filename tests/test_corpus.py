@@ -4,15 +4,27 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patimpact.corpus import (
     FIXED_THRESHOLDS,
     HORIZONS,
+    IPC_SECTIONS,
+    CitedRef,
     ClassThresholds,
+    Corpus,
     CorpusError,
+    HistoryOverrides,
+    Party,
+    PatentRecord,
+    PostHoc,
+    Priority,
     Horizon,
     ImpactClass,
     ThresholdPair,
@@ -27,6 +39,7 @@ from patimpact.corpus import (
     trajectory_pattern,
     years_between,
 )
+from patimpact.synth import SynthParams, generate_synthetic
 
 from conftest import d, make_patent
 
@@ -154,6 +167,91 @@ class TestLoading:
         path2 = tmp_path / "c2.jsonl"
         save_corpus(again, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+# Hand-built records for the round-trip property. The writer drops an empty
+# party name and an empty cited_id, so both are drawn non-empty or None.
+_ids = st.text(alphabet="ABCPX0123456789-", min_size=1, max_size=6)
+_dates = st.dates(dt.date(1980, 1, 1), dt.date(2030, 12, 31))
+_text = st.text(max_size=10)
+_ipc = st.builds(str.__add__, st.sampled_from(IPC_SECTIONS), st.text(max_size=8))
+_floats = st.floats(-1e6, 1e6, allow_nan=False)
+_maybe_float = st.none() | _floats
+_parties = st.lists(
+    st.builds(Party, country=_text, name=st.none() | st.text(min_size=1, max_size=8)),
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def _records(draw, patent_id: str) -> PatentRecord:
+    filing = draw(_dates)
+    return PatentRecord(
+        id=patent_id,
+        filing_date=filing,
+        grant_date=filing + dt.timedelta(days=draw(st.integers(0, 5000))),
+        ipc_codes=tuple(draw(st.lists(_ipc, max_size=3))),
+        independent_claim_word_counts=tuple(
+            draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+        ),
+        dependent_claim_count=draw(st.integers(0, 500)),
+        abstract_word_count=draw(st.integers(0, 10**4)),
+        assignees=draw(_parties),
+        inventors=draw(_parties),
+        priorities=tuple(draw(st.lists(st.builds(Priority, _text, _dates), max_size=2))),
+        backward_citations=tuple(draw(st.lists(
+            st.builds(
+                CitedRef,
+                country=st.text(min_size=1, max_size=4),
+                filing_date=_dates,
+                ipc_codes=st.lists(_ipc, max_size=2).map(tuple),
+                cited_id=st.none() | _ids,
+                in_domain=st.booleans(),
+            ),
+            max_size=4,
+        ))),
+        npl_citation_count=draw(st.integers(0, 100)),
+        post_hoc=draw(st.none() | st.builds(
+            PostHoc, _floats, st.integers(0, 100), st.integers(0, 100)
+        )),
+        topic_label=draw(st.none() | _text),
+        history_overrides=draw(st.none() | st.builds(
+            HistoryOverrides, _maybe_float, _maybe_float, _maybe_float, _maybe_float
+        )),
+    )
+
+
+@st.composite
+def _hand_built_corpora(draw) -> Corpus:
+    ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
+    return Corpus(
+        records={pid: draw(_records(pid)) for pid in ids}, domain_ipc_prefix="H01M"
+    )
+
+
+_synthetic_corpora = st.builds(
+    SynthParams,
+    n_patents=st.integers(10, 60),
+    year_range=st.just((2000, 2008)),
+    seed=st.integers(0, 2**32 - 1),
+    citation_attachment_exponent=st.sampled_from([0.0, 1.0, 1.7]),
+    feature_signal_strength=st.sampled_from([0.0, 1.2]),
+).map(generate_synthetic)
+
+
+class TestRoundTripProperty:
+    """load(save(c)) gives c's records, and saving them again the same bytes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpus=_hand_built_corpora() | _synthetic_corpora)
+    def test_save_load_save(self, corpus):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+            save_corpus(corpus, first)
+            again = load_corpus(first, corpus.domain_ipc_prefix)
+            assert again.records == corpus.records
+            save_corpus(again, second)
+            assert second.read_bytes() == first.read_bytes()
 
 
 class TestForwardCounts:

@@ -208,6 +208,35 @@ class TestConfig:
         assert cfg.topic.horizon.key == "mid" and cfg.topic.group_by == "predicted"
         assert cfg.grid.space == blocks["grid"]["space"] and cfg.grid.k == 3
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"compare_stll": False}, "unknown top-level key\\(s\\): compare_stll"),
+            ({"seed": "seven"}, "seed must be a JSON integer, got 'seven'"),
+            ({"seed": 1.5}, "seed must be a JSON integer, got 1.5"),
+            ({"seed": True}, "seed must be a JSON integer, got True"),
+            ({"seed": None}, "seed must be a JSON integer, got None"),
+            ({"compare_stl": "no"}, "compare_stl must be true or false, got 'no'"),
+            ({"compare_stl": 0}, "compare_stl must be true or false, got 0"),
+        ],
+        ids=["unknown-key", "seed-string", "seed-float", "seed-bool", "seed-null",
+             "compare-stl-string", "compare-stl-int"],
+    )
+    def test_bad_top_level(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_obj(base_config_obj(tmp_path, **overrides))
+
+    def test_every_read_top_level_key_accepted(self, tmp_path):
+        corpus_file = tmp_path / "c.jsonl"
+        corpus_file.write_text("")
+        cfg = config_from_obj(base_config_obj(
+            tmp_path, seed=0, synth=None, corpus_path=str(corpus_file), domain_ipc_prefix="H01M",
+            home_country="JP", test_year=2010, network={}, grid=None, compare_stl=False,
+            validation={}, topic={},
+        ))
+        assert cfg.seed == 0 and cfg.compare_stl is False and cfg.home_country == "JP"
+        assert cfg.test_year == 2010 and cfg.corpus_path == corpus_file
+
     @pytest.mark.parametrize("block", ["synth", "explain", "validation", "topic", "grid"])
     def test_block_must_be_an_object(self, tmp_path, block):
         with pytest.raises(ConfigError, match=f"{block} must be a JSON object"):
@@ -562,6 +591,23 @@ class TestCli:
         assert cli.main(["run", "--config", str(config)]) == 1
         assert not (tmp_path / "out" / "corpus.jsonl").exists()
         assert not (tmp_path / "out" / F_MANIFEST).exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"compare_stll": False},
+            {"seed": "seven"},
+            {"seed": 1.5},
+            {"seed": True},
+            {"compare_stl": "no"},
+        ],
+        ids=["unknown-key", "seed-string", "seed-float", "seed-bool", "compare-stl-string"],
+    )
+    def test_bad_top_level_exits_1_and_writes_nothing(self, tmp_path, overrides):
+        config = self._write_config(tmp_path, **overrides)
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert cli.main(["synth", "--config", str(config)]) == 1
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_stage_failure_exit_code(self, tmp_path):
         config = self._write_config(tmp_path)
