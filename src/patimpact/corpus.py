@@ -192,6 +192,11 @@ class PatentRecord:
         for ref in self.backward_citations:
             if not ref.country:
                 problems.append(f"{self.id}: backward citation with empty country")
+            if ref.filing_date > self.filing_date:
+                problems.append(
+                    f"{self.id}: backward citation filed {ref.filing_date} after "
+                    f"the patent's filing date {self.filing_date}"
+                )
         return problems
 
 
@@ -257,8 +262,16 @@ def _build_forward_index(
 # loading
 # --------------------------------------------------------------------------
 
+def _str_or_none(value: object, name: str) -> Optional[str]:
+    # these values key sets and dicts downstream, so a list or an object is an error
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{name} must be a string or null, got {value!r}")
+    return value
+
+
 def _parse_party(obj: dict) -> Party:
-    return Party(country=str(obj.get("country", "")), name=obj.get("name"))
+    name = _str_or_none(obj.get("name"), "name")
+    return Party(country=str(obj.get("country", "")), name=name)
 
 
 def _parse_record(obj: object, domain_ipc_prefix: str) -> PatentRecord:
@@ -294,7 +307,7 @@ def _build_record(obj: dict, patent_id: str, domain_ipc_prefix: str) -> PatentRe
                     country=str(c.get("country", "")),
                     filing_date=parse_date(c["filing_date"]),
                     ipc_codes=ipcs,
-                    cited_id=c.get("cited_id"),
+                    cited_id=_str_or_none(c.get("cited_id"), "cited_id"),
                     in_domain=bool(in_domain),
                 )
             )
@@ -343,7 +356,7 @@ def _build_record(obj: dict, patent_id: str, domain_ipc_prefix: str) -> PatentRe
         backward_citations=refs,
         npl_citation_count=int(obj.get("npl_citation_count", 0)),
         post_hoc=post_hoc,
-        topic_label=obj.get("topic_label"),
+        topic_label=_str_or_none(obj.get("topic_label"), "topic_label"),
         history_overrides=overrides,
     )
 
@@ -364,9 +377,11 @@ def load_corpus(path, domain_ipc_prefix: str, strict: bool = True) -> Corpus:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        # a JSONDecodeError and an integer past the digit limit are ValueErrors;
+        # nesting past the parser's depth limit is a RecursionError
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from None
         try:
             rec = _parse_record(obj, domain_ipc_prefix)

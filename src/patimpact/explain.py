@@ -341,20 +341,14 @@ def rank_groups(importance: Iterable[tuple[str, float]]) -> list[tuple[str, floa
 def group_summary(
     rows: Sequence[AttributionRow],
     grouping: FeatureGrouping,
-    instance_labels: Optional[Mapping[str, str]] = None,
-    label_filter: Optional[str] = None,
     top_k: int = 10,
 ) -> tuple[list[tuple[str, float]], list[dict]]:
     """Summary-plot dataset: per-instance (feature value, phi) pairs for the
-    top-k groups among rows whose label matches the filter.
+    top-k groups of ``rows``.
 
-    Returns (importance ranking of the filtered rows, record dicts). An empty
-    filter result yields empty outputs rather than an error.
+    Returns (importance ranking of the rows, record dicts). No rows yield
+    empty outputs rather than an error.
     """
-    if label_filter is not None:
-        if instance_labels is None:
-            raise ValueError("label_filter requires instance_labels")
-        rows = [r for r in rows if instance_labels.get(r.instance_id) == label_filter]
     if not rows:
         return [], []
     ranking = global_importance(rows, grouping)[:top_k]
@@ -379,7 +373,7 @@ def group_summary(
 # --------------------------------------------------------------------------
 
 def export_group_summary_csv(path, records: Sequence[Mapping]) -> None:
-    """Summary-plot dataset rows; header only when the filter matched nothing."""
+    """Summary-plot dataset rows; header only when there are no records."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance_id", "group", "feature_value", "phi"])

@@ -21,7 +21,6 @@ subclass = first 4 characters.
 from __future__ import annotations
 
 import csv
-import json
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -427,14 +426,3 @@ def load_features_csv(path) -> tuple[list[str], np.ndarray]:
             ids.append(row[0])
             rows.append([float(x) for x in row[1:]])
     return ids, np.array(rows) if rows else np.zeros((0, N_FEATURES))
-
-
-def save_standardizer(path, s: Standardizer) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(s.to_json_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_standardizer(path) -> Standardizer:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Standardizer.from_json_obj(json.load(fh))

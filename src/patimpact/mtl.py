@@ -71,9 +71,6 @@ class TrainConfig:
         default_factory=lambda: {h: 1.0 for h in HORIZONS}
     )
     validation_fraction: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
     optimizer: str = "adam"
     class_weighting: bool = False
     val_stratify_task: Optional[Horizon] = None
@@ -302,12 +299,13 @@ class _ForwardCache:
 def _forward_batch(
     model: MtlModel,
     X: np.ndarray,
-    training: bool,
     dropout_rng: Optional[np.random.Generator] = None,
     tasks: Optional[Sequence[Horizon]] = None,
 ) -> _ForwardCache:
+    """Training forward: keeps every layer's input and pre-activation for
+    backprop, and applies trunk dropout only when given a ``dropout_rng``."""
     rate = model.config.shared_dropout_rate
-    use_dropout = training and rate > 0.0
+    use_dropout = dropout_rng is not None and rate > 0.0
     a = np.asarray(X, dtype=np.float64)
     shared_inputs, shared_pre, masks = [], [], []
     for layer in model.shared:
@@ -350,20 +348,12 @@ def _forward_batch(
     )
 
 
-def forward(
-    model: MtlModel, x: np.ndarray, training: bool = False,
-    dropout_rng: Optional[np.random.Generator] = None,
-) -> dict[Horizon, TaskOutput]:
+def forward(model: MtlModel, x: np.ndarray) -> dict[Horizon, TaskOutput]:
     """Run one standardized feature vector through every task head."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite model input")
-    if training:
-        if model.config.shared_dropout_rate > 0 and dropout_rng is None:
-            dropout_rng = derived_rng(model.config.seed, "dropout", "adhoc")
-        all_logits = _forward_batch(model, x, True, dropout_rng).logits
-    else:
-        all_logits = infer_logits(model, x)
+    all_logits = infer_logits(model, x)
     out = {}
     for task in model.tasks:
         logits = all_logits[task][0]
@@ -416,11 +406,11 @@ def infer_logits(
     tasks: Optional[Sequence[Horizon]] = None,
     workspace: Optional[InferenceWorkspace] = None,
 ) -> dict[Horizon, np.ndarray]:
-    """Inference-only forward: one trunk pass feeding every requested head.
+    """The inference forward: one trunk pass feeding every requested head.
 
     Keeps no per-layer cache for backprop and does the bias add and ReLU in
     place, so with a reused workspace it allocates no activations. The
-    arithmetic is that of `_forward_batch(training=False)`, bit for bit.
+    arithmetic is that of `_forward_batch` without dropout, bit for bit.
     """
     ws = workspace if workspace is not None else InferenceWorkspace()
     a = np.asarray(X, dtype=np.float64)
@@ -458,11 +448,6 @@ def predict_batch(
         task: np.argmax(logits, axis=1)
         for task, logits in infer_logits(model, X, tasks).items()
     }
-
-
-def predict_proba(model: MtlModel, X: np.ndarray, task: Horizon) -> np.ndarray:
-    """(n, 3) class probabilities for one task."""
-    return infer_proba(model, X, (task,))[task]
 
 
 def multi_task_loss(
@@ -596,13 +581,9 @@ def batch_loss(
     X: np.ndarray,
     labels: Mapping[Horizon, np.ndarray],
     cfg: TrainConfig,
-    training: bool = False,
-    dropout_rng: Optional[np.random.Generator] = None,
-    class_weights: Optional[Mapping[Horizon, np.ndarray]] = None,
 ) -> float:
     tasks = [t for t in model.tasks if cfg.weight(t) > 0]
-    cache = _forward_batch(model, X, training, dropout_rng, tasks=tasks)
-    per_task = _batch_task_losses(cache.logits, labels, tasks, class_weights)
+    per_task = _batch_task_losses(infer_logits(model, X, tasks), labels, tasks)
     return sum(cfg.weight(t) * per_task[t] for t in tasks)
 
 
@@ -616,6 +597,10 @@ class _Adam:
     A step is a fixed sequence of in-place ufunc calls on whole vectors, with
     preallocated scratch, in the per-element order of the textbook update.
     """
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-7
 
     def __init__(self, params: np.ndarray, cfg: TrainConfig):
         self.cfg = cfg
@@ -632,14 +617,14 @@ class _Adam:
             np.multiply(cfg.learning_rate, grads, out=update)
             params -= update
             return
-        b1c = 1.0 - cfg.beta1 ** self.t
-        b2c = 1.0 - cfg.beta2 ** self.t
+        b1c = 1.0 - self.BETA1 ** self.t
+        b2c = 1.0 - self.BETA2 ** self.t
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
-        self.m *= cfg.beta1
-        np.multiply(1.0 - cfg.beta1, grads, out=update)
+        self.m *= self.BETA1
+        np.multiply(1.0 - self.BETA1, grads, out=update)
         self.m += update
-        self.v *= cfg.beta2
-        np.multiply(1.0 - cfg.beta2, grads, out=update)
+        self.v *= self.BETA2
+        np.multiply(1.0 - self.BETA2, grads, out=update)
         update *= grads
         self.v += update
         # params -= (lr (m / b1c)) / (sqrt(v / b2c) + eps)
@@ -647,7 +632,7 @@ class _Adam:
         update *= cfg.learning_rate
         np.divide(self.v, b2c, out=denom)
         np.sqrt(denom, out=denom)
-        denom += cfg.epsilon
+        denom += self.EPSILON
         update /= denom
         params -= update
 
@@ -737,6 +722,7 @@ def train(
     dropout_rng = derived_rng(cfg.seed, "dropout")
     optimizer = _Adam(model.flat, cfg)
     grad = _zero_model(model.config)
+    val_workspace = InferenceWorkspace()
 
     best_val = math.inf
     best_params = model.copy_parameters()
@@ -751,7 +737,7 @@ def train(
             batch = order[start : start + cfg.batch_size]
             xb = X_tr[batch]
             yb = {t: y_tr[t][batch] for t in tasks}
-            cache = _forward_batch(model, xb, True, dropout_rng, tasks=tasks)
+            cache = _forward_batch(model, xb, dropout_rng, tasks=tasks)
             parts = {t: _softmax_parts(cache.logits[t]) for t in tasks}
             per_task = _batch_task_losses(cache.logits, yb, tasks, class_weights, parts)
             total = sum(cfg.weight(t) * per_task[t] for t in tasks)
@@ -768,8 +754,8 @@ def train(
             n_batches += 1
 
         train_per_task = {t: epoch_losses[t] / n_batches for t in tasks}
-        val_cache = _forward_batch(model, X_val, False, tasks=tasks)
-        val_per_task = _batch_task_losses(val_cache.logits, y_val, tasks, class_weights)
+        val_logits = infer_logits(model, X_val, tasks, val_workspace)
+        val_per_task = _batch_task_losses(val_logits, y_val, tasks, class_weights)
         val_total = sum(cfg.weight(t) * val_per_task[t] for t in tasks)
         model.history.append(
             EpochStats(
@@ -819,7 +805,7 @@ def train_stl(
 
 def _kink_margin(model: MtlModel, X: np.ndarray, tasks: Sequence[Horizon]) -> float:
     """Smallest |pre-activation| over every rectifier in the network."""
-    cache = _forward_batch(model, X, training=False, tasks=tasks)
+    cache = _forward_batch(model, X, tasks=tasks)
     margins = [float(np.abs(z).min()) for z in cache.shared_pre]
     for t in tasks:
         margins.extend(float(np.abs(z).min()) for z in cache.head_pre[t])
@@ -863,7 +849,7 @@ def gradient_check(
             else:
                 raise RuntimeError("could not find a kink-free parameter point")
 
-        cache = _forward_batch(model, X, training=False, tasks=tasks)
+        cache = _forward_batch(model, X, tasks=tasks)
         grads = _backward_batch(model, cache, y, cfg.task_loss_weights, tasks).flat
 
         params = model.flat
@@ -925,7 +911,6 @@ def grid_search(
     seed: int,
     base_network: Optional[NetworkConfig] = None,
     base_train: Optional[TrainConfig] = None,
-    score_fn: Optional[Callable[[MtlModel, np.ndarray, Mapping[Horizon, np.ndarray]], float]] = None,
 ) -> GridSearchResult:
     """Exhaustive search over hyperparameter candidates.
 
@@ -952,7 +937,7 @@ def grid_search(
     stratify = [ImpactClass(int(v)) for v in y[stratify_task]]
     folds = stratified_kfold(stratify, k, derive_seed(seed, "gridsearch", "folds"))
 
-    def default_score(model: MtlModel, X_test, y_test) -> float:
+    def fold_score(model: MtlModel, X_test, y_test) -> float:
         preds = predict_batch(model, X_test)
         total = 0.0
         for task in model.tasks:
@@ -961,8 +946,6 @@ def grid_search(
             cm = confusion_from_predictions(actual, predicted)
             total += overall_metrics(cm).macro.mcc
         return total
-
-    scorer = score_fn if score_fn is not None else default_score
 
     keys = list(space.keys())
     cells: list[GridCell] = []
@@ -985,7 +968,7 @@ def grid_search(
                 train_cfg,
             )
             fold_scores.append(
-                scorer(model, np.asarray(X)[test_idx], {t: y[t][test_idx] for t in tasks})
+                fold_score(model, np.asarray(X)[test_idx], {t: y[t][test_idx] for t in tasks})
             )
         score = float(np.mean(fold_scores))
         cells.append(

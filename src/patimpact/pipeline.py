@@ -56,7 +56,6 @@ F_CORPUS = "corpus.jsonl"
 F_THRESHOLDS = "thresholds.json"
 F_LABELS = "labels.csv"
 F_FEATURES = "features.csv"
-F_STANDARDIZER = "standardizer.json"
 F_SPLIT = "split.json"
 F_GRIDSEARCH = "gridsearch.csv"
 F_BEST_CONFIG = "best_config.json"
@@ -223,6 +222,9 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
     seed = obj.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be a JSON integer, got {seed!r}")
+    test_year = obj.get("test_year")
+    if test_year is not None and (isinstance(test_year, bool) or not isinstance(test_year, int)):
+        raise ConfigError(f"test_year must be a JSON integer or null, got {test_year!r}")
     compare_stl = obj.get("compare_stl", True)
     if not isinstance(compare_stl, bool):
         raise ConfigError(f"compare_stl must be true or false, got {compare_stl!r}")
@@ -291,7 +293,7 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
             domain_ipc_prefix=domain,
             home_country=str(obj.get("home_country", "US")),
             threshold_mode=str(obj.get("threshold_mode", "fixed")),
-            test_year=(None if obj.get("test_year") is None else int(obj["test_year"])),
+            test_year=test_year,
             network=mtl_mod.from_json(
                 mtl_mod.NetworkConfig, obj.get("network", {}), CONFIG_NETWORK_KEYS,
                 "network", seed=derive_seed(seed, "init"),
@@ -648,7 +650,6 @@ def stage_train(ctx: RunContext) -> list[str]:
     X_train, labels = _training_set(ctx, train_ids)
 
     std = ind.fit_standardizer(X_train)
-    ind.save_standardizer(cfg.path(F_STANDARDIZER), std)
     _write_json(
         cfg.path(F_SPLIT),
         {"test_year": test_year, "train_ids": train_ids, "test_ids": test_ids},
@@ -665,7 +666,7 @@ def stage_train(ctx: RunContext) -> list[str]:
         raise StageError("train", str(exc)) from None
     mtl_mod.save_checkpoint(cfg.path(F_MODEL), model)
     mtl_mod.export_training_log_csv(cfg.path(F_TRAINING_LOG), model)
-    outputs = [F_STANDARDIZER, F_SPLIT, F_MODEL, F_TRAINING_LOG]
+    outputs = [F_SPLIT, F_MODEL, F_TRAINING_LOG]
 
     if cfg.compare_stl:
         for h in HORIZONS:

@@ -230,7 +230,13 @@ def generate_synthetic(params: SynthParams) -> Corpus:
             if exponent != 1.0:  # x ** 1.0 == x
                 weights **= exponent
             weights *= signal_weight[:k]
-            weights /= weights.sum()
+            total = weights.sum()
+            if not 0.0 < total < np.inf:
+                raise ValueError(
+                    f"citation_attachment_exponent {exponent!r} overflows the "
+                    f"attachment kernel (weight sum {total!r})"
+                )
+            weights /= total
             chosen = _draw_without_replacement(rng, weights, m_internal)
             chosen.sort()
             refs.extend(prior_art[idx] for idx in chosen.tolist())

@@ -228,10 +228,11 @@ def crafted_corpus() -> Corpus:
             assignees=(Party(country="US", name="INDIGO"),),
             inventors=(Party(country="US", name="INV-I"),),
         ),
-        # latest grant; its citations create the forward-count cases
+        # latest grant; its citations create the forward-count cases. It is
+        # filed the day P-E is, so no prior art is filed after the citer.
         make_patent(
             "P-J",
-            filing_date=d("2009-06-30"),
+            filing_date=d("2010-01-01"),
             grant_date=d("2010-12-31"),
             assignees=(Party(country="US", name="JULIET"),),
             inventors=(Party(country="US", name="INV-J"),),

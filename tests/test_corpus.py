@@ -152,6 +152,57 @@ class TestLoading:
         _write_jsonl(path, [obj])
         assert load_corpus(path, "H01M").ids() == ["A"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cited_id", ["B"]), ("cited_id", 7), ("name", {"n": 1}), ("topic_label", [])],
+        ids=["cited-id-list", "cited-id-int", "assignee-name-object", "topic-label-list"],
+    )
+    def test_non_string_text_field_strict_vs_lenient(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        bad = _record_obj("A", "2005-01-01", citations=[
+            {"cited_id": "B", "country": "US", "filing_date": "2003-01-01"}
+        ])
+        if field == "cited_id":
+            bad["backward_citations"][0]["cited_id"] = value
+        elif field == "name":
+            bad["assignees"][0]["name"] = value
+        else:
+            bad[field] = value
+        _write_jsonl(path, [_record_obj("B", "2006-01-01"), bad])
+        with pytest.raises(CorpusError, match=rf":2: A: malformed field value: {field} must"):
+            load_corpus(path, "H01M")
+        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
+
+    @pytest.mark.parametrize(
+        "line", ["[" * 100000, '{"id": ' + "1" * 5000 + "}"], ids=["deep", "long-int"]
+    )
+    def test_unparseable_line_is_a_corpus_error(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(_record_obj("B", "2006-01-01")) + "\n" + line + "\n")
+        for strict in (True, False):
+            with pytest.raises(CorpusError, match=":2: malformed JSON"):
+                load_corpus(path, "H01M", strict=strict)
+
+    def test_citation_filed_after_citer_strict_vs_lenient(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        # filed 2004-01-01, citing prior art filed five years later
+        bad = _record_obj("A", "2005-01-01", citations=[
+            {"country": "US", "filing_date": "2009-01-01"}
+        ])
+        _write_jsonl(path, [_record_obj("B", "2006-01-01"), bad])
+        with pytest.raises(CorpusError, match=r":2: A: backward citation filed 2009-01-01 after"):
+            load_corpus(path, "H01M")
+        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
+        assert ":2: skipping record" in caplog.text
+
+    def test_citation_filed_with_citer_accepted(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        same_day = _record_obj("A", "2005-01-01", citations=[
+            {"country": "US", "filing_date": "2004-01-01"}
+        ])
+        _write_jsonl(path, [same_day])
+        assert load_corpus(path, "H01M").ids() == ["A"]
+
     def test_grant_before_filing_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         obj = _record_obj("A", "2003-01-01")  # filing is 2004-01-01
@@ -186,6 +237,8 @@ _parties = st.lists(
 @st.composite
 def _records(draw, patent_id: str) -> PatentRecord:
     filing = draw(_dates)
+    # prior art is filed no later than the citing patent
+    cited_dates = st.dates(dt.date(1980, 1, 1), filing)
     return PatentRecord(
         id=patent_id,
         filing_date=filing,
@@ -203,7 +256,7 @@ def _records(draw, patent_id: str) -> PatentRecord:
             st.builds(
                 CitedRef,
                 country=st.text(min_size=1, max_size=4),
-                filing_date=_dates,
+                filing_date=cited_dates,
                 ipc_codes=st.lists(_ipc, max_size=2).map(tuple),
                 cited_id=st.none() | _ids,
                 in_domain=st.booleans(),
@@ -237,6 +290,64 @@ _synthetic_corpora = st.builds(
     citation_attachment_exponent=st.sampled_from([0.0, 1.0, 1.7]),
     feature_signal_strength=st.sampled_from([0.0, 1.2]),
 ).map(generate_synthetic)
+
+
+# A record with every optional field present, and every path to a field in it
+# (an index names a list element; the empty path is the whole line).
+_FULL_RECORD = {
+    **_record_obj("A", "2006-01-01", citations=[{
+        "cited_id": "B", "country": "US", "filing_date": "2003-01-01",
+        "ipc_codes": ["H01M2/10"], "in_domain": True,
+    }]),
+    "priorities": [{"country": "JP", "date": "2003-06-01"}],
+    "post_hoc": {"maintenance_years": 4.5, "transfer_count": 1, "family_size": 2},
+    "topic_label": "cells",
+    "history_overrides": {"pk_6": 1.0, "pk_7": 2.0, "pk_8": 3.0, "pk_9": 4.0},
+}
+
+
+def _field_paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _field_paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _field_paths(child, prefix + (i,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestArbitraryFieldValues:
+    """A corpus line with any JSON value in any field loads or is a CorpusError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_field_paths(_FULL_RECORD))), value=_json_values)
+    def test_loads_or_raises_corpus_error(self, path, value):
+        obj = json.loads(json.dumps(_FULL_RECORD))
+        if path:
+            *parents, last = path
+            target = obj
+            for key in parents:
+                target = target[key]
+            target[last] = value
+        else:
+            obj = value
+        cited = _record_obj("B", "2005-01-01")
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus_path = Path(tmp) / "c.jsonl"
+            _write_jsonl(corpus_path, [cited, obj])
+            for strict in (True, False):
+                try:
+                    load_corpus(corpus_path, "H01M", strict=strict)
+                except CorpusError:
+                    pass
 
 
 class TestRoundTripProperty:

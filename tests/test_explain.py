@@ -20,7 +20,7 @@ from patimpact.explain import (
     shapley_sampled,
 )
 from patimpact.indicators import N_FEATURES
-from patimpact.mtl import NetworkConfig, TrainConfig, init_network, predict_proba, train
+from patimpact.mtl import NetworkConfig, TrainConfig, infer_proba, init_network, train
 
 
 def toy_model(X: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ class TestTrainedModelIntegration:
             model, instance, background, target=target, n_permutations=40, seed=2
         )
         assert row.phi.shape == (30,)
-        prob = float(predict_proba(model, instance.reshape(1, -1), Horizon.MID)[0, 2])
+        prob = float(infer_proba(model, instance.reshape(1, -1), (Horizon.MID,))[Horizon.MID][0, 2])
         assert row.model_output == pytest.approx(prob, abs=1e-12)
         assert row.efficiency_gap() < 1e-9
 
@@ -258,7 +258,8 @@ class TestSharedPermutations:
         )
         for target, row in zip(MULTI_TARGETS, rows):
             assert row.efficiency_gap() < 1e-9
-            prob = predict_proba(model, instance.reshape(1, -1), target.horizon)
+            h = target.horizon
+            prob = infer_proba(model, instance.reshape(1, -1), (h,))[h]
             assert row.model_output == pytest.approx(
                 float(prob[0, int(target.impact_class)]), abs=1e-12
             )
@@ -339,20 +340,17 @@ class TestAggregation:
         ][:2]
 
     def test_group_summary_empty_filter(self):
-        rows, grouping = self._rows()
-        labels = {r.instance_id: "other" for r in rows}
-        ranking, records = group_summary(
-            rows, grouping, instance_labels=labels, label_filter="sustained"
-        )
+        # a trajectory filter that matches nothing leaves no rows
+        _, grouping = self._rows()
+        ranking, records = group_summary([], grouping)
         assert ranking == [] and records == []
 
     def test_group_summary_filter_subsets(self):
         rows, grouping = self._rows()
-        labels = {r.instance_id: ("keep" if i < 2 else "drop") for i, r in enumerate(rows)}
-        _, records = group_summary(
-            rows, grouping, instance_labels=labels, label_filter="keep", top_k=3
-        )
+        kept = rows[:2]
+        ranking, records = group_summary(kept, grouping, top_k=3)
         assert {r["instance_id"] for r in records} == {"p0", "p1"}
+        assert ranking == global_importance(kept, grouping)
 
 
 class TestExport:

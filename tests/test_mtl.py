@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from patimpact.corpus import HORIZONS, Horizon, ImpactClass
+from patimpact.indicators import fit_standardizer
 from patimpact.mtl import (
     MISSING_LABEL,
     EpochStats,
@@ -36,7 +37,6 @@ from patimpact.mtl import (
     multi_task_loss,
     predict,
     predict_batch,
-    predict_proba,
     save_checkpoint,
     softmax,
     to_json,
@@ -102,9 +102,10 @@ def loop_backward(model, cache, labels, weights, tasks, class_weights=None):
 
 def loop_optimizer_step(state, model, grads, cfg):
     """One Adam (or SGD) step, array by array, with moments keyed by name."""
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-7
     state["t"] += 1
-    b1c = 1.0 - cfg.beta1 ** state["t"]
-    b2c = 1.0 - cfg.beta2 ** state["t"]
+    b1c = 1.0 - beta1 ** state["t"]
+    b2c = 1.0 - beta2 ** state["t"]
     for name, arr in model.parameters():
         g = grads[name]
         if cfg.optimizer == "sgd":
@@ -112,11 +113,11 @@ def loop_optimizer_step(state, model, grads, cfg):
             continue
         m = state["m"].setdefault(name, np.zeros_like(arr))
         v = state["v"].setdefault(name, np.zeros_like(arr))
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        arr -= cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.epsilon)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        arr -= cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + epsilon)
 
 
 def loop_train(model, X, labels, cfg):
@@ -148,7 +149,7 @@ def loop_train(model, X, labels, cfg):
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             yb = {t: y_tr[t][batch] for t in tasks}
-            cache = _forward_batch(model, X_tr[batch], True, dropout_rng, tasks=tasks)
+            cache = _forward_batch(model, X_tr[batch], dropout_rng, tasks=tasks)
             per_task = _batch_task_losses(cache.logits, yb, tasks, class_weights)
             grads = loop_backward(model, cache, yb, cfg.task_loss_weights, tasks, class_weights)
             loop_optimizer_step(state, model, grads, cfg)
@@ -156,7 +157,7 @@ def loop_train(model, X, labels, cfg):
                 sums[t] += per_task[t]
             n_batches += 1
         train_per_task = {t: sums[t] / n_batches for t in tasks}
-        val_cache = _forward_batch(model, X_val, False, tasks=tasks)
+        val_cache = _forward_batch(model, X_val, tasks=tasks)
         val_per_task = _batch_task_losses(val_cache.logits, y_val, tasks, class_weights)
         val_total = sum(cfg.weight(t) * val_per_task[t] for t in tasks)
         model.history.append(EpochStats(
@@ -309,17 +310,19 @@ class TestForwardPredict:
 
     def test_dropout_only_in_training(self):
         model = init_network(small_config(seed=1, dropout=0.5))
-        x = np.ones(10)
-        a = forward(model, x, training=False)
-        b = forward(model, x, training=False)
+        X = np.ones((1, 10))
+        a = forward(model, X[0])
+        b = forward(model, X[0])
+        plain = _forward_batch(model, X)
+        assert all(mask is None for mask in plain.dropout_masks)
+        c = _forward_batch(model, X, np.random.default_rng(0))
+        d = _forward_batch(model, X, np.random.default_rng(0))
+        assert all(mask is not None for mask in c.dropout_masks)
         for h in HORIZONS:
             np.testing.assert_array_equal(a[h].logits, b[h].logits)
-        rng1 = np.random.default_rng(0)
-        rng2 = np.random.default_rng(0)
-        c = forward(model, x, training=True, dropout_rng=rng1)
-        d = forward(model, x, training=True, dropout_rng=rng2)
-        for h in HORIZONS:
-            np.testing.assert_array_equal(c[h].logits, d[h].logits)
+            np.testing.assert_array_equal(a[h].logits, plain.logits[h][0])
+            np.testing.assert_array_equal(c.logits[h], d.logits[h])
+            assert not np.array_equal(c.logits[h], plain.logits[h])
 
 
 class TestInferenceForward:
@@ -344,7 +347,7 @@ class TestInferenceForward:
         workspace = InferenceWorkspace()
         for n in (3000, 100, 3000):  # a shrink then a regrow catches stale rows
             X = rng.normal(size=(n, config.input_dim))
-            ref = _forward_batch(model, X, training=False)
+            ref = _forward_batch(model, X)
             got = infer_proba(model, X, workspace=workspace)
             assert list(got) == list(model.tasks)
             for task in model.tasks:
@@ -353,7 +356,8 @@ class TestInferenceForward:
             preds = predict_batch(model, X)
             for task in model.tasks:
                 assert np.array_equal(preds[task], np.argmax(ref.logits[task], axis=1))
-                assert np.array_equal(predict_proba(model, X, task), softmax(ref.logits[task]))
+                single = infer_proba(model, X, (task,))[task]
+                assert np.array_equal(single, softmax(ref.logits[task]))
 
     def test_task_subset_skips_other_heads(self):
         model = init_network(NetworkConfig(seed=6))
@@ -431,7 +435,7 @@ class TestGradients:
         X = rng.normal(size=(8, 10))
         y = {h: rng.integers(0, 3, size=8) for h in HORIZONS}
         weights = {Horizon.SHORT: 1.0, Horizon.MID: 0.0, Horizon.LONG: 0.0}
-        cache = _forward_batch(model, X, False)
+        cache = _forward_batch(model, X)
         grads = _backward_batch(model, cache, y, weights, list(HORIZONS))
         for name, g in grads.parameters():
             if name.startswith("head.mid") or name.startswith("head.long"):
@@ -450,7 +454,7 @@ class TestGradients:
         y = {h: rng.integers(0, 3, size=12) for h in HORIZONS}
         cfg = TrainConfig(seed=0)
         yarr = {h: np.asarray(v) for h, v in y.items()}
-        cache = _forward_batch(model, X, False)
+        cache = _forward_batch(model, X)
         grads = dict(
             _backward_batch(model, cache, yarr, cfg.task_loss_weights, list(HORIZONS)).parameters()
         )
@@ -590,8 +594,8 @@ class TestStlEquivalence:
             predict_batch(stl_model, X)[Horizon.MID],
         )
         np.testing.assert_array_equal(
-            predict_proba(mtl_model, X, Horizon.MID),
-            predict_proba(stl_model, X, Horizon.MID),
+            infer_proba(mtl_model, X, (Horizon.MID,))[Horizon.MID],
+            infer_proba(stl_model, X, (Horizon.MID,))[Horizon.MID],
         )
 
     def test_stl_learns_separable(self):
@@ -721,7 +725,7 @@ class TestFlatParameters:
         model = init_network(small_config(seed=68))
         X = rng.normal(size=(8, 10))
         y = {h: rng.integers(0, 3, size=8) for h in HORIZONS}
-        cache = _forward_batch(model, X, False)
+        cache = _forward_batch(model, X)
         grad = _backward_batch(model, cache, y, {h: 1.0 for h in HORIZONS}, list(HORIZONS))
         assert np.any(grad.heads[Horizon.LONG][0].W != 0.0)
         assert np.any(grad.heads[Horizon.MID][0].W != 0.0)
@@ -810,9 +814,15 @@ class TestPersistence:
         X, y = separable_data(n=120, seed=40)
         model = init_network(small_config(seed=41))
         train(model, X, y, TrainConfig(seed=42, max_epochs=3, batch_size=16))
+        # the checkpoint holds the run's one copy of the standardizer
+        model.standardizer = fit_standardizer(np.random.default_rng(4).normal(size=(20, 44)))
         path = tmp_path / "model.ckpt.json"
         save_checkpoint(path, model)
         again = load_checkpoint(path)
+        for name in ("mean", "std", "degenerate"):
+            np.testing.assert_array_equal(
+                getattr(again.standardizer, name), getattr(model.standardizer, name)
+            )
         for (na, pa), (nb, pb) in zip(model.parameters(), again.parameters()):
             assert na == nb
             np.testing.assert_array_equal(pa, pb)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -218,9 +219,13 @@ class TestConfig:
             ({"seed": None}, "seed must be a JSON integer, got None"),
             ({"compare_stl": "no"}, "compare_stl must be true or false, got 'no'"),
             ({"compare_stl": 0}, "compare_stl must be true or false, got 0"),
+            ({"test_year": True}, "test_year must be a JSON integer or null, got True"),
+            ({"test_year": 2010.5}, "test_year must be a JSON integer or null, got 2010.5"),
+            ({"test_year": "2010"}, "test_year must be a JSON integer or null, got '2010'"),
         ],
         ids=["unknown-key", "seed-string", "seed-float", "seed-bool", "seed-null",
-             "compare-stl-string", "compare-stl-int"],
+             "compare-stl-string", "compare-stl-int", "test-year-bool", "test-year-float",
+             "test-year-string"],
     )
     def test_bad_top_level(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -285,7 +290,7 @@ class TestRunPipeline:
         cfg, _ = completed_run
         expected = [
             "corpus.jsonl", "thresholds.json", "labels.csv", "features.csv",
-            "standardizer.json", "split.json", "model.ckpt.json", "training_log.csv",
+            "split.json", "model.ckpt.json", "training_log.csv",
             "stl_short.ckpt.json", "stl_mid.ckpt.json", "stl_long.ckpt.json",
             "predictions.csv", "metrics.csv", "metrics.json", "comparison.csv",
             "attributions.csv",
@@ -296,6 +301,27 @@ class TestRunPipeline:
         ]
         for name in expected:
             assert cfg.path(name).exists(), name
+        # the checkpoint holds the standardizer; no stage writes it separately
+        assert not cfg.path("standardizer.json").exists()
+
+    def test_readme_outputs_list_every_file_a_run_writes(self, completed_run):
+        _, manifest = completed_run
+        written = {F_MANIFEST} | {
+            output["path"] for stage in manifest.stages for output in stage.outputs
+        }
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Outputs", 1)[1].split("\n\n")[1]
+        patterns = {}
+        for name in re.findall(r"`([^`]+)`", section):
+            # `stl_*.ckpt.json` and `summary_<horizon>_<class>.csv/.svg` name families
+            stem, _, alt = name.partition("/.")
+            for listed in (stem, stem.rsplit(".", 1)[0] + "." + alt) if alt else (stem,):
+                regex = re.escape(listed).replace(r"\*", r"[a-z]+")
+                patterns[listed] = re.sub(r"<[a-z]+>", r"[A-Za-z]+", regex)
+        unlisted = [f for f in written if not any(re.fullmatch(p, f) for p in patterns.values())]
+        assert unlisted == []
+        unwritten = [n for n, p in patterns.items() if not any(re.fullmatch(p, f) for f in written)]
+        assert unwritten == []
 
     def test_manifest_json_well_formed(self, completed_run):
         cfg, _ = completed_run
@@ -554,6 +580,14 @@ class TestCli:
         assert cli.main(["evaluate", "--config", str(config)]) == 0
         assert (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_overflowing_synth_kernel_exits_3_with_the_cause(self, tmp_path, caplog):
+        config = self._write_config(
+            tmp_path, synth={"n_patents": 200, "citation_attachment_exponent": 400.0}
+        )
+        with np.errstate(over="ignore"):
+            assert cli.main(["synth", "--config", str(config)]) == 3
+        assert "citation_attachment_exponent 400.0 overflows" in caplog.text
+
     def test_config_error_exit_code(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         config = self._write_config(tmp_path)
@@ -637,8 +671,17 @@ class TestCli:
             "[1, 2]",
             json.dumps({"id": "A", "filing_date": "2004-01-01", "grant_date": "2005-01-01",
                         "dependent_claim_count": "many"}),
+            json.dumps({"id": "A", "filing_date": "2004-01-01", "grant_date": "2005-01-01",
+                        "independent_claim_word_counts": [9], "backward_citations": [
+                            {"country": "US", "filing_date": "2003-01-01", "cited_id": ["a"]}
+                        ]}),
+            "[" * 100000,
+            json.dumps({"id": "A", "filing_date": "2004-01-01", "grant_date": "2005-01-01",
+                        "independent_claim_word_counts": [9],
+                        "backward_citations": [{"country": "US", "filing_date": "2009-01-01"}]}),
         ],
-        ids=["not-an-object", "non-numeric-count"],
+        ids=["not-an-object", "non-numeric-count", "cited-id-list", "deep-nesting",
+             "citation-after-filing"],
     )
     def test_malformed_record_exits_2(self, tmp_path, bad_line):
         bad = tmp_path / "bad.jsonl"

@@ -174,6 +174,12 @@ class TestValidation:
                 SynthParams(n_patents=50, citation_attachment_exponent=-1.0)
             )
 
+    def test_overflowing_exponent_is_named(self):
+        params = SynthParams(n_patents=200, citation_attachment_exponent=400.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="citation_attachment_exponent 400.0 overflows"):
+                generate_synthetic(params)
+
 
 class TestShape:
     def test_fields_populated(self, synth_corpus_small):
