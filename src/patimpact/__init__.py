@@ -46,14 +46,11 @@ from .metrics import (
 from .mtl import (
     MtlModel,
     NetworkConfig,
-    TaskOutput,
     TrainConfig,
-    forward,
     gradient_check,
     grid_search,
     init_network,
-    multi_task_loss,
-    predict,
+    predict_batch,
     train,
     train_stl,
 )

@@ -377,13 +377,13 @@ def load_corpus(path, domain_ipc_prefix: str, strict: bool = True) -> Corpus:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        # a JSONDecodeError and an integer past the digit limit are ValueErrors;
-        # nesting past the parser's depth limit is a RecursionError
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-        try:
+            # a JSONDecodeError and an integer past the digit limit are
+            # ValueErrors; nesting past the parser's depth limit is a RecursionError
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise CorpusError(f"malformed JSON: {exc}") from None
             rec = _parse_record(obj, domain_ipc_prefix)
         except CorpusError as exc:
             if strict:

@@ -103,13 +103,6 @@ class DenseLayer:
     b: np.ndarray  # (fan_out,)
 
 
-@dataclass(frozen=True)
-class TaskOutput:
-    logits: np.ndarray
-    probabilities: np.ndarray
-    predicted_class: ImpactClass
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -203,19 +196,6 @@ class MtlModel:
                 out.append((f"head.{task.key}.{i}.b", layer.b))
         return out
 
-    def parameter_count(self) -> int:
-        return self.flat.size
-
-    def copy_parameters(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def restore_parameters(self, saved: np.ndarray) -> None:
-        self.flat[...] = saved
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax (max-logit subtraction)."""
@@ -227,12 +207,6 @@ def _softmax_inplace(z: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -285,92 +259,6 @@ def init_network(config: NetworkConfig) -> MtlModel:
 # forward / backward
 # --------------------------------------------------------------------------
 
-@dataclass
-class _ForwardCache:
-    shared_inputs: list[np.ndarray]  # input to each shared layer
-    shared_pre: list[np.ndarray]  # pre-activation
-    dropout_masks: list[Optional[np.ndarray]]
-    trunk_out: np.ndarray
-    head_inputs: dict[Horizon, list[np.ndarray]]
-    head_pre: dict[Horizon, list[np.ndarray]]
-    logits: dict[Horizon, np.ndarray]
-
-
-def _forward_batch(
-    model: MtlModel,
-    X: np.ndarray,
-    dropout_rng: Optional[np.random.Generator] = None,
-    tasks: Optional[Sequence[Horizon]] = None,
-) -> _ForwardCache:
-    """Training forward: keeps every layer's input and pre-activation for
-    backprop, and applies trunk dropout only when given a ``dropout_rng``."""
-    rate = model.config.shared_dropout_rate
-    use_dropout = dropout_rng is not None and rate > 0.0
-    a = np.asarray(X, dtype=np.float64)
-    shared_inputs, shared_pre, masks = [], [], []
-    for layer in model.shared:
-        shared_inputs.append(a)
-        z = a @ layer.W + layer.b
-        shared_pre.append(z)
-        a = relu(z)
-        if use_dropout:
-            mask = (dropout_rng.random(a.shape) >= rate) / (1.0 - rate)
-            a = a * mask
-            masks.append(mask)
-        else:
-            masks.append(None)
-    trunk_out = a
-
-    head_inputs: dict[Horizon, list[np.ndarray]] = {}
-    head_pre: dict[Horizon, list[np.ndarray]] = {}
-    logits: dict[Horizon, np.ndarray] = {}
-    for task in tasks if tasks is not None else model.tasks:
-        a = trunk_out
-        inputs, pres = [], []
-        layers = model.heads[task]
-        for layer in layers[:-1]:
-            inputs.append(a)
-            z = a @ layer.W + layer.b
-            pres.append(z)
-            a = relu(z)
-        inputs.append(a)
-        logits[task] = a @ layers[-1].W + layers[-1].b
-        head_inputs[task] = inputs
-        head_pre[task] = pres
-    return _ForwardCache(
-        shared_inputs=shared_inputs,
-        shared_pre=shared_pre,
-        dropout_masks=masks,
-        trunk_out=trunk_out,
-        head_inputs=head_inputs,
-        head_pre=head_pre,
-        logits=logits,
-    )
-
-
-def forward(model: MtlModel, x: np.ndarray) -> dict[Horizon, TaskOutput]:
-    """Run one standardized feature vector through every task head."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite model input")
-    all_logits = infer_logits(model, x)
-    out = {}
-    for task in model.tasks:
-        logits = all_logits[task][0]
-        probs = softmax(logits)
-        out[task] = TaskOutput(
-            logits=logits,
-            probabilities=probs,
-            predicted_class=ImpactClass(int(np.argmax(probs))),
-        )
-    return out
-
-
-def predict(model: MtlModel, x: np.ndarray) -> dict[Horizon, ImpactClass]:
-    """Most probable class per task; ties go to the lowest class index."""
-    return {task: out.predicted_class for task, out in forward(model, x).items()}
-
-
 class InferenceWorkspace:
     """Activation buffers that `infer_logits` reuses from call to call.
 
@@ -379,10 +267,18 @@ class InferenceWorkspace:
     of batches no larger than the first allocates nothing after it. Results
     alias the buffers and are overwritten by the next call that shares the
     workspace.
+
+    After a call, ``trunk`` holds the input and each trunk layer's output,
+    ``heads`` each requested head's layer outputs (the logits last) and
+    ``masks`` the trunk's dropout masks (none without dropout): what
+    `_backward_batch` reads.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
+        self.trunk: list[np.ndarray] = []
+        self.heads: dict[Horizon, list[np.ndarray]] = {}
+        self.masks: list[np.ndarray] = []
 
     def take(self, key: tuple, rows: int, width: int) -> np.ndarray:
         buf = self._buffers.get(key)
@@ -405,28 +301,40 @@ def infer_logits(
     X: np.ndarray,
     tasks: Optional[Sequence[Horizon]] = None,
     workspace: Optional[InferenceWorkspace] = None,
+    dropout_rng: Optional[np.random.Generator] = None,
 ) -> dict[Horizon, np.ndarray]:
-    """The inference forward: one trunk pass feeding every requested head.
+    """The forward: one trunk pass feeding every requested head.
 
-    Keeps no per-layer cache for backprop and does the bias add and ReLU in
-    place, so with a reused workspace it allocates no activations. The
-    arithmetic is that of `_forward_batch` without dropout, bit for bit.
+    Does the bias add, ReLU and dropout in place, so with a reused workspace
+    it allocates no activations. Trunk dropout is drawn only when given a
+    ``dropout_rng``, as in training; the workspace then holds everything the
+    backward pass needs.
     """
     ws = workspace if workspace is not None else InferenceWorkspace()
+    rate = model.config.shared_dropout_rate
     a = np.asarray(X, dtype=np.float64)
     n = a.shape[0]
+    ws.trunk, ws.masks = [a], []
     for i, layer in enumerate(model.shared):
-        a = _dense_into(a, layer, ws.take(("shared", i), n, layer.W.shape[1]), True)
-    trunk_out = a
-    logits = {}
+        width = layer.W.shape[1]
+        a = _dense_into(a, layer, ws.take(("shared", i), n, width), True)
+        if dropout_rng is not None and rate > 0.0:
+            mask = dropout_rng.random(out=ws.take(("mask", i), n, width))
+            np.greater_equal(mask, rate, out=mask)
+            mask /= 1.0 - rate
+            a *= mask
+            ws.masks.append(mask)
+        ws.trunk.append(a)
+    ws.heads = {}
     for task in tasks if tasks is not None else model.tasks:
         layers = model.heads[task]
-        a = trunk_out
+        outs = ws.heads[task] = []
+        a = ws.trunk[-1]
         for i, layer in enumerate(layers):
             out = ws.take(("head", task, i), n, layer.W.shape[1])
             a = _dense_into(a, layer, out, i < len(layers) - 1)
-        logits[task] = a
-    return logits
+            outs.append(a)
+    return {task: outs[-1] for task, outs in ws.heads.items()}
 
 
 def infer_proba(
@@ -448,27 +356,6 @@ def predict_batch(
         task: np.argmax(logits, axis=1)
         for task, logits in infer_logits(model, X, tasks).items()
     }
-
-
-def multi_task_loss(
-    outputs: Mapping[Horizon, TaskOutput],
-    labels: Mapping[Horizon, ImpactClass],
-    weights: Mapping[Horizon, float],
-) -> float:
-    """Weighted sum over tasks of cross-entropy, for one instance.
-
-    Computed from logits via log-softmax so a confident wrong prediction
-    never produces log(0).
-    """
-    total = 0.0
-    for task, w in weights.items():
-        if w == 0.0:
-            continue
-        if task not in labels:
-            raise ValueError(f"missing label for weighted task {task.key}")
-        logp = log_softmax(outputs[task].logits)
-        total += w * -float(logp[int(labels[task])])
-    return total
 
 
 SoftmaxParts = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -514,7 +401,7 @@ def _batch_task_losses(
 
 def _backward_batch(
     model: MtlModel,
-    cache: _ForwardCache,
+    ws: InferenceWorkspace,
     labels: Mapping[Horizon, np.ndarray],
     weights: Mapping[Horizon, float],
     tasks: Sequence[Horizon],
@@ -522,15 +409,18 @@ def _backward_batch(
     grad: Optional[MtlModel] = None,
     parts: Optional[Mapping[Horizon, SoftmaxParts]] = None,
 ) -> MtlModel:
-    """Gradients of the weighted multi-task batch loss w.r.t. every parameter.
+    """Gradients of the weighted multi-task batch loss w.r.t. every parameter,
+    from the activations that `infer_logits` left in ``ws``.
 
     They are written into the layer views of ``grad``, a model of the same
     layout (a new one by default), which is cleared first and returned.
-    ``parts`` is as in ``_batch_task_losses``.
+    ``parts`` is as in ``_batch_task_losses``. A rectifier passes gradient
+    where its output is positive: every dropout scale is at least 1, so that
+    is exactly where its pre-activation is.
     """
     grad = grad if grad is not None else _zero_model(model.config)
     grad.flat.fill(0.0)
-    d_trunk = np.zeros_like(cache.trunk_out)
+    d_trunk = np.zeros_like(ws.trunk[-1])
 
     for task in tasks:
         w_task = float(weights.get(task, 0.0))
@@ -541,7 +431,9 @@ def _backward_batch(
         n_valid = int(valid.sum())
         if n_valid == 0:
             continue
-        _, e, row_sums = parts[task] if parts else _softmax_parts(cache.logits[task])
+        # acts[i] is the input of head layer i, acts[-1] the logits
+        acts = [ws.trunk[-1], *ws.heads[task]]
+        _, e, row_sums = parts[task] if parts else _softmax_parts(acts[-1])
         dlogits = e / row_sums
         rows = np.flatnonzero(valid)
         dlogits[rows, y[valid]] -= 1.0
@@ -556,20 +448,19 @@ def _backward_batch(
         layers, grad_layers = model.heads[task], grad.heads[task]
         delta = dlogits
         for i in range(len(layers) - 1, -1, -1):
-            np.matmul(cache.head_inputs[task][i].T, delta, out=grad_layers[i].W)
+            np.matmul(acts[i].T, delta, out=grad_layers[i].W)
             np.add.reduce(delta, axis=0, out=grad_layers[i].b)
             delta = delta @ layers[i].W.T
             if i > 0:
-                delta *= cache.head_pre[task][i - 1] > 0
+                delta *= acts[i] > 0
         d_trunk += delta
 
     delta = d_trunk
     for i in range(len(model.shared) - 1, -1, -1):
-        mask = cache.dropout_masks[i]
-        if mask is not None:
-            delta *= mask
-        delta *= cache.shared_pre[i] > 0
-        np.matmul(cache.shared_inputs[i].T, delta, out=grad.shared[i].W)
+        if ws.masks:
+            delta *= ws.masks[i]
+        delta *= ws.trunk[i + 1] > 0
+        np.matmul(ws.trunk[i].T, delta, out=grad.shared[i].W)
         np.add.reduce(delta, axis=0, out=grad.shared[i].b)
         if i > 0:
             delta = delta @ model.shared[i].W.T
@@ -722,10 +613,10 @@ def train(
     dropout_rng = derived_rng(cfg.seed, "dropout")
     optimizer = _Adam(model.flat, cfg)
     grad = _zero_model(model.config)
-    val_workspace = InferenceWorkspace()
+    workspace = InferenceWorkspace()
 
     best_val = math.inf
-    best_params = model.copy_parameters()
+    best_params = model.flat.copy()
     epochs_since_improve = 0
     model.history = []
 
@@ -735,18 +626,17 @@ def train(
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            xb = X_tr[batch]
             yb = {t: y_tr[t][batch] for t in tasks}
-            cache = _forward_batch(model, xb, dropout_rng, tasks=tasks)
-            parts = {t: _softmax_parts(cache.logits[t]) for t in tasks}
-            per_task = _batch_task_losses(cache.logits, yb, tasks, class_weights, parts)
+            logits = infer_logits(model, X_tr[batch], tasks, workspace, dropout_rng)
+            parts = {t: _softmax_parts(logits[t]) for t in tasks}
+            per_task = _batch_task_losses(logits, yb, tasks, class_weights, parts)
             total = sum(cfg.weight(t) * per_task[t] for t in tasks)
             if not math.isfinite(total):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}: {per_task}"
                 )
             _backward_batch(
-                model, cache, yb, cfg.task_loss_weights, tasks, class_weights, grad, parts
+                model, workspace, yb, cfg.task_loss_weights, tasks, class_weights, grad, parts
             )
             optimizer.step(model.flat, grad.flat)
             for t in tasks:
@@ -754,7 +644,7 @@ def train(
             n_batches += 1
 
         train_per_task = {t: epoch_losses[t] / n_batches for t in tasks}
-        val_logits = infer_logits(model, X_val, tasks, val_workspace)
+        val_logits = infer_logits(model, X_val, tasks, workspace)
         val_per_task = _batch_task_losses(val_logits, y_val, tasks, class_weights)
         val_total = sum(cfg.weight(t) * val_per_task[t] for t in tasks)
         model.history.append(
@@ -769,14 +659,14 @@ def train(
 
         if val_total < best_val:
             best_val = val_total
-            best_params = model.copy_parameters()
+            best_params = model.flat.copy()
             epochs_since_improve = 0
         else:
             epochs_since_improve += 1
             if epochs_since_improve > cfg.early_stop_patience:
                 break
 
-    model.restore_parameters(best_params)
+    model.flat[...] = best_params
     return model
 
 
@@ -805,11 +695,19 @@ def train_stl(
 
 def _kink_margin(model: MtlModel, X: np.ndarray, tasks: Sequence[Horizon]) -> float:
     """Smallest |pre-activation| over every rectifier in the network."""
-    cache = _forward_batch(model, X, tasks=tasks)
-    margins = [float(np.abs(z).min()) for z in cache.shared_pre]
+    margins = []
+
+    def rectified(a: np.ndarray, layers: Sequence[DenseLayer]) -> np.ndarray:
+        for layer in layers:
+            z = a @ layer.W + layer.b
+            margins.append(float(np.abs(z).min()))
+            a = np.maximum(z, 0.0)
+        return a
+
+    trunk_out = rectified(X, model.shared)
     for t in tasks:
-        margins.extend(float(np.abs(z).min()) for z in cache.head_pre[t])
-    return min(margins) if margins else math.inf
+        rectified(trunk_out, model.heads[t][:-1])
+    return min(margins, default=math.inf)
 
 
 def gradient_check(
@@ -837,7 +735,7 @@ def gradient_check(
     tasks = [t for t in model.tasks if cfg.weight(t) > 0]
     y = _as_label_arrays(labels, tasks, X.shape[0])
 
-    saved = model.copy_parameters()
+    saved = model.flat.copy()
     try:
         if jitter > 0.0:
             margin_needed = 100.0 * step
@@ -849,8 +747,9 @@ def gradient_check(
             else:
                 raise RuntimeError("could not find a kink-free parameter point")
 
-        cache = _forward_batch(model, X, tasks=tasks)
-        grads = _backward_batch(model, cache, y, cfg.task_loss_weights, tasks).flat
+        workspace = InferenceWorkspace()
+        infer_logits(model, X, tasks, workspace)
+        grads = _backward_batch(model, workspace, y, cfg.task_loss_weights, tasks).flat
 
         params = model.flat
         rng = np.random.default_rng(seed)
@@ -869,7 +768,7 @@ def gradient_check(
             max_rel = max(max_rel, rel)
         return max_rel
     finally:
-        model.restore_parameters(saved)
+        model.flat[...] = saved
 
 
 # --------------------------------------------------------------------------

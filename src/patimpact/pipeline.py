@@ -181,10 +181,6 @@ CONFIG_TOP_LEVEL_KEYS = (
 )
 # network keys a config may set; input_dim and the seeds are derived
 CONFIG_NETWORK_KEYS = ("shared_layer_widths", "task_head_widths", "shared_dropout_rate")
-CONFIG_SYNTH_KEYS = (
-    "n_patents", "year_range", "citation_attachment_exponent", "feature_signal_strength",
-    "mean_internal_citations", "mean_external_citations",
-)
 
 
 def read_config_obj(path) -> dict:
@@ -242,24 +238,6 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
             raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
         return values
 
-    synth = None
-    if obj.get("synth") is not None:
-        s = block("synth", CONFIG_SYNTH_KEYS)
-        try:
-            synth = SynthParams(
-                n_patents=int(s.get("n_patents", 2000)),
-                year_range=tuple(s.get("year_range", (1996, 2014))),
-                seed=derive_seed(seed, "synth"),
-                citation_attachment_exponent=float(s.get("citation_attachment_exponent", 1.0)),
-                feature_signal_strength=float(s.get("feature_signal_strength", 1.0)),
-                mean_internal_citations=float(s.get("mean_internal_citations", 3.2)),
-                mean_external_citations=float(s.get("mean_external_citations", 2.8)),
-                domain_ipc_prefix=domain,
-            )
-            synth.validate()
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid synth params: {exc}") from None
-
     def grid_settings() -> Optional[GridSettings]:
         if obj.get("grid") is None:
             return None
@@ -277,10 +255,25 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
             raise ConfigError("grid.k must be >= 2")
         return GridSettings(space=dict(space), k=k)
 
-    def settings(cls, name: str, **convert):
-        # the keys the block holds, converted; other fields keep their defaults
+    def settings(cls, name: str, derived: Optional[dict] = None, **convert):
+        # the keys the block holds, converted, plus the `derived` fields; other
+        # fields keep their defaults
         values = block(name, convert)
-        return cls(**{k: convert[k](v) for k, v in values.items()})
+        return cls(**(derived or {}), **{k: convert[k](v) for k, v in values.items()})
+
+    synth = None
+    if obj.get("synth") is not None:
+        try:
+            synth = settings(
+                SynthParams, "synth",
+                {"seed": derive_seed(seed, "synth"), "domain_ipc_prefix": domain},
+                n_patents=int, year_range=tuple, citation_attachment_exponent=float,
+                feature_signal_strength=float, mean_internal_citations=float,
+                mean_external_citations=float,
+            )
+            synth.validate()
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid synth params: {exc}") from None
 
     try:
         cfg = PipelineConfig(

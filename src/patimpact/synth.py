@@ -45,8 +45,8 @@ class SynthParams:
     year_range: tuple[int, int] = (1996, 2014)
     seed: int = 0
     citation_attachment_exponent: float = 1.0
-    feature_signal_strength: float = 1.2
-    mean_internal_citations: float = 7.0
+    feature_signal_strength: float = 1.0
+    mean_internal_citations: float = 3.2
     mean_external_citations: float = 2.8
     recency_time_constant: float = 4.0
     domain_ipc_prefix: str = "H01M"

@@ -270,9 +270,13 @@ def crafted_corpus() -> Corpus:
 
 @pytest.fixture(scope="session")
 def synth_corpus_small() -> Corpus:
-    return generate_synthetic(SynthParams(n_patents=300, seed=11))
+    return generate_synthetic(SynthParams(
+        n_patents=300, seed=11, feature_signal_strength=1.2, mean_internal_citations=7.0
+    ))
 
 
 @pytest.fixture(scope="session")
 def synth_corpus_default() -> Corpus:
-    return generate_synthetic(SynthParams(n_patents=2000, seed=7))
+    return generate_synthetic(SynthParams(
+        n_patents=2000, seed=7, feature_signal_strength=1.2, mean_internal_citations=7.0
+    ))

@@ -37,9 +37,9 @@ from patimpact.metrics import (
 from patimpact.mtl import (
     NetworkConfig,
     TrainConfig,
-    forward,
     gradient_check,
     init_network,
+    predict_batch,
     softmax,
 )
 from patimpact.pipeline import config_from_obj, run_pipeline
@@ -154,8 +154,8 @@ def test_c05_softmax_argmax_invariants():
                       task_head_widths={h: (3,) for h in HORIZONS}, seed=1,
                       shared_dropout_rate=0.0)
     )
-    for out in forward(model, np.zeros(6)).values():
-        assert out.predicted_class == ImpactClass.MT  # exact three-way tie
+    for preds in predict_batch(model, np.zeros((1, 6))).values():
+        assert preds.tolist() == [ImpactClass.MT]  # exact three-way tie
     _report(5, "softmax/argmax invariants", t0, 5.0)
 
 

@@ -174,14 +174,18 @@ class TestLoading:
         assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
 
     @pytest.mark.parametrize(
-        "line", ["[" * 100000, '{"id": ' + "1" * 5000 + "}"], ids=["deep", "long-int"]
+        "line", ["[" * 100000, '{"id": ' + "1" * 5000 + "}", "{oops"],
+        ids=["deep", "long-int", "not-json"],
     )
-    def test_unparseable_line_is_a_corpus_error(self, tmp_path, line):
+    def test_unparseable_line_is_a_corpus_error(self, tmp_path, line, caplog):
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps(_record_obj("B", "2006-01-01")) + "\n" + line + "\n")
-        for strict in (True, False):
-            with pytest.raises(CorpusError, match=":2: malformed JSON"):
-                load_corpus(path, "H01M", strict=strict)
+        records = [json.dumps(_record_obj(pid, "2006-01-01")) for pid in ("B", "C")]
+        path.write_text("\n".join([records[0], line, records[1]]) + "\n")
+        with pytest.raises(CorpusError, match=":2: malformed JSON"):
+            load_corpus(path, "H01M")
+        # lenient mode skips the line, as it skips any other bad record
+        assert load_corpus(path, "H01M", strict=False).ids() == ["B", "C"]
+        assert ":2: skipping record: malformed JSON" in caplog.text
 
     def test_citation_filed_after_citer_strict_vs_lenient(self, tmp_path, caplog):
         path = tmp_path / "c.jsonl"
@@ -289,6 +293,7 @@ _synthetic_corpora = st.builds(
     seed=st.integers(0, 2**32 - 1),
     citation_attachment_exponent=st.sampled_from([0.0, 1.0, 1.7]),
     feature_signal_strength=st.sampled_from([0.0, 1.2]),
+    mean_internal_citations=st.just(7.0),
 ).map(generate_synthetic)
 
 
@@ -365,6 +370,28 @@ class TestRoundTripProperty:
             assert second.read_bytes() == first.read_bytes()
 
 
+@st.composite
+def _boundary_corpora(draw) -> Corpus:
+    """One cited patent and citers granted on and a day either side of each
+    horizon's window end, a Feb 29 grant among the draws."""
+    grant = draw(
+        st.dates(dt.date(1996, 1, 1), dt.date(2012, 12, 31))
+        | st.sampled_from([dt.date(2000, 2, 29), dt.date(2004, 2, 29)])
+    )
+    cited = make_patent("X", filing_date=grant, grant_date=grant)
+    offsets = draw(st.lists(
+        st.tuples(st.sampled_from([h.years for h in HORIZONS]), st.integers(-1, 1)), min_size=1, max_size=6
+    ))
+    citers = [
+        make_patent(
+            f"C{i}", filing_date=grant, grant_date=add_years(grant, years) + dt.timedelta(days),
+            backward_citations=(CitedRef(country="US", filing_date=grant, cited_id="X"),),
+        )
+        for i, (years, days) in enumerate(offsets)
+    ]
+    return Corpus(records={r.id: r for r in (cited, *citers)}, domain_ipc_prefix="H01M")
+
+
 class TestForwardCounts:
     def test_never_cited_is_zero(self, crafted_corpus):
         for h in HORIZONS:
@@ -414,12 +441,14 @@ class TestForwardCounts:
         with pytest.raises(CorpusError):
             forward_citation_count(crafted_corpus, "NOPE", Horizon.SHORT)
 
-    def test_monotone_horizons(self, synth_corpus_small):
-        for pid in synth_corpus_small.ids():
-            counts = [
-                forward_citation_count(synth_corpus_small, pid, h) for h in HORIZONS
-            ]
-            assert counts[0] <= counts[1] <= counts[2]
+    # a horizon's window holds the shorter horizon's, so a patent's count
+    # never falls from short to mid to long
+    @settings(max_examples=120, deadline=None)
+    @given(corpus=_boundary_corpora() | _hand_built_corpora() | _synthetic_corpora)
+    def test_monotone_horizons(self, corpus):
+        for pid in corpus.ids():
+            counts = [forward_citation_count(corpus, pid, h) for h in HORIZONS]
+            assert counts[0] <= counts[1] <= counts[2], pid
 
     def test_forward_index_is_exact_transpose(self, synth_corpus_small):
         corpus = synth_corpus_small

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patimpact.corpus import HORIZONS, Horizon, ImpactClass
 from patimpact.metrics import (
@@ -20,6 +22,7 @@ from patimpact.metrics import (
     binary_metrics,
     class_metrics,
     compare_models,
+    confusion_from_predictions,
     confusion_matrix,
     export_metrics_csv,
     macro_dor,
@@ -196,6 +199,45 @@ class TestOverallMetrics:
         g, _ = multiclass_mcc(cm3)
         b = binary_metrics(tp=40, fp=5, fn=10, tn=45).mcc
         assert g == pytest.approx(b, abs=1e-12)
+
+
+def _same(a: float, b: float, rel: float = 0.0) -> bool:
+    """Equal (NaN equal to NaN), within ``rel`` when it is given."""
+    if math.isnan(a) or math.isinf(a):
+        return math.isnan(b) if math.isnan(a) else a == b
+    return a == pytest.approx(b, rel=rel) if rel else a == b
+
+
+class TestRelabellingProperty:
+    """Renaming the classes by a permutation pi, in the actual and the
+    predicted labels alike, moves each class's metrics to pi(class) and keeps
+    the whole-matrix scores; only their summation order changes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=60),
+        pi=st.permutations(range(3)),
+    )
+    def test_metrics_follow_the_relabelling(self, pairs, pi):
+        cm = confusion_from_predictions(
+            [ImpactClass(a) for a, _ in pairs], [ImpactClass(p) for _, p in pairs]
+        )
+        moved = confusion_from_predictions(
+            [ImpactClass(pi[a]) for a, _ in pairs], [ImpactClass(pi[p]) for _, p in pairs]
+        )
+        for c in ImpactClass:
+            for haldane in (False, True):
+                want = class_metrics(cm, c, haldane)
+                got = class_metrics(moved, ImpactClass(pi[c]), haldane)
+                assert got.flags == want.flags
+                for name, value in want.as_dict().items():
+                    assert _same(got.as_dict()[name], value), (c, haldane, name)
+        want, got = overall_metrics(cm), overall_metrics(moved)
+        assert got.flags == want.flags and got.macro.flags == want.macro.flags
+        assert got.micro_accuracy == want.micro_accuracy
+        assert _same(got.multiclass_mcc, want.multiclass_mcc, rel=1e-12)
+        for name, value in want.macro.as_dict().items():
+            assert _same(got.macro.as_dict()[name], value, rel=1e-12), name
 
 
 class TestStratifiedKfold:

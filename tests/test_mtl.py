@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,26 +17,21 @@ from patimpact.mtl import (
     EpochStats,
     InferenceWorkspace,
     NetworkConfig,
-    TaskOutput,
     TrainConfig,
     _Adam,
     _backward_batch,
     _batch_task_losses,
-    _forward_batch,
     _inverse_frequency_weights,
     _stratified_split,
     batch_loss,
     export_training_log_csv,
-    forward,
     from_json,
     gradient_check,
     grid_search,
+    infer_logits,
     infer_proba,
     init_network,
     load_checkpoint,
-    log_softmax,
-    multi_task_loss,
-    predict,
     predict_batch,
     save_checkpoint,
     softmax,
@@ -56,6 +52,38 @@ def small_config(seed=0, dropout=0.0, input_dim=10):
         shared_dropout_rate=dropout,
         seed=seed,
     )
+
+
+def loop_forward(model, X, dropout_rng=None, tasks=None):
+    """An allocating forward that keeps every layer's input and pre-activation
+    and draws a new dropout mask array per layer: the oracle for
+    `infer_logits` and for the activations it leaves in its workspace."""
+    rate = model.config.shared_dropout_rate
+    cache = SimpleNamespace(shared_inputs=[], shared_pre=[], dropout_masks=[],
+                            head_inputs={}, head_pre={}, logits={})
+    a = np.asarray(X, dtype=np.float64)
+    for layer in model.shared:
+        cache.shared_inputs.append(a)
+        z = a @ layer.W + layer.b
+        cache.shared_pre.append(z)
+        a = np.maximum(z, 0.0)
+        mask = None
+        if dropout_rng is not None and rate > 0.0:
+            mask = (dropout_rng.random(a.shape) >= rate) / (1.0 - rate)
+            a = a * mask
+        cache.dropout_masks.append(mask)
+    cache.trunk_out = a
+    for task in tasks if tasks is not None else model.tasks:
+        a, layers = cache.trunk_out, model.heads[task]
+        inputs, pres = cache.head_inputs[task], cache.head_pre[task] = [], []
+        for layer in layers[:-1]:
+            inputs.append(a)
+            z = a @ layer.W + layer.b
+            pres.append(z)
+            a = np.maximum(z, 0.0)
+        inputs.append(a)
+        cache.logits[task] = a @ layers[-1].W + layers[-1].b
+    return cache
 
 
 def loop_backward(model, cache, labels, weights, tasks, class_weights=None):
@@ -121,7 +149,8 @@ def loop_optimizer_step(state, model, grads, cfg):
 
 
 def loop_train(model, X, labels, cfg):
-    """`train` with per-array gradients and optimizer steps: its oracle."""
+    """`train` with the allocating forward, per-array gradients and optimizer
+    steps: its oracle."""
     tasks = [t for t in model.tasks if cfg.weight(t) > 0]
     y = {t: np.asarray(labels[t]) for t in tasks}
     stratify = cfg.val_stratify_task
@@ -149,7 +178,7 @@ def loop_train(model, X, labels, cfg):
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             yb = {t: y_tr[t][batch] for t in tasks}
-            cache = _forward_batch(model, X_tr[batch], dropout_rng, tasks=tasks)
+            cache = loop_forward(model, X_tr[batch], dropout_rng, tasks=tasks)
             per_task = _batch_task_losses(cache.logits, yb, tasks, class_weights)
             grads = loop_backward(model, cache, yb, cfg.task_loss_weights, tasks, class_weights)
             loop_optimizer_step(state, model, grads, cfg)
@@ -157,7 +186,7 @@ def loop_train(model, X, labels, cfg):
                 sums[t] += per_task[t]
             n_batches += 1
         train_per_task = {t: sums[t] / n_batches for t in tasks}
-        val_cache = _forward_batch(model, X_val, tasks=tasks)
+        val_cache = loop_forward(model, X_val, tasks=tasks)
         val_per_task = _batch_task_losses(val_cache.logits, y_val, tasks, class_weights)
         val_total = sum(cfg.weight(t) * val_per_task[t] for t in tasks)
         model.history.append(EpochStats(
@@ -206,7 +235,7 @@ class TestInit:
             return total
 
         model = init_network(NetworkConfig(seed=1))
-        assert model.parameter_count() == walk() == 31049
+        assert model.flat.size == walk() == 31049
 
     def test_same_seed_identical(self):
         a = init_network(NetworkConfig(seed=9))
@@ -264,36 +293,37 @@ class TestSoftmax:
         assert p[0] == pytest.approx(1.0)
 
     def test_log_softmax_never_minus_inf_for_finite_logits(self):
-        lp = log_softmax(np.array([800.0, 0.0, -800.0]))
-        assert np.all(np.isfinite(lp[:2]))
+        # the training loss takes the log-softmax from the shifted logits,
+        # so even a label 1600 nats down costs a finite amount
+        logits = {Horizon.SHORT: np.array([[800.0, 0.0, -800.0]])}
+        for label, want in enumerate((0.0, 800.0, 1600.0)):
+            y = {Horizon.SHORT: np.array([label])}
+            loss = _batch_task_losses(logits, y, [Horizon.SHORT])[Horizon.SHORT]
+            assert loss == pytest.approx(want, abs=1e-12)
 
 
 class TestForwardPredict:
     def test_tie_goes_to_lowest_class(self):
-        out = TaskOutput(
-            logits=np.array([1.0, 1.0, 0.0]),
-            probabilities=softmax(np.array([1.0, 1.0, 0.0])),
-            predicted_class=ImpactClass.MT,
-        )
-        assert int(np.argmax(out.probabilities)) == 0
         model = init_network(small_config(seed=0))
         # all-equal logits on a fresh zero-bias model with zero input
-        result = forward(model, np.zeros(10))
-        for task_out in result.values():
-            np.testing.assert_allclose(task_out.probabilities, 1 / 3, atol=1e-12)
-            assert task_out.predicted_class == ImpactClass.MT
+        X = np.zeros((2, 10))
+        for probs in infer_proba(model, X).values():
+            np.testing.assert_allclose(probs, 1 / 3, atol=1e-12)
+        for preds in predict_batch(model, X).values():
+            assert preds.tolist() == [ImpactClass.MT, ImpactClass.MT]
 
     def test_predict_consistent_with_forward_on_1000_inputs(self):
         model = init_network(small_config(seed=4))
         rng = np.random.default_rng(0)
         X = rng.normal(size=(1000, 10))
         batch_preds = predict_batch(model, X)
-        for i in range(0, 1000, 97):
-            single = predict(model, X[i])
-            fwd = forward(model, X[i])
+        probs = infer_proba(model, X)
+        for h in HORIZONS:
+            assert np.array_equal(batch_preds[h], np.argmax(probs[h], axis=1))
+        for start in range(0, 1000, 97):
+            chunk = predict_batch(model, X[start : start + 97])
             for h in HORIZONS:
-                assert single[h] == ImpactClass(int(np.argmax(fwd[h].probabilities)))
-                assert int(batch_preds[h][i]) == int(single[h])
+                assert np.array_equal(chunk[h], batch_preds[h][start : start + 97])
 
     def test_argmax_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(5)
@@ -303,26 +333,24 @@ class TestForwardPredict:
             b = np.argmax(softmax(transform(logits)), axis=1)
             assert np.array_equal(a, b)
 
-    def test_non_finite_input_rejected(self):
-        model = init_network(small_config())
-        with pytest.raises(ValueError):
-            forward(model, np.full(10, np.nan))
-
     def test_dropout_only_in_training(self):
         model = init_network(small_config(seed=1, dropout=0.5))
-        X = np.ones((1, 10))
-        a = forward(model, X[0])
-        b = forward(model, X[0])
-        plain = _forward_batch(model, X)
-        assert all(mask is None for mask in plain.dropout_masks)
-        c = _forward_batch(model, X, np.random.default_rng(0))
-        d = _forward_batch(model, X, np.random.default_rng(0))
-        assert all(mask is not None for mask in c.dropout_masks)
+        X = np.ones((4, 10))
+        ws = InferenceWorkspace()
+        plain = {h: z.copy() for h, z in infer_logits(model, X, workspace=ws).items()}
+        assert ws.masks == []
+        c = {h: z.copy() for h, z in infer_logits(model, X, None, ws, np.random.default_rng(0)).items()}
+        c_masks = [m.copy() for m in ws.masks]
+        d = infer_logits(model, X, None, ws, np.random.default_rng(0))
+        ref = loop_forward(model, X, np.random.default_rng(0))
+        assert len(c_masks) == len(model.shared)
+        for got, want in zip(c_masks, ref.dropout_masks):
+            assert np.array_equal(got, want)
         for h in HORIZONS:
-            np.testing.assert_array_equal(a[h].logits, b[h].logits)
-            np.testing.assert_array_equal(a[h].logits, plain.logits[h][0])
-            np.testing.assert_array_equal(c.logits[h], d.logits[h])
-            assert not np.array_equal(c.logits[h], plain.logits[h])
+            np.testing.assert_array_equal(plain[h], loop_forward(model, X).logits[h])
+            np.testing.assert_array_equal(c[h], d[h])
+            np.testing.assert_array_equal(c[h], ref.logits[h])
+            assert not np.array_equal(c[h], plain[h])
 
 
 class TestInferenceForward:
@@ -347,7 +375,7 @@ class TestInferenceForward:
         workspace = InferenceWorkspace()
         for n in (3000, 100, 3000):  # a shrink then a regrow catches stale rows
             X = rng.normal(size=(n, config.input_dim))
-            ref = _forward_batch(model, X)
+            ref = loop_forward(model, X)
             got = infer_proba(model, X, workspace=workspace)
             assert list(got) == list(model.tasks)
             for task in model.tasks:
@@ -366,53 +394,61 @@ class TestInferenceForward:
         assert list(got) == [Horizon.LONG, Horizon.SHORT]
 
 
+def constant_logits_model(logits):
+    """A model whose every head gives ``logits`` for any input."""
+    model = init_network(small_config())
+    model.flat[...] = 0.0
+    for h in HORIZONS:
+        model.heads[h][-1].b[...] = logits
+    return model
+
+
 class TestLoss:
-    def _outputs(self, logits):
-        return {
-            h: TaskOutput(
-                logits=np.array(logits, dtype=float),
-                probabilities=softmax(np.array(logits, dtype=float)),
-                predicted_class=ImpactClass(int(np.argmax(logits))),
-            )
-            for h in HORIZONS
-        }
+    """`batch_loss` and `_batch_task_losses`, the loss that trains."""
+
+    def _loss(self, logits, label, weights):
+        model = constant_logits_model(logits)
+        labels = {h: np.full(2, int(label)) for h in HORIZONS}
+        cfg = TrainConfig(task_loss_weights=weights)
+        return batch_loss(model, np.zeros((2, 10)), labels, cfg)
 
     def test_perfect_prediction_zero_loss(self):
-        outputs = self._outputs([100.0, 0.0, 0.0])
-        labels = {h: ImpactClass.MT for h in HORIZONS}
         weights = {h: 1.0 for h in HORIZONS}
-        assert multi_task_loss(outputs, labels, weights) == pytest.approx(0.0, abs=1e-12)
+        assert self._loss([100.0, 0.0, 0.0], ImpactClass.MT, weights) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_uniform_prediction_three_ln_three(self):
-        outputs = self._outputs([0.0, 0.0, 0.0])
-        labels = {h: ImpactClass.VT for h in HORIZONS}
         weights = {h: 1.0 for h in HORIZONS}
-        assert multi_task_loss(outputs, labels, weights) == pytest.approx(3 * math.log(3))
+        assert self._loss([0.0, 0.0, 0.0], ImpactClass.VT, weights) == pytest.approx(
+            3 * math.log(3)
+        )
 
     def test_weight_scaling(self):
-        outputs = self._outputs([0.0, 0.0, 0.0])
-        labels = {h: ImpactClass.MT for h in HORIZONS}
-        loss = multi_task_loss(
-            outputs, labels, {Horizon.SHORT: 2.0, Horizon.MID: 0.0, Horizon.LONG: 0.0}
+        weights = {Horizon.SHORT: 2.0, Horizon.MID: 0.0, Horizon.LONG: 0.0}
+        assert self._loss([0.0, 0.0, 0.0], ImpactClass.MT, weights) == pytest.approx(
+            2 * math.log(3)
         )
-        assert loss == pytest.approx(2 * math.log(3))
 
     def test_weight_linearity(self):
         rng = np.random.default_rng(8)
-        outputs = self._outputs(rng.normal(size=3))
-        labels = {h: ImpactClass(int(rng.integers(0, 3))) for h in HORIZONS}
+        model = init_network(small_config(seed=8))
+        X = rng.normal(size=(20, 10))
+        labels = {h: rng.integers(0, 3, size=20) for h in HORIZONS}
         w1 = {h: float(rng.uniform(0.1, 2)) for h in HORIZONS}
         w2 = {h: float(rng.uniform(0.1, 2)) for h in HORIZONS}
         w_sum = {h: w1[h] + w2[h] for h in HORIZONS}
-        assert multi_task_loss(outputs, labels, w_sum) == pytest.approx(
-            multi_task_loss(outputs, labels, w1) + multi_task_loss(outputs, labels, w2),
-            rel=1e-12,
-        )
+
+        def loss(weights):
+            return batch_loss(model, X, labels, TrainConfig(task_loss_weights=weights))
+
+        assert loss(w_sum) == pytest.approx(loss(w1) + loss(w2), rel=1e-12)
 
     def test_missing_label_for_weighted_task(self):
-        outputs = self._outputs([0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            multi_task_loss(outputs, {}, {Horizon.SHORT: 1.0})
+        X, y = separable_data(n=100, seed=0)
+        model = init_network(small_config())
+        with pytest.raises(ValueError, match="missing labels for task short"):
+            train(model, X, {Horizon.MID: y[Horizon.MID]}, TrainConfig())
 
 
 class TestGradients:
@@ -435,8 +471,9 @@ class TestGradients:
         X = rng.normal(size=(8, 10))
         y = {h: rng.integers(0, 3, size=8) for h in HORIZONS}
         weights = {Horizon.SHORT: 1.0, Horizon.MID: 0.0, Horizon.LONG: 0.0}
-        cache = _forward_batch(model, X)
-        grads = _backward_batch(model, cache, y, weights, list(HORIZONS))
+        ws = InferenceWorkspace()
+        infer_logits(model, X, workspace=ws)
+        grads = _backward_batch(model, ws, y, weights, list(HORIZONS))
         for name, g in grads.parameters():
             if name.startswith("head.mid") or name.startswith("head.long"):
                 assert np.all(g == 0.0)
@@ -454,9 +491,10 @@ class TestGradients:
         y = {h: rng.integers(0, 3, size=12) for h in HORIZONS}
         cfg = TrainConfig(seed=0)
         yarr = {h: np.asarray(v) for h, v in y.items()}
-        cache = _forward_batch(model, X)
+        ws = InferenceWorkspace()
+        infer_logits(model, X, workspace=ws)
         grads = dict(
-            _backward_batch(model, cache, yarr, cfg.task_loss_weights, list(HORIZONS)).parameters()
+            _backward_batch(model, ws, yarr, cfg.task_loss_weights, list(HORIZONS)).parameters()
         )
         base = batch_loss(model, X, yarr, cfg)
         deltas = {name: rng.normal(0, 1e-6, size=arr.shape) for name, arr in model.parameters()}
@@ -679,7 +717,7 @@ class TestFlatParameters:
     @staticmethod
     def assert_views_alias_flat(model):
         params = model.parameters()
-        assert sum(arr.size for _, arr in params) == model.flat.size == model.parameter_count()
+        assert sum(arr.size for _, arr in params) == model.flat.size
         for _, arr in params:
             assert np.shares_memory(arr, model.flat)
         # laid out back to back in parameters() order
@@ -697,15 +735,6 @@ class TestFlatParameters:
         assert np.array_equal(loaded.flat, model.flat)
         self.assert_views_alias_flat(model)
         self.assert_views_alias_flat(loaded)
-
-    def test_copy_and_restore_are_vector_copies(self):
-        model = init_network(small_config(seed=63))
-        saved = model.copy_parameters()
-        assert not np.shares_memory(saved, model.flat)
-        model.flat += 1.0
-        model.restore_parameters(saved)
-        assert np.array_equal(model.flat, saved)
-        assert np.shares_memory(model.shared[0].W, model.flat)
 
     def test_optimizer_steps_once_per_batch(self, monkeypatch):
         steps = []
@@ -725,22 +754,48 @@ class TestFlatParameters:
         model = init_network(small_config(seed=68))
         X = rng.normal(size=(8, 10))
         y = {h: rng.integers(0, 3, size=8) for h in HORIZONS}
-        cache = _forward_batch(model, X)
-        grad = _backward_batch(model, cache, y, {h: 1.0 for h in HORIZONS}, list(HORIZONS))
+        ws = InferenceWorkspace()
+        infer_logits(model, X, workspace=ws)
+        grad = _backward_batch(model, ws, y, {h: 1.0 for h in HORIZONS}, list(HORIZONS))
         assert np.any(grad.heads[Horizon.LONG][0].W != 0.0)
         assert np.any(grad.heads[Horizon.MID][0].W != 0.0)
         # a second batch into the same buffer: long has weight 0, mid no valid label
         y[Horizon.MID][:] = MISSING_LABEL
         weights = {Horizon.SHORT: 1.0, Horizon.MID: 1.0, Horizon.LONG: 0.0}
-        again = _backward_batch(model, cache, y, weights, list(HORIZONS), grad=grad)
+        again = _backward_batch(model, ws, y, weights, list(HORIZONS), grad=grad)
         assert again is grad
-        want = loop_backward(model, cache, y, weights, list(HORIZONS))
+        want = loop_backward(model, loop_forward(model, X), y, weights, list(HORIZONS))
         for name, g in grad.parameters():
             assert np.array_equal(g, want[name])
             if name.startswith(("head.mid", "head.long")):
                 assert np.all(g == 0.0)
             else:
                 assert np.any(g != 0.0)
+
+    def test_backward_from_a_dropout_workspace_matches_loop_oracle(self):
+        # two trunk layers and two-layer heads: every rectifier is gated by
+        # its output, which dropout only ever scales up or zeroes
+        network = NetworkConfig(
+            input_dim=10, shared_layer_widths=(12, 9), seed=72, shared_dropout_rate=0.4,
+            task_head_widths={Horizon.SHORT: (6, 4), Horizon.MID: (), Horizon.LONG: (5,)},
+        )
+        model = init_network(network)
+        rng = np.random.default_rng(73)
+        for _, arr in model.parameters():  # nonzero biases put rectifiers both ways
+            arr += rng.normal(0.0, 0.2, size=arr.shape)
+        X = rng.normal(size=(40, 10))
+        y = {h: rng.integers(0, 3, size=40) for h in HORIZONS}
+        y[Horizon.MID][:10] = MISSING_LABEL
+        weights = {Horizon.SHORT: 1.0, Horizon.MID: 0.5, Horizon.LONG: 2.0}
+        class_weights = {h: _inverse_frequency_weights(y[h]) for h in HORIZONS}
+        ws = InferenceWorkspace()
+        infer_logits(model, X, workspace=ws, dropout_rng=np.random.default_rng(74))
+        assert len(ws.masks) == 2 and any((m == 0.0).any() for m in ws.masks)
+        got = _backward_batch(model, ws, y, weights, list(HORIZONS), class_weights)
+        cache = loop_forward(model, X, np.random.default_rng(74))
+        want = loop_backward(model, cache, y, weights, list(HORIZONS), class_weights)
+        for name, g in got.parameters():
+            assert np.array_equal(g, want[name]), name
 
     def test_zero_weight_heads_keep_their_initial_parameters(self):
         X, y = noisy_labels(150, seed=69)

@@ -28,6 +28,7 @@ from patimpact.pipeline import (
     stage_report,
 )
 from patimpact.seeding import derive_seed
+from patimpact.synth import SynthParams
 from patimpact.validate import CLASS_ORDERED, VALUE_INDICATORS, OrderedGroups
 
 from test_validate import loop_permutation_p
@@ -203,11 +204,17 @@ class TestConfig:
         cfg = config_from_obj(base_config_obj(tmp_path, **blocks))
         assert cfg.synth.n_patents == 400 and cfg.synth.year_range == (1997, 2010)
         assert cfg.synth.mean_external_citations == 1.5
+        assert cfg.synth.feature_signal_strength == 2.0
+        assert cfg.synth.mean_internal_citations == 4.0
         assert cfg.explain.background_size == 7
         assert cfg.explain.target_class == ImpactClass.VT
         assert cfg.validation.scope == "test" and cfg.validation.n_permutations == 99
         assert cfg.topic.horizon.key == "mid" and cfg.topic.group_by == "predicted"
         assert cfg.grid.space == blocks["grid"]["space"] and cfg.grid.k == 3
+
+    def test_empty_synth_block_gives_the_default_params(self, tmp_path):
+        cfg = config_from_obj(base_config_obj(tmp_path, seed=3, synth={}))
+        assert cfg.synth == SynthParams(seed=derive_seed(3, "synth"))
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -322,6 +329,17 @@ class TestRunPipeline:
         assert unlisted == []
         unwritten = [n for n, p in patterns.items() if not any(re.fullmatch(p, f) for f in written)]
         assert unwritten == []
+
+    def test_readme_library_use_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace: dict = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        classes, n = namespace["classes"], len(namespace["ids"])
+        assert list(classes) == list(HORIZONS)
+        for preds in classes.values():
+            assert preds.shape == (n,) and set(preds.tolist()) <= {0, 1, 2}
 
     def test_manifest_json_well_formed(self, completed_run):
         cfg, _ = completed_run

@@ -17,6 +17,14 @@ from patimpact.synth import SynthParams, expected_uniform_indegree, generate_syn
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
 
+def _params(**overrides) -> SynthParams:
+    """SynthParams with the signal strength and internal citation mean that
+    the pinned digests and distribution checks below were recorded with."""
+    return SynthParams(
+        **{"feature_signal_strength": 1.2, "mean_internal_citations": 7.0, **overrides}
+    )
+
+
 def _corpus_bytes(corpus) -> bytes:
     import pathlib
     import tempfile
@@ -29,14 +37,14 @@ def _corpus_bytes(corpus) -> bytes:
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
-        params = SynthParams(n_patents=120, seed=42)
+        params = _params(n_patents=120, seed=42)
         a = _corpus_bytes(generate_synthetic(params))
         b = _corpus_bytes(generate_synthetic(params))
         assert a == b
 
     def test_different_seed_differs(self):
-        a = _corpus_bytes(generate_synthetic(SynthParams(n_patents=120, seed=1)))
-        b = _corpus_bytes(generate_synthetic(SynthParams(n_patents=120, seed=2)))
+        a = _corpus_bytes(generate_synthetic(_params(n_patents=120, seed=1)))
+        b = _corpus_bytes(generate_synthetic(_params(n_patents=120, seed=2)))
         assert a != b
 
     # sha256 of the saved corpus as generated when every pool draw and every
@@ -45,37 +53,37 @@ class TestDeterminism:
         "params, digest",
         [
             (
-                SynthParams(n_patents=300),
+                _params(n_patents=300),
                 "3992d1dfecea87f98ba2f44ae3299276330e7201c604c4cbc662a740fa17e123",
             ),
             (
-                SynthParams(n_patents=300, citation_attachment_exponent=0.0),
+                _params(n_patents=300, citation_attachment_exponent=0.0),
                 "e8aaf5f5b66c1d3682ea3d2b688901c6d5240f85db9111522c529448e848e2c3",
             ),
             (
-                SynthParams(n_patents=300, citation_attachment_exponent=1.7),
+                _params(n_patents=300, citation_attachment_exponent=1.7),
                 "0478f6996f81844a6135e699df7aae0f105f16df5fa7326bf5d6568810f6fe09",
             ),
             (
-                SynthParams(n_patents=300, feature_signal_strength=0.0),
+                _params(n_patents=300, feature_signal_strength=0.0),
                 "f47e2d1aeb3c5a86162f489c18037c2e3b3bcb90f213571580a74d17dc30c5d1",
             ),
             (
-                SynthParams(
+                _params(
                     n_patents=500, seed=5, mean_internal_citations=12.0,
                     year_range=(2000, 2004),
                 ),
                 "5e2f4ab26ff38b29d20d202c6c803635992e80c84fe0dc161c3243e6aa87d307",
             ),
             (
-                SynthParams(
+                _params(
                     n_patents=400, seed=3, citation_attachment_exponent=0.5,
                     recency_time_constant=1.5,
                 ),
                 "d99ddde8f90986472b3ca28407b77adc2651a3d74d1ad6f9fa7088d648fe518b",
             ),
             (
-                SynthParams(n_patents=10, seed=9, mean_internal_citations=30.0),
+                _params(n_patents=10, seed=9, mean_internal_citations=30.0),
                 "f7b00420dbfbb88b70aa784a1ef8cca0fdfaefa4b243fcb82657c79f8dbcb150",
             ),
         ],
@@ -175,7 +183,7 @@ class TestValidation:
             )
 
     def test_overflowing_exponent_is_named(self):
-        params = SynthParams(n_patents=200, citation_attachment_exponent=400.0)
+        params = _params(n_patents=200, citation_attachment_exponent=400.0)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="citation_attachment_exponent 400.0 overflows"):
                 generate_synthetic(params)
@@ -213,7 +221,7 @@ class TestUniformAttachment:
         # picks uniformly among earlier patents; compare realized in-degrees
         # with the uniform-choice expectation via Pearson chi-square
         corpus = generate_synthetic(
-            SynthParams(
+            _params(
                 n_patents=600,
                 seed=19,
                 citation_attachment_exponent=0.0,
@@ -235,7 +243,7 @@ class TestUniformAttachment:
     def test_positive_exponent_more_concentrated(self):
         def gini_top_decile(exponent):
             corpus = generate_synthetic(
-                SynthParams(n_patents=600, seed=19, citation_attachment_exponent=exponent)
+                _params(n_patents=600, seed=19, citation_attachment_exponent=exponent)
             )
             counts = np.sort(
                 [forward_citation_count(corpus, pid, Horizon.LONG) for pid in corpus.ids()]
