@@ -72,13 +72,6 @@ class Horizon(Enum):
     def key(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_key(cls, key: str) -> "Horizon":
-        try:
-            return cls[key.upper()]
-        except KeyError:
-            raise ValueError(f"unknown horizon {key!r}") from None
-
 
 HORIZONS = (Horizon.SHORT, Horizon.MID, Horizon.LONG)
 

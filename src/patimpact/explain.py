@@ -10,7 +10,6 @@ attributions plus the base value reproduce the model output exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -372,53 +371,33 @@ def group_summary(
 # export
 # --------------------------------------------------------------------------
 
-def export_group_summary_csv(path, records: Sequence[Mapping]) -> None:
-    """Summary-plot dataset rows; header only when there are no records."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "group", "feature_value", "phi"])
-        for rec in records:
-            writer.writerow(
-                [
-                    rec["instance_id"],
-                    rec["group"],
-                    repr(float(rec["feature_value"])),
-                    repr(float(rec["phi"])),
-                ]
-            )
-
-
-def export_attributions_csv(
-    path,
+def attribution_rows(
     by_target: Sequence[tuple[AttributionTarget, Sequence[AttributionRow]]],
     grouping: FeatureGrouping,
-) -> None:
-    """One CSV holding the rows of every (target, rows) pair, in pair order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "instance_id", "group", "feature_value", "phi", "std_err",
-                "base_value", "model_output", "horizon", "class",
-            ]
-        )
-        for target, rows in by_target:
-            for row in rows:
-                for gi, name in enumerate(grouping.names):
-                    stderr = "" if row.std_err is None else repr(float(row.std_err[gi]))
-                    writer.writerow(
-                        [
-                            row.instance_id,
-                            name,
-                            repr(float(row.group_values[gi])),
-                            repr(float(row.phi[gi])),
-                            stderr,
-                            repr(row.base_value),
-                            repr(row.model_output),
-                            target.horizon.key,
-                            target.impact_class.name,
-                        ]
-                    )
+) -> tuple[list[str], list[list]]:
+    """The header and rows of one table holding every (target, rows) pair, in
+    pair order: a row per instance and group, with no std_err for exact rows."""
+    header = [
+        "instance_id", "group", "feature_value", "phi", "std_err",
+        "base_value", "model_output", "horizon", "class",
+    ]
+    rows = [
+        [
+            row.instance_id,
+            name,
+            row.group_values[gi],
+            row.phi[gi],
+            None if row.std_err is None else row.std_err[gi],
+            row.base_value,
+            row.model_output,
+            target.horizon.key,
+            target.impact_class.name,
+        ]
+        for target, att_rows in by_target
+        for row in att_rows
+        for gi, name in enumerate(grouping.names)
+    ]
+    return header, rows
 
 
 def _color_for_rank(rank: float) -> str:

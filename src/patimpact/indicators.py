@@ -407,14 +407,6 @@ def standardize(fv: FeatureVector, s: Standardizer) -> FeatureVector:
 # import/export
 # --------------------------------------------------------------------------
 
-def export_features_csv(path, ids: Sequence[str], matrix: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patent_id", *FEATURE_NAMES])
-        for pid, row in zip(ids, matrix):
-            writer.writerow([pid, *(repr(float(x)) for x in row)])
-
-
 def load_features_csv(path) -> tuple[list[str], np.ndarray]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

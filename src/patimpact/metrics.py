@@ -7,8 +7,6 @@ positive and NaN when both products vanish.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -370,45 +368,6 @@ def metrics_rows(
         rows.append((horizon.key, "overall_micro", "accuracy", om.micro_accuracy))
         rows.append((horizon.key, "overall_multiclass", "mcc", om.multiclass_mcc))
     return rows
-
-
-def export_metrics_csv(path, per_horizon: dict[Horizon, ConfusionMatrix3]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["horizon", "class", "metric", "value"])
-        for row in metrics_rows(per_horizon):
-            writer.writerow([row[0], row[1], row[2], repr(float(row[3]))])
-
-
-def export_metrics_json(path, per_horizon: dict[Horizon, ConfusionMatrix3]) -> None:
-    """Same rows as the CSV, as horizon -> class -> metric -> value."""
-    tree: dict[str, dict[str, dict[str, float]]] = {}
-    for horizon, cls, metric, value in metrics_rows(per_horizon):
-        tree.setdefault(horizon, {}).setdefault(cls, {})[metric] = float(value)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def export_comparison_csv(
-    path, comparison: dict[Horizon, list[ComparisonCell]]
-) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["horizon", "class", "metric", "value", "delta_vs_reference"])
-        for horizon in HORIZONS:
-            if horizon not in comparison:
-                continue
-            for cell in comparison[horizon]:
-                writer.writerow(
-                    [
-                        horizon.key,
-                        cell.cls,
-                        cell.metric,
-                        repr(float(cell.value)),
-                        repr(float(cell.delta)),
-                    ]
-                )
 
 
 def confusion_from_predictions(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -112,55 +113,105 @@ class EpochStats:
     val_loss_per_task: dict[Horizon, float]
 
 
-def _by_horizon(conv: Callable) -> Callable:
-    return lambda obj: {Horizon.from_key(k): conv(v) for k, v in obj.items()}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # an integer past the float range cannot become the float the field holds
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+
+
+def _checked(test: Callable, what: str, decode: Callable = lambda v: v) -> Callable:
+    """A converter ``(value, name) -> decode(value)`` that raises a ValueError
+    naming ``name`` when ``test(value)`` fails; it never coerces."""
+
+    def convert(value, name: str):
+        if not test(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        return decode(value)
+
+    return convert
+
+
+json_int = _checked(_is_int, "a JSON integer")
+json_int_or_null = _checked(lambda v: v is None or _is_int(v), "a JSON integer or null")
+json_number = _checked(_is_number, "a JSON number", float)
+json_bool = _checked(lambda v: isinstance(v, bool), "true or false")
+json_str = _checked(lambda v: isinstance(v, str), "a JSON string")
+json_int_list = _checked(
+    lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of JSON integers", tuple
+)
+
+
+def json_member(enum) -> Callable:
+    """A converter of a member's name, in any case (``"mid"`` gives ``Horizon.MID``)."""
+    return _checked(
+        lambda v: isinstance(v, str) and v.upper() in enum.__members__,
+        f"one of {', '.join(enum.__members__)}",
+        lambda v: enum[v.upper()],
+    )
+
+
+def json_by_horizon(convert: Callable) -> Callable:
+    """A converter of a JSON object keyed by horizon whose values ``convert`` decodes."""
+    horizon = json_member(Horizon)
+
+    def decode(value, name: str) -> dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a JSON object keyed by horizon, got {value!r}")
+        return {horizon(k, f"{name} key"): convert(v, f"{name}.{k}") for k, v in value.items()}
+
+    return decode
 
 
 # The JSON fields of each dataclass that checkpoints, best_config.json and the
-# config's network/train blocks hold, with the conversion from the JSON value.
+# config's network/train blocks hold, with the converter of the JSON value.
 _JSON_FIELDS: dict[type, dict[str, Callable]] = {
     NetworkConfig: {
-        "input_dim": int,
-        "shared_layer_widths": tuple,
-        "task_head_widths": _by_horizon(tuple),
-        "classes_per_task": int,
-        "shared_dropout_rate": float,
-        "seed": int,
+        "input_dim": json_int,
+        "shared_layer_widths": json_int_list,
+        "task_head_widths": json_by_horizon(json_int_list),
+        "classes_per_task": json_int,
+        "shared_dropout_rate": json_number,
+        "seed": json_int,
     },
     TrainConfig: {
-        "learning_rate": float,
-        "batch_size": int,
-        "max_epochs": int,
-        "early_stop_patience": int,
-        "task_loss_weights": _by_horizon(float),
-        "validation_fraction": float,
-        "optimizer": str,
-        "class_weighting": bool,
+        "learning_rate": json_number,
+        "batch_size": json_int,
+        "max_epochs": json_int,
+        "early_stop_patience": json_int,
+        "task_loss_weights": json_by_horizon(json_number),
+        "validation_fraction": json_number,
+        "optimizer": json_str,
+        "class_weighting": json_bool,
     },
     EpochStats: {
-        "epoch": int,
-        "train_loss_total": float,
-        "val_loss_total": float,
-        "train_loss_per_task": _by_horizon(float),
-        "val_loss_per_task": _by_horizon(float),
+        "epoch": json_int,
+        "train_loss_total": json_number,
+        "val_loss_total": json_number,
+        "train_loss_per_task": json_by_horizon(json_number),
+        "val_loss_per_task": json_by_horizon(json_number),
     },
 }
 
 
-def _json_value(value):
+def json_value(value):
+    """The JSON form of a field value: horizon keys as ``short``/``mid``/``long``."""
     if isinstance(value, Mapping):
-        return {h.key: _json_value(v) for h, v in value.items()}
+        return {h.key: json_value(v) for h, v in value.items()}
     return list(value) if isinstance(value, (tuple, list)) else value
 
 
 def to_json(obj) -> dict:
     """The JSON fields of a NetworkConfig, TrainConfig or EpochStats."""
-    return {name: _json_value(getattr(obj, name)) for name in _JSON_FIELDS[type(obj)]}
+    return {name: json_value(getattr(obj, name)) for name in _JSON_FIELDS[type(obj)]}
 
 
 def from_json(cls, obj, keys=None, name=None, **derived):
-    """A ``cls`` from its JSON fields plus the ``derived`` ones; a key outside
-    ``keys`` (default: every JSON field) is a ValueError that names it."""
+    """A ``cls`` from its JSON fields plus the ``derived`` ones. A key outside
+    ``keys`` (default: every JSON field) or a value of the wrong JSON type is
+    a ValueError that names it."""
     fields = _JSON_FIELDS[cls]
     name = name or cls.__name__
     if not isinstance(obj, Mapping):
@@ -168,7 +219,7 @@ def from_json(cls, obj, keys=None, name=None, **derived):
     unknown = sorted(set(obj) - set(fields if keys is None else keys))
     if unknown:
         raise ValueError(f"unknown key(s) in {name}: {', '.join(unknown)}")
-    return cls(**derived, **{k: fields[k](v) for k, v in obj.items()})
+    return cls(**derived, **{k: fields[k](v, f"{name}.{k}") for k, v in obj.items()})
 
 
 @dataclass
@@ -775,16 +826,15 @@ def gradient_check(
 # grid search
 # --------------------------------------------------------------------------
 
-NETWORK_FIELDS = {
-    "shared_layer_widths",
-    "task_head_widths",
-    "shared_dropout_rate",
-    "input_dim",
-}
+# the network fields a config and a grid may set; input_dim and the seeds are derived
+NETWORK_FIELDS = ("shared_layer_widths", "task_head_widths", "shared_dropout_rate")
 
-TRAIN_FIELDS = set(_JSON_FIELDS[TrainConfig])
+HYPERPARAMETERS = NETWORK_FIELDS + tuple(_JSON_FIELDS[TrainConfig])
 
-HYPERPARAMETERS = NETWORK_FIELDS | TRAIN_FIELDS
+
+def decode_candidate(key: str, value, name: str):
+    """A grid candidate for hyperparameter ``key``, decoded like that field."""
+    return _JSON_FIELDS[NetworkConfig if key in NETWORK_FIELDS else TrainConfig][key](value, name)
 
 
 @dataclass(frozen=True)
@@ -822,7 +872,7 @@ def grid_search(
         raise ValueError("empty search space")
     if k < 2:
         raise ValueError("k must be >= 2")
-    unknown = set(space) - HYPERPARAMETERS
+    unknown = set(space) - set(HYPERPARAMETERS)
     if unknown:
         raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
 
@@ -853,7 +903,7 @@ def grid_search(
     for combo in itertools.product(*(space[k_] for k_ in keys)):
         assignment = tuple(zip(keys, combo))
         net_kwargs = {k_: v for k_, v in assignment if k_ in NETWORK_FIELDS}
-        train_kwargs = {k_: v for k_, v in assignment if k_ in TRAIN_FIELDS}
+        train_kwargs = {k_: v for k_, v in assignment if k_ not in NETWORK_FIELDS}
         network = replace(base_network, **net_kwargs) if net_kwargs else base_network
         train_cfg = replace(base_train, **train_kwargs) if train_kwargs else base_train
 
@@ -927,16 +977,17 @@ def load_checkpoint(path) -> MtlModel:
     return model
 
 
-def export_training_log_csv(path, model: MtlModel) -> None:
-    """CSV: epoch, total train/val losses, then per-task train/val losses."""
+def training_log_rows(model: MtlModel) -> tuple[list[str], list[list]]:
+    """The header and rows of a training log: epoch, total train/val losses,
+    then per-task train/val losses."""
     tasks = model.tasks
     header = ["epoch", "train_loss_total", "val_loss_total"]
     header += [f"train_loss_{t.key}" for t in tasks]
     header += [f"val_loss_{t.key}" for t in tasks]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for e in model.history:
-            row = [str(e.epoch), repr(e.train_loss_total), repr(e.val_loss_total)]
-            row += [repr(e.train_loss_per_task.get(t, math.nan)) for t in tasks]
-            row += [repr(e.val_loss_per_task.get(t, math.nan)) for t in tasks]
-            fh.write(",".join(row) + "\n")
+    rows = [
+        [e.epoch, e.train_loss_total, e.val_loss_total]
+        + [e.train_loss_per_task.get(t, math.nan) for t in tasks]
+        + [e.val_loss_per_task.get(t, math.nan) for t in tasks]
+        for e in model.history
+    ]
+    return header, rows

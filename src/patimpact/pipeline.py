@@ -38,11 +38,21 @@ from .corpus import (
     CorpusError,
     Horizon,
     ImpactClass,
+    TrajectoryPattern,
     add_years,
     assign_impact_class,
     derive_thresholds,
     forward_citation_count,
     trajectory_pattern,
+)
+from .mtl import (
+    json_bool,
+    json_int,
+    json_int_list,
+    json_int_or_null,
+    json_member,
+    json_number,
+    json_str,
 )
 from .seeding import derive_seed
 from .synth import SynthParams, generate_synthetic
@@ -150,9 +160,21 @@ class PipelineConfig:
             ("validation.group_by", self.validation.group_by, ("predicted", "actual")),
             ("validation.scope", self.validation.scope, ("all", "test")),
             ("topic.group_by", self.topic.group_by, ("predicted", "actual")),
+            (
+                "explain.filter_pattern", self.explain.filter_pattern,
+                (None, *(p.value for p in TrajectoryPattern)),
+            ),
         ):
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {list(allowed)}, not {value!r}")
+        # evaluate and report need a head for every horizon
+        grid_heads = self.grid.space.get("task_head_widths", []) if self.grid else []
+        for name, heads in [
+            ("network.task_head_widths", self.network.task_head_widths),
+            *(("grid.space.task_head_widths", h) for h in grid_heads),
+        ]:
+            if set(heads) != set(HORIZONS):
+                raise ConfigError(f"{name} must give widths for short, mid and long")
         for name, value in (
             ("explain.n_permutations", self.explain.n_permutations),
             ("explain.background_size", self.explain.background_size),
@@ -179,8 +201,6 @@ CONFIG_TOP_LEVEL_KEYS = (
     "home_country", "threshold_mode", "test_year", "network", "train", "grid",
     "compare_stl", "explain", "validation", "topic",
 )
-# network keys a config may set; input_dim and the seeds are derived
-CONFIG_NETWORK_KEYS = ("shared_layer_widths", "task_head_widths", "shared_dropout_rate")
 
 
 def read_config_obj(path) -> dict:
@@ -190,7 +210,9 @@ def read_config_obj(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, bytes that are not UTF-8 and an integer past the digit
+    # limit are ValueErrors; nesting past the parser's depth limit is a RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed config JSON in {path}: {exc}") from None
 
 
@@ -200,6 +222,8 @@ def load_config(path) -> PipelineConfig:
 
 
 def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config must be a JSON object, got {obj!r}")
     if obj.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(
             f"unsupported config schema {obj.get('schema')!r}; expected {CONFIG_SCHEMA}"
@@ -215,16 +239,6 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
     unknown = sorted(set(obj) - set(CONFIG_TOP_LEVEL_KEYS))
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-    seed = obj.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be a JSON integer, got {seed!r}")
-    test_year = obj.get("test_year")
-    if test_year is not None and (isinstance(test_year, bool) or not isinstance(test_year, int)):
-        raise ConfigError(f"test_year must be a JSON integer or null, got {test_year!r}")
-    compare_stl = obj.get("compare_stl", True)
-    if not isinstance(compare_stl, bool):
-        raise ConfigError(f"compare_stl must be true or false, got {compare_stl!r}")
-    domain = str(obj.get("domain_ipc_prefix", "H01M"))
 
     def block(name: str, keys) -> dict:
         # the config's `name` object ({} when absent); a key outside `keys` is an error
@@ -245,50 +259,59 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
         space = g.get("space")
         if not space or not isinstance(space, dict):
             raise ConfigError("grid requires a non-empty space object")
+        decoded = {}
         for key, candidates in space.items():
             if key not in mtl_mod.HYPERPARAMETERS:
                 raise ConfigError(f"grid.space.{key} is not a hyperparameter")
             if not isinstance(candidates, list) or not candidates:
                 raise ConfigError(f"grid.space.{key} must be a non-empty list")
-        k = int(g.get("k", 5))
+            decoded[key] = [
+                mtl_mod.decode_candidate(key, c, f"grid.space.{key}") for c in candidates
+            ]
+        k = json_int(g.get("k", 5), "grid.k")
         if k < 2:
             raise ConfigError("grid.k must be >= 2")
-        return GridSettings(space=dict(space), k=k)
+        return GridSettings(space=decoded, k=k)
 
     def settings(cls, name: str, derived: Optional[dict] = None, **convert):
         # the keys the block holds, converted, plus the `derived` fields; other
         # fields keep their defaults
         values = block(name, convert)
-        return cls(**(derived or {}), **{k: convert[k](v) for k, v in values.items()})
-
-    synth = None
-    if obj.get("synth") is not None:
-        try:
-            synth = settings(
-                SynthParams, "synth",
-                {"seed": derive_seed(seed, "synth"), "domain_ipc_prefix": domain},
-                n_patents=int, year_range=tuple, citation_attachment_exponent=float,
-                feature_signal_strength=float, mean_internal_citations=float,
-                mean_external_citations=float,
-            )
-            synth.validate()
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid synth params: {exc}") from None
+        return cls(
+            **(derived or {}), **{k: convert[k](v, f"{name}.{k}") for k, v in values.items()}
+        )
 
     try:
+        seed = json_int(obj.get("seed", 0), "seed")
+        domain = json_str(obj.get("domain_ipc_prefix", "H01M"), "domain_ipc_prefix")
+        synth = None
+        if obj.get("synth") is not None:
+            try:
+                synth = settings(
+                    SynthParams, "synth",
+                    {"seed": derive_seed(seed, "synth"), "domain_ipc_prefix": domain},
+                    n_patents=json_int, year_range=json_int_list,
+                    citation_attachment_exponent=json_number,
+                    feature_signal_strength=json_number, mean_internal_citations=json_number,
+                    mean_external_citations=json_number,
+                )
+                synth.validate()
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"invalid synth params: {exc}") from None
+        corpus_path = obj.get("corpus_path")
         cfg = PipelineConfig(
-            out_dir=resolve(str(obj["out_dir"])),
+            out_dir=resolve(json_str(obj["out_dir"], "out_dir")),
             seed=seed,
             corpus_path=(
-                resolve(str(obj["corpus_path"])) if obj.get("corpus_path") else None
+                None if corpus_path is None else resolve(json_str(corpus_path, "corpus_path"))
             ),
             synth=synth,
             domain_ipc_prefix=domain,
-            home_country=str(obj.get("home_country", "US")),
-            threshold_mode=str(obj.get("threshold_mode", "fixed")),
-            test_year=test_year,
+            home_country=json_str(obj.get("home_country", "US"), "home_country"),
+            threshold_mode=json_str(obj.get("threshold_mode", "fixed"), "threshold_mode"),
+            test_year=json_int_or_null(obj.get("test_year"), "test_year"),
             network=mtl_mod.from_json(
-                mtl_mod.NetworkConfig, obj.get("network", {}), CONFIG_NETWORK_KEYS,
+                mtl_mod.NetworkConfig, obj.get("network", {}), mtl_mod.NETWORK_FIELDS,
                 "network", seed=derive_seed(seed, "init"),
             ),
             train=mtl_mod.from_json(
@@ -296,20 +319,21 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
                 seed=derive_seed(seed, "train"),
             ),
             grid=grid_settings(),
-            compare_stl=compare_stl,
+            compare_stl=json_bool(obj.get("compare_stl", True), "compare_stl"),
             explain=settings(
                 ExplainSettings, "explain",
-                n_instances=int, n_permutations=int, background_size=int, top_k=int,
-                target_class=lambda v: ImpactClass.from_name(str(v)),
-                filter_pattern=lambda v: v,
+                n_instances=json_int, n_permutations=json_int, background_size=json_int,
+                top_k=json_int, target_class=json_member(ImpactClass),
+                # null is no filter; validate() checks the pattern name
+                filter_pattern=lambda v, name: v,
             ),
             validation=settings(
                 ValidationSettings, "validation",
-                method=str, n_permutations=int, group_by=str, scope=str,
+                method=json_str, n_permutations=json_int, group_by=json_str, scope=json_str,
             ),
             topic=settings(
                 TopicSettings, "topic",
-                horizon=lambda v: Horizon.from_key(str(v)), group_by=str,
+                horizon=json_member(Horizon), group_by=json_str,
             ),
             raw=obj,
         )
@@ -328,11 +352,17 @@ def _read_csv(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _write_csv(path, header: list, rows) -> None:
+def _write_csv(path, header: list, rows, lineterminator: str = "\r\n") -> None:
+    """Write a table. A float cell, Python or numpy, is written as
+    ``repr(float(x))``, the shortest text that reads back as the same double;
+    ``None`` is an empty cell, and every other cell is ``str`` of its value."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(
+            [repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
+            for row in rows
+        )
 
 
 def _write_json(path, obj, indent: Optional[int] = 2) -> None:
@@ -545,7 +575,10 @@ def stage_features(ctx: RunContext) -> list[str]:
     """Extract the indicator matrix for every labeled patent."""
     ids = [row.patent_id for row in ctx.labels]
     matrix = ind.extract_feature_matrix(ctx.corpus, ids, home_country=ctx.cfg.home_country)
-    ind.export_features_csv(ctx.cfg.path(F_FEATURES), ids, matrix)
+    _write_csv(
+        ctx.cfg.path(F_FEATURES), ["patent_id", *ind.FEATURE_NAMES],
+        ([pid, *row.tolist()] for pid, row in zip(ids, matrix)),
+    )
     return [F_FEATURES]
 
 
@@ -602,8 +635,10 @@ def stage_gridsearch(ctx: RunContext) -> list[str]:
         (
             [
                 i,
-                json.dumps(dict(cell.assignment), sort_keys=True),
-                repr(cell.score),
+                json.dumps(
+                    {k: mtl_mod.json_value(v) for k, v in cell.assignment}, sort_keys=True
+                ),
+                cell.score,
                 json.dumps([round(s, 12) for s in cell.fold_scores]),
             ]
             for i, cell in enumerate(result.cells)
@@ -658,7 +693,8 @@ def stage_train(ctx: RunContext) -> list[str]:
     except RuntimeError as exc:
         raise StageError("train", str(exc)) from None
     mtl_mod.save_checkpoint(cfg.path(F_MODEL), model)
-    mtl_mod.export_training_log_csv(cfg.path(F_TRAINING_LOG), model)
+    # training_log.csv ends lines with LF, not CRLF; existing logs and checksums pin that
+    _write_csv(cfg.path(F_TRAINING_LOG), *mtl_mod.training_log_rows(model), lineterminator="\n")
     outputs = [F_SPLIT, F_MODEL, F_TRAINING_LOG]
 
     if cfg.compare_stl:
@@ -703,8 +739,12 @@ def stage_evaluate(ctx: RunContext) -> list[str]:
     test_index = list(range(n_train, len(all_ids)))
     actual = {h: [by_id[all_ids[i]].classes[h] for i in test_index] for h in HORIZONS}
     mtl_cms = {h: _confusion(actual[h], preds[h][test_index]) for h in HORIZONS}
-    metrics_mod.export_metrics_csv(cfg.path(F_METRICS), mtl_cms)
-    metrics_mod.export_metrics_json(cfg.path(F_METRICS_JSON), mtl_cms)
+    rows = metrics_mod.metrics_rows(mtl_cms)
+    _write_csv(cfg.path(F_METRICS), ["horizon", "class", "metric", "value"], rows)
+    tree: dict[str, dict[str, dict[str, float]]] = {}
+    for horizon, cls, metric, value in rows:
+        tree.setdefault(horizon, {}).setdefault(cls, {})[metric] = value
+    _write_json(cfg.path(F_METRICS_JSON), tree)
     outputs = [F_PREDICTIONS, F_METRICS, F_METRICS_JSON]
 
     if cfg.compare_stl:
@@ -716,7 +756,11 @@ def stage_evaluate(ctx: RunContext) -> list[str]:
             stl = mtl_mod.load_checkpoint(path)
             stl_cms[h] = _confusion(actual[h], mtl_mod.predict_batch(stl, X[test_index])[h])
         comparison = metrics_mod.compare_models(mtl_cms, stl_cms)
-        metrics_mod.export_comparison_csv(cfg.path(F_COMPARISON), comparison)
+        _write_csv(
+            cfg.path(F_COMPARISON),
+            ["horizon", "class", "metric", "value", "delta_vs_reference"],
+            ([h.key, c.cls, c.metric, c.value, c.delta] for h in HORIZONS for c in comparison[h]),
+        )
         outputs.append(F_COMPARISON)
     return outputs
 
@@ -755,7 +799,7 @@ def stage_explain(ctx: RunContext) -> list[str]:
         seed=seed,
         display_values=dict(zip(instance_ids, raw)),
     )
-    explain_mod.export_attributions_csv(cfg.path(F_ATTRIBUTIONS), by_target, grouping)
+    _write_csv(cfg.path(F_ATTRIBUTIONS), *explain_mod.attribution_rows(by_target, grouping))
     outputs = [F_ATTRIBUTIONS]
 
     pattern = cfg.explain.filter_pattern
@@ -765,7 +809,8 @@ def stage_explain(ctx: RunContext) -> list[str]:
             att_rows = [r for r in att_rows if trajectory_of.get(r.instance_id) == pattern]
         _, records = explain_mod.group_summary(att_rows, grouping, top_k=cfg.explain.top_k)
         stem = f"summary_{h.key}_{target.impact_class.name}"
-        explain_mod.export_group_summary_csv(cfg.path(f"{stem}.csv"), records)
+        header = ["instance_id", "group", "feature_value", "phi"]
+        _write_csv(cfg.path(f"{stem}.csv"), header, ([r[k] for k in header] for r in records))
         outputs.append(f"{stem}.csv")
         if not records:
             log.warning(
@@ -815,7 +860,7 @@ def stage_validate(ctx: RunContext) -> list[str]:
             )
         except ValueError as exc:
             raise StageError("validate", f"{h.key}: {exc}") from None
-    validate_mod.export_validation_csv(cfg.path(F_VALIDATION), per_horizon)
+    _write_csv(cfg.path(F_VALIDATION), *validate_mod.validation_rows(per_horizon))
     return [F_VALIDATION]
 
 
@@ -828,8 +873,14 @@ def stage_topic_score(ctx: RunContext) -> list[str]:
     else:
         classes = _predicted_classes(ctx, "predicted", "all")[h]
     table = validate_mod.topic_impact_scores(ctx.corpus, classes)
-    validate_mod.export_topic_scores_csv(cfg.path(F_TOPIC_CSV), table)
-    validate_mod.export_topic_scores_json(cfg.path(F_TOPIC_JSON), table)
+    _write_csv(
+        cfg.path(F_TOPIC_CSV), ["topic", "year", "n_patents", "score"],
+        ([t, y, table.counts[t, y], table.scores[t, y]] for t, y in sorted(table.scores)),
+    )
+    pivot: dict[str, dict[str, float]] = {}
+    for (topic, year), score in table.scores.items():
+        pivot.setdefault(topic, {})[str(year)] = score
+    _write_json(cfg.path(F_TOPIC_JSON), pivot)
     return [F_TOPIC_CSV, F_TOPIC_JSON]
 
 
@@ -853,7 +904,7 @@ def stage_cv(ctx: RunContext, k: int = 5) -> list[str]:
         )
         preds = mtl_mod.predict_batch(model, std.transform(X[te]))
         cms = {h: _confusion(labels[h][te], preds[h]) for h in HORIZONS}
-        rows += [[fold, *row[:3], repr(row[3])] for row in metrics_mod.metrics_rows(cms)]
+        rows += [[fold, *row] for row in metrics_mod.metrics_rows(cms)]
     _write_csv(cfg.path(F_CV), ["fold", "horizon", "class", "metric", "value"], rows)
     return [F_CV]
 

@@ -54,6 +54,8 @@ class SynthParams:
     def validate(self) -> None:
         if self.n_patents < 10:
             raise ValueError("n_patents must be >= 10")
+        if len(self.year_range) != 2:
+            raise ValueError("year_range must be [first year, last year]")
         if self.year_range[0] > self.year_range[1]:
             raise ValueError("year_range start exceeds end")
         if self.citation_attachment_exponent < 0:

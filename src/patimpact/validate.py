@@ -9,8 +9,6 @@ membership. Topic impact scores are class-weighted averages per
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
@@ -296,31 +294,22 @@ def validate_value_indicators(
     }
 
 
-def export_validation_csv(
-    path, per_horizon: Mapping[str, Mapping[str, IndicatorValidation]]
-) -> None:
-    """CSV rows: horizon, indicator, jt_statistic, z, p_value, method, n_excluded."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["horizon", "indicator", "jt_statistic", "z", "p_value", "method", "n_excluded"]
-        )
-        for horizon_key, validations in per_horizon.items():
-            for indicator in VALUE_INDICATORS:
-                if indicator not in validations:
-                    continue
+def validation_rows(
+    per_horizon: Mapping[str, Mapping[str, IndicatorValidation]]
+) -> tuple[list[str], list[list]]:
+    """The header and rows of the validation table: horizon, indicator,
+    jt_statistic, z, p_value, method, n_excluded."""
+    header = ["horizon", "indicator", "jt_statistic", "z", "p_value", "method", "n_excluded"]
+    rows = []
+    for horizon_key, validations in per_horizon.items():
+        for indicator in VALUE_INDICATORS:
+            if indicator in validations:
                 v = validations[indicator]
-                writer.writerow(
-                    [
-                        horizon_key,
-                        indicator,
-                        repr(v.result.jt_statistic),
-                        repr(v.result.z),
-                        repr(v.result.p_value),
-                        v.result.method,
-                        v.n_excluded,
-                    ]
-                )
+                rows.append([
+                    horizon_key, indicator, v.result.jt_statistic, v.result.z,
+                    v.result.p_value, v.result.method, v.n_excluded,
+                ])
+    return header, rows
 
 
 # --------------------------------------------------------------------------
@@ -333,12 +322,6 @@ class TopicScoreTable:
 
     scores: dict[tuple[str, int], float]
     counts: dict[tuple[str, int], int]
-
-    def topics(self) -> list[str]:
-        return sorted({t for t, _ in self.scores})
-
-    def years(self) -> list[int]:
-        return sorted({y for _, y in self.scores})
 
 
 def topic_impact_scores(
@@ -365,23 +348,3 @@ def topic_impact_scores(
         raise ValueError("no patents with topic labels among the classified set")
     scores = {key: totals[key] / counts[key] for key in totals}
     return TopicScoreTable(scores=scores, counts=counts)
-
-
-def export_topic_scores_csv(path, table: TopicScoreTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic", "year", "n_patents", "score"])
-        for topic, year in sorted(table.scores):
-            writer.writerow(
-                [topic, year, table.counts[(topic, year)], repr(table.scores[(topic, year)])]
-            )
-
-
-def export_topic_scores_json(path, table: TopicScoreTable) -> None:
-    """Pivot: topic -> year -> score."""
-    pivot: dict[str, dict[str, float]] = {}
-    for (topic, year), score in sorted(table.scores.items()):
-        pivot.setdefault(topic, {})[str(year)] = score
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pivot, fh, indent=2, sort_keys=True)
-        fh.write("\n")

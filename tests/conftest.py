@@ -8,22 +8,47 @@ code under test.
 from __future__ import annotations
 
 import datetime as dt
+from pathlib import Path
 
 import pytest
 
 from patimpact.corpus import (
+    HORIZONS,
     CitedRef,
     Corpus,
+    ImpactClass,
     Party,
     PatentRecord,
     PostHoc,
     Priority,
+    save_corpus,
 )
+from patimpact.pipeline import PipelineConfig, _write_csv, config_from_obj
 from patimpact.synth import SynthParams, generate_synthetic
 
 
 def d(iso: str) -> dt.date:
     return dt.date.fromisoformat(iso)
+
+
+def labeled_run_dir(
+    out_dir: Path, corpus: Corpus, classes: dict[str, ImpactClass]
+) -> PipelineConfig:
+    """A config over ``out_dir``, which then holds ``corpus`` and a labels.csv
+    giving each patent in ``classes`` its class at every horizon, as the
+    corpus and label stages would; the stages after them can run on it."""
+    save_corpus(corpus, out_dir / "corpus.jsonl")
+    _write_csv(
+        out_dir / "labels.csv",
+        ["patent_id", "grant_year", *(f"{h.key}_class" for h in HORIZONS), "trajectory"],
+        (
+            [pid, corpus.get(pid).grant_date.year, *[cls.name] * len(HORIZONS), "sustained"]
+            for pid, cls in classes.items()
+        ),
+    )
+    return config_from_obj(
+        {"schema": "patimpact-config/1", "out_dir": str(out_dir), "synth": {}}
+    )
 
 
 def make_patent(patent_id: str, **overrides) -> PatentRecord:

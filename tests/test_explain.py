@@ -11,8 +11,8 @@ from patimpact.explain import (
     BackgroundSet,
     FeatureGrouping,
     attribute_instances,
+    attribution_rows,
     default_grouping,
-    export_attributions_csv,
     global_importance,
     group_summary,
     render_beeswarm_svg,
@@ -21,6 +21,7 @@ from patimpact.explain import (
 )
 from patimpact.indicators import N_FEATURES
 from patimpact.mtl import NetworkConfig, TrainConfig, infer_proba, init_network, train
+from patimpact.pipeline import _write_csv
 
 
 def toy_model(X: np.ndarray) -> np.ndarray:
@@ -369,7 +370,7 @@ class TestExport:
         path = tmp_path / "att.csv"
         target = AttributionTarget(horizon=Horizon.LONG, impact_class=ImpactClass.BT)
         other = AttributionTarget(horizon=Horizon.SHORT, impact_class=ImpactClass.VT)
-        export_attributions_csv(path, [(target, [row]), (other, [row])], grouping)
+        _write_csv(path, *attribution_rows([(target, [row]), (other, [row])], grouping))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "instance_id,group,feature_value,phi,std_err,"

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from patimpact.corpus import Corpus
+from patimpact.corpus import Corpus, ImpactClass
 from patimpact.indicators import (
     FEATURE_NAMES,
     FLAG_NO_BACKWARD_CITATIONS,
@@ -19,15 +19,15 @@ from patimpact.indicators import (
     Standardizer,
     build_history_index,
     corpus_ipc_stats,
-    export_features_csv,
     extract_feature_matrix,
     extract_features,
     fit_standardizer,
     load_features_csv,
     standardize,
 )
+from patimpact.pipeline import STAGES
 
-from conftest import d, make_patent
+from conftest import d, labeled_run_dir, make_patent
 
 
 class TestLayout:
@@ -318,8 +318,9 @@ class TestCsv:
     def test_export_header_and_roundtrip(self, tmp_path, crafted_corpus):
         ids = sorted(crafted_corpus.ids())
         X = extract_feature_matrix(crafted_corpus, ids)
-        path = tmp_path / "features.csv"
-        export_features_csv(path, ids, X)
+        cfg = labeled_run_dir(tmp_path, crafted_corpus, dict.fromkeys(ids, ImpactClass.MT))
+        assert STAGES["features"](cfg) == ["features.csv"]
+        path = cfg.path("features.csv")
         header = path.read_text().splitlines()[0]
         assert header == "patent_id," + ",".join(FEATURE_NAMES)
         ids2, X2 = load_features_csv(path)

@@ -24,7 +24,6 @@ from patimpact.mtl import (
     _inverse_frequency_weights,
     _stratified_split,
     batch_loss,
-    export_training_log_csv,
     from_json,
     gradient_check,
     grid_search,
@@ -38,7 +37,9 @@ from patimpact.mtl import (
     to_json,
     train,
     train_stl,
+    training_log_rows,
 )
+from patimpact.pipeline import _write_csv
 from patimpact.seeding import derive_seed, derived_rng
 
 ALL_TASKS = dict.fromkeys(HORIZONS)
@@ -933,7 +934,7 @@ class TestPersistence:
         model = init_network(small_config(seed=44))
         train(model, X, y, TrainConfig(seed=45, max_epochs=3, batch_size=16))
         path = tmp_path / "log.csv"
-        export_training_log_csv(path, model)
+        _write_csv(path, *training_log_rows(model))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "epoch,train_loss_total,val_loss_total,"

@@ -5,21 +5,26 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patimpact import cli, mtl
 from patimpact import corpus as corpus_mod
 from patimpact.corpus import HORIZONS, ImpactClass, load_corpus
+from patimpact.indicators import FEATURE_NAMES
 from patimpact.pipeline import (
     ConfigError,
     F_MANIFEST,
     STAGES,
     StageError,
+    _write_csv,
     config_from_obj,
     load_config,
     pipeline_stage_names,
@@ -31,6 +36,7 @@ from patimpact.seeding import derive_seed
 from patimpact.synth import SynthParams
 from patimpact.validate import CLASS_ORDERED, VALUE_INDICATORS, OrderedGroups
 
+from test_corpus import _field_paths, _json_values
 from test_validate import loop_permutation_p
 
 
@@ -192,7 +198,7 @@ class TestConfig:
             },
             "explain": {
                 "n_instances": 2, "n_permutations": 9, "background_size": 7, "top_k": 3,
-                "target_class": "VT", "filter_pattern": "peak",
+                "target_class": "VT", "filter_pattern": "peak_and_fade",
             },
             "validation": {
                 "method": "permutation", "n_permutations": 99, "group_by": "actual",
@@ -229,10 +235,12 @@ class TestConfig:
             ({"test_year": True}, "test_year must be a JSON integer or null, got True"),
             ({"test_year": 2010.5}, "test_year must be a JSON integer or null, got 2010.5"),
             ({"test_year": "2010"}, "test_year must be a JSON integer or null, got '2010'"),
+            ({"corpus_path": 5}, "corpus_path must be a JSON string, got 5"),
+            ({"home_country": ["US"]}, r"home_country must be a JSON string, got \['US'\]"),
         ],
         ids=["unknown-key", "seed-string", "seed-float", "seed-bool", "seed-null",
              "compare-stl-string", "compare-stl-int", "test-year-bool", "test-year-float",
-             "test-year-string"],
+             "test-year-string", "corpus-path-int", "home-country-list"],
     )
     def test_bad_top_level(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -264,13 +272,75 @@ class TestConfig:
             ({"space": [["learning_rate", [1e-3]]]}, "non-empty space"),
             ({"space": {"learning_rate": [1e-3]}, "k": 1}, "grid.k must be >= 2"),
             ({"space": {"learning_rate": [1e-3]}, "k": "five"}, "five"),
+            ({"space": {"learning_rate": [1e-3]}, "k": 2.9}, "grid.k must be a JSON integer"),
+            ({"space": {"input_dim": [44]}}, "grid.space.input_dim is not a hyperparameter"),
+            (
+                {"space": {"class_weighting": ["false"]}},
+                "grid.space.class_weighting must be true or false, got 'false'",
+            ),
+            (
+                {"space": {"task_head_widths": [{"short": [8], "long": [8]}]}},
+                "grid.space.task_head_widths must give widths for short, mid and long",
+            ),
         ],
         ids=["unknown-key", "scalar", "empty-list", "empty-space", "not-an-object", "k-1",
-             "k-not-a-number"],
+             "k-not-a-number", "k-float", "input-dim", "bool-candidate-string",
+             "head-widths-candidate-missing-horizon"],
     )
     def test_bad_grid(self, tmp_path, grid, message):
         with pytest.raises(ConfigError, match=message):
             config_from_obj(base_config_obj(tmp_path, grid=grid))
+
+    @pytest.mark.parametrize(
+        "block, settings, message",
+        [
+            ("train", {"class_weighting": "false"},
+             "train.class_weighting must be true or false, got 'false'"),
+            ("train", {"batch_size": 32.9}, "train.batch_size must be a JSON integer, got 32.9"),
+            ("train", {"learning_rate": "0.01"},
+             "train.learning_rate must be a JSON number, got '0.01'"),
+            ("train", {"task_loss_weights": [1, 2, 3]},
+             r"train.task_loss_weights must be a JSON object keyed by horizon, got \[1, 2, 3\]"),
+            ("train", {"task_loss_weights": {"short": 1.0, "soon": 1.0}},
+             "train.task_loss_weights key must be one of SHORT, MID, LONG, got 'soon'"),
+            ("explain", {"n_instances": 2.5},
+             "explain.n_instances must be a JSON integer, got 2.5"),
+            ("explain", {"top_k": True}, "explain.top_k must be a JSON integer, got True"),
+            ("explain", {"filter_pattern": "peak"},
+             "explain.filter_pattern must be one of .*, not 'peak'"),
+            ("explain", {"target_class": 2}, "explain.target_class must be one of MT, VT, BT"),
+            ("synth", {"year_range": [1996]}, "year_range must be"),
+            ("synth", {"year_range": [1996, 2000, 2010]}, "year_range must be"),
+            ("synth", {"n_patents": 300.0}, "synth.n_patents must be a JSON integer"),
+            ("network", {"shared_layer_widths": [16.5]},
+             "network.shared_layer_widths must be a list of JSON integers"),
+            ("network", {"task_head_widths": {"short": [8], "long": [8]}},
+             "network.task_head_widths must give widths for short, mid and long"),
+            ("validation", {"method": 1}, "validation.method must be a JSON string, got 1"),
+            ("topic", {"horizon": 10}, "topic.horizon must be one of SHORT, MID, LONG, got 10"),
+        ],
+        ids=["bool-string", "int-float", "number-string", "weights-list", "weights-key",
+             "n-instances-float", "top-k-bool", "pattern-name", "class-int",
+             "year-range-short", "year-range-long", "n-patents-float", "widths-float",
+             "head-widths-missing-horizon", "method-int", "horizon-int"],
+    )
+    def test_bad_block_value(self, tmp_path, block, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_obj(base_config_obj(tmp_path, **{block: settings}))
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"seed": ' + "1" * 5000 + "}", "[" * 100000, b'{"out_dir": "\xff"}'],
+        ids=["past-the-digit-limit", "deep-nesting", "not-utf-8"],
+    )
+    def test_unparseable_config_file(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match="malformed config JSON"):
+            load_config(path)
 
     def test_load_config_resolves_relative_paths(self, tmp_path):
         (tmp_path / "out").mkdir()
@@ -279,6 +349,114 @@ class TestConfig:
         path.write_text(json.dumps(obj))
         cfg = load_config(path)
         assert cfg.out_dir == tmp_path / "out"
+
+
+# A config with every field of every block, with a grid over every
+# hyperparameter; out_dir "." is the directory the config is read from.
+_FULL_CONFIG = {
+    "schema": "patimpact-config/1", "seed": 7, "out_dir": ".",
+    "synth": {
+        "n_patents": 400, "year_range": [1997, 2010], "citation_attachment_exponent": 0.5,
+        "feature_signal_strength": 2.0, "mean_internal_citations": 4.0,
+        "mean_external_citations": 1.5,
+    },
+    "domain_ipc_prefix": "H01M", "home_country": "US", "threshold_mode": "fixed",
+    "test_year": 2010,
+    "network": {
+        "shared_layer_widths": [16, 8],
+        "task_head_widths": {"short": [8], "mid": [8], "long": [4]},
+        "shared_dropout_rate": 0.25,
+    },
+    "train": {
+        "learning_rate": 0.01, "batch_size": 8, "max_epochs": 3, "early_stop_patience": 2,
+        "task_loss_weights": {"short": 1.0, "mid": 0.5, "long": 2.0},
+        "validation_fraction": 0.2, "optimizer": "sgd", "class_weighting": True,
+    },
+    "grid": {
+        "space": {
+            "shared_layer_widths": [[16]],
+            "task_head_widths": [{"short": [8], "mid": [8], "long": [4]}],
+            "shared_dropout_rate": [0.1], "learning_rate": [1e-3], "batch_size": [16],
+            "max_epochs": [2], "early_stop_patience": [1],
+            "task_loss_weights": [{"short": 1.0, "mid": 1.0, "long": 1.0}],
+            "validation_fraction": [0.2], "optimizer": ["adam"], "class_weighting": [False],
+        },
+        "k": 2,
+    },
+    "compare_stl": True,
+    "explain": {
+        "n_instances": 2, "n_permutations": 9, "background_size": 7, "top_k": 3,
+        "target_class": "VT", "filter_pattern": "sustained",
+    },
+    "validation": {
+        "method": "permutation", "n_permutations": 99, "group_by": "actual", "scope": "test",
+    },
+    "topic": {"horizon": "mid", "group_by": "predicted"},
+}
+
+
+class TestArbitraryConfigValues:
+    """A config with any JSON value at any field loads or is a ConfigError."""
+
+    def test_full_config_loads(self):
+        cfg = config_from_obj(_FULL_CONFIG, base_dir=Path(__file__).parent)
+        assert set(cfg.grid.space) == set(mtl.HYPERPARAMETERS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        path=st.sampled_from([*_field_paths(_FULL_CONFIG), ("corpus_path",)]),
+        value=_json_values,
+    )
+    def test_loads_or_raises_config_error(self, path, value):
+        obj = json.loads(json.dumps(_FULL_CONFIG))
+        if path:
+            *parents, last = path
+            target = obj
+            for key in parents:
+                target = target[key]
+            target[last] = value
+        else:
+            obj = value
+        try:
+            config_from_obj(obj, base_dir=Path(__file__).parent)
+        except ConfigError:
+            pass
+
+
+class TestArtifactIO:
+    def test_write_csv_cell_rule(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cells = [
+            0.1, np.float64(0.1), np.float32(0.1), math.nan, -math.inf, -0.0, 1e16, 1e-05,
+            np.float64(1e-05), 7, np.int64(8), None, "a,b",
+        ]
+        _write_csv(path, ["x"] * len(cells), [cells])
+        assert path.read_bytes().split(b"\r\n")[1] == (
+            b'0.1,0.1,0.10000000149011612,nan,-inf,-0.0,1e+16,1e-05,1e-05,7,8,,"a,b"'
+        )
+        _write_csv(path, ["x", "y"], [[0.5, None], [1, 2.0]], lineterminator="\n")
+        assert path.read_bytes() == b"x,y\n0.5,\n1,2.0\n"
+
+    def test_table_headers_and_line_ends(self, completed_run):
+        cfg, _ = completed_run
+        headers = {
+            "features.csv": "patent_id," + ",".join(FEATURE_NAMES),
+            "metrics.csv": "horizon,class,metric,value",
+            "comparison.csv": "horizon,class,metric,value,delta_vs_reference",
+            "summary_long_BT.csv": "instance_id,group,feature_value,phi",
+            "topic_scores.csv": "topic,year,n_patents,score",
+            "training_log.csv": (
+                "epoch,train_loss_total,val_loss_total,"
+                "train_loss_short,train_loss_mid,train_loss_long,"
+                "val_loss_short,val_loss_mid,val_loss_long"
+            ),
+        }
+        for name, header in headers.items():
+            data = cfg.path(name).read_bytes()
+            # the training log alone ends its lines with LF
+            end = b"\n" if name == "training_log.csv" else b"\r\n"
+            assert data.startswith(header.encode() + end), name
+            assert data.count(b"\n") == data.count(end), name
 
 
 class TestRunPipeline:
@@ -539,6 +717,30 @@ class TestGridSearchStage:
         assert best["train"]["learning_rate"] in (1e-3, 1e-4)
         STAGES["train"](cfg)
         assert (out / "model.ckpt.json").exists()
+
+    def test_grid_candidates_decoded_like_their_fields(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        widths = {"short": [8], "mid": [8], "long": [4]}
+        obj = base_config_obj(
+            out,
+            synth={"n_patents": 250, "year_range": [1996, 2011]},
+            grid={"space": {"task_head_widths": [widths], "class_weighting": [False]}, "k": 2},
+            compare_stl=False,
+        )
+        obj["train"] = {"max_epochs": 2, "class_weighting": True, "batch_size": 8}
+        cfg = config_from_obj(obj)
+        assert cfg.grid.space["class_weighting"] == [False]
+        for name in ("corpus", "label", "features", "gridsearch"):
+            STAGES[name](cfg)
+        with open(out / "gridsearch.csv") as fh:
+            (cell,) = csv.DictReader(fh)
+        assert json.loads(cell["assignment"]) == {
+            "class_weighting": False, "task_head_widths": widths,
+        }
+        best = json.loads((out / "best_config.json").read_text())
+        assert best["network"]["task_head_widths"] == widths
+        assert best["train"]["class_weighting"] is False
 
     def test_train_requires_gridsearch_artifact(self, tmp_path):
         out = tmp_path / "out"

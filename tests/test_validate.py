@@ -11,16 +11,16 @@ from scipy import stats as scipy_stats
 from patimpact.corpus import Corpus, ImpactClass, PostHoc
 from patimpact.validate import (
     OrderedGroups,
-    export_topic_scores_csv,
-    export_topic_scores_json,
-    export_validation_csv,
     jonckheere_terpstra,
     jt_statistic,
     topic_impact_scores,
     validate_value_indicators,
+    validation_rows,
 )
 
-from conftest import d, make_patent
+from patimpact.pipeline import STAGES, _write_csv
+
+from conftest import d, labeled_run_dir, make_patent
 
 
 def brute_force_jt(groups) -> float:
@@ -348,7 +348,7 @@ class TestValueIndicators:
         corpus, classes = _corpus_with_posthoc(rng, (15, 15, 15), shift=1.0)
         results = validate_value_indicators(corpus, classes)
         path = tmp_path / "validation.csv"
-        export_validation_csv(path, {"long": results})
+        _write_csv(path, *validation_rows({"long": results}))
         lines = path.read_text().splitlines()
         assert lines[0] == "horizon,indicator,jt_statistic,z,p_value,method,n_excluded"
         assert len(lines) == 4
@@ -450,11 +450,10 @@ class TestTopicScores:
             ]
         }
         corpus = Corpus(records=records, domain_ipc_prefix="H01M")
-        table = topic_impact_scores(corpus, cls_map)
-        csv_path = tmp_path / "topic.csv"
-        json_path = tmp_path / "topic.json"
-        export_topic_scores_csv(csv_path, table)
-        export_topic_scores_json(json_path, table)
+        cfg = labeled_run_dir(tmp_path, corpus, cls_map)
+        assert STAGES["topic-score"](cfg) == ["topic_scores.csv", "topic_scores.json"]
+        csv_path = cfg.path("topic_scores.csv")
+        json_path = cfg.path("topic_scores.json")
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "topic,year,n_patents,score"
         assert lines[1] == "t,2008,1,10.0"
