@@ -263,7 +263,8 @@ def _str_or_none(value: object, name: str) -> Optional[str]:
 
 
 def _parse_party(obj: dict) -> Party:
-    name = _str_or_none(obj.get("name"), "name")
+    # save_corpus drops an empty name or cited_id, so one is read as absent
+    name = _str_or_none(obj.get("name"), "name") or None
     return Party(country=str(obj.get("country", "")), name=name)
 
 
@@ -300,7 +301,7 @@ def _build_record(obj: dict, patent_id: str, domain_ipc_prefix: str) -> PatentRe
                     country=str(c.get("country", "")),
                     filing_date=parse_date(c["filing_date"]),
                     ipc_codes=ipcs,
-                    cited_id=_str_or_none(c.get("cited_id"), "cited_id"),
+                    cited_id=_str_or_none(c.get("cited_id"), "cited_id") or None,
                     in_domain=bool(in_domain),
                 )
             )

@@ -144,6 +144,14 @@ json_int_list = _checked(
 )
 
 
+def json_finite(value, name: str) -> float:
+    """A JSON number that is not NaN or infinite; Python's JSON reader accepts both."""
+    number = json_number(value, name)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 def json_member(enum) -> Callable:
     """A converter of a member's name, in any case (``"mid"`` gives ``Horizon.MID``)."""
     return _checked(
@@ -173,19 +181,20 @@ _JSON_FIELDS: dict[type, dict[str, Callable]] = {
         "shared_layer_widths": json_int_list,
         "task_head_widths": json_by_horizon(json_int_list),
         "classes_per_task": json_int,
-        "shared_dropout_rate": json_number,
+        "shared_dropout_rate": json_finite,
         "seed": json_int,
     },
     TrainConfig: {
-        "learning_rate": json_number,
+        "learning_rate": json_finite,
         "batch_size": json_int,
         "max_epochs": json_int,
         "early_stop_patience": json_int,
-        "task_loss_weights": json_by_horizon(json_number),
-        "validation_fraction": json_number,
+        "task_loss_weights": json_by_horizon(json_finite),
+        "validation_fraction": json_finite,
         "optimizer": json_str,
         "class_weighting": json_bool,
     },
+    # a checkpoint's history may hold a NaN loss
     EpochStats: {
         "epoch": json_int,
         "train_loss_total": json_number,

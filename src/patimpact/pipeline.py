@@ -47,11 +47,11 @@ from .corpus import (
 )
 from .mtl import (
     json_bool,
+    json_finite,
     json_int,
     json_int_list,
     json_int_or_null,
     json_member,
-    json_number,
     json_str,
 )
 from .seeding import derive_seed
@@ -291,9 +291,9 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
                     SynthParams, "synth",
                     {"seed": derive_seed(seed, "synth"), "domain_ipc_prefix": domain},
                     n_patents=json_int, year_range=json_int_list,
-                    citation_attachment_exponent=json_number,
-                    feature_signal_strength=json_number, mean_internal_citations=json_number,
-                    mean_external_citations=json_number,
+                    citation_attachment_exponent=json_finite,
+                    feature_signal_strength=json_finite, mean_internal_citations=json_finite,
+                    mean_external_citations=json_finite,
                 )
                 synth.validate()
             except (ValueError, TypeError) as exc:
@@ -402,10 +402,11 @@ def _read_features(path) -> tuple[dict[str, int], np.ndarray]:
 class RunContext:
     """One run's config plus the artifacts its stages read.
 
-    Each artifact is parsed from the output directory at most once while the
-    context holds it; a missing one is a StageError of the running stage. A
-    context serves one run, in which every artifact is written before it is
-    read.
+    Each artifact is parsed from the output directory at most once and kept
+    until the run ends; a missing one is a StageError of the running stage.
+    The corpus stage hands over the corpus it wrote, so a full run never
+    parses ``corpus.jsonl``. A context serves one run, in which every
+    artifact is written before it is read.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -426,15 +427,10 @@ class RunContext:
             self._loaded[name] = parse(self.cfg.path(name))
         return self._loaded[name]
 
-    def keep_only(self, names) -> None:
-        """Drop every loaded artifact whose file is not in ``names``.
-
-        Dropping the corpus drops everything: objects parsed while it was
-        held sit among its freed memory and would keep that memory resident.
-        """
-        if F_CORPUS in self._loaded and F_CORPUS not in names:
-            names = ()
-        self._loaded = {k: v for k, v in self._loaded.items() if k in names}
+    def keep(self, name: str, value) -> None:
+        """Hold ``value`` as the artifact ``name`` the running stage just wrote;
+        it must equal what parsing that file would give."""
+        self._loaded[name] = value
 
     @property
     def corpus(self) -> Corpus:
@@ -464,8 +460,7 @@ class RunContext:
 
 
 STAGES: dict[str, Callable[..., list[str]]] = {}
-# the artifact files each stage reads through its context; a run holds an
-# artifact only while the next stage reads it too
+# the artifact files each stage reads through its context
 STAGE_READS: dict[str, tuple[str, ...]] = {}
 
 
@@ -507,7 +502,11 @@ def stage_corpus(ctx: RunContext) -> list[str]:
         if not cfg.corpus_path.exists():
             raise StageError("corpus", f"corpus file {cfg.corpus_path} not found")
         corpus = corpus_mod.load_corpus(cfg.corpus_path, cfg.domain_ipc_prefix)
+    # in the id order that save_corpus writes and load_corpus reads back
+    records = {pid: corpus.records[pid] for pid in sorted(corpus.records)}
+    corpus = Corpus(records, corpus.domain_ipc_prefix, corpus.forward_index)
     corpus_mod.save_corpus(corpus, cfg.path(F_CORPUS))
+    ctx.keep(F_CORPUS, corpus)
     return [F_CORPUS]
 
 
@@ -1086,8 +1085,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     cfg.validate()
     manifest = RunManifest(config_hash=cfg.config_hash(), seed=cfg.seed)
     ctx = RunContext(cfg)
-    names = pipeline_stage_names(cfg)
-    for name, next_name in zip(names, names[1:] + [""]):
+    for name in pipeline_stage_names(cfg):
         t0 = time.perf_counter()
         try:
             outputs = STAGES[name](cfg, ctx)
@@ -1095,7 +1093,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             manifest.error = str(exc) if isinstance(exc, StageError) else f"[{name}] {exc}"
             _write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
             raise
-        ctx.keep_only(STAGE_READS.get(next_name, ()))
         seconds = round(time.perf_counter() - t0, 3)
         manifest.stages.append(StageRecord(name, seconds, _inventory(cfg, outputs)))
     _write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())

@@ -3,26 +3,31 @@
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import hashlib
 import json
 import math
 import re
 import shutil
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patimpact import cli, mtl
+from patimpact import cli, mtl, pipeline
 from patimpact import corpus as corpus_mod
-from patimpact.corpus import HORIZONS, ImpactClass, load_corpus
+from patimpact.corpus import HORIZONS, Corpus, ImpactClass, load_corpus, record_to_json_obj
 from patimpact.indicators import FEATURE_NAMES
 from patimpact.pipeline import (
     ConfigError,
     F_MANIFEST,
+    STAGE_READS,
     STAGES,
+    RunContext,
     StageError,
     _write_csv,
     config_from_obj,
@@ -36,7 +41,7 @@ from patimpact.seeding import derive_seed
 from patimpact.synth import SynthParams
 from patimpact.validate import CLASS_ORDERED, VALUE_INDICATORS, OrderedGroups
 
-from test_corpus import _field_paths, _json_values
+from test_corpus import _field_paths, _hand_built_corpora, _json_values, _synthetic_corpora
 from test_validate import loop_permutation_p
 
 
@@ -282,10 +287,18 @@ class TestConfig:
                 {"space": {"task_head_widths": [{"short": [8], "long": [8]}]}},
                 "grid.space.task_head_widths must give widths for short, mid and long",
             ),
+            (
+                {"space": {"learning_rate": [math.nan]}},
+                "grid.space.learning_rate must be a finite number, got nan",
+            ),
+            (
+                {"space": {"shared_dropout_rate": [0.1, -math.inf]}},
+                "grid.space.shared_dropout_rate must be a finite number, got -inf",
+            ),
         ],
         ids=["unknown-key", "scalar", "empty-list", "empty-space", "not-an-object", "k-1",
              "k-not-a-number", "k-float", "input-dim", "bool-candidate-string",
-             "head-widths-candidate-missing-horizon"],
+             "head-widths-candidate-missing-horizon", "nan-candidate", "infinite-candidate"],
     )
     def test_bad_grid(self, tmp_path, grid, message):
         with pytest.raises(ConfigError, match=message):
@@ -318,11 +331,27 @@ class TestConfig:
              "network.task_head_widths must give widths for short, mid and long"),
             ("validation", {"method": 1}, "validation.method must be a JSON string, got 1"),
             ("topic", {"horizon": 10}, "topic.horizon must be one of SHORT, MID, LONG, got 10"),
+            # Python's JSON reader accepts NaN and Infinity, and every range check
+            # is false for NaN
+            ("train", {"learning_rate": math.nan},
+             "train.learning_rate must be a finite number, got nan"),
+            ("train", {"task_loss_weights": {"short": math.nan, "mid": 1, "long": 1}},
+             "train.task_loss_weights.short must be a finite number, got nan"),
+            ("network", {"shared_dropout_rate": math.nan},
+             "network.shared_dropout_rate must be a finite number, got nan"),
+            ("synth", {"citation_attachment_exponent": math.inf},
+             "synth.citation_attachment_exponent must be a finite number, got inf"),
+            ("synth", {"feature_signal_strength": math.nan},
+             "synth.feature_signal_strength must be a finite number, got nan"),
+            ("synth", {"mean_external_citations": math.nan},
+             "synth.mean_external_citations must be a finite number, got nan"),
         ],
         ids=["bool-string", "int-float", "number-string", "weights-list", "weights-key",
              "n-instances-float", "top-k-bool", "pattern-name", "class-int",
              "year-range-short", "year-range-long", "n-patents-float", "widths-float",
-             "head-widths-missing-horizon", "method-int", "horizon-int"],
+             "head-widths-missing-horizon", "method-int", "horizon-int", "learning-rate-nan",
+             "weight-nan", "dropout-nan", "exponent-inf",
+             "signal-nan", "external-citations-nan"],
     )
     def test_bad_block_value(self, tmp_path, block, settings, message):
         with pytest.raises(ConfigError, match=message):
@@ -656,30 +685,136 @@ class TestDeterminismAndComposability:
             STAGES[name](cfg_b)
         assert checksums(b) == first
 
+    def test_ingest_run_and_stagewise_identical(self, tmp_path, synth_corpus_small):
+        # an input out of id order, holding the fields a reload could read differently:
+        # an empty party name, citations without in_domain, and an empty cited_id
+        # naming a patent whose id is empty, cited inside its short window by a
+        # patent early enough that the cited one has a full long window
+        objs = [record_to_json_obj(rec) for rec in reversed(synth_corpus_small.records.values())]
+        objs[0]["assignees"][0]["name"] = ""
+        citer = sorted(objs, key=lambda o: o["grant_date"])[len(objs) // 10]
+        grant = dt.date.fromisoformat(citer["grant_date"]) - dt.timedelta(days=200)
+        objs.append({
+            **objs[1], "id": "", "filing_date": (grant - dt.timedelta(days=400)).isoformat(),
+            "grant_date": grant.isoformat(), "backward_citations": [], "priorities": [],
+        })
+        citer["backward_citations"].append(
+            {"country": "US", "filing_date": citer["filing_date"], "cited_id": ""}
+        )
+        for obj in objs:
+            for citation in obj["backward_citations"]:
+                citation.pop("in_domain", None)
+        source = tmp_path / "source.jsonl"
+        source.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        cfg_obj = {
+            "schema": "patimpact-config/1",
+            "seed": 3,
+            "corpus_path": str(source),
+            "train": {"max_epochs": 10, "class_weighting": True, "batch_size": 16},
+            "explain": {"n_instances": 2, "n_permutations": 10},
+            "compare_stl": False,
+        }
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        run_pipeline(config_from_obj({**cfg_obj, "out_dir": str(a)}))
+        cfg_b = config_from_obj({**cfg_obj, "out_dir": str(b)})
+        ctx = RunContext(cfg_b)
+        STAGES["corpus"](cfg_b, ctx)
+        assert ctx.corpus == load_corpus(cfg_b.path("corpus.jsonl"), "H01M")
+        for name in pipeline_stage_names(cfg_b)[1:]:
+            STAGES[name](cfg_b)
+        assert checksums(b) == checksums(a)
+
 
 class TestRunContext:
-    def test_corpus_parsed_once_per_group_of_corpus_stages(self, tmp_path, monkeypatch):
-        paths = []
-        real_load = corpus_mod.load_corpus
+    def test_corpus_parsed_only_from_input_or_by_a_lone_stage(self, tmp_path, monkeypatch):
+        paths, label_reads = [], []
+        real_load, real_read_labels = corpus_mod.load_corpus, pipeline._read_labels
 
         def counting_load(path, *args, **kwargs):
             paths.append(Path(path).name)
             return real_load(path, *args, **kwargs)
 
+        def counting_read_labels(path):
+            label_reads.append(Path(path).name)
+            return real_read_labels(path)
+
         monkeypatch.setattr(corpus_mod, "load_corpus", counting_load)
+        monkeypatch.setattr(pipeline, "_read_labels", counting_read_labels)
+        synth_dir, ingest_dir = tmp_path / "synth", tmp_path / "ingest"
+        synth_dir.mkdir()
+        ingest_dir.mkdir()
         obj = base_config_obj(
-            tmp_path,
+            synth_dir,
             synth={"n_patents": 250, "year_range": [1996, 2011]},
             compare_stl=False,
         )
         obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 16}
         cfg = config_from_obj(obj)
         run_pipeline(cfg)
-        # label+features share one parse, validate+topic-score another
-        assert paths == ["corpus.jsonl", "corpus.jsonl"]
+        # the corpus stage hands its records on, and the context keeps every artifact
+        assert paths == []
+        assert label_reads == ["labels.csv"]
+
+        shutil.copy(cfg.path("corpus.jsonl"), tmp_path / "source.jsonl")
+        del obj["synth"]
+        run_pipeline(config_from_obj(
+            {**obj, "out_dir": str(ingest_dir), "corpus_path": str(tmp_path / "source.jsonl")}
+        ))
+        assert paths == ["source.jsonl"]
+
         paths.clear()
         STAGES["features"](cfg)
         assert paths == ["corpus.jsonl"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(corpus=_hand_built_corpora() | _synthetic_corpora, data=st.data())
+    def test_corpus_stage_passes_on_what_load_corpus_reads_back(self, corpus, data):
+        ids = data.draw(st.permutations(list(corpus.records)), label="insertion order")
+        shuffled = Corpus({pid: corpus.records[pid] for pid in ids}, corpus.domain_ipc_prefix)
+        ingest = data.draw(st.booleans(), label="ingest")
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            pipeline, "generate_synthetic", lambda params: shuffled
+        ):
+            out = Path(tmp)
+            obj = base_config_obj(out)
+            if ingest:
+                source = out / "source.jsonl"
+                source.write_text("".join(
+                    json.dumps(record_to_json_obj(rec)) + "\n"
+                    for rec in shuffled.records.values()
+                ))
+                del obj["synth"]
+                obj["corpus_path"] = str(source)
+            cfg = config_from_obj(obj)
+            ctx = RunContext(cfg)
+            STAGES["corpus"](cfg, ctx)
+            loaded = load_corpus(cfg.path("corpus.jsonl"), cfg.domain_ipc_prefix)
+            assert ctx.corpus == loaded
+            assert list(ctx.corpus.records) == list(loaded.records)
+
+    def test_each_stage_loads_what_stage_reads_declares(
+        self, completed_run, tmp_path, monkeypatch
+    ):
+        cfg, _ = completed_run
+        shutil.copytree(cfg.out_dir, tmp_path, dirs_exist_ok=True)
+        obj = base_config_obj(tmp_path, grid={"space": {"learning_rate": [1e-3]}, "k": 2})
+        obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 8}
+        cfg = config_from_obj(obj)
+        loads = []
+        real_load = RunContext._load
+
+        def recording_load(ctx, name, parse):
+            loads.append(name)
+            return real_load(ctx, name, parse)
+
+        monkeypatch.setattr(RunContext, "_load", recording_load)
+        for name in STAGES:
+            loads.clear()
+            STAGES[name](cfg, **({"k": 2} if name == "cv" else {}))
+            assert set(loads) == set(STAGE_READS[name]), name
 
 
 class TestIngest:
@@ -837,8 +972,12 @@ class TestCli:
             {"grid": {"space": {"warp_factor": [9]}}},
             {"grid": {"space": {"learning_rate": 1e-3}}},
             {"grid": {"space": {"learning_rate": [1e-3]}, "k": 1}},
+            # json.dumps writes these as NaN and Infinity
+            {"train": {"learning_rate": math.nan}},
+            {"synth": {"citation_attachment_exponent": math.inf}},
         ],
-        ids=["synth", "explain", "validation", "topic", "grid-key", "grid-value", "grid-k"],
+        ids=["synth", "explain", "validation", "topic", "grid-key", "grid-value", "grid-k",
+             "train-nan", "synth-infinity"],
     )
     def test_bad_config_block_exits_1_before_any_stage(self, tmp_path, overrides):
         config = self._write_config(tmp_path, **overrides)
