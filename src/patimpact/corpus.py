@@ -272,10 +272,12 @@ def _parse_record(obj: object, domain_ipc_prefix: str) -> PatentRecord:
     """Build a record, turning every malformed field into a CorpusError."""
     if not isinstance(obj, dict):
         raise CorpusError(f"record is a JSON {type(obj).__name__}, not an object")
-    try:
-        patent_id = str(obj["id"])
-    except KeyError:
-        raise CorpusError("record without id") from None
+    if "id" not in obj:
+        raise CorpusError("record without id")
+    patent_id = obj["id"]
+    # ids key the corpus and resolve citations, so none is coerced from another type
+    if not isinstance(patent_id, str) or not patent_id:
+        raise CorpusError(f"id must be a non-empty JSON string, got {patent_id!r}")
     try:
         return _build_record(obj, patent_id, domain_ipc_prefix)
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -244,6 +244,10 @@ class MtlModel:
     def tasks(self) -> tuple[Horizon, ...]:
         return self.config.tasks
 
+    def __reduce__(self):
+        # pickle rebuilds the layout, so every W and b of the copy views its flat
+        return _rebuilt_model, (self.config, self.flat, self.standardizer, self.history)
+
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """Flat (name, array) view in a fixed order; arrays are live views."""
         out = []
@@ -295,6 +299,18 @@ def _zero_model(config: NetworkConfig) -> MtlModel:
 
     shared, *heads = [[layer(*d) for d in chain_dims] for chain_dims in dims]
     return MtlModel(config=config, shared=shared, heads=dict(zip(config.tasks, heads)), flat=flat)
+
+
+def _rebuilt_model(
+    config: NetworkConfig,
+    flat: np.ndarray,
+    standardizer: Optional[Standardizer],
+    history: list[EpochStats],
+) -> MtlModel:
+    model = _zero_model(config)
+    model.flat[...] = flat
+    model.standardizer, model.history = standardizer, history
+    return model
 
 
 def init_network(config: NetworkConfig) -> MtlModel:
@@ -965,8 +981,10 @@ def save_checkpoint(path, model: MtlModel) -> None:
         ],
         "history": [to_json(e) for e in model.history],
     }
+    # json.dumps runs the C encoder; json.dump, which streams, never does
+    text = json.dumps(obj, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

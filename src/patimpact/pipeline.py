@@ -7,7 +7,10 @@ prior-stage files from the output directory, and derives its RNG seed from
 the global seed and its stage name, so a full run and a manual stage-by-stage
 run produce identical artifacts. Stages read their inputs through a
 RunContext, which parses each artifact once; a full run shares one context
-across its stages, and a stage called on its own builds its own.
+across its stages, and a stage called on its own builds its own. The context
+also runs the independent units of train (the four models) and explain (the
+instances) in worker processes, at most one per CPU; the artifacts do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -366,8 +370,10 @@ def _write_csv(path, header: list, rows, lineterminator: str = "\r\n") -> None:
 
 
 def _write_json(path, obj, indent: Optional[int] = 2) -> None:
+    # json.dumps runs the C encoder when there is no indent; json.dump never does
+    text = json.dumps(obj, indent=indent, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -399,20 +405,76 @@ def _read_features(path) -> tuple[dict[str, int], np.ndarray]:
     return {pid: i for i, pid in enumerate(ids)}, matrix
 
 
+# The BLAS threads of each pool worker: the workers share the CPUs between them
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _worker_count(n_units: int) -> int:
+    """Processes to run ``n_units`` independent units: one per CPU in this
+    process's affinity mask, and no more than there are units."""
+    return min(len(os.sched_getaffinity(0)), n_units)
+
+
 class RunContext:
-    """One run's config plus the artifacts its stages read.
+    """One run's config, the artifacts its stages read, and its worker pool.
 
     Each artifact is parsed from the output directory at most once and kept
     until the run ends; a missing one is a StageError of the running stage.
     The corpus stage hands over the corpus it wrote, so a full run never
     parses ``corpus.jsonl``. A context serves one run, in which every
-    artifact is written before it is read.
+    artifact is written before it is read. Whoever creates a context closes
+    it, which stops the pool that `map` may have started.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.stage = ""
         self._loaded: dict[str, object] = {}
+        self._pool = None
+
+    def map(self, fn: Callable, units) -> list:
+        """``[fn(*unit) for unit in units]``, in the order of ``units``.
+
+        With more than one unit and CPU the units run in worker processes of
+        one ``spawn`` pool per context, started on first use. A call starts
+        no more workers than `_worker_count` allows, and each worker runs
+        BLAS on one thread.
+        """
+        units = list(units)
+        if _worker_count(len(units)) <= 1:
+            return [fn(*unit) for unit in units]
+        # imported here, so that a process that never runs a pool does not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        saved = {name: os.environ.get(name) for name in _WORKER_ENV}
+        os.environ.update(_WORKER_ENV)
+        try:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    len(os.sched_getaffinity(0)), mp_context=multiprocessing.get_context("spawn")
+                )
+            # a spawn pool starts a worker in submit, when no started one is idle,
+            # so every worker inherits the pinned environment
+            futures = [self._pool.submit(fn, *unit) for unit in units]
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            self.close()
+            raise StageError(self.stage, f"a worker process died: {exc}") from None
+
+    def close(self) -> None:
+        """Stop the worker pool, if `map` started one."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
 
     def require(self, *names: str) -> None:
         missing = [n for n in names if not self.cfg.path(n).exists()]
@@ -467,14 +529,20 @@ STAGE_READS: dict[str, tuple[str, ...]] = {}
 def _stage(name: str, reads: tuple[str, ...] = ()):
     """Register ``body(ctx, **kwargs)`` in STAGES as ``stage(cfg, ctx=None, **kwargs)``.
 
-    Without a ``ctx`` the stage reads through a context of its own. A
-    ValueError or OSError becomes a StageError; a CorpusError passes as is.
+    Without a ``ctx`` the stage runs in a context of its own, which it closes
+    when it ends. A ValueError or OSError becomes a StageError; a CorpusError
+    passes as is.
     """
 
     def register(body):
         @wraps(body)
         def stage(cfg: PipelineConfig, ctx: Optional[RunContext] = None, **kwargs):
-            ctx = ctx if ctx is not None else RunContext(cfg)
+            if ctx is None:
+                own = RunContext(cfg)
+                try:
+                    return stage(cfg, own, **kwargs)
+                finally:
+                    own.close()
             ctx.stage = name
             try:
                 return body(ctx, **kwargs)
@@ -669,6 +737,19 @@ def _configs_for_training(
     )
 
 
+def _fit(
+    network: mtl_mod.NetworkConfig,
+    X: np.ndarray,
+    labels: dict[Horizon, np.ndarray],
+    train_cfg: mtl_mod.TrainConfig,
+    task: Optional[Horizon] = None,
+) -> mtl_mod.MtlModel:
+    """The trained multi-task model or, given a ``task``, its single-task model."""
+    if task is None:
+        return mtl_mod.train(mtl_mod.init_network(network), X, labels, train_cfg)
+    return mtl_mod.train_stl(task, X, labels[task], train_cfg, network=network)
+
+
 @_stage("train", reads=(F_LABELS, F_FEATURES))
 def stage_train(ctx: RunContext) -> list[str]:
     """Fit the standardizer and the multi-task model (plus ablations)."""
@@ -685,24 +766,25 @@ def stage_train(ctx: RunContext) -> list[str]:
 
     network, train_cfg = _configs_for_training(ctx)
     X = std.transform(X_train)
-    model = mtl_mod.init_network(network)
-    model.standardizer = std
+    stl_tasks = HORIZONS if cfg.compare_stl else ()
     try:
-        mtl_mod.train(model, X, labels, train_cfg)
+        # independent units, the largest (the multi-task model) first
+        model, *stls = ctx.map(
+            _fit, [(network, X, labels, train_cfg, task) for task in (None, *stl_tasks)]
+        )
     except RuntimeError as exc:
         raise StageError("train", str(exc)) from None
+    model.standardizer = std
     mtl_mod.save_checkpoint(cfg.path(F_MODEL), model)
     # training_log.csv ends lines with LF, not CRLF; existing logs and checksums pin that
     _write_csv(cfg.path(F_TRAINING_LOG), *mtl_mod.training_log_rows(model), lineterminator="\n")
     outputs = [F_SPLIT, F_MODEL, F_TRAINING_LOG]
 
-    if cfg.compare_stl:
-        for h in HORIZONS:
-            stl = mtl_mod.train_stl(h, X, labels[h], train_cfg, network=network)
-            stl.standardizer = std
-            name = f"stl_{h.key}.ckpt.json"
-            mtl_mod.save_checkpoint(cfg.path(name), stl)
-            outputs.append(name)
+    for h, stl in zip(stl_tasks, stls):
+        stl.standardizer = std
+        name = f"stl_{h.key}.ckpt.json"
+        mtl_mod.save_checkpoint(cfg.path(name), stl)
+        outputs.append(name)
     return outputs
 
 
@@ -785,19 +867,22 @@ def stage_explain(ctx: RunContext) -> list[str]:
 
     grouping = explain_mod.default_grouping()
     trajectory_of = {r.patent_id: r.trajectory for r in ctx.labels}
-    by_target = explain_mod.attribute_instances(
-        model,
-        {pid: std.transform(x) for pid, x in zip(instance_ids, raw)},
-        background,
-        target=[
-            explain_mod.AttributionTarget(horizon=h, impact_class=cfg.explain.target_class)
-            for h in HORIZONS
-        ],
-        grouping=grouping,
-        n_permutations=cfg.explain.n_permutations,
-        seed=seed,
-        display_values=dict(zip(instance_ids, raw)),
-    )
+    targets = [
+        explain_mod.AttributionTarget(horizon=h, impact_class=cfg.explain.target_class)
+        for h in HORIZONS
+    ]
+    # one unit per instance; each instance's Shapley seed derives from its id
+    per_instance = ctx.map(explain_mod.attribute_instances, [
+        (
+            model, {pid: std.transform(x)}, background, targets, grouping,
+            cfg.explain.n_permutations, seed, {pid: x},
+        )
+        for pid, x in zip(instance_ids, raw)
+    ])
+    # each unit gives a (target, [row]) pair per target
+    by_target = [
+        (target, [pairs[k][1][0] for pairs in per_instance]) for k, target in enumerate(targets)
+    ]
     _write_csv(cfg.path(F_ATTRIBUTIONS), *explain_mod.attribution_rows(by_target, grouping))
     outputs = [F_ATTRIBUTIONS]
 
@@ -1085,15 +1170,18 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     cfg.validate()
     manifest = RunManifest(config_hash=cfg.config_hash(), seed=cfg.seed)
     ctx = RunContext(cfg)
-    for name in pipeline_stage_names(cfg):
-        t0 = time.perf_counter()
-        try:
-            outputs = STAGES[name](cfg, ctx)
-        except (StageError, CorpusError) as exc:
-            manifest.error = str(exc) if isinstance(exc, StageError) else f"[{name}] {exc}"
-            _write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
-            raise
-        seconds = round(time.perf_counter() - t0, 3)
-        manifest.stages.append(StageRecord(name, seconds, _inventory(cfg, outputs)))
+    try:
+        for name in pipeline_stage_names(cfg):
+            t0 = time.perf_counter()
+            try:
+                outputs = STAGES[name](cfg, ctx)
+            except (StageError, CorpusError) as exc:
+                manifest.error = str(exc) if isinstance(exc, StageError) else f"[{name}] {exc}"
+                _write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
+                raise
+            seconds = round(time.perf_counter() - t0, 3)
+            manifest.stages.append(StageRecord(name, seconds, _inventory(cfg, outputs)))
+    finally:
+        ctx.close()
     _write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
     return manifest

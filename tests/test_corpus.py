@@ -355,6 +355,19 @@ class TestArbitraryFieldValues:
                     pass
 
 
+    # str() once made these the ids "None", "5", "True", "[1]" and "{'a': 1}"
+    @pytest.mark.parametrize(
+        "value", [None, 5, 1.5, True, [1], {"a": 1}, ""],
+        ids=["null", "int", "float", "bool", "list", "object", "empty"],
+    )
+    def test_id_must_be_a_non_empty_string(self, tmp_path, value):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, [_record_obj("B", "2005-01-01"), {**_FULL_RECORD, "id": value}])
+        with pytest.raises(CorpusError, match=r":2: id must be a non-empty JSON string"):
+            load_corpus(path, "H01M")
+        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
+
+
 class TestRoundTripProperty:
     """load(save(c)) gives c's records, and saving them again the same bytes."""
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import pickle
 import re
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -20,8 +23,9 @@ from hypothesis import strategies as st
 
 from patimpact import cli, mtl, pipeline
 from patimpact import corpus as corpus_mod
+from patimpact import explain as explain_mod
 from patimpact.corpus import HORIZONS, Corpus, ImpactClass, load_corpus, record_to_json_obj
-from patimpact.indicators import FEATURE_NAMES
+from patimpact.indicators import FEATURE_NAMES, N_FEATURES, fit_standardizer
 from patimpact.pipeline import (
     ConfigError,
     F_MANIFEST,
@@ -688,16 +692,10 @@ class TestDeterminismAndComposability:
     def test_ingest_run_and_stagewise_identical(self, tmp_path, synth_corpus_small):
         # an input out of id order, holding the fields a reload could read differently:
         # an empty party name, citations without in_domain, and an empty cited_id
-        # naming a patent whose id is empty, cited inside its short window by a
-        # patent early enough that the cited one has a full long window
+        # (an empty id is a CorpusError, so no patent can be the one it names)
         objs = [record_to_json_obj(rec) for rec in reversed(synth_corpus_small.records.values())]
         objs[0]["assignees"][0]["name"] = ""
         citer = sorted(objs, key=lambda o: o["grant_date"])[len(objs) // 10]
-        grant = dt.date.fromisoformat(citer["grant_date"]) - dt.timedelta(days=200)
-        objs.append({
-            **objs[1], "id": "", "filing_date": (grant - dt.timedelta(days=400)).isoformat(),
-            "grant_date": grant.isoformat(), "backward_citations": [], "priorities": [],
-        })
         citer["backward_citations"].append(
             {"country": "US", "filing_date": citer["filing_date"], "cited_id": ""}
         )
@@ -815,6 +813,97 @@ class TestRunContext:
             loads.clear()
             STAGES[name](cfg, **({"k": 2} if name == "cv" else {}))
             assert set(loads) == set(STAGE_READS[name]), name
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    """Make this process's affinity mask hold ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestWorkerPool:
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        in_process = []
+        for name, module in (("train", mtl), ("shapley_sampled", explain_mod)):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *a, real=real, name=name, **kw: (in_process.append(name), real(*a, **kw))[1],
+            )
+        digests, calls = {}, {}
+        for workers in (1, 2):
+            _cpus(monkeypatch, workers)
+            in_process.clear()
+            out = tmp_path / f"workers-{workers}"
+            out.mkdir()
+            # 300 patents, the multi-task and three single-task models, 3 instances
+            run_pipeline(config_from_obj(base_config_obj(out)))
+            digests[workers], calls[workers] = checksums(out), sorted(in_process)
+        assert len(digests[1]) == 25
+        assert digests[2] == digests[1]
+        # one process trains 4 models and explains 3 instances; a pool leaves none to it
+        assert calls == {1: ["shapley_sampled"] * 3 + ["train"] * 4, 2: []}
+
+    def test_worker_count_is_capped_by_the_units(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 10_000)
+        assert [pipeline._worker_count(n) for n in (0, 1, 7)] == [0, 1, 7]
+        ctx = RunContext(config_from_obj(base_config_obj(tmp_path)))
+        # one unit runs in process, whatever the CPU count
+        assert ctx.map(os.getpid, [()]) == [os.getpid()]
+        assert ctx._pool is None
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_a_stage_error(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 2)
+        ctx = RunContext(config_from_obj(base_config_obj(tmp_path)))
+        ctx.stage = "explain"
+        raised = []
+
+        def run_units():
+            try:
+                ctx.map(os._exit, [(1,), (1,)])
+            except StageError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run_units, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        try:
+            assert not thread.is_alive(), "the pool hung on a dead worker"
+            assert len(raised) == 1
+            assert raised[0].stage == "explain"
+            assert "worker process died" in str(raised[0])
+            assert ctx._pool is None
+        finally:
+            ctx.close()
+
+    def test_workers_run_blas_on_one_thread(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 2)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        ctx = RunContext(config_from_obj(base_config_obj(tmp_path)))
+        try:
+            assert ctx.map(os.getenv, [(name,) for name in names]) == ["1", "1", "1"]
+        finally:
+            ctx.close()
+        assert dict(os.environ) == before
+
+    def test_a_pickled_model_views_its_flat_vector(self):
+        model = mtl.init_network(mtl.NetworkConfig(seed=5))
+        model.standardizer = fit_standardizer(np.random.default_rng(4).normal(size=(20, 44)))
+        model.history = [mtl.EpochStats(0, 1.5, 1.25, {h: 0.5 for h in HORIZONS},
+                                        {h: 0.25 for h in HORIZONS})]
+        copy = pickle.loads(pickle.dumps(model))
+        for (name, original), (_, copied) in zip(model.parameters(), copy.parameters()):
+            assert np.shares_memory(copied, copy.flat), name
+            np.testing.assert_array_equal(copied, original)
+        assert copy.history == model.history
+        assert copy.standardizer.to_json_obj() == model.standardizer.to_json_obj()
+        X = np.random.default_rng(6).normal(size=(7, N_FEATURES))
+        expected, got = mtl.infer_logits(model, X), mtl.infer_logits(copy, X)
+        for h in HORIZONS:
+            np.testing.assert_array_equal(got[h], expected[h])
 
 
 class TestIngest:
