@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import logging
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
-
-log = logging.getLogger(__name__)
 
 IPC_SECTIONS = "ABCDEFGH"
 
@@ -357,12 +354,9 @@ def _build_record(obj: dict, patent_id: str, domain_ipc_prefix: str) -> PatentRe
     )
 
 
-def load_corpus(path, domain_ipc_prefix: str, strict: bool = True) -> Corpus:
-    """Load a JSONL corpus (one patent record per line).
-
-    In strict mode any malformed record aborts the load; in lenient mode bad
-    records are skipped with a warning. Duplicate ids are always fatal.
-    """
+def load_corpus(path, domain_ipc_prefix: str) -> Corpus:
+    """Load a JSONL corpus (one patent record per line); any malformed record,
+    and any duplicate id, aborts the load with a CorpusError."""
     records: dict[str, PatentRecord] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -382,18 +376,12 @@ def load_corpus(path, domain_ipc_prefix: str, strict: bool = True) -> Corpus:
                 raise CorpusError(f"malformed JSON: {exc}") from None
             rec = _parse_record(obj, domain_ipc_prefix)
         except CorpusError as exc:
-            if strict:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from None
-            log.warning("%s:%d: skipping record: %s", path, lineno, exc)
-            continue
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
         if rec.id in records:
             raise CorpusError(f"{path}:{lineno}: duplicate patent id {rec.id!r}")
         problems = rec.validate()
         if problems:
-            if strict:
-                raise CorpusError(f"{path}:{lineno}: " + "; ".join(problems))
-            log.warning("%s:%d: skipping record: %s", path, lineno, problems)
-            continue
+            raise CorpusError(f"{path}:{lineno}: " + "; ".join(problems))
         records[rec.id] = rec
 
     return Corpus(records=records, domain_ipc_prefix=domain_ipc_prefix)

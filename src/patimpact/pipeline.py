@@ -352,8 +352,12 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
 # --------------------------------------------------------------------------
 
 def _read_csv(path) -> list[dict]:
+    """The rows of a table keyed by its header; a row of another length is a ValueError."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        header, *rows = csv.reader(fh)
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"a row does not have the header's {len(header)} fields")
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _write_csv(path, header: list, rows, lineterminator: str = "\r\n") -> None:
@@ -399,12 +403,6 @@ def _read_labels(path) -> tuple[list[LabelRow], dict[str, LabelRow]]:
     return rows, {r.patent_id: r for r in rows}
 
 
-def _read_features(path) -> tuple[dict[str, int], np.ndarray]:
-    """The row of each patent id in features.csv and the feature matrix."""
-    ids, matrix = ind.load_features_csv(path)
-    return {pid: i for i, pid in enumerate(ids)}, matrix
-
-
 # The BLAS threads of each pool worker: the workers share the CPUs between them
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -418,12 +416,13 @@ def _worker_count(n_units: int) -> int:
 class RunContext:
     """One run's config, the artifacts its stages read, and its worker pool.
 
-    Each artifact is parsed from the output directory at most once and kept
-    until the run ends; a missing one is a StageError of the running stage.
-    The corpus stage hands over the corpus it wrote, so a full run never
-    parses ``corpus.jsonl``. A context serves one run, in which every
-    artifact is written before it is read. Whoever creates a context closes
-    it, which stops the pool that `map` may have started.
+    `read` is the one reader of artifacts. It parses each at most once and
+    keeps it until the run ends; a missing or malformed one is a StageError
+    of the running stage that names it. The corpus stage hands over the
+    corpus it wrote, so a full run never parses ``corpus.jsonl``. A context
+    serves one run, in which every artifact is written before it is read.
+    Whoever creates a context closes it, which stops the pool that `map`
+    may have started.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -476,18 +475,38 @@ class RunContext:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
-    def require(self, *names: str) -> None:
-        missing = [n for n in names if not self.cfg.path(n).exists()]
-        if missing:
-            raise StageError(
-                self.stage, f"missing prerequisite file(s): {', '.join(missing)}"
-            )
+    def read(self, *names: str, optional: bool = False):
+        """The parsed artifact ``name``, or a tuple of them for several names;
+        with ``optional`` a missing one is None. A bad corpus is a CorpusError."""
+        missing = [n for n in names if n not in self._loaded and not self.cfg.path(n).exists()]
+        if missing and not optional:
+            hints = sorted({_RERUN_HINTS[n] for n in missing if n in _RERUN_HINTS})
+            raise StageError(self.stage, "; ".join(
+                [f"missing prerequisite file(s): {', '.join(missing)}", *hints]
+            ))
+        for name in names:
+            if name not in self._loaded and name not in missing:
+                self._loaded[name] = self._parse(name, self.cfg.path(name))
+        values = tuple(self._loaded.get(n) for n in names)
+        return values[0] if len(names) == 1 else values
 
-    def _load(self, name: str, parse: Callable):
-        if name not in self._loaded:
-            self.require(name)
-            self._loaded[name] = parse(self.cfg.path(name))
-        return self._loaded[name]
+    def _parse(self, name: str, path: Path):
+        if name == F_CORPUS:
+            return corpus_mod.load_corpus(path, self.cfg.domain_ipc_prefix)
+        try:
+            if name == F_LABELS:
+                return _read_labels(path)
+            if name == F_FEATURES:
+                ids, matrix = ind.load_features_csv(path)
+                return {pid: i for i, pid in enumerate(ids)}, matrix
+            if name.endswith(".ckpt.json"):
+                return mtl_mod.load_checkpoint(path)
+            if name.endswith(".json"):
+                return json.loads(path.read_text(encoding="utf-8"))
+            return _read_csv(path)
+        # what a malformed table, JSON value or checkpoint raises while it is parsed
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError, csv.Error) as exc:
+            raise StageError(self.stage, f"cannot parse {name}: {exc}") from None
 
     def keep(self, name: str, value) -> None:
         """Hold ``value`` as the artifact ``name`` the running stage just wrote;
@@ -496,37 +515,31 @@ class RunContext:
 
     @property
     def corpus(self) -> Corpus:
-        return self._load(
-            F_CORPUS, lambda p: corpus_mod.load_corpus(p, self.cfg.domain_ipc_prefix)
-        )
+        return self.read(F_CORPUS)
 
     @property
     def labels(self) -> list[LabelRow]:
-        return self._load(F_LABELS, _read_labels)[0]
+        return self.read(F_LABELS)[0]
 
     @property
     def label_by_id(self) -> dict[str, LabelRow]:
-        return self._load(F_LABELS, _read_labels)[1]
+        return self.read(F_LABELS)[1]
 
     def feature_rows(self, ids) -> np.ndarray:
-        pos, matrix = self._load(F_FEATURES, _read_features)
+        pos, matrix = self.read(F_FEATURES)
         return matrix[[pos[p] for p in ids]]
 
-    @property
-    def split(self) -> dict:
-        return self._load(F_SPLIT, lambda p: json.loads(p.read_text(encoding="utf-8")))
 
-    @property
-    def model(self) -> mtl_mod.MtlModel:
-        return self._load(F_MODEL, mtl_mod.load_checkpoint)
+# what writes the artifacts that only some configs make a run write
+_RERUN_HINTS = {F_BEST_CONFIG: "run gridsearch"} | {
+    f"stl_{h.key}.ckpt.json": "rerun train" for h in HORIZONS
+}
 
 
 STAGES: dict[str, Callable[..., list[str]]] = {}
-# the artifact files each stage reads through its context
-STAGE_READS: dict[str, tuple[str, ...]] = {}
 
 
-def _stage(name: str, reads: tuple[str, ...] = ()):
+def _stage(name: str):
     """Register ``body(ctx, **kwargs)`` in STAGES as ``stage(cfg, ctx=None, **kwargs)``.
 
     Without a ``ctx`` the stage runs in a context of its own, which it closes
@@ -550,7 +563,6 @@ def _stage(name: str, reads: tuple[str, ...] = ()):
                 raise StageError(name, str(exc)) from exc
 
         STAGES[name] = stage
-        STAGE_READS[name] = reads
         return stage
 
     return register
@@ -592,7 +604,7 @@ def _modeling_ids(corpus: Corpus) -> tuple[list[str], dict[str, int]]:
     return modeling, excluded
 
 
-@_stage("label", reads=(F_CORPUS,))
+@_stage("label")
 def stage_label(ctx: RunContext) -> list[str]:
     """Count forward citations, derive/emit thresholds, write class labels."""
     cfg, corpus = ctx.cfg, ctx.corpus
@@ -637,7 +649,7 @@ def stage_label(ctx: RunContext) -> list[str]:
     return [F_THRESHOLDS, F_LABELS]
 
 
-@_stage("features", reads=(F_CORPUS, F_LABELS))
+@_stage("features")
 def stage_features(ctx: RunContext) -> list[str]:
     """Extract the indicator matrix for every labeled patent."""
     ids = [row.patent_id for row in ctx.labels]
@@ -661,7 +673,7 @@ def _temporal_split(ctx: RunContext) -> tuple[list[str], list[str], int]:
         log.warning("%d labeled patents are newer than the test year", newer)
     if not train_ids or not test_ids:
         raise StageError(
-            "train",
+            ctx.stage,
             f"temporal split at {test_year} leaves {len(train_ids)} train / "
             f"{len(test_ids)} test patents",
         )
@@ -679,7 +691,7 @@ def _training_set(
     }
 
 
-@_stage("gridsearch", reads=(F_LABELS, F_FEATURES))
+@_stage("gridsearch")
 def stage_gridsearch(ctx: RunContext) -> list[str]:
     """Exhaustive hyperparameter search on the training split."""
     cfg = ctx.cfg
@@ -725,12 +737,7 @@ def _configs_for_training(
     cfg = ctx.cfg
     if cfg.grid is None:
         return cfg.network, cfg.train
-    best_path = cfg.path(F_BEST_CONFIG)
-    if not best_path.exists():
-        raise StageError(
-            "train", f"config has grid.space but {F_BEST_CONFIG} is missing; run gridsearch"
-        )
-    best = json.loads(best_path.read_text(encoding="utf-8"))
+    best = ctx.read(F_BEST_CONFIG)
     return (
         mtl_mod.from_json(mtl_mod.NetworkConfig, best["network"]),
         mtl_mod.from_json(mtl_mod.TrainConfig, best["train"], seed=cfg.train.seed),
@@ -750,7 +757,7 @@ def _fit(
     return mtl_mod.train_stl(task, X, labels[task], train_cfg, network=network)
 
 
-@_stage("train", reads=(F_LABELS, F_FEATURES))
+@_stage("train")
 def stage_train(ctx: RunContext) -> list[str]:
     """Fit the standardizer and the multi-task model (plus ablations)."""
     cfg = ctx.cfg
@@ -795,10 +802,10 @@ def _confusion(actual, predicted) -> metrics_mod.ConfusionMatrix3:
     )
 
 
-@_stage("evaluate", reads=(F_LABELS, F_FEATURES, F_SPLIT, F_MODEL))
+@_stage("evaluate")
 def stage_evaluate(ctx: RunContext) -> list[str]:
     """Predict, tabulate confusion matrices, and export metric tables."""
-    cfg, model, split, by_id = ctx.cfg, ctx.model, ctx.split, ctx.label_by_id
+    cfg, (model, split), by_id = ctx.cfg, ctx.read(F_MODEL, F_SPLIT), ctx.label_by_id
     all_ids = split["train_ids"] + split["test_ids"]
     n_train = len(split["train_ids"])
     X = model.standardizer.transform(ctx.feature_rows(all_ids))
@@ -829,13 +836,11 @@ def stage_evaluate(ctx: RunContext) -> list[str]:
     outputs = [F_PREDICTIONS, F_METRICS, F_METRICS_JSON]
 
     if cfg.compare_stl:
-        stl_cms = {}
-        for h in HORIZONS:
-            path = cfg.path(f"stl_{h.key}.ckpt.json")
-            if not path.exists():
-                raise StageError("evaluate", f"missing {path.name}; rerun train")
-            stl = mtl_mod.load_checkpoint(path)
-            stl_cms[h] = _confusion(actual[h], mtl_mod.predict_batch(stl, X[test_index])[h])
+        stls = ctx.read(*(f"stl_{h.key}.ckpt.json" for h in HORIZONS))
+        stl_cms = {
+            h: _confusion(actual[h], mtl_mod.predict_batch(stl, X[test_index])[h])
+            for h, stl in zip(HORIZONS, stls)
+        }
         comparison = metrics_mod.compare_models(mtl_cms, stl_cms)
         _write_csv(
             cfg.path(F_COMPARISON),
@@ -846,10 +851,10 @@ def stage_evaluate(ctx: RunContext) -> list[str]:
     return outputs
 
 
-@_stage("explain", reads=(F_LABELS, F_FEATURES, F_SPLIT, F_MODEL))
+@_stage("explain")
 def stage_explain(ctx: RunContext) -> list[str]:
     """Sampled Shapley attributions for a seeded subset of test patents."""
-    cfg, model, split = ctx.cfg, ctx.model, ctx.split
+    cfg, (model, split) = ctx.cfg, ctx.read(F_MODEL, F_SPLIT)
     std = model.standardizer
     seed = cfg.stage_seed("explain")
 
@@ -917,17 +922,14 @@ def _predicted_classes(
 ) -> dict[Horizon, dict[str, ImpactClass]]:
     """Classes per horizon from predictions.csv: its ``actual`` or
     ``predicted`` columns, for every patent or (``scope="test"``) the test split."""
-    ctx.require(F_PREDICTIONS)
-    out: dict[Horizon, dict[str, ImpactClass]] = {h: {} for h in HORIZONS}
-    for rec in _read_csv(ctx.cfg.path(F_PREDICTIONS)):
-        if scope == "test" and rec["split"] != "test":
-            continue
-        for h in HORIZONS:
-            out[h][rec["patent_id"]] = ImpactClass.from_name(rec[f"{h.key}_{group_by}"])
-    return out
+    rows = [r for r in ctx.read(F_PREDICTIONS) if scope == "all" or r["split"] == "test"]
+    return {
+        h: {r["patent_id"]: ImpactClass.from_name(r[f"{h.key}_{group_by}"]) for r in rows}
+        for h in HORIZONS
+    }
 
 
-@_stage("validate", reads=(F_CORPUS,))
+@_stage("validate")
 def stage_validate(ctx: RunContext) -> list[str]:
     """Ordered-trend tests of post-hoc value indicators per horizon."""
     cfg = ctx.cfg
@@ -948,7 +950,7 @@ def stage_validate(ctx: RunContext) -> list[str]:
     return [F_VALIDATION]
 
 
-@_stage("topic-score", reads=(F_CORPUS, F_LABELS))
+@_stage("topic-score")
 def stage_topic_score(ctx: RunContext) -> list[str]:
     """Class-weighted topic impact scores per grant year."""
     cfg, h = ctx.cfg, ctx.cfg.topic.horizon
@@ -968,7 +970,7 @@ def stage_topic_score(ctx: RunContext) -> list[str]:
     return [F_TOPIC_CSV, F_TOPIC_JSON]
 
 
-@_stage("cv", reads=(F_LABELS, F_FEATURES))
+@_stage("cv")
 def stage_cv(ctx: RunContext, k: int = 5) -> list[str]:
     """Stratified k-fold cross-validation of the configured model."""
     cfg = ctx.cfg
@@ -1030,13 +1032,14 @@ def _metric_tables(rows: list[dict], last: str, last_title: str, cell) -> list[s
     return lines
 
 
-@_stage("report", reads=(F_LABELS,))
+@_stage("report")
 def stage_report(ctx: RunContext) -> list[str]:
     """Merge stage outputs into one human-readable markdown summary."""
     cfg = ctx.cfg
-    ctx.require(F_THRESHOLDS, F_LABELS, F_METRICS)
-    thresholds = json.loads(cfg.path(F_THRESHOLDS).read_text(encoding="utf-8"))
-    rows = ctx.labels
+    thresholds, (rows, _), metrics = ctx.read(F_THRESHOLDS, F_LABELS, F_METRICS)
+    comparison, attributions, validation, topic_rows = ctx.read(
+        F_COMPARISON, F_ATTRIBUTIONS, F_VALIDATION, F_TOPIC_CSV, optional=True
+    )
 
     lines = [
         "# Technology impact analysis report",
@@ -1062,23 +1065,21 @@ def stage_report(ctx: RunContext) -> list[str]:
     lines += [f"- {name}: {traj_counts[name]}" for name in sorted(traj_counts)]
     lines += ["", "## Test-set performance (multi-task model)", ""]
     lines += _metric_tables(
-        _read_csv(cfg.path(F_METRICS)), "overall_macro", "overall (macro)",
-        lambda r: f"{float(r['value']):.4f}",
+        metrics, "overall_macro", "overall (macro)", lambda r: f"{float(r['value']):.4f}"
     )
 
-    if cfg.path(F_COMPARISON).exists():
+    if comparison is not None:
         lines += ["## Single-task ablation (value and delta vs multi-task)", ""]
         lines += _metric_tables(
-            _read_csv(cfg.path(F_COMPARISON)), "overall", "overall",
+            comparison, "overall", "overall",
             lambda r: f"{float(r['value']):.4f} ({float(r['delta_vs_reference']):+.4f})",
         )
 
-    if cfg.path(F_ATTRIBUTIONS).exists():
+    if attributions is not None:
         lines += ["## Attribution: top indicators per horizon", ""]
-        att_rows = _read_csv(cfg.path(F_ATTRIBUTIONS))
         for h in HORIZONS:
             phis: dict[str, list[float]] = {}
-            for r in att_rows:
+            for r in attributions:
                 if r["horizon"] == h.key:
                     phis.setdefault(r["group"], []).append(abs(float(r["phi"])))
             ranked = explain_mod.rank_groups((g, sum(v) / len(v)) for g, v in phis.items())
@@ -1087,7 +1088,7 @@ def stage_report(ctx: RunContext) -> list[str]:
                 lines.append(f"- **{h.key}-term**: {top}")
         lines.append("")
 
-    if cfg.path(F_VALIDATION).exists():
+    if validation is not None:
         lines += [
             "## Ordered-trend validation of post-hoc value indicators",
             "",
@@ -1097,13 +1098,12 @@ def stage_report(ctx: RunContext) -> list[str]:
         lines += [
             f"| {r['horizon']} | {r['indicator']} | {float(r['jt_statistic']):.4f} | "
             f"{float(r['z']):.4f} | {float(r['p_value']):.4f} | {r['method']} |"
-            for r in _read_csv(cfg.path(F_VALIDATION))
+            for r in validation
         ]
         lines.append("")
 
-    if cfg.path(F_TOPIC_CSV).exists():
+    if topic_rows is not None:
         lines += ["## Topic impact scores by grant year", ""]
-        topic_rows = _read_csv(cfg.path(F_TOPIC_CSV))
         years = sorted({int(r["year"]) for r in topic_rows})
         topics = sorted({r["topic"] for r in topic_rows})
         score = {(r["topic"], int(r["year"])): float(r["score"]) for r in topic_rows}

@@ -123,15 +123,12 @@ class TestLoading:
         _write_jsonl(path, [bad, _record_obj("B", "2006-01-01")])
         with pytest.raises(CorpusError):
             load_corpus(path, "H01M")
-        corpus = load_corpus(path, "H01M", strict=False)
-        assert corpus.ids() == ["B"]
 
     def test_non_object_line_strict_vs_lenient(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("[1, 2]\n" + json.dumps(_record_obj("B", "2006-01-01")) + "\n")
         with pytest.raises(CorpusError, match=r":1: record is a JSON list"):
             load_corpus(path, "H01M")
-        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
 
     # "many" fails int() with ValueError; 1e400 is written as Infinity,
     # parsed back to inf, and fails int() with OverflowError
@@ -143,7 +140,6 @@ class TestLoading:
         _write_jsonl(path, [_record_obj("B", "2006-01-01"), bad])
         with pytest.raises(CorpusError, match=r":2: A: malformed field value"):
             load_corpus(path, "H01M")
-        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
 
     def test_unknown_fields_ignored(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -171,23 +167,19 @@ class TestLoading:
         _write_jsonl(path, [_record_obj("B", "2006-01-01"), bad])
         with pytest.raises(CorpusError, match=rf":2: A: malformed field value: {field} must"):
             load_corpus(path, "H01M")
-        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
 
     @pytest.mark.parametrize(
         "line", ["[" * 100000, '{"id": ' + "1" * 5000 + "}", "{oops"],
         ids=["deep", "long-int", "not-json"],
     )
-    def test_unparseable_line_is_a_corpus_error(self, tmp_path, line, caplog):
+    def test_unparseable_line_is_a_corpus_error(self, tmp_path, line):
         path = tmp_path / "c.jsonl"
         records = [json.dumps(_record_obj(pid, "2006-01-01")) for pid in ("B", "C")]
         path.write_text("\n".join([records[0], line, records[1]]) + "\n")
         with pytest.raises(CorpusError, match=":2: malformed JSON"):
             load_corpus(path, "H01M")
-        # lenient mode skips the line, as it skips any other bad record
-        assert load_corpus(path, "H01M", strict=False).ids() == ["B", "C"]
-        assert ":2: skipping record: malformed JSON" in caplog.text
 
-    def test_citation_filed_after_citer_strict_vs_lenient(self, tmp_path, caplog):
+    def test_citation_filed_after_citer_strict_vs_lenient(self, tmp_path):
         path = tmp_path / "c.jsonl"
         # filed 2004-01-01, citing prior art filed five years later
         bad = _record_obj("A", "2005-01-01", citations=[
@@ -196,8 +188,6 @@ class TestLoading:
         _write_jsonl(path, [_record_obj("B", "2006-01-01"), bad])
         with pytest.raises(CorpusError, match=r":2: A: backward citation filed 2009-01-01 after"):
             load_corpus(path, "H01M")
-        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
-        assert ":2: skipping record" in caplog.text
 
     def test_citation_filed_with_citer_accepted(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -348,11 +338,10 @@ class TestArbitraryFieldValues:
         with tempfile.TemporaryDirectory() as tmp:
             corpus_path = Path(tmp) / "c.jsonl"
             _write_jsonl(corpus_path, [cited, obj])
-            for strict in (True, False):
-                try:
-                    load_corpus(corpus_path, "H01M", strict=strict)
-                except CorpusError:
-                    pass
+            try:
+                load_corpus(corpus_path, "H01M")
+            except CorpusError:
+                pass
 
 
     # str() once made these the ids "None", "5", "True", "[1]" and "{'a': 1}"
@@ -365,7 +354,6 @@ class TestArbitraryFieldValues:
         _write_jsonl(path, [_record_obj("B", "2005-01-01"), {**_FULL_RECORD, "id": value}])
         with pytest.raises(CorpusError, match=r":2: id must be a non-empty JSON string"):
             load_corpus(path, "H01M")
-        assert load_corpus(path, "H01M", strict=False).ids() == ["B"]
 
 
 class TestRoundTripProperty:

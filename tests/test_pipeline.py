@@ -11,8 +11,10 @@ import os
 import pickle
 import re
 import shutil
+import sys
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +31,6 @@ from patimpact.indicators import FEATURE_NAMES, N_FEATURES, fit_standardizer
 from patimpact.pipeline import (
     ConfigError,
     F_MANIFEST,
-    STAGE_READS,
     STAGES,
     RunContext,
     StageError,
@@ -77,6 +78,57 @@ def completed_run(tmp_path_factory):
     cfg = config_from_obj(base_config_obj(out))
     manifest = run_pipeline(cfg)
     return cfg, manifest
+
+
+# the config variants whose runs read every artifact a stage can read
+FINISHED_RUN_OVERRIDES = {
+    "default": {},
+    "grid": {"grid": {"space": {"learning_rate": [1e-3]}, "k": 2}, "compare_stl": True},
+    "predicted": {"topic": {"group_by": "predicted"}, "compare_stl": False},
+}
+
+
+@pytest.fixture(scope="module")
+def finished_runs(tmp_path_factory):
+    """The config object of a finished run of each FINISHED_RUN_OVERRIDES variant."""
+    objs = {}
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+        for name, overrides in FINISHED_RUN_OVERRIDES.items():
+            obj = base_config_obj(tmp_path_factory.mktemp(name), **overrides)
+            obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 8}
+            run_pipeline(config_from_obj(obj))
+            objs[name] = obj
+    return objs
+
+
+# what the audit hook records while a test sets "dir": (name, writes, in RunContext.read)
+_AUDIT: dict = {"dir": None, "opens": [], "installed": False}
+
+
+def _record_open(event, args):
+    if event != "open" or _AUDIT["dir"] is None or isinstance(args[0], int):
+        return
+    path = os.fsdecode(args[0])
+    if os.path.dirname(path) != _AUDIT["dir"]:
+        return
+    frame, in_read = sys._getframe(1), False
+    while frame is not None and not in_read:
+        in_read = frame.f_code is RunContext.read.__code__
+        frame = frame.f_back
+    writes = args[2] & os.O_ACCMODE != os.O_RDONLY
+    _AUDIT["opens"].append((os.path.basename(path), writes, in_read))
+
+
+def _audited(fn, out_dir: Path):
+    """``fn()`` and the opens of files in ``out_dir`` that it made."""
+    if not _AUDIT["installed"]:
+        sys.addaudithook(_record_open)  # a hook cannot be removed; "dir" switches it
+        _AUDIT["installed"] = True
+    _AUDIT.update(dir=str(out_dir), opens=[])
+    try:
+        return fn(), list(_AUDIT["opens"])
+    finally:
+        _AUDIT["dir"] = None
 
 
 class TestConfig:
@@ -793,26 +845,66 @@ class TestRunContext:
             assert ctx.corpus == loaded
             assert list(ctx.corpus.records) == list(loaded.records)
 
-    def test_each_stage_loads_what_stage_reads_declares(
-        self, completed_run, tmp_path, monkeypatch
+    @pytest.mark.parametrize("variant", list(FINISHED_RUN_OVERRIDES))
+    def test_each_artifact_is_read_once_and_only_by_the_context(
+        self, finished_runs, variant, monkeypatch
+    ):
+        _cpus(monkeypatch, 1)
+        cfg = config_from_obj(finished_runs[variant])
+        assert len(STAGES) == 11
+        for name in STAGES:
+            kwargs = {"k": 2} if name == "cv" else {}
+            if name == "gridsearch" and cfg.grid is None:
+                with pytest.raises(StageError, match="no grid.space"):
+                    _audited(lambda: STAGES[name](cfg), cfg.out_dir)
+                assert _AUDIT["opens"] == [], name
+                continue
+            outputs, opens = _audited(lambda: STAGES[name](cfg, **kwargs), cfg.out_dir)
+            reads = [(n, in_read) for n, writes, in_read in opens if not writes]
+            assert all(in_read for _, in_read in reads), (name, reads)
+            counts = Counter(n for n, _ in reads)
+            assert max(counts.values(), default=1) == 1, (name, counts)
+            assert {n for n, writes, _ in opens if writes} == set(outputs), name
+
+    def test_predictions_parsed_once_by_a_run(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 1)
+        parsed = []
+        real_read_csv = pipeline._read_csv
+
+        def counting_read_csv(path):
+            parsed.append(Path(path).name)
+            return real_read_csv(path)
+
+        monkeypatch.setattr(pipeline, "_read_csv", counting_read_csv)
+        obj = base_config_obj(tmp_path, topic={"group_by": "predicted"}, compare_stl=False)
+        obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 8}
+        run_pipeline(config_from_obj(obj))
+        assert parsed.count("predictions.csv") == 1
+
+    @pytest.mark.parametrize(
+        "stage, overrides, message",
+        [
+            ("cv", {"test_year": 1990}, "temporal split at 1990"),
+            (
+                "gridsearch",
+                {"test_year": 1990, "grid": {"space": {"learning_rate": [1e-3]}}},
+                "temporal split at 1990",
+            ),
+            ("cv", {"grid": {"space": {"learning_rate": [1e-3]}}}, "run gridsearch"),
+        ],
+        ids=["cv-empty-split", "gridsearch-empty-split", "cv-without-best-config"],
+    )
+    def test_shared_helpers_name_the_running_stage(
+        self, completed_run, tmp_path, stage, overrides, message
     ):
         cfg, _ = completed_run
-        shutil.copytree(cfg.out_dir, tmp_path, dirs_exist_ok=True)
-        obj = base_config_obj(tmp_path, grid={"space": {"learning_rate": [1e-3]}, "k": 2})
-        obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 8}
-        cfg = config_from_obj(obj)
-        loads = []
-        real_load = RunContext._load
-
-        def recording_load(ctx, name, parse):
-            loads.append(name)
-            return real_load(ctx, name, parse)
-
-        monkeypatch.setattr(RunContext, "_load", recording_load)
-        for name in STAGES:
-            loads.clear()
-            STAGES[name](cfg, **({"k": 2} if name == "cv" else {}))
-            assert set(loads) == set(STAGE_READS[name]), name
+        for name in ("labels.csv", "features.csv"):
+            shutil.copy(cfg.path(name), tmp_path / name)
+        cfg = config_from_obj(base_config_obj(tmp_path, **overrides))
+        with pytest.raises(StageError) as exc_info:
+            STAGES[stage](cfg, **({"k": 2} if stage == "cv" else {}))
+        assert exc_info.value.stage == stage
+        assert message in str(exc_info.value)
 
 
 def _cpus(monkeypatch, n: int) -> None:
@@ -1166,6 +1258,51 @@ class TestCli:
         else:
             # degenerate synthetic distribution is a data/stage error, not a crash
             assert code == 3
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("thresholds.json", "report"),
+            ("labels.csv", "features"),
+            ("features.csv", "train"),
+            ("split.json", "evaluate"),
+            ("best_config.json", "train"),
+            ("model.ckpt.json", "evaluate"),
+            ("stl_long.ckpt.json", "evaluate"),
+            ("predictions.csv", "jt-test"),
+            ("metrics.csv", "report"),
+            ("comparison.csv", "report"),
+            ("attributions.csv", "report"),
+            ("validation.csv", "report"),
+            ("topic_scores.csv", "report"),
+        ],
+    )
+    def test_artifact_cut_inside_its_last_row_exits_3_naming_it(
+        self, finished_runs, tmp_path, caplog, name, command
+    ):
+        obj = finished_runs["grid"]
+        out = tmp_path / "out"
+        shutil.copytree(obj["out_dir"], out)
+        data = (out / name).read_bytes()
+        body = data.rstrip(b"\r\n")
+        start = body.rfind(b"\n") + 1
+        (out / name).write_bytes(data[: start + (len(body) - start) // 2])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**obj, "out_dir": str(out)}))
+        assert cli.main([command, "--config", str(config)]) == 3
+        assert f"cannot parse {name}" in caplog.text
+
+    def test_checkpoint_of_the_wrong_shape_exits_3_naming_it(
+        self, finished_runs, tmp_path, caplog
+    ):
+        obj = finished_runs["default"]
+        out = tmp_path / "out"
+        shutil.copytree(obj["out_dir"], out)
+        (out / "model.ckpt.json").write_text("[]\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**obj, "out_dir": str(out)}))
+        assert cli.main(["evaluate", "--config", str(config)]) == 3
+        assert "cannot parse model.ckpt.json" in caplog.text
 
     def test_full_run_via_cli(self, tmp_path):
         config = self._write_config(
