@@ -259,13 +259,67 @@ def _str_or_none(value: object, name: str) -> Optional[str]:
     return value
 
 
-def _parse_party(obj: dict) -> Party:
-    # save_corpus drops an empty name or cited_id, so one is read as absent
-    name = _str_or_none(obj.get("name"), "name") or None
-    return Party(country=str(obj.get("country", "")), name=name)
+class _Shared:
+    """One load's lookup tables, which hand out one object per distinct value
+    (hash-consing), so a value that repeats across records is stored once.
+
+    A table is keyed by a string or by the tuple of a value's converted
+    fields, not by the dataclass, whose generated ``__hash__`` runs Python
+    code. Each kind of value has a table of its own: a shared table would
+    return a Party for an IPC tuple equal to some ``(country, name)``.
+    """
+
+    def __init__(self) -> None:
+        self.strings: dict[str, str] = {}
+        self.dates: dict[str, dt.date] = {}
+        self.ipc_tuples: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.parties: dict[tuple, Party] = {}
+        self.refs: dict[tuple, CitedRef] = {}
+
+    def string(self, s: Optional[str]) -> Optional[str]:
+        return None if s is None else self.strings.setdefault(s, s)
+
+    def date(self, value: object) -> dt.date:
+        # only a string can key the table; any other value fails in parse_date
+        if not isinstance(value, str):
+            return parse_date(value)
+        date = self.dates.get(value)
+        if date is None:
+            date = self.dates[value] = parse_date(value)
+        return date
+
+    def ipc_codes(self, codes: tuple[str, ...]) -> tuple[str, ...]:
+        shared = self.ipc_tuples.get(codes)
+        if shared is None:
+            shared = tuple(map(self.strings.setdefault, codes, codes))
+            self.ipc_tuples[shared] = shared
+        return shared
+
+    def party(self, obj: dict) -> Party:
+        # save_corpus drops an empty name or cited_id, so one is read as absent
+        name = _str_or_none(obj.get("name"), "name") or None
+        key = (str(obj.get("country", "")), name)
+        party = self.parties.get(key)
+        if party is None:
+            party = Party(*map(self.string, key))
+            self.parties[(party.country, party.name)] = party
+        return party
+
+    def ref(self, key: tuple) -> CitedRef:
+        """The citation of fields ``(country, filing_date, ipc_codes,
+        cited_id, in_domain)``."""
+        ref = self.refs.get(key)
+        if ref is None:
+            country, filing_date, ipc_codes, cited_id, in_domain = key
+            ref = CitedRef(
+                self.string(country), filing_date, self.ipc_codes(ipc_codes),
+                self.string(cited_id), in_domain,
+            )
+            self.refs[(ref.country, filing_date, ref.ipc_codes, ref.cited_id, in_domain)] = ref
+        return ref
 
 
-def _parse_record(obj: object, domain_ipc_prefix: str) -> PatentRecord:
+def _parse_record(obj: object, domain_ipc_prefix: str, shared: _Shared) -> PatentRecord:
     """Build a record, turning every malformed field into a CorpusError."""
     if not isinstance(obj, dict):
         raise CorpusError(f"record is a JSON {type(obj).__name__}, not an object")
@@ -276,33 +330,37 @@ def _parse_record(obj: object, domain_ipc_prefix: str) -> PatentRecord:
     if not isinstance(patent_id, str) or not patent_id:
         raise CorpusError(f"id must be a non-empty JSON string, got {patent_id!r}")
     try:
-        return _build_record(obj, patent_id, domain_ipc_prefix)
+        return _build_record(obj, shared.string(patent_id), domain_ipc_prefix, shared)
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CorpusError(f"{patent_id}: malformed field value: {exc}") from None
 
 
-def _build_record(obj: dict, patent_id: str, domain_ipc_prefix: str) -> PatentRecord:
+def _build_record(
+    obj: dict, patent_id: str, domain_ipc_prefix: str, shared: _Shared
+) -> PatentRecord:
     def _dates_and_refs() -> tuple:
-        filing = parse_date(obj["filing_date"])
-        grant = parse_date(obj["grant_date"])
+        filing = shared.date(obj["filing_date"])
+        grant = shared.date(obj["grant_date"])
         priorities = tuple(
-            Priority(country=str(p.get("country", "")), date=parse_date(p["date"]))
+            Priority(
+                country=shared.string(str(p.get("country", ""))), date=shared.date(p["date"])
+            )
             for p in obj.get("priorities", ())
         )
         refs = []
         for c in obj.get("backward_citations", ()):
-            ipcs = tuple(str(x) for x in c.get("ipc_codes", ()))
+            ipcs = tuple(map(str, c.get("ipc_codes", ())))
             in_domain = c.get("in_domain")
             if in_domain is None:
                 in_domain = any(x.startswith(domain_ipc_prefix) for x in ipcs)
             refs.append(
-                CitedRef(
-                    country=str(c.get("country", "")),
-                    filing_date=parse_date(c["filing_date"]),
-                    ipc_codes=ipcs,
-                    cited_id=_str_or_none(c.get("cited_id"), "cited_id") or None,
-                    in_domain=bool(in_domain),
-                )
+                shared.ref((
+                    str(c.get("country", "")),
+                    shared.date(c["filing_date"]),
+                    ipcs,
+                    _str_or_none(c.get("cited_id"), "cited_id") or None,
+                    bool(in_domain),
+                ))
             )
         return filing, grant, priorities, tuple(refs)
 
@@ -337,53 +395,53 @@ def _build_record(obj: dict, patent_id: str, domain_ipc_prefix: str) -> PatentRe
         id=patent_id,
         filing_date=filing,
         grant_date=grant,
-        ipc_codes=tuple(str(x) for x in obj.get("ipc_codes", ())),
+        ipc_codes=shared.ipc_codes(tuple(map(str, obj.get("ipc_codes", ())))),
         independent_claim_word_counts=tuple(
-            int(x) for x in obj.get("independent_claim_word_counts", ())
+            map(int, obj.get("independent_claim_word_counts", ()))
         ),
         dependent_claim_count=int(obj.get("dependent_claim_count", 0)),
         abstract_word_count=int(obj.get("abstract_word_count", 0)),
-        assignees=tuple(_parse_party(a) for a in obj.get("assignees", ())),
-        inventors=tuple(_parse_party(a) for a in obj.get("inventors", ())),
+        assignees=tuple(map(shared.party, obj.get("assignees", ()))),
+        inventors=tuple(map(shared.party, obj.get("inventors", ()))),
         priorities=priorities,
         backward_citations=refs,
         npl_citation_count=int(obj.get("npl_citation_count", 0)),
         post_hoc=post_hoc,
-        topic_label=_str_or_none(obj.get("topic_label"), "topic_label"),
+        topic_label=shared.string(_str_or_none(obj.get("topic_label"), "topic_label")),
         history_overrides=overrides,
     )
 
 
 def load_corpus(path, domain_ipc_prefix: str) -> Corpus:
-    """Load a JSONL corpus (one patent record per line); any malformed record,
-    and any duplicate id, aborts the load with a CorpusError."""
+    """Load a JSONL corpus (one patent record per line), read line by line;
+    any malformed record, and any duplicate id, aborts the load with a
+    CorpusError. Equal dates, strings, IPC-code tuples, parties and citations
+    are one shared object each, looked up in tables that live for this load."""
     records: dict[str, PatentRecord] = {}
+    shared = _Shared()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    # a JSONDecodeError and an integer past the digit limit are
+                    # ValueErrors; nesting past the parser's depth limit is a RecursionError
+                    try:
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        raise CorpusError(f"malformed JSON: {exc}") from None
+                    rec = _parse_record(obj, domain_ipc_prefix, shared)
+                except CorpusError as exc:
+                    raise CorpusError(f"{path}:{lineno}: {exc}") from None
+                if rec.id in records:
+                    raise CorpusError(f"{path}:{lineno}: duplicate patent id {rec.id!r}")
+                problems = rec.validate()
+                if problems:
+                    raise CorpusError(f"{path}:{lineno}: " + "; ".join(problems))
+                records[rec.id] = rec
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from None
-
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            # a JSONDecodeError and an integer past the digit limit are
-            # ValueErrors; nesting past the parser's depth limit is a RecursionError
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise CorpusError(f"malformed JSON: {exc}") from None
-            rec = _parse_record(obj, domain_ipc_prefix)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from None
-        if rec.id in records:
-            raise CorpusError(f"{path}:{lineno}: duplicate patent id {rec.id!r}")
-        problems = rec.validate()
-        if problems:
-            raise CorpusError(f"{path}:{lineno}: " + "; ".join(problems))
-        records[rec.id] = rec
-
     return Corpus(records=records, domain_ipc_prefix=domain_ipc_prefix)
 
 

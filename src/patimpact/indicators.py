@@ -361,9 +361,6 @@ class Standardizer:
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
 
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * self.std + self.mean
-
     def to_json_obj(self) -> list[dict]:
         return [
             {

@@ -261,11 +261,6 @@ class MtlModel:
         return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax (max-logit subtraction)."""
-    return _softmax_inplace(np.array(logits, dtype=np.float64))
-
-
 def _softmax_inplace(z: np.ndarray) -> np.ndarray:
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)

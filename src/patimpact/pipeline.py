@@ -20,6 +20,7 @@ import hashlib
 import json
 import logging
 import os
+import reprlib
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -381,6 +382,34 @@ def _write_json(path, obj, indent: Optional[int] = 2) -> None:
         fh.write("\n")
 
 
+# The keys of the JSON artifacts that stages index, each with its value's shape:
+# a JSON type, ``[shape]`` for an array of that shape, or a dict for an object
+_JSON_SHAPES = {
+    F_SPLIT: {"train_ids": [str], "test_ids": [str]},
+    F_THRESHOLDS: {h.key: {"bt_min": int, "vt_min": int} for h in HORIZONS},
+    F_BEST_CONFIG: {"network": dict, "train": dict},
+}
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _check_shape(value, shape, where: str = "$") -> None:
+    """Raise a ValueError that names the first part of ``value`` (at the
+    JSONPath ``where``) that lacks a key of ``shape`` or holds another type."""
+    if isinstance(shape, dict):
+        _check_shape(value, dict, where)
+        for key, inner in shape.items():
+            if key not in value:
+                raise ValueError(f"{where} has no key {key!r}")
+            _check_shape(value[key], inner, f"{where}.{key}")
+    elif isinstance(shape, list):
+        _check_shape(value, list, where)
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{where}[{i}]")
+    # a JSON true or false is a bool, not an integer
+    elif type(value) is not shape:
+        raise ValueError(f"{where} must be {_JSON_TYPE_NAMES[shape]}, got {reprlib.repr(value)}")
+
+
 @dataclass
 class LabelRow:
     patent_id: str
@@ -502,7 +531,10 @@ class RunContext:
             if name.endswith(".ckpt.json"):
                 return mtl_mod.load_checkpoint(path)
             if name.endswith(".json"):
-                return json.loads(path.read_text(encoding="utf-8"))
+                value = json.loads(path.read_text(encoding="utf-8"))
+                if name in _JSON_SHAPES:
+                    _check_shape(value, _JSON_SHAPES[name])
+                return value
             return _read_csv(path)
         # what a malformed table, JSON value or checkpoint raises while it is parsed
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError, csv.Error) as exc:

@@ -290,24 +290,3 @@ def generate_synthetic(params: SynthParams) -> Corpus:
         )
 
     return Corpus(records=records, domain_ipc_prefix=params.domain_ipc_prefix)
-
-
-def expected_uniform_indegree(corpus: Corpus) -> dict[str, float]:
-    """Expected in-degree per patent if every internal citation had picked its
-    target uniformly among the patents granted before the citer's filing date.
-
-    Reference distribution for checking attachment-exponent-zero behaviour.
-    """
-    recs = sorted(corpus.records.values(), key=lambda r: (r.grant_date, r.id))
-    grants = np.array([r.grant_date.toordinal() for r in recs])
-    expected = np.zeros(len(recs))
-    for rec in recs:
-        k = int(np.searchsorted(grants, rec.filing_date.toordinal(), side="left"))
-        m = sum(
-            1
-            for ref in rec.backward_citations
-            if ref.cited_id is not None and ref.cited_id in corpus.records
-        )
-        if k > 0 and m > 0:
-            expected[:k] += m / k
-    return {rec.id: float(expected[i]) for i, rec in enumerate(recs)}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from patimpact.corpus import (
@@ -23,12 +24,18 @@ from patimpact.corpus import (
     Priority,
     save_corpus,
 )
+from patimpact.mtl import _softmax_inplace
 from patimpact.pipeline import PipelineConfig, _write_csv, config_from_obj
 from patimpact.synth import SynthParams, generate_synthetic
 
 
 def d(iso: str) -> dt.date:
     return dt.date.fromisoformat(iso)
+
+
+def softmax(logits) -> np.ndarray:
+    """Row-wise stable softmax (max-logit subtraction), computed as inference does."""
+    return _softmax_inplace(np.array(logits, dtype=np.float64))
 
 
 def labeled_run_dir(

@@ -40,7 +40,6 @@ from patimpact.mtl import (
     gradient_check,
     init_network,
     predict_batch,
-    softmax,
 )
 from patimpact.pipeline import config_from_obj, run_pipeline
 from patimpact.validate import (
@@ -50,7 +49,7 @@ from patimpact.validate import (
     validate_value_indicators,
 )
 
-from conftest import make_patent
+from conftest import make_patent, softmax
 from test_metrics import MTL_CM_LONG, MTL_CM_MID, MTL_CM_SHORT, STL_CM_MID
 from test_validate import brute_force_jt, _corpus_with_posthoc
 

@@ -356,6 +356,79 @@ class TestArbitraryFieldValues:
             load_corpus(path, "H01M")
 
 
+    # a citation that repeats an already loaded one but for one malformed field
+    # is converted before any shared object is looked up, so it fails as before
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("cited_id", 5, "C: malformed field value: cited_id must be a string or null, got 5"),
+            ("filing_date", [1], "invalid date [1]: fromisoformat: argument must be str"),
+            (
+                "filing_date", "2003-02-30",
+                "invalid date '2003-02-30': day is out of range for month",
+            ),
+            ("ipc_codes", 5, "C: malformed field value: 'int' object is not iterable"),
+        ],
+        ids=["cited-id-int", "filing-date-list", "filing-date-invalid", "ipc-codes-int"],
+    )
+    def test_repeated_citation_with_one_malformed_field(self, tmp_path, field, value, error):
+        ref = _FULL_RECORD["backward_citations"][0]
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, [
+            _record_obj("B", "2005-01-01"),
+            _FULL_RECORD,
+            _record_obj("C", "2006-01-01", citations=[ref, {**ref, field: value}]),
+            # a later bad line is never reached: the first bad record aborts the load
+            {**_FULL_RECORD, "filing_date": [1]},
+        ])
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path, "H01M")
+        assert str(info.value) == f"{path}:3: {error}"
+
+
+def _values_by_kind(corpus: Corpus) -> dict[str, list]:
+    """Every date, string, IPC-code tuple, party and citation in ``corpus``."""
+    kinds: dict[str, list] = {
+        "date": [], "string": [], "ipc_codes": [], "party": [], "citation": []
+    }
+    for rec in corpus.records.values():
+        parties = rec.assignees + rec.inventors
+        refs = rec.backward_citations
+        kinds["date"] += [rec.filing_date, rec.grant_date]
+        kinds["date"] += [p.date for p in rec.priorities] + [r.filing_date for r in refs]
+        kinds["ipc_codes"] += [rec.ipc_codes] + [r.ipc_codes for r in refs]
+        kinds["party"] += parties
+        kinds["citation"] += refs
+        kinds["string"] += [rec.id, *rec.ipc_codes, *(c for r in refs for c in r.ipc_codes)]
+        kinds["string"] += [p.country for p in rec.priorities + parties + refs]
+        kinds["string"] += [
+            s for s in (rec.topic_label, *(p.name for p in parties), *(r.cited_id for r in refs))
+            if s is not None
+        ]
+    return kinds
+
+
+class TestSharedValues:
+    """A loaded corpus holds one object per distinct date, string, IPC-code
+    tuple, party and citation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpus=_hand_built_corpora() | _synthetic_corpora)
+    def test_equal_values_are_one_object(self, corpus):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.jsonl"
+            save_corpus(corpus, path)
+            loaded = load_corpus(path, corpus.domain_ipc_prefix)
+        assert loaded.records == corpus.records
+        kinds = _values_by_kind(loaded)
+        for kind, values in kinds.items():
+            first: dict = {}
+            for value in values:
+                assert first.setdefault(value, value) is value, (kind, value)
+        refs = kinds["citation"]
+        assert len({id(r) for r in refs}) == len(set(refs))
+
+
 class TestRoundTripProperty:
     """load(save(c)) gives c's records, and saving them again the same bytes."""
 

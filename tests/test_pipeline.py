@@ -1304,6 +1304,48 @@ class TestCli:
         assert cli.main(["evaluate", "--config", str(config)]) == 3
         assert "cannot parse model.ckpt.json" in caplog.text
 
+    @pytest.mark.parametrize(
+        "name, edit, command, message",
+        [
+            ("split.json", lambda obj: {}, "evaluate", "$ has no key 'train_ids'"),
+            ("split.json", lambda obj: {}, "explain", "$ has no key 'train_ids'"),
+            (
+                "split.json", lambda obj: {**obj, "train_ids": 5}, "evaluate",
+                "$.train_ids must be an array, got 5",
+            ),
+            (
+                "split.json", lambda obj: {**obj, "test_ids": [5, *obj["test_ids"]]}, "explain",
+                "$.test_ids[0] must be a string, got 5",
+            ),
+            ("thresholds.json", lambda obj: {}, "report", "$ has no key 'short'"),
+            (
+                "thresholds.json", lambda obj: {**obj, "long": {"bt_min": "24", "vt_min": 6}},
+                "report", "$.long.bt_min must be an integer, got '24'",
+            ),
+            ("best_config.json", lambda obj: {}, "train", "$ has no key 'network'"),
+            (
+                "best_config.json", lambda obj: {**obj, "train": None}, "train",
+                "$.train must be an object, got None",
+            ),
+        ],
+        ids=[
+            "split-empty-evaluate", "split-empty-explain", "split-train-ids-int",
+            "split-test-id-int", "thresholds-empty", "thresholds-bt-min-string",
+            "best-config-empty", "best-config-train-null",
+        ],
+    )
+    def test_json_artifact_of_the_wrong_shape_exits_3_naming_it(
+        self, finished_runs, tmp_path, caplog, name, edit, command, message
+    ):
+        obj = finished_runs["grid"]
+        out = tmp_path / "out"
+        shutil.copytree(obj["out_dir"], out)
+        (out / name).write_text(json.dumps(edit(json.loads((out / name).read_text()))))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**obj, "out_dir": str(out)}))
+        assert cli.main([command, "--config", str(config)]) == 3
+        assert f"cannot parse {name}: {message}" in caplog.text
+
     def test_full_run_via_cli(self, tmp_path):
         config = self._write_config(
             tmp_path,

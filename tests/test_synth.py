@@ -11,10 +11,31 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from patimpact import synth
-from patimpact.corpus import Horizon, forward_citation_count, save_corpus
-from patimpact.synth import SynthParams, expected_uniform_indegree, generate_synthetic
+from patimpact.corpus import Corpus, Horizon, forward_citation_count, save_corpus
+from patimpact.synth import SynthParams, generate_synthetic
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def _expected_uniform_indegree(corpus: Corpus) -> dict[str, float]:
+    """Expected in-degree per patent if every internal citation had picked its
+    target uniformly among the patents granted before the citer's filing date.
+
+    Reference distribution for checking attachment-exponent-zero behaviour.
+    """
+    recs = sorted(corpus.records.values(), key=lambda r: (r.grant_date, r.id))
+    grants = np.array([r.grant_date.toordinal() for r in recs])
+    expected = np.zeros(len(recs))
+    for rec in recs:
+        k = int(np.searchsorted(grants, rec.filing_date.toordinal(), side="left"))
+        m = sum(
+            1
+            for ref in rec.backward_citations
+            if ref.cited_id is not None and ref.cited_id in corpus.records
+        )
+        if k > 0 and m > 0:
+            expected[:k] += m / k
+    return {rec.id: float(expected[i]) for i, rec in enumerate(recs)}
 
 
 def _params(**overrides) -> SynthParams:
@@ -228,7 +249,7 @@ class TestUniformAttachment:
                 feature_signal_strength=0.0,
             )
         )
-        expected = expected_uniform_indegree(corpus)
+        expected = _expected_uniform_indegree(corpus)
         observed = {pid: 0 for pid in corpus.ids()}
         for rec in corpus.records.values():
             for ref in rec.backward_citations:
