@@ -32,7 +32,6 @@ from .indicators import (
     corpus_ipc_stats,
     extract_features,
     fit_standardizer,
-    standardize,
 )
 from .metrics import (
     ClassMetrics,
@@ -48,7 +47,6 @@ from .mtl import (
     NetworkConfig,
     TrainConfig,
     gradient_check,
-    grid_search,
     init_network,
     predict_batch,
     train,

@@ -20,7 +20,6 @@ subclass = first 4 characters.
 
 from __future__ import annotations
 
-import csv
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -394,24 +393,3 @@ def fit_standardizer(features: Iterable[FeatureVector] | np.ndarray) -> Standard
     degenerate = std == 0.0
     std = np.where(degenerate, 1.0, std)
     return Standardizer(mean=mean, std=std, degenerate=degenerate)
-
-
-def standardize(fv: FeatureVector, s: Standardizer) -> FeatureVector:
-    return FeatureVector(values=s.transform(fv.values), flags=fv.flags)
-
-
-# --------------------------------------------------------------------------
-# import/export
-# --------------------------------------------------------------------------
-
-def load_features_csv(path) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["patent_id", *FEATURE_NAMES]:
-            raise ValueError(f"unexpected feature CSV header in {path}")
-        ids, rows = [], []
-        for row in reader:
-            ids.append(row[0])
-            rows.append([float(x) for x in row[1:]])
-    return ids, np.array(rows) if rows else np.zeros((0, N_FEATURES))

@@ -10,7 +10,6 @@ run with one nonzero task weight is bit-for-bit equivalent.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -19,9 +18,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import HORIZONS, Horizon, ImpactClass
+from .corpus import HORIZONS, Horizon
 from .indicators import N_FEATURES, Standardizer
-from .metrics import confusion_from_predictions, overall_metrics, stratified_kfold
 from .seeding import derive_seed, derived_rng
 
 MISSING_LABEL = -1
@@ -855,105 +853,6 @@ HYPERPARAMETERS = NETWORK_FIELDS + tuple(_JSON_FIELDS[TrainConfig])
 def decode_candidate(key: str, value, name: str):
     """A grid candidate for hyperparameter ``key``, decoded like that field."""
     return _JSON_FIELDS[NetworkConfig if key in NETWORK_FIELDS else TrainConfig][key](value, name)
-
-
-@dataclass(frozen=True)
-class GridCell:
-    assignment: tuple[tuple[str, object], ...]
-    score: float
-    fold_scores: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    best_network: NetworkConfig
-    best_train: TrainConfig
-    best_score: float
-    cells: tuple[GridCell, ...]
-
-
-def grid_search(
-    space: Mapping[str, Sequence[object]],
-    X: np.ndarray,
-    labels: Mapping[Horizon, Sequence[int]],
-    k: int,
-    seed: int,
-    base_network: Optional[NetworkConfig] = None,
-    base_train: Optional[TrainConfig] = None,
-) -> GridSearchResult:
-    """Exhaustive search over hyperparameter candidates.
-
-    Every cell is scored by stratified k-fold cross-validation: the per-task
-    macro-averaged per-class MCC is summed over tasks and averaged over
-    folds. Ties keep the first cell in deterministic enumeration order (keys
-    in the order given, candidates in list order).
-    """
-    if not space:
-        raise ValueError("empty search space")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    unknown = set(space) - set(HYPERPARAMETERS)
-    if unknown:
-        raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
-
-    base_network = base_network if base_network is not None else NetworkConfig()
-    base_train = base_train if base_train is not None else TrainConfig()
-    tasks = base_network.tasks
-    n = np.asarray(X).shape[0]
-    y = _as_label_arrays(labels, tasks, n)
-
-    stratify_task = Horizon.LONG if Horizon.LONG in tasks else tasks[-1]
-    stratify = [ImpactClass(int(v)) for v in y[stratify_task]]
-    folds = stratified_kfold(stratify, k, derive_seed(seed, "gridsearch", "folds"))
-
-    def fold_score(model: MtlModel, X_test, y_test) -> float:
-        preds = predict_batch(model, X_test)
-        total = 0.0
-        for task in model.tasks:
-            actual = [ImpactClass(int(v)) for v in y_test[task]]
-            predicted = [ImpactClass(int(v)) for v in preds[task]]
-            cm = confusion_from_predictions(actual, predicted)
-            total += overall_metrics(cm).macro.mcc
-        return total
-
-    keys = list(space.keys())
-    cells: list[GridCell] = []
-    best: Optional[tuple[float, int]] = None
-    configs: list[tuple[NetworkConfig, TrainConfig]] = []
-    for combo in itertools.product(*(space[k_] for k_ in keys)):
-        assignment = tuple(zip(keys, combo))
-        net_kwargs = {k_: v for k_, v in assignment if k_ in NETWORK_FIELDS}
-        train_kwargs = {k_: v for k_, v in assignment if k_ not in NETWORK_FIELDS}
-        network = replace(base_network, **net_kwargs) if net_kwargs else base_network
-        train_cfg = replace(base_train, **train_kwargs) if train_kwargs else base_train
-
-        fold_scores = []
-        for train_idx, test_idx in folds.splits():
-            model = init_network(network)
-            train(
-                model,
-                np.asarray(X)[train_idx],
-                {t: y[t][train_idx] for t in tasks},
-                train_cfg,
-            )
-            fold_scores.append(
-                fold_score(model, np.asarray(X)[test_idx], {t: y[t][test_idx] for t in tasks})
-            )
-        score = float(np.mean(fold_scores))
-        cells.append(
-            GridCell(assignment=assignment, score=score, fold_scores=tuple(fold_scores))
-        )
-        configs.append((network, train_cfg))
-        if best is None or score > best[0]:
-            best = (score, len(cells) - 1)
-
-    best_score, best_i = best
-    return GridSearchResult(
-        best_network=configs[best_i][0],
-        best_train=configs[best_i][1],
-        best_score=best_score,
-        cells=tuple(cells),
-    )
 
 
 # --------------------------------------------------------------------------

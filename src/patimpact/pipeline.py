@@ -8,25 +8,27 @@ the global seed and its stage name, so a full run and a manual stage-by-stage
 run produce identical artifacts. Stages read their inputs through a
 RunContext, which parses each artifact once; a full run shares one context
 across its stages, and a stage called on its own builds its own. The context
-also runs the independent units of train (the four models) and explain (the
-instances) in worker processes, at most one per CPU; the artifacts do not
-depend on the worker count.
+also runs the independent units of train (the four models), explain (the
+instances), and cv and gridsearch (a model per config and fold) in worker
+processes, at most one per CPU; the artifacts do not depend on the worker
+count.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import os
 import reprlib
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import wraps
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -352,12 +354,24 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
 # artifact I/O and the run context
 # --------------------------------------------------------------------------
 
-def _read_csv(path) -> list[dict]:
-    """The rows of a table keyed by its header; a row of another length is a ValueError."""
+def _table_rows(path) -> Iterator[list[str]]:
+    """The rows of a table, read one at a time, header first; an empty file,
+    or a row of another length than the header, is a ValueError."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"a row does not have the header's {len(header)} fields")
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise ValueError("the file is empty")
+        yield header
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"a row does not have the header's {len(header)} fields")
+            yield row
+
+
+def _read_csv(path) -> list[dict]:
+    """The rows of a table keyed by its header."""
+    header, *rows = _table_rows(path)
     return [dict(zip(header, row)) for row in rows]
 
 
@@ -526,7 +540,16 @@ class RunContext:
             if name == F_LABELS:
                 return _read_labels(path)
             if name == F_FEATURES:
-                ids, matrix = ind.load_features_csv(path)
+                rows = _table_rows(path)
+                if next(rows) != ["patent_id", *ind.FEATURE_NAMES]:
+                    raise ValueError("unexpected header")
+                ids, values = [], []
+                for row in rows:
+                    ids.append(row[0])
+                    values.append([float(x) for x in row[1:]])
+                matrix = np.array(values).reshape(len(values), ind.N_FEATURES)
+                # index the ids after parsing: a dict grown between the rows'
+                # allocations left the ingest-8k run's peak RSS ~4 MB higher
                 return {pid: i for i, pid in enumerate(ids)}, matrix
             if name.endswith(".ckpt.json"):
                 return mtl_mod.load_checkpoint(path)
@@ -559,7 +582,10 @@ class RunContext:
 
     def feature_rows(self, ids) -> np.ndarray:
         pos, matrix = self.read(F_FEATURES)
-        return matrix[[pos[p] for p in ids]]
+        try:
+            return matrix[[pos[p] for p in ids]]
+        except KeyError as exc:
+            raise StageError(self.stage, f"{F_FEATURES} has no row for patent {exc}") from None
 
 
 # what writes the artifacts that only some configs make a run write
@@ -723,42 +749,95 @@ def _training_set(
     }
 
 
+def _fold_confusions(
+    network: mtl_mod.NetworkConfig,
+    train_cfg: mtl_mod.TrainConfig,
+    X: np.ndarray,
+    labels: dict[Horizon, np.ndarray],
+    train_idx: np.ndarray,
+    test_idx: np.ndarray,
+) -> dict[Horizon, metrics_mod.ConfusionMatrix3]:
+    """Fit a standardizer on the rows ``train_idx`` of ``X`` alone, train the
+    multi-task model on them, and return its confusion matrix per horizon on
+    the held-out rows ``test_idx``."""
+    X_train = X[train_idx]
+    std = ind.fit_standardizer(X_train)
+    model = _fit(
+        network, std.transform(X_train), {h: labels[h][train_idx] for h in HORIZONS}, train_cfg
+    )
+    preds = mtl_mod.predict_batch(model, std.transform(X[test_idx]))
+    return {h: _confusion(labels[h][test_idx], preds[h]) for h in HORIZONS}
+
+
+def _cross_validate(
+    ctx: RunContext,
+    configs: list[tuple[mtl_mod.NetworkConfig, mtl_mod.TrainConfig]],
+    k: int,
+    seed: int,
+) -> list[list[dict[Horizon, metrics_mod.ConfusionMatrix3]]]:
+    """Per (network, train config) of ``configs``, the confusion matrices of
+    each fold of the training split, in ``k`` folds stratified on the long
+    horizon's classes and drawn with ``seed``. Every (config, fold) pair is
+    one unit of ``ctx.map``."""
+    X, labels = _training_set(ctx, _temporal_split(ctx)[0])
+    stratify = [ImpactClass(int(v)) for v in labels[Horizon.LONG]]
+    # stratified_kfold lowers k when the rarest class has fewer members
+    splits = metrics_mod.stratified_kfold(stratify, k, seed).splits()
+    try:
+        per_unit = ctx.map(_fold_confusions, [
+            (network, train_cfg, X, labels, train_idx, test_idx)
+            for network, train_cfg in configs
+            for train_idx, test_idx in splits
+        ])
+    except RuntimeError as exc:
+        raise StageError(ctx.stage, str(exc)) from None
+    return [per_unit[i : i + len(splits)] for i in range(0, len(per_unit), len(splits))]
+
+
 @_stage("gridsearch")
 def stage_gridsearch(ctx: RunContext) -> list[str]:
-    """Exhaustive hyperparameter search on the training split."""
+    """Exhaustive hyperparameter search on the training split. A cell's score
+    is its macro MCC summed over horizons and averaged over the folds; ties
+    keep the first cell, with keys in the order given and candidates in list
+    order."""
     cfg = ctx.cfg
     if cfg.grid is None:
         raise StageError("gridsearch", "config has no grid.space")
-    X_train, labels = _training_set(ctx, _temporal_split(ctx)[0])
-    std = ind.fit_standardizer(X_train)
-    result = mtl_mod.grid_search(
-        dict(cfg.grid.space),
-        std.transform(X_train),
-        labels,
-        k=cfg.grid.k,
-        seed=cfg.stage_seed("gridsearch"),
-        base_network=cfg.network,
-        base_train=cfg.train,
+    space = cfg.grid.space
+    assignments = [tuple(zip(space, combo)) for combo in itertools.product(*space.values())]
+    configs = [
+        (
+            replace(cfg.network, **{k: v for k, v in cell if k in mtl_mod.NETWORK_FIELDS}),
+            replace(cfg.train, **{k: v for k, v in cell if k not in mtl_mod.NETWORK_FIELDS}),
+        )
+        for cell in assignments
+    ]
+    per_config = _cross_validate(
+        ctx, configs, cfg.grid.k, derive_seed(cfg.stage_seed("gridsearch"), "gridsearch", "folds")
     )
+    fold_scores = [
+        [sum(metrics_mod.overall_metrics(cms[h]).macro.mcc for h in HORIZONS) for cms in folds]
+        for folds in per_config
+    ]
+    scores = [float(np.mean(s)) for s in fold_scores]
+    best = scores.index(max(scores))
     _write_csv(
         cfg.path(F_GRIDSEARCH),
         ["cell", "assignment", "score", "fold_scores"],
         (
             [
                 i,
-                json.dumps(
-                    {k: mtl_mod.json_value(v) for k, v in cell.assignment}, sort_keys=True
-                ),
-                cell.score,
-                json.dumps([round(s, 12) for s in cell.fold_scores]),
+                json.dumps({k: mtl_mod.json_value(v) for k, v in cell}, sort_keys=True),
+                score,
+                json.dumps([round(s, 12) for s in folds]),
             ]
-            for i, cell in enumerate(result.cells)
+            for i, (cell, score, folds) in enumerate(zip(assignments, scores, fold_scores))
         ),
     )
     _write_json(cfg.path(F_BEST_CONFIG), {
-        "score": result.best_score,
-        "network": mtl_mod.to_json(result.best_network),
-        "train": mtl_mod.to_json(result.best_train),
+        "score": scores[best],
+        "network": mtl_mod.to_json(configs[best][0]),
+        "train": mtl_mod.to_json(configs[best][1]),
     })
     return [F_GRIDSEARCH, F_BEST_CONFIG]
 
@@ -1006,23 +1085,10 @@ def stage_topic_score(ctx: RunContext) -> list[str]:
 def stage_cv(ctx: RunContext, k: int = 5) -> list[str]:
     """Stratified k-fold cross-validation of the configured model."""
     cfg = ctx.cfg
-    X, labels = _training_set(ctx, _temporal_split(ctx)[0])
-    network, train_cfg = _configs_for_training(ctx)
-
-    stratify = [ImpactClass(int(v)) for v in labels[Horizon.LONG]]
-    folds = metrics_mod.stratified_kfold(
-        stratify, k, derive_seed(cfg.stage_seed("cv"), "folds")
+    (folds,) = _cross_validate(
+        ctx, [_configs_for_training(ctx)], k, derive_seed(cfg.stage_seed("cv"), "folds")
     )
-    rows = []
-    for fold, (tr, te) in enumerate(folds.splits()):
-        std = ind.fit_standardizer(X[tr])
-        model = mtl_mod.init_network(network)
-        mtl_mod.train(
-            model, std.transform(X[tr]), {h: labels[h][tr] for h in HORIZONS}, train_cfg
-        )
-        preds = mtl_mod.predict_batch(model, std.transform(X[te]))
-        cms = {h: _confusion(labels[h][te], preds[h]) for h in HORIZONS}
-        rows += [[fold, *row] for row in metrics_mod.metrics_rows(cms)]
+    rows = [[fold, *row] for fold, cms in enumerate(folds) for row in metrics_mod.metrics_rows(cms)]
     _write_csv(cfg.path(F_CV), ["fold", "horizon", "class", "metric", "value"], rows)
     return [F_CV]
 

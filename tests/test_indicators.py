@@ -22,10 +22,8 @@ from patimpact.indicators import (
     extract_feature_matrix,
     extract_features,
     fit_standardizer,
-    load_features_csv,
-    standardize,
 )
-from patimpact.pipeline import STAGES
+from patimpact.pipeline import STAGES, RunContext
 
 from conftest import d, labeled_run_dir, make_patent
 
@@ -292,7 +290,7 @@ class TestStandardizer:
             mean=np.zeros(44), std=np.ones(44), degenerate=np.zeros(44, dtype=bool)
         )
         fv = FeatureVector(values=np.arange(44, dtype=float))
-        assert np.array_equal(standardize(fv, s).values, fv.values)
+        assert np.array_equal(s.transform(fv.values), fv.values)
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -323,6 +321,6 @@ class TestCsv:
         path = cfg.path("features.csv")
         header = path.read_text().splitlines()[0]
         assert header == "patent_id," + ",".join(FEATURE_NAMES)
-        ids2, X2 = load_features_csv(path)
-        assert ids2 == ids
+        position, X2 = RunContext(cfg).read("features.csv")
+        assert position == {pid: i for i, pid in enumerate(ids)}
         np.testing.assert_array_equal(X, X2)

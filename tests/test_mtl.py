@@ -1,4 +1,4 @@
-"""Network, loss, training, gradient, and grid-search tests."""
+"""Network, loss, training and gradient tests."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from patimpact.mtl import (
     batch_loss,
     from_json,
     gradient_check,
-    grid_search,
     infer_logits,
     infer_proba,
     init_network,
@@ -809,61 +808,6 @@ class TestFlatParameters:
         for name, arr in model.parameters():
             unchanged = np.array_equal(arr, before[name])
             assert unchanged == name.startswith(("head.short", "head.long"))
-
-
-class TestGridSearch:
-    def _data(self):
-        return separable_data(n=160, seed=30)
-
-    def test_single_cell(self):
-        X, y = self._data()
-        result = grid_search(
-            {"learning_rate": [1e-3]},
-            X, y, k=2, seed=1,
-            base_network=small_config(seed=31),
-            base_train=TrainConfig(seed=32, max_epochs=3, batch_size=16),
-        )
-        assert len(result.cells) == 1
-        assert result.best_train.learning_rate == 1e-3
-        assert math.isfinite(result.best_score)
-
-    def test_dominant_cell_wins(self):
-        X, y = self._data()
-        result = grid_search(
-            {"learning_rate": [1e-3, 1e-9]},
-            X, y, k=2, seed=2,
-            base_network=small_config(seed=33),
-            base_train=TrainConfig(seed=34, max_epochs=10, batch_size=16,
-                                   early_stop_patience=10),
-        )
-        by_lr = {dict(c.assignment)["learning_rate"]: c for c in result.cells}
-        assert all(
-            a >= b
-            for a, b in zip(by_lr[1e-3].fold_scores, by_lr[1e-9].fold_scores)
-        )
-        assert result.best_train.learning_rate == 1e-3
-
-    def test_enumeration_count_is_product(self):
-        X, y = self._data()
-        result = grid_search(
-            {"learning_rate": [1e-3, 1e-4, 1e-5], "batch_size": [16, 32]},
-            X, y, k=2, seed=3,
-            base_network=small_config(seed=35),
-            base_train=TrainConfig(seed=36, max_epochs=1),
-        )
-        assert len(result.cells) == 6
-        assignments = [dict(c.assignment) for c in result.cells]
-        assert len({tuple(sorted(a.items())) for a in assignments}) == 6
-
-    def test_empty_space_rejected(self):
-        X, y = self._data()
-        with pytest.raises(ValueError):
-            grid_search({}, X, y, k=2, seed=0)
-
-    def test_unknown_hyperparameter_rejected(self):
-        X, y = self._data()
-        with pytest.raises(ValueError, match="unknown"):
-            grid_search({"warp_factor": [9]}, X, y, k=2, seed=0)
 
 
 class TestPersistence:

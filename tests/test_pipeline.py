@@ -28,6 +28,7 @@ from patimpact import corpus as corpus_mod
 from patimpact import explain as explain_mod
 from patimpact.corpus import HORIZONS, Corpus, ImpactClass, load_corpus, record_to_json_obj
 from patimpact.indicators import FEATURE_NAMES, N_FEATURES, fit_standardizer
+from patimpact.metrics import stratified_kfold
 from patimpact.pipeline import (
     ConfigError,
     F_MANIFEST,
@@ -46,6 +47,7 @@ from patimpact.seeding import derive_seed
 from patimpact.synth import SynthParams
 from patimpact.validate import CLASS_ORDERED, VALUE_INDICATORS, OrderedGroups
 
+from conftest import make_patent
 from test_corpus import _field_paths, _hand_built_corpora, _json_values, _synthetic_corpora
 from test_validate import loop_permutation_p
 
@@ -935,6 +937,42 @@ class TestWorkerPool:
         # one process trains 4 models and explains 3 instances; a pool leaves none to it
         assert calls == {1: ["shapley_sampled"] * 3 + ["train"] * 4, 2: []}
 
+    def test_kfold_bytes_do_not_depend_on_the_worker_count(
+        self, completed_run, tmp_path, monkeypatch
+    ):
+        in_process = []
+        real_train = mtl.train
+        monkeypatch.setattr(
+            mtl, "train", lambda *a, **kw: (in_process.append(1), real_train(*a, **kw))[1]
+        )
+        run_cfg, _ = completed_run
+        digests, calls = {}, {}
+        for workers in (1, 2):
+            _cpus(monkeypatch, workers)
+            in_process.clear()
+            out = tmp_path / f"workers-{workers}"
+            out.mkdir()
+            for name in ("labels.csv", "features.csv"):
+                shutil.copy(run_cfg.path(name), out / name)
+            obj = base_config_obj(
+                out, grid={"space": {"learning_rate": [1e-3, 3e-4], "batch_size": [8, 16]}, "k": 2}
+            )
+            obj["train"] = {"max_epochs": 3, "class_weighting": True}
+            cfg = config_from_obj(obj)
+            ctx = RunContext(cfg)
+            try:
+                STAGES["gridsearch"](cfg, ctx)
+                STAGES["cv"](cfg, ctx, k=2)
+            finally:
+                ctx.close()
+            digests[workers], calls[workers] = checksums(out), len(in_process)
+        assert set(digests[1]) == {
+            "labels.csv", "features.csv", "gridsearch.csv", "best_config.json", "cv_metrics.csv",
+        }
+        assert digests[2] == digests[1]
+        # 4 cells of 2 folds, then 2 cv folds; a pool leaves none to this process
+        assert calls == {1: 10, 2: 0}
+
     def test_worker_count_is_capped_by_the_units(self, tmp_path, monkeypatch):
         _cpus(monkeypatch, 10_000)
         assert [pipeline._worker_count(n) for n in (0, 1, 7)] == [0, 1, 7]
@@ -1014,7 +1052,79 @@ class TestIngest:
         assert (out / "corpus.jsonl").read_bytes() == src.read_bytes()
 
 
+def _separable_run_dir(out_dir: Path, n: int = 160, seed: int = 30):
+    """Write the labels.csv and features.csv of ``n`` patents in three
+    well-separated blobs, one per class, with the same class at every
+    horizon; the last 6 are granted in the test year. Returns the training
+    rows' features and classes."""
+    rng = np.random.default_rng(seed)
+    classes = rng.integers(0, 3, size=n)
+    X = rng.normal(0.0, 0.5, size=(n, N_FEATURES))
+    X[np.arange(n), classes] += 4.0
+    ids = [f"P{i:04d}" for i in range(n)]
+    _write_csv(
+        out_dir / "labels.csv",
+        ["patent_id", "grant_year", *(f"{h.key}_class" for h in HORIZONS), "trajectory"],
+        (
+            [pid, 2000 if i < n - 6 else 2001, *[ImpactClass(int(c)).name] * 3, "sustained"]
+            for i, (pid, c) in enumerate(zip(ids, classes))
+        ),
+    )
+    _write_csv(
+        out_dir / "features.csv", ["patent_id", *FEATURE_NAMES],
+        ([pid, *row.tolist()] for pid, row in zip(ids, X)),
+    )
+    return X[: n - 6], classes[: n - 6]
+
+
 class TestGridSearchStage:
+    def _search(self, tmp_path, monkeypatch, space: dict, **train) -> tuple[list[dict], dict]:
+        """The rows of gridsearch.csv and best_config.json of a search over
+        ``space`` (k 2) on separable data."""
+        _cpus(monkeypatch, 1)
+        _separable_run_dir(tmp_path)
+        obj = base_config_obj(tmp_path, grid={"space": space, "k": 2})
+        obj["train"] = {"batch_size": 16, **train}
+        STAGES["gridsearch"](config_from_obj(obj))
+        with open(tmp_path / "gridsearch.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        return rows, json.loads((tmp_path / "best_config.json").read_text())
+
+    def test_single_cell(self, tmp_path, monkeypatch):
+        rows, best = self._search(tmp_path, monkeypatch, {"learning_rate": [1e-3]}, max_epochs=3)
+        assert len(rows) == 1
+        assert best["train"]["learning_rate"] == 1e-3
+        assert math.isfinite(best["score"])
+        assert best["score"] == float(rows[0]["score"])
+
+    def test_dominant_cell_wins(self, tmp_path, monkeypatch):
+        rows, best = self._search(
+            tmp_path, monkeypatch, {"learning_rate": [1e-9, 1e-3]},
+            max_epochs=10, early_stop_patience=10,
+        )
+        slow, fast = (json.loads(r["fold_scores"]) for r in rows)
+        assert all(a > b for a, b in zip(fast, slow))
+        assert best["train"]["learning_rate"] == 1e-3
+
+    def test_enumeration_count_is_product(self, tmp_path, monkeypatch):
+        rows, _ = self._search(
+            tmp_path, monkeypatch,
+            {"learning_rate": [1e-3, 1e-4, 1e-5], "batch_size": [16, 32]}, max_epochs=1,
+        )
+        # keys in the order given, candidates in list order
+        assert [json.loads(r["assignment"]) for r in rows] == [
+            {"learning_rate": lr, "batch_size": b} for lr in (1e-3, 1e-4, 1e-5) for b in (16, 32)
+        ]
+        assert [r["cell"] for r in rows] == [str(i) for i in range(6)]
+
+    def test_tie_keeps_the_first_cell(self, tmp_path, monkeypatch):
+        # two epochs stop before either patience, so both cells train the same model
+        rows, best = self._search(
+            tmp_path, monkeypatch, {"early_stop_patience": [7, 5]}, max_epochs=2
+        )
+        assert rows[0]["score"] == rows[1]["score"]
+        assert best["train"]["early_stop_patience"] == 7
+
     def test_grid_flows_into_training(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -1090,6 +1200,30 @@ class TestCvStage:
         with open(out / "cv_metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["fold"] for r in rows} == {"0", "1"}
+
+    def test_each_fold_fits_its_standardizer_on_its_training_rows(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 1)
+        X, classes = _separable_run_dir(tmp_path)
+        fitted = []
+        real_fit = pipeline.ind.fit_standardizer
+        monkeypatch.setattr(
+            pipeline.ind, "fit_standardizer", lambda M: (fitted.append(M.copy()), real_fit(M))[1]
+        )
+        obj = base_config_obj(tmp_path, grid={"space": {"learning_rate": [1e-3, 1e-4]}, "k": 3})
+        obj["train"] = {"max_epochs": 1, "batch_size": 32}
+        cfg = config_from_obj(obj)
+        stratify = [ImpactClass(int(c)) for c in classes]
+        for stage, k, seed, n_configs in (
+            ("gridsearch", 3, derive_seed(cfg.stage_seed("gridsearch"), "gridsearch", "folds"), 2),
+            ("cv", 4, derive_seed(cfg.stage_seed("cv"), "folds"), 1),
+        ):
+            fitted.clear()
+            STAGES[stage](cfg, **({"k": k} if stage == "cv" else {}))
+            splits = stratified_kfold(stratify, k, seed).splits()
+            expected = [X[train_idx] for _ in range(n_configs) for train_idx, _ in splits]
+            assert len(fitted) == len(expected), stage
+            for got, want in zip(fitted, expected):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestCli:
@@ -1236,6 +1370,25 @@ class TestCli:
         assert manifest["stages"] == []
         assert manifest["error"].startswith("[corpus] ")
 
+    @pytest.mark.parametrize("far", [False, True], ids=["line-3", "past-8-KiB"])
+    def test_corpus_line_not_utf8_exits_2_naming_it(self, tmp_path, caplog, far):
+        lines = [
+            json.dumps(record_to_json_obj(make_patent(f"P{i:03d}"))).encode() + b"\n"
+            for i in range(60)
+        ]
+        # the first line to start past the decoder's first 8 KiB chunk, or line 3
+        starts = np.cumsum([0] + [len(line) for line in lines])
+        bad_line = int(np.argmax(starts > 8192)) + 1 if far else 3
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b'"ACME"', b'"AC\xffME"', 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines))
+        config = self._write_config(tmp_path, corpus_path=str(bad))
+        obj = json.loads(config.read_text())
+        del obj["synth"]
+        config.write_text(json.dumps(obj))
+        assert cli.main(["ingest", "--config", str(config)]) == 2
+        assert f"{bad}:{bad_line}: byte 0xff is not UTF-8" in caplog.text
+
     def test_seed_override_changes_outputs(self, tmp_path):
         config = self._write_config(tmp_path)
         assert cli.main(["synth", "--config", str(config)]) == 0
@@ -1291,6 +1444,42 @@ class TestCli:
         config.write_text(json.dumps({**obj, "out_dir": str(out)}))
         assert cli.main([command, "--config", str(config)]) == 3
         assert f"cannot parse {name}" in caplog.text
+
+    @pytest.mark.parametrize(
+        "text", ["", "patent_id," + ",".join(FEATURE_NAMES) + "\r\n"], ids=["empty", "header-only"]
+    )
+    def test_features_csv_without_rows_exits_3_naming_it(
+        self, finished_runs, tmp_path, caplog, text
+    ):
+        obj = finished_runs["default"]
+        out = tmp_path / "out"
+        shutil.copytree(obj["out_dir"], out)
+        (out / "features.csv").write_text(text)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**obj, "out_dir": str(out)}))
+        for command in ("train", "evaluate", "explain"):
+            caplog.clear()
+            assert cli.main([command, "--config", str(config)]) == 3, command
+            assert re.search(rf"\[{command}\] .*features\.csv", caplog.text), command
+
+    @pytest.mark.parametrize("command", ["gridsearch", "cv"])
+    def test_a_diverging_fold_is_a_stage_error(
+        self, finished_runs, tmp_path, caplog, monkeypatch, command
+    ):
+        _cpus(monkeypatch, 1)
+        obj = finished_runs["default"]
+        out = tmp_path / "out"
+        shutil.copytree(obj["out_dir"], out)
+        diverging = (
+            {"grid": {"space": {"learning_rate": [1e300]}, "k": 2}} if command == "gridsearch"
+            else {"train": {**obj["train"], "learning_rate": 1e300}}
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**obj, "out_dir": str(out), **diverging}))
+        folds = ["--folds", "2"] if command == "cv" else []
+        with np.errstate(all="ignore"):
+            assert cli.main([command, "--config", str(config), *folds]) == 3
+        assert f"[{command}] non-finite training loss" in caplog.text
 
     def test_checkpoint_of_the_wrong_shape_exits_3_naming_it(
         self, finished_runs, tmp_path, caplog
