@@ -98,7 +98,7 @@ class TrajectoryPattern(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Party:
     """An assignee or inventor; name is optional and used for history matching."""
 
@@ -106,13 +106,13 @@ class Party:
     name: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Priority:
     country: str
     date: dt.date
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitedRef:
     """One backward citation (prior art) of a patent."""
 
@@ -123,7 +123,7 @@ class CitedRef:
     in_domain: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostHoc:
     """Value indicators observable only years after grant."""
 
@@ -132,7 +132,7 @@ class PostHoc:
     family_size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistoryOverrides:
     """Precomputed inventor/assignee history indicators.
 
@@ -146,7 +146,7 @@ class HistoryOverrides:
     pk_9: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatentRecord:
     id: str
     filing_date: dt.date

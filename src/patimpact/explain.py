@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Horizon, ImpactClass
 from .indicators import FEATURE_NAMES, N_FEATURES
-from .mtl import InferenceWorkspace, MtlModel, infer_proba
+from .mtl import INFERENCE_BLOCK_ROWS, InferenceWorkspace, MtlModel, infer_proba
 from .seeding import derive_seed
 
 MAX_EXACT_GROUPS = 20
@@ -48,14 +48,20 @@ class BackgroundSet:
     def n_dims(self) -> int:
         return self.matrix.shape[1]
 
+    @staticmethod
+    def sample_positions(n: int, size: int = 100, seed: int = 0) -> np.ndarray:
+        """The ascending positions, among ``n`` rows, of the rows `sample`
+        keeps: ``size`` of them drawn without replacement, or all when
+        ``n <= size``. A caller can then build only those rows."""
+        if n <= size:
+            return np.arange(n)
+        rng = np.random.default_rng(seed)
+        return np.sort(rng.choice(n, size=size, replace=False))
+
     @classmethod
     def sample(cls, X: np.ndarray, size: int = 100, seed: int = 0) -> "BackgroundSet":
         X = np.asarray(X, dtype=np.float64)
-        if X.shape[0] <= size:
-            return cls(matrix=X.copy())
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(X.shape[0], size=size, replace=False)
-        return cls(matrix=X[np.sort(idx)])
+        return cls(matrix=X[cls.sample_positions(X.shape[0], size, seed)])
 
 
 @dataclass(frozen=True)
@@ -135,8 +141,9 @@ def _evaluator(
     model: ModelLike, targets: Optional[Sequence[AttributionTarget]]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Maps (rows, dims) inputs to (n_outputs, rows) outputs: for a trained
-    model one output per target, all read from a single trunk pass through a
-    reused workspace; for a callable its one output."""
+    model one output per target, all read from one trunk pass per block of
+    `INFERENCE_BLOCK_ROWS` rows through a reused workspace; for a callable its
+    one output."""
     if isinstance(model, MtlModel):
         if not targets:
             raise ValueError("an attribution target is required for trained models")
@@ -144,8 +151,13 @@ def _evaluator(
         workspace = InferenceWorkspace()
 
         def evaluate(X: np.ndarray) -> np.ndarray:
-            probs = infer_proba(model, X, tasks, workspace)
-            return np.stack([probs[t.horizon][:, int(t.impact_class)] for t in targets])
+            out = np.empty((len(targets), X.shape[0]))
+            for start in range(0, X.shape[0], INFERENCE_BLOCK_ROWS):
+                rows = slice(start, start + INFERENCE_BLOCK_ROWS)
+                probs = infer_proba(model, X[rows], tasks, workspace)
+                for k, t in enumerate(targets):
+                    out[k, rows] = probs[t.horizon][:, int(t.impact_class)]
+            return out
 
         return evaluate
     if targets is not None and len(targets) > 1:

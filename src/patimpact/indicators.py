@@ -50,15 +50,12 @@ FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 #: Default home country; parties from elsewhere count as "foreign" in DEC_2/DEC_5.
 DEFAULT_HOME_COUNTRY = "US"
 
-FLAG_NO_BACKWARD_CITATIONS = "no_backward_citations"
-
 
 @dataclass(frozen=True)
 class FeatureVector:
     """One patent's indicator values in the fixed 44-dim layout."""
 
     values: np.ndarray
-    flags: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -229,7 +226,6 @@ def extract_features(
         history = build_history_index(corpus)
 
     v = np.zeros(N_FEATURES)
-    flags: set[str] = set()
     refs = rec.backward_citations
 
     # scope and coverage
@@ -280,8 +276,6 @@ def extract_features(
         v[26] = statistics.median(
             years_between(r.filing_date, rec.filing_date) for r in refs
         )
-    else:
-        flags.add(FLAG_NO_BACKWARD_CITATIONS)
 
     # prior knowledge
     v[27] = rec.npl_citation_count
@@ -322,7 +316,7 @@ def extract_features(
             if value is not None:
                 v[dim] = value
 
-    return FeatureVector(values=v, flags=frozenset(flags))
+    return FeatureVector(values=v)
 
 
 def extract_feature_matrix(

@@ -328,6 +328,15 @@ def init_network(config: NetworkConfig) -> MtlModel:
 # forward / backward
 # --------------------------------------------------------------------------
 
+#: Rows per forward in the inference-only callers (`predict_batch` and the
+#: Shapley evaluator), which bounds their activations at about 3.7 MB for the
+#: default network. `infer_logits` itself stays one forward over the whole
+#: batch, since training's backward reads the full batch's activations.
+#: Blocked results may differ from one call over all rows in the last bits:
+#: OpenBLAS may round a layer differently at another row count.
+INFERENCE_BLOCK_ROWS = 1024
+
+
 class InferenceWorkspace:
     """Activation buffers that `infer_logits` reuses from call to call.
 
@@ -421,10 +430,20 @@ def infer_proba(
 def predict_batch(
     model: MtlModel, X: np.ndarray, tasks: Optional[Sequence[Horizon]] = None
 ) -> dict[Horizon, np.ndarray]:
-    return {
-        task: np.argmax(logits, axis=1)
-        for task, logits in infer_logits(model, X, tasks).items()
-    }
+    """Predicted class index per row of every requested task.
+
+    The forward runs over blocks of `INFERENCE_BLOCK_ROWS` rows through one
+    reused workspace, so its activations stay bounded whatever the row count.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    tasks = tuple(tasks) if tasks is not None else model.tasks
+    preds = {task: np.empty(X.shape[0], dtype=np.intp) for task in tasks}
+    workspace = InferenceWorkspace()
+    for start in range(0, X.shape[0], INFERENCE_BLOCK_ROWS):
+        rows = slice(start, start + INFERENCE_BLOCK_ROWS)
+        for task, logits in infer_logits(model, X[rows], tasks, workspace).items():
+            np.argmax(logits, axis=1, out=preds[task][rows])
+    return preds
 
 
 SoftmaxParts = tuple[np.ndarray, np.ndarray, np.ndarray]

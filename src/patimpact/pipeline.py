@@ -969,10 +969,12 @@ def stage_explain(ctx: RunContext) -> list[str]:
     std = model.standardizer
     seed = cfg.stage_seed("explain")
 
-    background = explain_mod.BackgroundSet.sample(
-        std.transform(ctx.feature_rows(split["train_ids"])),
-        size=cfg.explain.background_size,
-        seed=derive_seed(seed, "background"),
+    train_ids = split["train_ids"]
+    kept = explain_mod.BackgroundSet.sample_positions(
+        len(train_ids), size=cfg.explain.background_size, seed=derive_seed(seed, "background")
+    )
+    background = explain_mod.BackgroundSet(
+        std.transform(ctx.feature_rows([train_ids[i] for i in kept]))
     )
     rng = np.random.default_rng(derive_seed(seed, "instances"))
     test_ids = list(split["test_ids"])

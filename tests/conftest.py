@@ -8,6 +8,7 @@ code under test.
 from __future__ import annotations
 
 import datetime as dt
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,17 @@ def d(iso: str) -> dt.date:
 def softmax(logits) -> np.ndarray:
     """Row-wise stable softmax (max-logit subtraction), computed as inference does."""
     return _softmax_inplace(np.array(logits, dtype=np.float64))
+
+
+def traced_peak_bytes(call) -> int:
+    """The peak of the memory that ``call()`` allocates and tracemalloc
+    traces (numpy arrays included), above what was live before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def labeled_run_dir(

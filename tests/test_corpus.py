@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import pickle
 import tempfile
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +429,43 @@ class TestSharedValues:
                 assert first.setdefault(value, value) is value, (kind, value)
         refs = kinds["citation"]
         assert len({id(r) for r in refs}) == len(set(refs))
+
+
+_VALUE_OBJECTS = [
+    Party(country="US", name="ACME"),
+    Priority(country="DE", date=d("2003-02-01")),
+    CitedRef(country="JP", filing_date=d("2001-05-06"), ipc_codes=("H01M4/00",),
+             cited_id="P-9", in_domain=True),
+    PostHoc(maintenance_years=12.5, transfer_count=2, family_size=7),
+    HistoryOverrides(pk_6=1.0, pk_9=4.0),
+    make_patent(
+        "P-1",
+        priorities=(Priority(country="DE", date=d("2003-02-01")),),
+        post_hoc=PostHoc(maintenance_years=12.5, transfer_count=2, family_size=7),
+        history_overrides=HistoryOverrides(pk_7=2.0),
+    ),
+]
+
+
+class TestSlottedValues:
+    """The corpus value classes keep their fields in slots, with no per-object
+    ``__dict__``, and still behave as frozen dataclasses."""
+
+    @pytest.mark.parametrize("value", _VALUE_OBJECTS, ids=lambda v: type(v).__name__)
+    def test_frozen_slotted_value(self, value):
+        assert not hasattr(value, "__dict__")
+        first = fields(value)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, first, getattr(value, first))
+        # Python 3.11 raises a TypeError for a name outside the fields: the
+        # frozen __setattr__ calls super() on the class from before slots
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+        for copy in (pickle.loads(pickle.dumps(value)), replace(value)):
+            assert copy is not value
+            assert copy == value and hash(copy) == hash(value)
+        changed = replace(value, **{first: None})
+        assert changed != value and getattr(changed, first) is None
 
 
 class TestRoundTripProperty:

@@ -23,6 +23,8 @@ from patimpact.indicators import N_FEATURES
 from patimpact.mtl import NetworkConfig, TrainConfig, infer_proba, init_network, train
 from patimpact.pipeline import _write_csv
 
+from conftest import traced_peak_bytes
+
 
 def toy_model(X: np.ndarray) -> np.ndarray:
     """Nonlinear 10-dim test function; dims 7..9 are dummies.
@@ -220,6 +222,42 @@ class TestTrainedModelIntegration:
         model, X = trained
         with pytest.raises(ValueError):
             shapley_sampled(model, X[0], BackgroundSet(X[:10]), n_permutations=2)
+
+
+class TestBlockedEvaluation:
+    """A trained model's coalition batches run through the network in blocks
+    of `mtl.INFERENCE_BLOCK_ROWS` rows."""
+
+    def test_multi_block_estimate_equals_one_forward_per_batch(self, trained):
+        model, X = trained
+        # 30 groups x 100 background rows: 3,000-row batches, three blocks each
+        background = BackgroundSet(np.random.default_rng(33).normal(size=(100, 44)))
+        target = AttributionTarget(horizon=Horizon.MID, impact_class=ImpactClass.BT)
+
+        def one_forward(batch):
+            return infer_proba(model, batch, (Horizon.MID,))[Horizon.MID][:, 2]
+
+        got, want = (
+            shapley_sampled(f, X[7], background, target=target, n_permutations=6, seed=34)
+            for f in (model, one_forward)
+        )
+        assert got.efficiency_gap() < 1e-9
+        for a, b in ((got.phi, want.phi), (got.std_err, want.std_err)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert got.base_value == pytest.approx(want.base_value, abs=1e-12)
+        assert got.model_output == pytest.approx(want.model_output, abs=1e-12)
+
+    def test_peak_memory_does_not_grow_with_background(self):
+        model = init_network(NetworkConfig(seed=35))
+        rng = np.random.default_rng(35)
+        background = BackgroundSet(rng.normal(size=(200, 44)))
+        instance = rng.normal(size=44)
+        target = AttributionTarget(horizon=Horizon.LONG, impact_class=ImpactClass.BT)
+        # 6,000-row coalition batches; one forward each would hold 14 MB of activations
+        peak = traced_peak_bytes(
+            lambda: shapley_sampled(model, instance, background, target=target, n_permutations=2)
+        )
+        assert peak < 10e6
 
 
 MULTI_TARGETS = [

@@ -14,7 +14,6 @@ import pytest
 from patimpact.corpus import Corpus, ImpactClass
 from patimpact.indicators import (
     FEATURE_NAMES,
-    FLAG_NO_BACKWARD_CITATIONS,
     FeatureVector,
     Standardizer,
     build_history_index,
@@ -114,13 +113,11 @@ class TestCraftedPatents:
         expected[36] = 1                           # PK_3_H
         expected[37:] = [4, 1, 1 / 3, 1, 1, 1, 3]  # PK_4..PK_10
         np.testing.assert_allclose(fv.values, expected, rtol=0, atol=1e-12)
-        assert FLAG_NO_BACKWARD_CITATIONS not in fv.flags
 
     def test_patent_b_empty_citation_conventions(self, crafted_corpus, stats):
         fv = extract_features(crafted_corpus, "P-B", stats)
         assert fv["SC_1"] == 0
         assert fv["TE_5"] == 0
-        assert FLAG_NO_BACKWARD_CITATIONS in fv.flags
         assert fv["PK_2"] == 0
         assert fv["PK_4"] == 0
         assert fv["PK_5"] == 0
@@ -242,7 +239,6 @@ class TestInvariants:
         a = extract_features(crafted_corpus, "P-A", stats)
         b = extract_features(crafted_corpus, "P-A", stats)
         assert np.array_equal(a.values, b.values)
-        assert a.flags == b.flags
 
     def test_history_overrides_take_precedence(self):
         from patimpact.corpus import HistoryOverrides

@@ -13,6 +13,7 @@ import pytest
 from patimpact.corpus import HORIZONS, Horizon, ImpactClass
 from patimpact.indicators import fit_standardizer
 from patimpact.mtl import (
+    INFERENCE_BLOCK_ROWS,
     MISSING_LABEL,
     EpochStats,
     InferenceWorkspace,
@@ -40,7 +41,7 @@ from patimpact.mtl import (
 from patimpact.pipeline import _write_csv
 from patimpact.seeding import derive_seed, derived_rng
 
-from conftest import softmax
+from conftest import softmax, traced_peak_bytes
 
 ALL_TASKS = dict.fromkeys(HORIZONS)
 
@@ -393,6 +394,38 @@ class TestInferenceForward:
         X = np.random.default_rng(9).normal(size=(50, model.config.input_dim))
         got = infer_proba(model, X, tasks=(Horizon.LONG, Horizon.SHORT))
         assert list(got) == [Horizon.LONG, Horizon.SHORT]
+
+
+def perturbed_network(seed: int):
+    """The default network, with noise on every weight and bias."""
+    model = init_network(NetworkConfig(seed=seed))
+    rng = np.random.default_rng(seed)
+    for _, arr in model.parameters():
+        arr += rng.normal(0.0, 0.1, size=arr.shape)
+    return model
+
+
+class TestBlockedPrediction:
+    """`predict_batch` runs the network over blocks of INFERENCE_BLOCK_ROWS rows."""
+
+    B = INFERENCE_BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_equals_argmax_of_one_unblocked_forward(self, n):
+        model = perturbed_network(13)
+        X = np.random.default_rng(n).normal(size=(n, model.config.input_dim))
+        preds = predict_batch(model, X)
+        logits = infer_logits(model, X)
+        assert list(preds) == list(model.tasks)
+        for task in model.tasks:
+            assert preds[task].shape == (n,)
+            assert np.array_equal(preds[task], np.argmax(logits[task], axis=1))
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        model = perturbed_network(14)
+        X = np.random.default_rng(14).normal(size=(20_000, model.config.input_dim))
+        # one forward over all rows would hold 20,000 x 457 activations: 73 MB
+        assert traced_peak_bytes(lambda: predict_batch(model, X)) < 8e6
 
 
 def constant_logits_model(logits):
