@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .corpus import Horizon, ImpactClass
 from .indicators import FEATURE_NAMES, N_FEATURES
-from .mtl import INFERENCE_BLOCK_ROWS, InferenceWorkspace, MtlModel, infer_proba
+from .mtl import INFERENCE_BLOCK_ROWS, InferenceWorkspace, MtlModel, infer_logits
 from .seeding import derive_seed
 
 MAX_EXACT_GROUPS = 20
@@ -139,30 +140,52 @@ TargetSpec = Union[AttributionTarget, Sequence[AttributionTarget], None]
 
 def _evaluator(
     model: ModelLike, targets: Optional[Sequence[AttributionTarget]]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Maps (rows, dims) inputs to (n_outputs, rows) outputs: for a trained
-    model one output per target, all read from one trunk pass per block of
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A function ``evaluate(X, out)`` that writes the outputs of (rows, dims)
+    inputs into the (n_outputs, rows) array ``out``: for a trained model one
+    output per target, all read from one trunk pass per block of
     `INFERENCE_BLOCK_ROWS` rows through a reused workspace; for a callable its
-    one output."""
+    one output, which must hold one value per row.
+
+    A trained model's probabilities take the per-row steps of `infer_proba`'s
+    softmax, in its order, so their bits are equal: the row max, ``exp`` of
+    the contiguous shifted logits, the row sum ``(e0 + e1) + e2``. Each
+    horizon does them once, and only the targets' columns are divided.
+    """
     if isinstance(model, MtlModel):
         if not targets:
             raise ValueError("an attribution target is required for trained models")
         tasks = tuple(dict.fromkeys(t.horizon for t in targets))
+        # the (output row, class) of each target, per task
+        reads = [
+            [(k, int(t.impact_class)) for k, t in enumerate(targets) if t.horizon == task]
+            for task in tasks
+        ]
         workspace = InferenceWorkspace()
 
-        def evaluate(X: np.ndarray) -> np.ndarray:
-            out = np.empty((len(targets), X.shape[0]))
+        def evaluate(X: np.ndarray, out: np.ndarray) -> None:
             for start in range(0, X.shape[0], INFERENCE_BLOCK_ROWS):
                 rows = slice(start, start + INFERENCE_BLOCK_ROWS)
-                probs = infer_proba(model, X[rows], tasks, workspace)
-                for k, t in enumerate(targets):
-                    out[k, rows] = probs[t.horizon][:, int(t.impact_class)]
-            return out
+                logits = infer_logits(model, X[rows], tasks, workspace)
+                for z, task_reads in zip(logits.values(), reads):
+                    columns = [z[:, c] for c in range(z.shape[1])]
+                    z -= reduce(np.maximum, columns)[:, None]
+                    np.exp(z, out=z)
+                    row_sums = reduce(np.add, columns)
+                    for k, c in task_reads:
+                        np.divide(columns[c], row_sums, out=out[k, rows])
 
         return evaluate
     if targets is not None and len(targets) > 1:
         raise ValueError("a callable model has one output; pass at most one target")
-    return lambda X: np.asarray(model(X), dtype=np.float64).reshape(1, -1)
+
+    def evaluate_callable(X: np.ndarray, out: np.ndarray) -> None:
+        values = np.asarray(model(X), dtype=np.float64)
+        if values.size != X.shape[0]:
+            raise ValueError(f"the model gave {values.size} outputs for {X.shape[0]} rows")
+        out[0] = values.reshape(-1)
+
+    return evaluate_callable
 
 
 def _resolve_grouping(instance: np.ndarray, grouping: Optional[FeatureGrouping]) -> FeatureGrouping:
@@ -196,6 +219,7 @@ def shapley_exact(
         raise ValueError(f"{g} groups exceeds the exact enumeration bound {MAX_EXACT_GROUPS}")
     f = _evaluator(model, None if target is None else [target])
     bg = background.matrix
+    out = np.empty((1, bg.shape[0]))
 
     # one value-function evaluation per coalition, cached by bitmask
     values = np.empty(1 << g)
@@ -205,7 +229,8 @@ def shapley_exact(
             if mask >> gi & 1:
                 dims = list(grouping.members[gi])
                 composite[:, dims] = instance[dims]
-        values[mask] = float(f(composite)[0].mean())
+        f(composite, out)
+        values[mask] = float(out[0].mean())
 
     fact = [math.factorial(i) for i in range(g + 1)]
     weight_by_size = [fact[s] * fact[g - s - 1] / fact[g] for s in range(g)]
@@ -245,6 +270,14 @@ def shapley_sampled(
     also be a sequence of targets of one trained model: they then share the
     sampled permutations, each coalition batch goes through the trunk once
     for all of them, and one row per target comes back, in target order.
+
+    The model sees each distinct coalition row once per permutation: a row
+    that a group's joining leaves bit for bit as it was keeps its value, and a
+    row that has become the instance takes the instance's value. The rows it
+    does see go in batches of a multiple of 4 rows, padded with copies of a
+    row. On OpenBLAS 0.3.31 a row's outputs then do not depend on its
+    position or on the batch size (see `mtl.INFERENCE_BLOCK_ROWS`), so every
+    value equals the one a full coalition batch would give.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
@@ -256,23 +289,66 @@ def shapley_sampled(
     evaluate = _evaluator(model, targets)
     bg = background.matrix
     m, d = bg.shape
+    n_out = len(targets) if targets else 1
     rng = np.random.default_rng(seed)
 
-    base_values = evaluate(bg).mean(axis=1)
-    n_out = base_values.size
     member = np.zeros((g, d), dtype=bool)
     for gi, dims in enumerate(grouping.members):
         member[gi, list(dims)] = True
-    composites = np.empty((g, m, d))
+    # differs[gi, r]: background row r holds other bits than the instance on
+    # group gi, so that gi's joining changes the row. A row that differs on a
+    # dim outside every group never becomes the instance: count that as one
+    # more difference, which no join removes.
+    unequal = bg.view(np.int64) != instance.view(np.int64)
+    differs = np.array([unequal[:, list(dims)].any(axis=1) for dims in grouping.members])
+    n_differs = differs.sum(axis=0) + unequal[:, ~member.any(axis=0)].any(axis=1)
+
+    # the rows the model sees, and the values of a permutation's coalition rows:
+    # the background rows' in columns 0..m-1, the instance's in column m and
+    # the rows evaluated for the permutation from column m + 1 on
+    rows = np.empty((g * m + 3, d))
+    values = np.empty((n_out, m + 1 + g * m + 3))
+
+    def evaluate_rows(n_rows: int, column: int) -> None:
+        padded = -(-n_rows // 4) * 4
+        rows[n_rows:padded] = rows[0]
+        evaluate(rows[:padded], values[:, column:column + padded])
+
+    rows[:m] = bg
+    evaluate_rows(m, 0)
+    base_values = values[:, :m].mean(axis=1)
+    rows[:4] = instance
+    evaluate_rows(4, m)
+
     samples = np.empty((n_out, n_permutations, g))
     for p in range(n_permutations):
         order = rng.permutation(g)
-        # coalition state after each join: composites[s] holds the instance's
-        # values on groups order[:s + 1] and the background's elsewhere
+        # coalition state after each join: step s holds the instance's values
+        # on groups order[:s + 1] and the background's elsewhere
         joined = np.logical_or.accumulate(member[order], axis=0)
-        np.copyto(composites, bg)
-        np.copyto(composites, instance, where=joined[:, None, :])
-        step_values = evaluate(composites.reshape(g * m, d)).reshape(n_out, g, m).mean(axis=2)
+        # whether step s changes row r, and whether the row still differs
+        # from the instance after it
+        changed = differs[order]
+        differs_after = changed.cumsum(axis=0) < n_differs
+        needed = changed & differs_after
+        flat = np.flatnonzero(needed)
+        if flat.size:
+            # the indices are in range; "clip" lets take write into rows directly
+            np.take(bg, flat % m, axis=0, out=rows[:flat.size], mode="clip")
+            start = 0
+            for s, count in enumerate(needed.sum(axis=1).tolist()):
+                np.copyto(rows[start:start + count], instance, where=joined[s])
+                start += count
+            evaluate_rows(flat.size, m + 1)
+        # the column of values that holds each (step, row)'s value: the row's
+        # latest evaluation, or the background row before any, and the
+        # instance once the row equals it
+        column = np.tile(np.arange(m), (g, 1))
+        column.flat[flat] = np.arange(m + 1, m + 1 + flat.size)
+        np.maximum.accumulate(column, axis=0, out=column)
+        column[~differs_after] = m
+        table = values.take(column.reshape(-1), axis=1)
+        step_values = table.reshape(n_out, g, m).mean(axis=2)
         samples[:, p, order] = np.diff(step_values, axis=1, prepend=base_values[:, None])
 
     group_values = _group_values(instance, grouping, display_values)

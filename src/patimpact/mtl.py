@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -332,8 +332,12 @@ def init_network(config: NetworkConfig) -> MtlModel:
 #: Shapley evaluator), which bounds their activations at about 3.7 MB for the
 #: default network. `infer_logits` itself stays one forward over the whole
 #: batch, since training's backward reads the full batch's activations.
-#: Blocked results may differ from one call over all rows in the last bits:
-#: OpenBLAS may round a layer differently at another row count.
+#: Measured on OpenBLAS 0.3.31 with one thread: in a forward of a multiple of
+#: 4 rows, at most this many, each row's outputs have the same bits whatever
+#: its position, the order of the rows or their count. The Shapley evaluator
+#: relies on that (`tests/test_mtl.py::TestBlasRowRule` pins it). A forward of
+#: 1-3 rows or of 1,023 rows can round some rows differently in the last bits,
+#: and so can one of more rows (6,000, say).
 INFERENCE_BLOCK_ROWS = 1024
 
 
@@ -347,15 +351,15 @@ class InferenceWorkspace:
     workspace.
 
     After a call, ``trunk`` holds the input and each trunk layer's output,
-    ``heads`` each requested head's layer outputs (the logits last) and
-    ``masks`` the trunk's dropout masks (none without dropout): what
-    `_backward_batch` reads.
+    ``heads`` each requested head's layer outputs (the logits last), in the
+    order the heads were requested, and ``masks`` the trunk's dropout masks
+    (none without dropout): what `_backward` reads.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
         self.trunk: list[np.ndarray] = []
-        self.heads: dict[Horizon, list[np.ndarray]] = {}
+        self.heads: list[list[np.ndarray]] = []
         self.masks: list[np.ndarray] = []
 
     def take(self, key: tuple, rows: int, width: int) -> np.ndarray:
@@ -374,6 +378,40 @@ def _dense_into(a: np.ndarray, layer: DenseLayer, out: np.ndarray, rectify: bool
     return out
 
 
+def _forward(
+    model: MtlModel,
+    X: np.ndarray,
+    heads: Sequence[list[DenseLayer]],
+    ws: InferenceWorkspace,
+    dropout_rng: Optional[np.random.Generator] = None,
+) -> None:
+    """`infer_logits` for heads given by their layers: it leaves everything
+    in ``ws``, and the logits of head ``k`` are ``ws.heads[k][-1]``."""
+    rate = model.config.shared_dropout_rate
+    a = np.asarray(X, dtype=np.float64)
+    n = a.shape[0]
+    ws.trunk, ws.masks = [a], []
+    for i, layer in enumerate(model.shared):
+        width = layer.W.shape[1]
+        a = _dense_into(a, layer, ws.take(("shared", i), n, width), True)
+        if dropout_rng is not None and rate > 0.0:
+            mask = dropout_rng.random(out=ws.take(("mask", i), n, width))
+            np.greater_equal(mask, rate, out=mask)
+            mask /= 1.0 - rate
+            a *= mask
+            ws.masks.append(mask)
+        ws.trunk.append(a)
+    ws.heads = []
+    for k, layers in enumerate(heads):
+        outs = []
+        a = ws.trunk[-1]
+        for i, layer in enumerate(layers):
+            out = ws.take(("head", k, i), n, layer.W.shape[1])
+            a = _dense_into(a, layer, out, i < len(layers) - 1)
+            outs.append(a)
+        ws.heads.append(outs)
+
+
 def infer_logits(
     model: MtlModel,
     X: np.ndarray,
@@ -389,30 +427,9 @@ def infer_logits(
     backward pass needs.
     """
     ws = workspace if workspace is not None else InferenceWorkspace()
-    rate = model.config.shared_dropout_rate
-    a = np.asarray(X, dtype=np.float64)
-    n = a.shape[0]
-    ws.trunk, ws.masks = [a], []
-    for i, layer in enumerate(model.shared):
-        width = layer.W.shape[1]
-        a = _dense_into(a, layer, ws.take(("shared", i), n, width), True)
-        if dropout_rng is not None and rate > 0.0:
-            mask = dropout_rng.random(out=ws.take(("mask", i), n, width))
-            np.greater_equal(mask, rate, out=mask)
-            mask /= 1.0 - rate
-            a *= mask
-            ws.masks.append(mask)
-        ws.trunk.append(a)
-    ws.heads = {}
-    for task in tasks if tasks is not None else model.tasks:
-        layers = model.heads[task]
-        outs = ws.heads[task] = []
-        a = ws.trunk[-1]
-        for i, layer in enumerate(layers):
-            out = ws.take(("head", task, i), n, layer.W.shape[1])
-            a = _dense_into(a, layer, out, i < len(layers) - 1)
-            outs.append(a)
-    return {task: outs[-1] for task, outs in ws.heads.items()}
+    tasks = tuple(tasks) if tasks is not None else model.tasks
+    _forward(model, X, [model.heads[task] for task in tasks], ws, dropout_rng)
+    return {task: outs[-1] for task, outs in zip(tasks, ws.heads)}
 
 
 def infer_proba(
@@ -457,84 +474,105 @@ def _softmax_parts(logits: np.ndarray) -> SoftmaxParts:
     return z, e, e.sum(axis=-1, keepdims=True)
 
 
+class _Labels(NamedTuple):
+    """One task's labels in one batch, in the forms the loss and its gradient
+    read. Rows count from the batch's first row."""
+
+    flat: np.ndarray  # row * classes + label of each labelled row, in row order
+    rows: np.ndarray  # the labelled rows
+    weights: np.ndarray  # their class weights
+    row_weights: np.ndarray  # every row's class weight, 0 where the label is missing
+
+
+def _row_weights(y: np.ndarray, class_weights: Optional[np.ndarray]) -> np.ndarray:
+    """Each row's class weight (1 without class weighting), 0 where its label
+    is missing."""
+    valid = y != MISSING_LABEL
+    weights = np.zeros(len(y))
+    weights[valid] = 1.0 if class_weights is None else class_weights[y[valid]]
+    return weights
+
+
+def _batch_labels(
+    y: np.ndarray, row_weights: np.ndarray, n_classes: int, batch_size: int
+) -> list[_Labels]:
+    """The `_Labels` of each run of ``batch_size`` consecutive rows of ``y``
+    (of one batch holding every row of an empty ``y``)."""
+    valid = y != MISSING_LABEL
+    pos = np.arange(len(y)) % batch_size
+    flat, rows, weights = (pos * n_classes + y)[valid], pos[valid], row_weights[valid]
+    starts = range(0, max(len(y), 1), batch_size)
+    cuts = np.concatenate(([0], np.cumsum(valid)))[[*starts, len(y)]].tolist()
+    return [
+        _Labels(flat[c0:c1], rows[c0:c1], weights[c0:c1], row_weights[start:start + batch_size])
+        for start, c0, c1 in zip(starts, cuts, cuts[1:])
+    ]
+
+
+def _labels(y: np.ndarray, class_weights: Optional[np.ndarray], n_classes: int) -> _Labels:
+    """The `_Labels` of one batch holding every row of ``y``."""
+    return _batch_labels(y, _row_weights(y, class_weights), n_classes, max(len(y), 1))[0]
+
+
+def _task_loss(parts: SoftmaxParts, labels: _Labels) -> float:
+    """Mean cross-entropy over the labelled rows, weighted by class; 0 for none.
+    Without class weights every weight is 1, which gives the plain mean."""
+    if not labels.rows.size:
+        return 0.0
+    z, _, row_sums = parts
+    # minus the log-softmax of each row's label
+    ce = z.take(labels.flat)
+    ce -= np.log(row_sums.take(labels.rows))
+    np.negative(ce, out=ce)
+    w = labels.weights
+    return float((ce * w).sum() / w.sum())
+
+
+def _dlogits(parts: SoftmaxParts, labels: _Labels, task_weight: float) -> np.ndarray:
+    """The gradient of ``task_weight`` times `_task_loss` w.r.t. the logits.
+    A row without a label keeps its probabilities, so its 0 weight makes it 0."""
+    _, e, row_sums = parts
+    d = e / row_sums
+    d.reshape(-1)[labels.flat] -= 1.0
+    w = labels.row_weights
+    d *= (task_weight / w.sum()) * w[:, None]
+    return d
+
+
 def _batch_task_losses(
-    logits: dict[Horizon, np.ndarray],
+    logits: Mapping[Horizon, np.ndarray],
     labels: Mapping[Horizon, np.ndarray],
     tasks: Sequence[Horizon],
     class_weights: Optional[Mapping[Horizon, np.ndarray]] = None,
-    parts: Optional[Mapping[Horizon, SoftmaxParts]] = None,
 ) -> dict[Horizon, float]:
-    """Per-task mean cross-entropy over instances with a label (not -1).
-
-    ``parts`` holds each task's ``_softmax_parts`` when they are already known.
-    """
+    """Per-task mean cross-entropy over instances with a label (not -1)."""
     out = {}
     for task in tasks:
-        y = labels[task]
-        valid = y != MISSING_LABEL
-        if not valid.any():
-            out[task] = 0.0
-            continue
-        z, _, row_sums = parts[task] if parts else _softmax_parts(logits[task])
-        rows, y_valid = np.flatnonzero(valid), y[valid]
-        # minus the log-softmax of each row's label
-        ce = -(z[rows, y_valid] - np.log(row_sums[rows, 0]))
-        if class_weights is not None and task in class_weights:
-            w = class_weights[task][y_valid]
-            out[task] = float((ce * w).sum() / w.sum())
-        else:
-            out[task] = float(ce.mean())
+        y, z = labels[task], logits[task]
+        out[task] = _task_loss(
+            _softmax_parts(z), _labels(y, (class_weights or {}).get(task), z.shape[1])
+        )
     return out
 
 
-def _backward_batch(
-    model: MtlModel,
-    ws: InferenceWorkspace,
-    labels: Mapping[Horizon, np.ndarray],
-    weights: Mapping[Horizon, float],
-    tasks: Sequence[Horizon],
-    class_weights: Optional[Mapping[Horizon, np.ndarray]] = None,
-    grad: Optional[MtlModel] = None,
-    parts: Optional[Mapping[Horizon, SoftmaxParts]] = None,
-) -> MtlModel:
-    """Gradients of the weighted multi-task batch loss w.r.t. every parameter,
-    from the activations that `infer_logits` left in ``ws``.
-
-    They are written into the layer views of ``grad``, a model of the same
-    layout (a new one by default), which is cleared first and returned.
-    ``parts`` is as in ``_batch_task_losses``. A rectifier passes gradient
+def _backward(model: MtlModel, ws: InferenceWorkspace, grad: MtlModel, heads: Iterable) -> None:
+    """Write the gradients of the batch loss w.r.t. the trunk and ``heads``
+    into ``grad``, from the activations the forward left in ``ws``. Each head
+    is (its layers, the outputs the forward left, its layers in ``grad``, the
+    gradient of its logits); a head whose logit gradient is None gets zeros.
+    Every other gradient is written with ``out=``, so ``grad`` needs no
+    clearing. A rectifier passes gradient
     where its output is positive: every dropout scale is at least 1, so that
-    is exactly where its pre-activation is.
-    """
-    grad = grad if grad is not None else _zero_model(model.config)
-    grad.flat.fill(0.0)
+    is exactly where its pre-activation is."""
     d_trunk = np.zeros_like(ws.trunk[-1])
-
-    for task in tasks:
-        w_task = float(weights.get(task, 0.0))
-        if w_task == 0.0:
+    for layers, outs, grad_layers, delta in heads:
+        if delta is None:
+            for layer in grad_layers:
+                layer.W.fill(0.0)
+                layer.b.fill(0.0)
             continue
-        y = labels[task]
-        valid = y != MISSING_LABEL
-        n_valid = int(valid.sum())
-        if n_valid == 0:
-            continue
-        # acts[i] is the input of head layer i, acts[-1] the logits
-        acts = [ws.trunk[-1], *ws.heads[task]]
-        _, e, row_sums = parts[task] if parts else _softmax_parts(acts[-1])
-        dlogits = e / row_sums
-        rows = np.flatnonzero(valid)
-        dlogits[rows, y[valid]] -= 1.0
-        if class_weights is not None and task in class_weights:
-            w_inst = np.zeros(len(y))
-            w_inst[rows] = class_weights[task][y[valid]]
-            dlogits *= (w_task / w_inst.sum()) * w_inst[:, None]
-        else:
-            dlogits[~valid] = 0.0
-            dlogits *= w_task / n_valid
-
-        layers, grad_layers = model.heads[task], grad.heads[task]
-        delta = dlogits
+        # acts[i] is the input of head layer i
+        acts = [ws.trunk[-1], *outs]
         for i in range(len(layers) - 1, -1, -1):
             np.matmul(acts[i].T, delta, out=grad_layers[i].W)
             np.add.reduce(delta, axis=0, out=grad_layers[i].b)
@@ -552,6 +590,34 @@ def _backward_batch(
         np.add.reduce(delta, axis=0, out=grad.shared[i].b)
         if i > 0:
             delta = delta @ model.shared[i].W.T
+
+
+def _backward_batch(
+    model: MtlModel,
+    ws: InferenceWorkspace,
+    labels: Mapping[Horizon, np.ndarray],
+    weights: Mapping[Horizon, float],
+    tasks: Sequence[Horizon],
+    class_weights: Optional[Mapping[Horizon, np.ndarray]] = None,
+    grad: Optional[MtlModel] = None,
+) -> MtlModel:
+    """Gradients of the weighted multi-task batch loss w.r.t. every parameter,
+    from the activations that `infer_logits` of ``tasks``, in that order, left
+    in ``ws``. They are written into the layer views of ``grad``, a model of
+    the same layout (a new one by default), which is returned; a head outside
+    ``tasks`` gets zeros."""
+    grad = grad if grad is not None else _zero_model(model.config)
+    heads = []
+    for task, outs in zip(tasks, ws.heads):
+        y, weight, delta = labels[task], float(weights.get(task, 0.0)), None
+        if weight != 0.0:
+            task_labels = _labels(y, (class_weights or {}).get(task), outs[-1].shape[1])
+            if task_labels.rows.size:
+                delta = _dlogits(_softmax_parts(outs[-1]), task_labels, weight)
+        heads.append((model.heads[task], outs, grad.heads[task], delta))
+    idle = [task for task in model.tasks if task not in tasks]
+    heads += [(model.heads[t], [], grad.heads[t], None) for t in idle]
+    _backward(model, ws, grad, heads)
     return grad
 
 
@@ -687,21 +753,27 @@ def train(
         y[stratify_task], cfg.validation_fraction, derive_seed(cfg.seed, "valsplit")
     )
 
-    class_weights = None
-    if cfg.class_weighting:
-        class_weights = {
-            task: _inverse_frequency_weights(y[task][train_idx]) for task in tasks
-        }
-
     X_tr, X_val = X[train_idx], X[val_idx]
-    y_tr = {t: y[t][train_idx] for t in tasks}
-    y_val = {t: y[t][val_idx] for t in tasks}
+    # per-task lists, indexed like ``tasks``
+    weights = [cfg.weight(t) for t in tasks]
+    heads = [model.heads[t] for t in tasks]
+    n_classes = model.config.classes_per_task
+    y_tr = [y[t][train_idx] for t in tasks]
+    task_class_weights = [
+        _inverse_frequency_weights(y_k) if cfg.class_weighting else None for y_k in y_tr
+    ]
+    w_tr = [_row_weights(y_k, cw) for y_k, cw in zip(y_tr, task_class_weights)]
+    val_labels = [
+        _labels(y[t][val_idx], cw, n_classes) for t, cw in zip(tasks, task_class_weights)
+    ]
 
     shuffle_rng = derived_rng(cfg.seed, "shuffle")
     dropout_rng = derived_rng(cfg.seed, "dropout")
     optimizer = _Adam(model.flat, cfg)
     grad = _zero_model(model.config)
+    grad_heads = [grad.heads[t] for t in tasks]
     workspace = InferenceWorkspace()
+    X_epoch = np.empty_like(X_tr)
 
     best_val = math.inf
     best_params = model.flat.copy()
@@ -709,31 +781,40 @@ def train(
     model.history = []
 
     for epoch in range(cfg.max_epochs):
+        # the epoch's rows in shuffled order, so that each batch is a slice
         order = shuffle_rng.permutation(len(X_tr))
-        epoch_losses = {t: 0.0 for t in tasks}
+        np.take(X_tr, order, axis=0, out=X_epoch)
+        batches = zip(*(
+            _batch_labels(y_k.take(order), w_k.take(order), n_classes, cfg.batch_size)
+            for y_k, w_k in zip(y_tr, w_tr)
+        ))
+        epoch_losses = [0.0] * len(tasks)
         n_batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            yb = {t: y_tr[t][batch] for t in tasks}
-            logits = infer_logits(model, X_tr[batch], tasks, workspace, dropout_rng)
-            parts = {t: _softmax_parts(logits[t]) for t in tasks}
-            per_task = _batch_task_losses(logits, yb, tasks, class_weights, parts)
-            total = sum(cfg.weight(t) * per_task[t] for t in tasks)
+        for start, labels_b in zip(range(0, len(order), cfg.batch_size), batches):
+            _forward(model, X_epoch[start:start + cfg.batch_size], heads, workspace, dropout_rng)
+            parts = [_softmax_parts(outs[-1]) for outs in workspace.heads]
+            per_task = [_task_loss(p, lab) for p, lab in zip(parts, labels_b)]
+            total = sum(w * loss for w, loss in zip(weights, per_task))
             if not math.isfinite(total):
                 raise RuntimeError(
-                    f"non-finite training loss at epoch {epoch}: {per_task}"
+                    f"non-finite training loss at epoch {epoch}: {dict(zip(tasks, per_task))}"
                 )
-            _backward_batch(
-                model, workspace, yb, cfg.task_loss_weights, tasks, class_weights, grad, parts
-            )
+            deltas = [
+                _dlogits(p, lab, w) if lab.rows.size else None
+                for p, lab, w in zip(parts, labels_b, weights)
+            ]
+            _backward(model, workspace, grad, zip(heads, workspace.heads, grad_heads, deltas))
             optimizer.step(model.flat, grad.flat)
-            for t in tasks:
-                epoch_losses[t] += per_task[t]
+            for k, loss in enumerate(per_task):
+                epoch_losses[k] += loss
             n_batches += 1
 
-        train_per_task = {t: epoch_losses[t] / n_batches for t in tasks}
-        val_logits = infer_logits(model, X_val, tasks, workspace)
-        val_per_task = _batch_task_losses(val_logits, y_val, tasks, class_weights)
+        train_per_task = {t: loss / n_batches for t, loss in zip(tasks, epoch_losses)}
+        _forward(model, X_val, heads, workspace)
+        val_per_task = {
+            t: _task_loss(_softmax_parts(outs[-1]), lab)
+            for t, outs, lab in zip(tasks, workspace.heads, val_labels)
+        }
         val_total = sum(cfg.weight(t) * val_per_task[t] for t in tasks)
         model.history.append(
             EpochStats(

@@ -462,7 +462,8 @@ class RunContext:
     `read` is the one reader of artifacts. It parses each at most once and
     keeps it until the run ends; a missing or malformed one is a StageError
     of the running stage that names it. The corpus stage hands over the
-    corpus it wrote, so a full run never parses ``corpus.jsonl``. A context
+    corpus it wrote and the train stage the models, so a full run never
+    parses ``corpus.jsonl`` or a checkpoint. A context
     serves one run, in which every artifact is written before it is read.
     Whoever creates a context closes it, which stops the pool that `map`
     may have started.
@@ -894,6 +895,7 @@ def stage_train(ctx: RunContext) -> list[str]:
         raise StageError("train", str(exc)) from None
     model.standardizer = std
     mtl_mod.save_checkpoint(cfg.path(F_MODEL), model)
+    ctx.keep(F_MODEL, model)
     # training_log.csv ends lines with LF, not CRLF; existing logs and checksums pin that
     _write_csv(cfg.path(F_TRAINING_LOG), *mtl_mod.training_log_rows(model), lineterminator="\n")
     outputs = [F_SPLIT, F_MODEL, F_TRAINING_LOG]
@@ -902,6 +904,7 @@ def stage_train(ctx: RunContext) -> list[str]:
         stl.standardizer = std
         name = f"stl_{h.key}.ckpt.json"
         mtl_mod.save_checkpoint(cfg.path(name), stl)
+        ctx.keep(name, stl)
         outputs.append(name)
     return outputs
 

@@ -20,7 +20,15 @@ from patimpact.explain import (
     shapley_sampled,
 )
 from patimpact.indicators import N_FEATURES
-from patimpact.mtl import NetworkConfig, TrainConfig, infer_proba, init_network, train
+from patimpact.mtl import (
+    INFERENCE_BLOCK_ROWS,
+    MtlModel,
+    NetworkConfig,
+    TrainConfig,
+    infer_proba,
+    init_network,
+    train,
+)
 from patimpact.pipeline import _write_csv
 
 from conftest import traced_peak_bytes
@@ -323,6 +331,185 @@ class TestSharedPermutations:
         two = [MULTI_TARGETS[0], MULTI_TARGETS[1]]
         with pytest.raises(ValueError, match="one output"):
             shapley_sampled(toy_model, toy_instance, toy_background, target=two, n_permutations=2)
+
+
+def every_row_shapley(model, instance, background, targets, n_permutations, seed, grouping=None):
+    """`shapley_sampled` that sends every coalition row of every permutation
+    to the model, a trained model's probabilities read through `infer_proba`
+    in blocks of INFERENCE_BLOCK_ROWS rows: the oracle for the rows that
+    `shapley_sampled` skips. Gives (phi, std_err, base_value, model_output),
+    each with one entry per target."""
+    if isinstance(model, MtlModel):
+        tasks = tuple(dict.fromkeys(t.horizon for t in targets))
+
+        def f(X):
+            out = np.empty((len(targets), X.shape[0]))
+            for start in range(0, X.shape[0], INFERENCE_BLOCK_ROWS):
+                rows = slice(start, start + INFERENCE_BLOCK_ROWS)
+                probs = infer_proba(model, X[rows], tasks)
+                for k, t in enumerate(targets):
+                    out[k, rows] = probs[t.horizon][:, int(t.impact_class)]
+            return out
+    else:
+        def f(X):
+            return np.asarray(model(X), dtype=np.float64).reshape(1, -1)
+    if grouping is None:
+        grouping = default_grouping() if instance.size == N_FEATURES else (
+            FeatureGrouping.singletons([f"x{i}" for i in range(instance.size)])
+        )
+    g, bg = grouping.n_groups, background.matrix
+    m, d = bg.shape
+    rng = np.random.default_rng(seed)
+    base_values = f(bg).mean(axis=1)
+    n_out = base_values.size
+    member = np.zeros((g, d), dtype=bool)
+    for gi, dims in enumerate(grouping.members):
+        member[gi, list(dims)] = True
+    composites = np.empty((g, m, d))
+    samples = np.empty((n_out, n_permutations, g))
+    for p in range(n_permutations):
+        order = rng.permutation(g)
+        joined = np.logical_or.accumulate(member[order], axis=0)
+        np.copyto(composites, bg)
+        np.copyto(composites, instance, where=joined[:, None, :])
+        step_values = f(composites.reshape(g * m, d)).reshape(n_out, g, m).mean(axis=2)
+        samples[:, p, order] = np.diff(step_values, axis=1, prepend=base_values[:, None])
+    return (
+        [samples[k].mean(axis=0) for k in range(n_out)],
+        [samples[k].std(axis=0, ddof=1) / np.sqrt(n_permutations) for k in range(n_out)],
+        list(base_values),
+        list(step_values[:, -1]),
+    )
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def sharing_backgrounds(X, instance, seed):
+    """Backgrounds of 40 rows of ``X`` (default grouping: 1,200-row batches):
+    one that shares the instance's values on some groups of most rows, one
+    that also holds the instance itself, and one that shares nothing."""
+    rng = np.random.default_rng(seed)
+    rows = X[rng.choice(len(X), size=40, replace=False)]
+    shared = rows.copy()
+    for r, dims in enumerate(default_grouping().members * 2):
+        picked = list(dims) if r % 3 else list(dims) + [int(rng.integers(X.shape[1]))]
+        shared[r % 40, picked] = instance[picked]
+    with_instance = shared.copy()
+    with_instance[7] = instance
+    disjoint = rng.normal(size=rows.shape)
+    return {"sharing": shared, "with-instance": with_instance, "disjoint": disjoint}
+
+
+class TestKnownRowsSkipped:
+    """`shapley_sampled` evaluates each distinct coalition row once."""
+
+    @pytest.mark.parametrize("kind", ["sharing", "with-instance", "disjoint"])
+    def test_trained_model_equals_every_row_oracle_bit_for_bit(self, trained, kind):
+        model, X = trained
+        instance = X[12]
+        background = BackgroundSet(sharing_backgrounds(X, instance, 5)[kind])
+        rows = shapley_sampled(
+            model, instance, background, target=MULTI_TARGETS, n_permutations=12, seed=6
+        )
+        phi, std_err, base, output = every_row_shapley(
+            model, instance, background, MULTI_TARGETS, 12, 6
+        )
+        for k, row in enumerate(rows):
+            assert bits(row.phi) == bits(phi[k])
+            assert bits(row.std_err) == bits(std_err[k])
+            assert bits(row.base_value) == bits(base[k])
+            assert bits(row.model_output) == bits(output[k])
+
+    @pytest.mark.parametrize("kind", ["sharing", "with-instance", "disjoint"])
+    def test_callable_equals_every_row_oracle_bit_for_bit(self, toy_background, kind):
+        instance = np.clip(np.random.default_rng(2).normal(size=10), -1.5, 1.5)
+        bg = toy_background.matrix.copy()  # 30 rows: padded to 32 in the base pass
+        if kind != "disjoint":
+            bg[::2, :5] = instance[:5]
+            bg[1::3, 6] = instance[6]
+        if kind == "with-instance":
+            bg[4] = instance
+        background = BackgroundSet(bg)
+        row = shapley_sampled(toy_model, instance, background, n_permutations=15, seed=3)
+        phi, std_err, base, output = every_row_shapley(
+            toy_model, instance, background, None, 15, 3
+        )
+        assert bits(row.phi) == bits(phi[0])
+        assert bits(row.std_err) == bits(std_err[0])
+        assert bits(row.base_value) == bits(base[0])
+        assert bits(row.model_output) == bits(output[0])
+
+    def test_a_dim_outside_every_group_keeps_a_row_from_becoming_the_instance(
+        self, toy_background
+    ):
+        instance = np.clip(np.random.default_rng(6).normal(size=10), -1.5, 1.5)
+        bg = toy_background.matrix.copy()
+        # every other row equals the instance except on dim 6, which no group holds
+        others = [i for i in range(10) if i != 6]
+        bg[::2, others] = instance[others]
+        grouping = FeatureGrouping(
+            names=tuple(f"x{i}" for i in others), members=tuple((i,) for i in others)
+        )
+        background = BackgroundSet(bg)
+        row = shapley_sampled(
+            toy_model, instance, background, grouping=grouping, n_permutations=6, seed=2
+        )
+        phi, std_err, base, output = every_row_shapley(
+            toy_model, instance, background, None, 6, 2, grouping
+        )
+        assert bits(row.phi) == bits(phi[0])
+        assert bits(row.std_err) == bits(std_err[0])
+        assert bits(row.model_output) == bits(output[0])
+
+    def test_each_batch_holds_exactly_its_new_rows_that_are_not_the_instance(
+        self, toy_background
+    ):
+        instance = np.clip(np.random.default_rng(4).normal(size=10), -1.5, 1.5)
+        bg = toy_background.matrix[:29].copy()
+        bg[::2, :4] = instance[:4]
+        bg[3] = instance
+        batches = []
+
+        def counting_model(X):
+            batches.append(X.copy())
+            return toy_model(X)
+
+        shapley_sampled(counting_model, instance, BackgroundSet(bg), n_permutations=9, seed=8)
+        # the background pass and the instance, then one batch per permutation
+        assert [len(b) for b in batches[:2]] == [32, 4]
+        assert np.array_equal(batches[0][:29], bg)
+        assert (batches[1] == instance).all()
+        g, m = 10, len(bg)
+        rng = np.random.default_rng(8)
+        evaluated = iter(batches[2:])
+        for _ in range(9):
+            order = rng.permutation(g)
+            before = bg.copy()
+            new_rows = []
+            for gi in order:
+                after = before.copy()
+                after[:, gi] = instance[gi]
+                for r in range(m):
+                    if after[r].tobytes() not in (before[r].tobytes(), instance.tobytes()):
+                        new_rows.append(after[r])
+                before = after
+            if not new_rows:
+                continue
+            batch = next(evaluated)
+            n = len(new_rows)
+            assert len(batch) == -(-n // 4) * 4
+            assert np.array_equal(batch[:n], np.array(new_rows))
+            assert all(any((row == new).all() for new in new_rows) for row in batch[n:])
+        assert next(evaluated, None) is None
+
+    def test_callable_of_the_wrong_length_is_an_error(self, toy_background, toy_instance):
+        # 30 background rows go to the model as 32
+        with pytest.raises(ValueError, match="gave 31 outputs for 32 rows"):
+            shapley_sampled(
+                lambda X: toy_model(X[:-1]), toy_instance, toy_background, n_permutations=2
+            )
 
 
 class TestAggregation:

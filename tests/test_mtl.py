@@ -428,6 +428,26 @@ class TestBlockedPrediction:
         assert traced_peak_bytes(lambda: predict_batch(model, X)) < 8e6
 
 
+class TestBlasRowRule:
+    """In a forward of a multiple of 4 rows, at most INFERENCE_BLOCK_ROWS, a
+    row's outputs do not depend on its position, the row order or the row
+    count: the rule that `explain.shapley_sampled` relies on. Under a BLAS
+    that breaks it, this test fails before any Shapley value moves."""
+
+    @pytest.mark.parametrize("block", [4, 8, 12, 100, 508, 1020])
+    def test_rows_in_any_order_and_block_equal_a_full_block(self, block):
+        model = perturbed_network(15)
+        n = INFERENCE_BLOCK_ROWS
+        X = np.random.default_rng(block).normal(size=(n, model.config.input_dim))
+        want = {task: z.copy() for task, z in infer_logits(model, X).items()}
+        order = np.random.default_rng(block + 1).permutation(n)
+        # every block, the shorter last one included, holds a multiple of 4 rows
+        for start in range(0, n, block):
+            rows = order[start:start + block]
+            for task, z in infer_logits(model, X[rows]).items():
+                assert z.tobytes() == want[task][rows].tobytes(), (task, start)
+
+
 def constant_logits_model(logits):
     """A model whose every head gives ``logits`` for any input."""
     model = init_network(small_config())

@@ -821,6 +821,23 @@ class TestRunContext:
         STAGES["features"](cfg)
         assert paths == ["corpus.jsonl"]
 
+    def test_a_run_parses_no_checkpoint_it_wrote(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 1)
+        cfg = config_from_obj(base_config_obj(tmp_path))
+        _, opens = _audited(lambda: run_pipeline(cfg), cfg.out_dir)
+        checkpoints = sorted(["model.ckpt.json", *(f"stl_{h.key}.ckpt.json" for h in HORIZONS)])
+        opened = [(n, writes, in_read) for n, writes, in_read in opens if n.endswith(".ckpt.json")]
+        assert sorted(n for n, writes, _ in opened if writes) == checkpoints
+        # the train stage hands its models on, so no stage reads a checkpoint back
+        # (the manifest still hashes each one)
+        assert [n for n, _, in_read in opened if in_read] == []
+        # the later stages, each parsing the checkpoints alone, write the same bytes
+        digests = checksums(tmp_path)
+        names = pipeline_stage_names(cfg)
+        for name in names[names.index("train") + 1:]:
+            STAGES[name](cfg)
+        assert checksums(tmp_path) == digests
+
     @settings(max_examples=30, deadline=None)
     @given(corpus=_hand_built_corpora() | _synthetic_corpora, data=st.data())
     def test_corpus_stage_passes_on_what_load_corpus_reads_back(self, corpus, data):
