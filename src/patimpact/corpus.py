@@ -12,6 +12,8 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
@@ -260,6 +262,21 @@ def _str_or_none(value: object, name: str) -> Optional[str]:
     return value
 
 
+def _json_int(value: object, name: str) -> int:
+    # a JSON true or false is a bool, and 2.7 or "3" is not an integer
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _json_number(value: object, name: str) -> float:
+    # json.loads reads NaN, Infinity and 1e999 (as inf), and an integer past
+    # the float range cannot become the float the field holds
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite JSON number, got {reprlib.repr(value)}")
+    return float(value)
+
+
 class _Shared:
     """One load's lookup tables, which hand out one object per distinct value
     (hash-consing), so a value that repeats across records is stored once.
@@ -375,9 +392,11 @@ def _build_record(
         ph = obj["post_hoc"]
         try:
             post_hoc = PostHoc(
-                maintenance_years=float(ph["maintenance_years"]),
-                transfer_count=int(ph["transfer_count"]),
-                family_size=int(ph["family_size"]),
+                maintenance_years=_json_number(
+                    ph["maintenance_years"], "post_hoc.maintenance_years"
+                ),
+                transfer_count=_json_int(ph["transfer_count"], "post_hoc.transfer_count"),
+                family_size=_json_int(ph["family_size"], "post_hoc.family_size"),
             )
         except KeyError as exc:
             raise CorpusError(f"{patent_id}: post_hoc missing {exc}") from None
@@ -385,12 +404,10 @@ def _build_record(
     overrides = None
     if obj.get("history_overrides") is not None:
         ho = obj["history_overrides"]
-        overrides = HistoryOverrides(
-            pk_6=None if ho.get("pk_6") is None else float(ho["pk_6"]),
-            pk_7=None if ho.get("pk_7") is None else float(ho["pk_7"]),
-            pk_8=None if ho.get("pk_8") is None else float(ho["pk_8"]),
-            pk_9=None if ho.get("pk_9") is None else float(ho["pk_9"]),
-        )
+        overrides = HistoryOverrides(**{
+            key: None if ho.get(key) is None else _json_number(ho[key], f"history_overrides.{key}")
+            for key in ("pk_6", "pk_7", "pk_8", "pk_9")
+        })
 
     return PatentRecord(
         id=patent_id,
@@ -398,15 +415,18 @@ def _build_record(
         grant_date=grant,
         ipc_codes=shared.ipc_codes(tuple(map(str, obj.get("ipc_codes", ())))),
         independent_claim_word_counts=tuple(
-            map(int, obj.get("independent_claim_word_counts", ()))
+            _json_int(count, "independent_claim_word_counts")
+            for count in obj.get("independent_claim_word_counts", ())
         ),
-        dependent_claim_count=int(obj.get("dependent_claim_count", 0)),
-        abstract_word_count=int(obj.get("abstract_word_count", 0)),
+        dependent_claim_count=_json_int(
+            obj.get("dependent_claim_count", 0), "dependent_claim_count"
+        ),
+        abstract_word_count=_json_int(obj.get("abstract_word_count", 0), "abstract_word_count"),
         assignees=tuple(map(shared.party, obj.get("assignees", ()))),
         inventors=tuple(map(shared.party, obj.get("inventors", ()))),
         priorities=priorities,
         backward_citations=refs,
-        npl_citation_count=int(obj.get("npl_citation_count", 0)),
+        npl_citation_count=_json_int(obj.get("npl_citation_count", 0), "npl_citation_count"),
         post_hoc=post_hoc,
         topic_label=shared.string(_str_or_none(obj.get("topic_label"), "topic_label")),
         history_overrides=overrides,

@@ -329,16 +329,18 @@ def init_network(config: NetworkConfig) -> MtlModel:
 # --------------------------------------------------------------------------
 
 #: Rows per forward in the inference-only callers (`predict_batch` and the
-#: Shapley evaluator), which bounds their activations at about 3.7 MB for the
+#: Shapley evaluator), which bounds their activations at about 0.9 MB for the
 #: default network. `infer_logits` itself stays one forward over the whole
 #: batch, since training's backward reads the full batch's activations.
 #: Measured on OpenBLAS 0.3.31 with one thread: in a forward of a multiple of
-#: 4 rows, at most this many, each row's outputs have the same bits whatever
-#: its position, the order of the rows or their count. The Shapley evaluator
+#: 4 rows, at most 1,024, each row's outputs have the same bits whatever its
+#: position, the order of the rows or their count. The Shapley evaluator
 #: relies on that (`tests/test_mtl.py::TestBlasRowRule` pins it). A forward of
 #: 1-3 rows or of 1,023 rows can round some rows differently in the last bits,
-#: and so can one of more rows (6,000, say).
-INFERENCE_BLOCK_ROWS = 1024
+#: and so can one of more rows (6,000, say). Block size does not set the
+#: speed: on 3,000-row batches, blocks of 128 to 1,024 rows all took
+#: 2.66-2.72 µs per row on a 2-vCPU VM.
+INFERENCE_BLOCK_ROWS = 256
 
 
 class InferenceWorkspace:
@@ -963,23 +965,25 @@ CHECKPOINT_SCHEMA = "patimpact-checkpoint/1"
 
 
 def save_checkpoint(path, model: MtlModel) -> None:
-    obj = {
-        "schema": CHECKPOINT_SCHEMA,
-        "network": to_json(model.config),
-        "standardizer": (
-            model.standardizer.to_json_obj() if model.standardizer else None
-        ),
-        "parameters": [
-            {"name": name, "shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in model.parameters()
-        ],
-        "history": [to_json(e) for e in model.history],
-    }
-    # json.dumps runs the C encoder; json.dump, which streams, never does
-    text = json.dumps(obj, sort_keys=True)
+    """Write the checkpoint as ``json.dumps(obj, sort_keys=True)`` and a
+    newline would, one top-level key and one parameter at a time, so no more
+    than one parameter's values are held as Python floats and text at once.
+    Each piece is encoded by json.dumps, which runs the C encoder; json.dump
+    streams too, but never does."""
+    def dumps(value) -> str:
+        return json.dumps(value, sort_keys=True)
+
+    standardizer = model.standardizer.to_json_obj() if model.standardizer else None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        # the top-level keys in sorted order: history, network, parameters, schema, standardizer
+        fh.write('{"history": ' + dumps([to_json(e) for e in model.history]))
+        fh.write(', "network": ' + dumps(to_json(model.config)))
+        fh.write(', "parameters": [')
+        for i, (name, arr) in enumerate(model.parameters()):
+            entry = {"name": name, "shape": list(arr.shape), "data": arr.ravel().tolist()}
+            fh.write((", " if i else "") + dumps(entry))
+        fh.write('], "schema": ' + dumps(CHECKPOINT_SCHEMA))
+        fh.write(', "standardizer": ' + dumps(standardizer) + "}\n")
 
 
 def load_checkpoint(path) -> MtlModel:

@@ -462,8 +462,9 @@ class RunContext:
     `read` is the one reader of artifacts. It parses each at most once and
     keeps it until the run ends; a missing or malformed one is a StageError
     of the running stage that names it. The corpus stage hands over the
-    corpus it wrote and the train stage the models, so a full run never
-    parses ``corpus.jsonl`` or a checkpoint. A context
+    corpus it wrote, the features stage the feature matrix and the train
+    stage the models, so a full run never parses ``corpus.jsonl``,
+    ``features.csv`` or a checkpoint. A context
     serves one run, in which every artifact is written before it is read.
     Whoever creates a context closes it, which stops the pool that `map`
     may have started.
@@ -717,6 +718,8 @@ def stage_features(ctx: RunContext) -> list[str]:
         ctx.cfg.path(F_FEATURES), ["patent_id", *ind.FEATURE_NAMES],
         ([pid, *row.tolist()] for pid, row in zip(ids, matrix)),
     )
+    # each finite double is written as its shortest repr, which parses back to its bits
+    ctx.keep(F_FEATURES, ({pid: i for i, pid in enumerate(ids)}, matrix))
     return [F_FEATURES]
 
 

@@ -43,6 +43,9 @@ class OrderedGroups:
         for i, g in enumerate(arrays):
             if g.size == 0:
                 raise ValueError(f"group {i} is empty")
+            # a NaN would rank above every number and tie with the other NaNs
+            if np.isnan(g).any():
+                raise ValueError(f"group {i} holds NaN")
         object.__setattr__(self, "groups", arrays)
 
     @property
@@ -138,13 +141,17 @@ def _permutation_exceedances(
     Row r of each drawn index matrix is the next ``rng.permutation`` of the
     pooled values, so the counts equal a one-permutation-at-a-time loop.
     Statistics are doubled to stay integral. Pairs with a bottom-group
-    member add n² - n₀² - Σ s(x) over the values drawn into the upper
-    groups, with s(x) = 2·#(> x) + #(= x) over the pool, so only the upper
-    groups' draws enter the per-code count table; the bottom class, MT, is
-    the largest one.
+    member add a base of n² - n₀² - Σ s(x) over the values drawn into the
+    upper groups, with s(x) = 2·#(> x) + #(= x) over the pool, so only the
+    upper groups' draws enter the per-code count table; the bottom class,
+    MT, is the largest one. Pairs between two upper groups add 0 to
+    2·Σ_{i<j} nᵢnⱼ more, so a row whose base reaches the target counts and
+    one that stays below it even with that maximum does not: the table is
+    built only for the rows in between.
     """
     sizes = batch[0].sizes
     n, n_bottom, n_upper = sum(sizes), sizes[0], len(sizes) - 1
+    upper_max = 2 * sum(a * b for i, a in enumerate(sizes[1:]) for b in sizes[i + 2:])
     codes, scores, blocks, offsets = [], [], [], []
     for g in batch:
         code = np.unique(g.pooled(), return_inverse=True)[1].reshape(-1)
@@ -165,15 +172,16 @@ def _permutation_exceedances(
         rows = min(_PERMUTATION_CHUNK, n_permutations - start)
         upper = rng.permuted(np.broadcast_to(identity, (rows, n)), axis=1)[:, n_bottom:]
         for k in range(len(batch)):
-            cell = codes[k][upper]
-            cell += offsets[k][:rows]
-            counts = np.bincount(cell.reshape(-1), minlength=rows * blocks[k])
-            twice = (
-                n * n - n_bottom * n_bottom
-                - scores[k][upper].sum(axis=1)
-                + _twice_jt(counts.reshape(rows, n_upper, -1))
-            )
-            at_least[k] += int(np.count_nonzero(twice >= targets[k]))
+            base = n * n - n_bottom * n_bottom - scores[k][upper].sum(axis=1)
+            at_least[k] += int(np.count_nonzero(base >= targets[k]))
+            open_rows = (base < targets[k]) & (base + upper_max >= targets[k])
+            m = int(np.count_nonzero(open_rows))
+            if m:
+                cell = codes[k][upper[open_rows]]
+                cell += offsets[k][:m]
+                counts = np.bincount(cell.reshape(-1), minlength=m * blocks[k])
+                twice = base[open_rows] + _twice_jt(counts.reshape(m, n_upper, -1))
+                at_least[k] += int(np.count_nonzero(twice >= targets[k]))
     return at_least
 
 

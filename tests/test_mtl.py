@@ -13,6 +13,7 @@ import pytest
 from patimpact.corpus import HORIZONS, Horizon, ImpactClass
 from patimpact.indicators import fit_standardizer
 from patimpact.mtl import (
+    CHECKPOINT_SCHEMA,
     INFERENCE_BLOCK_ROWS,
     MISSING_LABEL,
     EpochStats,
@@ -410,7 +411,10 @@ class TestBlockedPrediction:
 
     B = INFERENCE_BLOCK_ROWS
 
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+    # one row, then each side of one block's end and of four blocks' end
+    @pytest.mark.parametrize(
+        "n", [1, B - 1, B, B + 1, 3 * B + 7, 4 * B - 1, 4 * B, 4 * B + 1, 12 * B + 7]
+    )
     def test_equals_argmax_of_one_unblocked_forward(self, n):
         model = perturbed_network(13)
         X = np.random.default_rng(n).normal(size=(n, model.config.input_dim))
@@ -424,20 +428,24 @@ class TestBlockedPrediction:
     def test_peak_memory_does_not_grow_with_rows(self):
         model = perturbed_network(14)
         X = np.random.default_rng(14).normal(size=(20_000, model.config.input_dim))
-        # one forward over all rows would hold 20,000 x 457 activations: 73 MB
-        assert traced_peak_bytes(lambda: predict_batch(model, X)) < 8e6
+        # one forward over all rows would hold 20,000 x 457 activations: 73 MB;
+        # one 256-row block holds 0.9 MB
+        assert traced_peak_bytes(lambda: predict_batch(model, X)) < 2.5e6
 
 
 class TestBlasRowRule:
-    """In a forward of a multiple of 4 rows, at most INFERENCE_BLOCK_ROWS, a
-    row's outputs do not depend on its position, the row order or the row
-    count: the rule that `explain.shapley_sampled` relies on. Under a BLAS
-    that breaks it, this test fails before any Shapley value moves."""
+    """In a forward of a multiple of 4 rows, at most 1,024, a row's outputs
+    do not depend on its position, the row order or the row count: the rule
+    that `explain.shapley_sampled` relies on with blocks of
+    INFERENCE_BLOCK_ROWS rows. Under a BLAS that breaks it, this test fails
+    before any Shapley value moves."""
 
     @pytest.mark.parametrize("block", [4, 8, 12, 100, 508, 1020])
     def test_rows_in_any_order_and_block_equal_a_full_block(self, block):
         model = perturbed_network(15)
-        n = INFERENCE_BLOCK_ROWS
+        # the rule's upper end, not INFERENCE_BLOCK_ROWS, so that the 508- and
+        # 1,020-row blocks each split the reference forward
+        n = 1024
         X = np.random.default_rng(block).normal(size=(n, model.config.input_dim))
         want = {task: z.copy() for task, z in infer_logits(model, X).items()}
         order = np.random.default_rng(block + 1).permutation(n)
@@ -446,6 +454,9 @@ class TestBlasRowRule:
             rows = order[start:start + block]
             for task, z in infer_logits(model, X[rows]).items():
                 assert z.tobytes() == want[task][rows].tobytes(), (task, start)
+
+    def test_inference_blocks_lie_inside_the_rule(self):
+        assert INFERENCE_BLOCK_ROWS % 4 == 0 and INFERENCE_BLOCK_ROWS <= 1024
 
 
 def constant_logits_model(logits):
@@ -884,6 +895,56 @@ class TestPersistence:
             predict_batch(model, X)[Horizon.SHORT], predict_batch(again, X)[Horizon.SHORT]
         )
         assert len(again.history) == len(model.history)
+
+    @staticmethod
+    def one_shot_text(model) -> str:
+        """The checkpoint as one ``json.dumps`` of the whole object: the
+        reference for the writer, which streams it piece by piece."""
+        obj = {
+            "schema": CHECKPOINT_SCHEMA,
+            "network": to_json(model.config),
+            "standardizer": model.standardizer.to_json_obj() if model.standardizer else None,
+            "parameters": [
+                {"name": name, "shape": list(arr.shape), "data": arr.ravel().tolist()}
+                for name, arr in model.parameters()
+            ],
+            "history": [to_json(e) for e in model.history],
+        }
+        return json.dumps(obj, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "case", ["untrained", "trained", "standardizer", "custom-heads", "nan-loss"]
+    )
+    def test_streamed_checkpoint_equals_one_shot_dumps(self, tmp_path, case):
+        config = small_config(seed=46)
+        if case == "custom-heads":
+            config = replace(config, task_head_widths={Horizon.LONG: (6, 3), Horizon.SHORT: ()})
+        model = init_network(config)
+        if case != "untrained":
+            X, y = separable_data(n=120, seed=47)
+            labels = {task: y[task] for task in model.tasks}
+            train(model, X, labels, TrainConfig(seed=48, max_epochs=3, batch_size=16))
+        if case == "standardizer":
+            model.standardizer = fit_standardizer(np.random.default_rng(49).normal(size=(20, 44)))
+        if case == "nan-loss":
+            task = model.tasks[0]
+            model.history.append(EpochStats(
+                epoch=4, train_loss_total=math.nan, val_loss_total=math.inf,
+                train_loss_per_task={task: math.nan}, val_loss_per_task={task: -0.0},
+            ))
+        assert bool(model.history) == (case != "untrained")
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(path, model)
+        assert path.read_bytes() == self.one_shot_text(model).encode("utf-8")
+
+    def test_checkpoint_writer_holds_one_parameter_at_a_time(self, tmp_path):
+        model = perturbed_network(16)
+        model.standardizer = fit_standardizer(np.random.default_rng(16).normal(size=(20, 44)))
+        path = tmp_path / "model.ckpt.json"
+        # the default network's 31,049 values: 0.7 MB of text, and a Python
+        # float list of them; a one-shot dumps held both, 4.6 MB at its peak
+        assert traced_peak_bytes(lambda: save_checkpoint(path, model)) < 2e6
+        assert path.stat().st_size > 6e5
 
     def test_json_codec_roundtrip(self):
         network = small_config(seed=41, dropout=0.25)

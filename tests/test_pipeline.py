@@ -26,7 +26,15 @@ from hypothesis import strategies as st
 from patimpact import cli, mtl, pipeline
 from patimpact import corpus as corpus_mod
 from patimpact import explain as explain_mod
-from patimpact.corpus import HORIZONS, Corpus, ImpactClass, load_corpus, record_to_json_obj
+from patimpact.corpus import (
+    HORIZONS,
+    Corpus,
+    HistoryOverrides,
+    ImpactClass,
+    PostHoc,
+    load_corpus,
+    record_to_json_obj,
+)
 from patimpact.indicators import FEATURE_NAMES, N_FEATURES, fit_standardizer
 from patimpact.metrics import stratified_kfold
 from patimpact.pipeline import (
@@ -838,6 +846,42 @@ class TestRunContext:
             STAGES[name](cfg)
         assert checksums(tmp_path) == digests
 
+    def test_a_run_parses_no_feature_table_it_wrote(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 1)
+        obj = base_config_obj(tmp_path, compare_stl=False)
+        obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 16}
+        cfg = config_from_obj(obj)
+        _, opens = _audited(lambda: run_pipeline(cfg), cfg.out_dir)
+        # the features stage hands its matrix on: features.csv is opened once
+        # to write it and once by the manifest's hashing, never by RunContext.read
+        assert [(writes, in_read) for n, writes, in_read in opens if n == "features.csv"] == [
+            (True, False), (False, False)
+        ]
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["extracted", "planted-values"])
+    def test_features_stage_keeps_what_parsing_gives(self, tmp_path, monkeypatch, planted):
+        extract = pipeline.ind.extract_feature_matrix
+
+        def with_planted_values(*args, **kwargs):
+            matrix = extract(*args, **kwargs)
+            # a signed zero, the smallest subnormal, the largest double and a
+            # sum whose shortest repr has 17 digits
+            matrix[0, :4] = [-0.0, 5e-324, -1.7976931348623157e308, 0.1 + 0.2]
+            return matrix
+
+        if planted:
+            monkeypatch.setattr(pipeline.ind, "extract_feature_matrix", with_planted_values)
+        cfg = config_from_obj(base_config_obj(tmp_path))
+        ctx = RunContext(cfg)
+        for name in ("corpus", "label", "features"):
+            STAGES[name](cfg, ctx)
+        kept_pos, kept = ctx.read("features.csv")
+        parsed_pos, parsed = RunContext(cfg).read("features.csv")
+        assert kept_pos == parsed_pos and list(kept_pos) == list(parsed_pos)
+        assert (kept.dtype, kept.shape) == (parsed.dtype, parsed.shape)
+        assert kept.tobytes() == parsed.tobytes()
+        assert (np.signbit(kept[0, 0]) and kept[0, 1] > 0) == planted
+
     @settings(max_examples=30, deadline=None)
     @given(corpus=_hand_built_corpora() | _synthetic_corpora, data=st.data())
     def test_corpus_stage_passes_on_what_load_corpus_reads_back(self, corpus, data):
@@ -1405,6 +1449,54 @@ class TestCli:
         config.write_text(json.dumps(obj))
         assert cli.main(["ingest", "--config", str(config)]) == 2
         assert f"{bad}:{bad_line}: byte 0xff is not UTF-8" in caplog.text
+
+    # each value is JSON text; the field is a path into the record
+    @pytest.mark.parametrize(
+        "field, text, kind",
+        [
+            ("post_hoc.maintenance_years", '"nan"', "finite JSON number"),
+            ("post_hoc.maintenance_years", "NaN", "finite JSON number"),
+            ("post_hoc.maintenance_years", "1e999", "finite JSON number"),
+            ("post_hoc.maintenance_years", "-Infinity", "finite JSON number"),
+            pytest.param("post_hoc.maintenance_years", "1" + "0" * 400, "finite JSON number",
+                         id="post_hoc.maintenance_years-10**400"),
+            ("post_hoc.maintenance_years", "true", "finite JSON number"),
+            ("history_overrides.pk_6", '"1.5"', "finite JSON number"),
+            ("history_overrides.pk_9", "NaN", "finite JSON number"),
+            ("post_hoc.transfer_count", "2.7", "JSON integer"),
+            ("post_hoc.transfer_count", '"3"', "JSON integer"),
+            ("post_hoc.transfer_count", "true", "JSON integer"),
+            ("post_hoc.family_size", "2.0", "JSON integer"),
+            ("dependent_claim_count", "false", "JSON integer"),
+            ("abstract_word_count", '"40"', "JSON integer"),
+            ("npl_citation_count", "1.0", "JSON integer"),
+            ("independent_claim_word_counts", '[25, 7.5]', "JSON integer"),
+            ("independent_claim_word_counts", '"25"', "JSON integer"),
+        ],
+    )
+    def test_non_json_number_exits_2_naming_it(self, tmp_path, caplog, field, text, kind):
+        records = [
+            record_to_json_obj(make_patent(
+                f"P{i}", post_hoc=PostHoc(maintenance_years=9.5, transfer_count=1, family_size=3),
+                history_overrides=HistoryOverrides(pk_6=1.0, pk_9=2.0),
+            ))
+            for i in range(3)
+        ]
+        *parents, last = field.split(".")
+        target = records[2]
+        for key in parents:
+            target = target[key]
+        target[last] = "@"
+        lines = [json.dumps(obj) for obj in records]
+        lines[2] = lines[2].replace('"@"', text)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        config = self._write_config(tmp_path, corpus_path=str(bad))
+        obj = json.loads(config.read_text())
+        del obj["synth"]
+        config.write_text(json.dumps(obj))
+        assert cli.main(["ingest", "--config", str(config)]) == 2
+        assert f"{bad}:3: P2: malformed field value: {field} must be a {kind}" in caplog.text
 
     def test_seed_override_changes_outputs(self, tmp_path):
         config = self._write_config(tmp_path)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from patimpact import validate
 from patimpact.corpus import Corpus, ImpactClass, PostHoc
 from patimpact.validate import (
     OrderedGroups,
@@ -175,6 +176,42 @@ class TestPermutationCounts:
             assert p.p_value * 3001 - 1 > 100
             assert p.p_value == loop_permutation_p(og, seed, 3000)
 
+    @pytest.mark.parametrize("n_groups", [2, 3, 4, 5])
+    @pytest.mark.parametrize("trend", [3.0, -3.0, 0.0], ids=["increasing", "decreasing", "null"])
+    def test_trends_match_loop(self, n_groups, trend):
+        rng = np.random.default_rng(16 + n_groups)
+        og = OrderedGroups(tuple(
+            rng.integers(0, 6, size=s).astype(float) + trend * k
+            for k, s in enumerate((30, 12, 9, 7, 5)[:n_groups])
+        ))
+        p = jonckheere_terpstra(og, method="permutation", seed=n_groups, n_permutations=400)
+        assert p.p_value == loop_permutation_p(og, n_groups, 400)
+
+    @pytest.mark.parametrize("n_groups", [3, 4])
+    def test_rows_decided_by_bounds_build_no_table(self, monkeypatch, n_groups):
+        tables = []
+        real_twice_jt = validate._twice_jt
+
+        def counting_twice_jt(counts):
+            tables.append(counts.shape[0])
+            return real_twice_jt(counts)
+
+        monkeypatch.setattr(validate, "_twice_jt", counting_twice_jt)
+        rng = np.random.default_rng(17)
+        sizes = (40, 15, 10, 6)[:n_groups]
+        for trend in (10.0, -10.0):
+            og = OrderedGroups(tuple(
+                rng.normal(size=s) + trend * k for k, s in enumerate(sizes)
+            ))
+            p = jonckheere_terpstra(og, method="permutation", seed=3, n_permutations=300)
+            assert p.p_value == (1 / 301 if trend > 0 else 1.0)
+        # every permutation's bottom-group pairs alone decide it
+        assert tables == []
+        null = OrderedGroups(tuple(rng.normal(size=s) for s in sizes))
+        p = jonckheere_terpstra(null, method="permutation", seed=4, n_permutations=300)
+        assert p.p_value == loop_permutation_p(null, 4, 300)
+        assert 0 < sum(tables) <= 300
+
     def test_normal_approx_batch_equals_single_calls(self):
         rng = np.random.default_rng(15)
         batch = [OrderedGroups(tuple(rng.normal(size=s) for s in (9, 7, 5))) for _ in range(3)]
@@ -268,6 +305,13 @@ class TestOrderedGroups:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             OrderedGroups((np.array([1.0]), np.array([])))
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_nan_rejected_naming_the_group(self, bad):
+        groups = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0])]
+        groups[bad] = np.append(groups[bad], np.nan)
+        with pytest.raises(ValueError, match=f"group {bad} holds NaN"):
+            OrderedGroups(tuple(groups))
 
 
 def _corpus_with_posthoc(rng, group_sizes, shift):
