@@ -5,13 +5,15 @@ label, features, optional grid search, train, evaluate, explain, validate,
 topic-score, report. Each stage is independently runnable, consumes only
 prior-stage files from the output directory, and derives its RNG seed from
 the global seed and its stage name, so a full run and a manual stage-by-stage
-run produce identical artifacts. Stages read their inputs through a
-RunContext, which parses each artifact once; a full run shares one context
-across its stages, and a stage called on its own builds its own. The context
-also runs the independent units of train (the four models), explain (the
-instances), and cv and gridsearch (a model per config and fold) in worker
-processes, at most one per CPU; the artifacts do not depend on the worker
-count.
+run produce identical artifacts. ARTIFACTS declares each file that a later
+stage reads back: the stage that writes it, its writer and its parser.
+Stages write and read files through a RunContext, which keeps the value of
+each artifact a stage wrote and parses only a file it holds no value of; a
+full run shares one context across its stages, so it parses no file it
+wrote, and a stage called on its own builds its own. The context also runs
+the independent units of train (the four models), explain (the instances),
+and cv and gridsearch (a model per config and fold) in worker processes, at
+most one per CPU; the artifacts do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ import itertools
 import json
 import logging
 import os
-import reprlib
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import wraps
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from . import explain as explain_mod
 from . import indicators as ind
 from . import metrics as metrics_mod
 from . import mtl as mtl_mod
+from . import tables
 from . import validate as validate_mod
 from .corpus import (
     HORIZONS,
@@ -69,25 +71,6 @@ log = logging.getLogger(__name__)
 CONFIG_SCHEMA = "patimpact-config/1"
 MANIFEST_SCHEMA = "patimpact-manifest/1"
 
-F_CORPUS = "corpus.jsonl"
-F_THRESHOLDS = "thresholds.json"
-F_LABELS = "labels.csv"
-F_FEATURES = "features.csv"
-F_SPLIT = "split.json"
-F_GRIDSEARCH = "gridsearch.csv"
-F_BEST_CONFIG = "best_config.json"
-F_MODEL = "model.ckpt.json"
-F_TRAINING_LOG = "training_log.csv"
-F_PREDICTIONS = "predictions.csv"
-F_METRICS = "metrics.csv"
-F_METRICS_JSON = "metrics.json"
-F_COMPARISON = "comparison.csv"
-F_ATTRIBUTIONS = "attributions.csv"
-F_VALIDATION = "validation.csv"
-F_TOPIC_CSV = "topic_scores.csv"
-F_TOPIC_JSON = "topic_scores.json"
-F_CV = "cv_metrics.csv"
-F_REPORT = "report.md"
 F_MANIFEST = "manifest.json"
 
 
@@ -351,77 +334,27 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
 
 
 # --------------------------------------------------------------------------
-# artifact I/O and the run context
+# artifacts and the run context
 # --------------------------------------------------------------------------
 
-def _table_rows(path) -> Iterator[list[str]]:
-    """The rows of a table, read one at a time, header first; an empty file,
-    or a row of another length than the header, is a ValueError."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
-            raise ValueError("the file is empty")
-        yield header
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(f"a row does not have the header's {len(header)} fields")
-            yield row
+def _table(from_rows: Callable) -> tuple[Callable, Callable]:
+    """The writer and the parser of a table whose value is ``from_rows(header,
+    rows)`` of the text of its cells, which it reads to the last row: the
+    writer gives it the cells it writes, the parser those it reads."""
+
+    def write(path, header: list, rows):
+        written = tables.written_rows(path, header, rows)
+        return from_rows(next(written), written)
+
+    def parse(path, cfg):
+        rows = tables.table_rows(path)
+        return from_rows(next(rows), rows)
+
+    return write, parse
 
 
-def _read_csv(path) -> list[dict]:
-    """The rows of a table keyed by its header."""
-    header, *rows = _table_rows(path)
+def _records(header: list[str], rows) -> list[dict[str, str]]:
     return [dict(zip(header, row)) for row in rows]
-
-
-def _write_csv(path, header: list, rows, lineterminator: str = "\r\n") -> None:
-    """Write a table. A float cell, Python or numpy, is written as
-    ``repr(float(x))``, the shortest text that reads back as the same double;
-    ``None`` is an empty cell, and every other cell is ``str`` of its value."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
-        writer.writerows(
-            [repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
-            for row in rows
-        )
-
-
-def _write_json(path, obj, indent: Optional[int] = 2) -> None:
-    # json.dumps runs the C encoder when there is no indent; json.dump never does
-    text = json.dumps(obj, indent=indent, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-
-
-# The keys of the JSON artifacts that stages index, each with its value's shape:
-# a JSON type, ``[shape]`` for an array of that shape, or a dict for an object
-_JSON_SHAPES = {
-    F_SPLIT: {"train_ids": [str], "test_ids": [str]},
-    F_THRESHOLDS: {h.key: {"bt_min": int, "vt_min": int} for h in HORIZONS},
-    F_BEST_CONFIG: {"network": dict, "train": dict},
-}
-_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
-
-
-def _check_shape(value, shape, where: str = "$") -> None:
-    """Raise a ValueError that names the first part of ``value`` (at the
-    JSONPath ``where``) that lacks a key of ``shape`` or holds another type."""
-    if isinstance(shape, dict):
-        _check_shape(value, dict, where)
-        for key, inner in shape.items():
-            if key not in value:
-                raise ValueError(f"{where} has no key {key!r}")
-            _check_shape(value[key], inner, f"{where}.{key}")
-    elif isinstance(shape, list):
-        _check_shape(value, list, where)
-        for i, item in enumerate(value):
-            _check_shape(item, shape[0], f"{where}[{i}]")
-    # a JSON true or false is a bool, not an integer
-    elif type(value) is not shape:
-        raise ValueError(f"{where} must be {_JSON_TYPE_NAMES[shape]}, got {reprlib.repr(value)}")
 
 
 @dataclass
@@ -432,18 +365,129 @@ class LabelRow:
     trajectory: str
 
 
-def _read_labels(path) -> tuple[list[LabelRow], dict[str, LabelRow]]:
+def _labels(header: list[str], rows) -> tuple[list[LabelRow], dict[str, LabelRow]]:
     """The label rows of labels.csv and the row of each patent id."""
-    rows = [
+    col = {name: i for i, name in enumerate(header)}
+    labels = [
         LabelRow(
-            patent_id=rec["patent_id"],
-            grant_year=int(rec["grant_year"]),
-            classes={h: ImpactClass.from_name(rec[f"{h.key}_class"]) for h in HORIZONS},
-            trajectory=rec["trajectory"],
+            row[col["patent_id"]], int(row[col["grant_year"]]),
+            {h: ImpactClass.from_name(row[col[f"{h.key}_class"]]) for h in HORIZONS},
+            row[col["trajectory"]],
         )
-        for rec in _read_csv(path)
+        for row in rows
     ]
-    return rows, {r.patent_id: r for r in rows}
+    return labels, {r.patent_id: r for r in labels}
+
+
+def _predictions(header: list[str], rows) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
+    """predictions.csv by column: the patent ids, whether each is in the test
+    split, and the class indices of each ``<horizon>_<actual|predicted>`` column."""
+    col = {name: i for i, name in enumerate(header)}
+    classes = {f"{h.key}_{kind}": [] for kind in ("actual", "predicted") for h in HORIZONS}
+    cells = [(col[name], values) for name, values in classes.items()]
+    ids, test = [], []
+    for row in rows:
+        ids.append(row[col["patent_id"]])
+        test.append(row[col["split"]] == "test")
+        for i, values in cells:
+            values.append(ImpactClass.from_name(row[i]))
+    return ids, np.array(test, dtype=bool), {
+        name: np.array(values, dtype=np.int8) for name, values in classes.items()
+    }
+
+
+def _write_features(path, ids: list[str], matrix: np.ndarray):
+    tables.write_csv(
+        path, ["patent_id", *ind.FEATURE_NAMES],
+        ([pid, *row.tolist()] for pid, row in zip(ids, matrix)),
+    )
+    # each finite double is written as its shortest repr, which parses back to its bits
+    return {pid: i for i, pid in enumerate(ids)}, matrix
+
+
+def _parse_features(path, cfg) -> tuple[dict[str, int], np.ndarray]:
+    rows = tables.table_rows(path)
+    if next(rows) != ["patent_id", *ind.FEATURE_NAMES]:
+        raise ValueError("unexpected header")
+    ids, values = [], []
+    for row in rows:
+        ids.append(row[0])
+        values.append([float(x) for x in row[1:]])
+    matrix = np.array(values).reshape(len(values), ind.N_FEATURES)
+    # index the ids after parsing: a dict grown between the rows'
+    # allocations left the ingest-8k run's peak RSS ~4 MB higher
+    return {pid: i for i, pid in enumerate(ids)}, matrix
+
+
+def _write_corpus(path, corpus: Corpus) -> Corpus:
+    # in the id order that save_corpus writes and load_corpus reads back
+    records = {pid: corpus.records[pid] for pid in sorted(corpus.records)}
+    corpus = Corpus(records, corpus.domain_ipc_prefix, corpus.forward_index)
+    corpus_mod.save_corpus(corpus, path)
+    return corpus
+
+
+def _write_checkpoint(path, model: mtl_mod.MtlModel) -> mtl_mod.MtlModel:
+    mtl_mod.save_checkpoint(path, model)
+    return model
+
+
+def _json(shape, indent: Optional[int] = 2) -> tuple[Callable, Callable]:
+    """The writer and the parser of a JSON value that holds the keys of
+    ``shape``; the writer gives the value its text decodes to."""
+
+    def parse(path, cfg):
+        value = json.loads(path.read_text(encoding="utf-8"))
+        tables.check_shape(value, shape)
+        return value
+
+    return (lambda path, obj: json.loads(tables.write_json(path, obj, indent))), parse
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """A file that a later stage reads back: the stage that writes it,
+    ``write(path, *args)``, which writes it and gives its value, and
+    ``parse(path, cfg)``, which gives the same value from the file."""
+
+    producer: str
+    write: Callable
+    parse: Callable
+
+
+# The writers and parsers look up the functions of other modules when they
+# run, as the stages do, so a wrapper on such a function sees every call.
+_CHECKPOINT = (_write_checkpoint, lambda path, cfg: mtl_mod.load_checkpoint(path))
+ARTIFACTS: dict[str, Artifact] = {
+    "corpus.jsonl": Artifact(
+        "corpus", _write_corpus,
+        lambda path, cfg: corpus_mod.load_corpus(path, cfg.domain_ipc_prefix),
+    ),
+    "thresholds.json": Artifact(
+        "label", *_json({h.key: {"bt_min": int, "vt_min": int} for h in HORIZONS})
+    ),
+    "labels.csv": Artifact("label", *_table(_labels)),
+    "features.csv": Artifact("features", _write_features, _parse_features),
+    "best_config.json": Artifact("gridsearch", *_json({"network": dict, "train": dict})),
+    "split.json": Artifact("train", *_json({"train_ids": [str], "test_ids": [str]}, None)),
+    "model.ckpt.json": Artifact("train", *_CHECKPOINT),
+    **{f"stl_{h.key}.ckpt.json": Artifact("train", *_CHECKPOINT) for h in HORIZONS},
+    "predictions.csv": Artifact("evaluate", *_table(_predictions)),
+    "metrics.csv": Artifact("evaluate", *_table(_records)),
+    "comparison.csv": Artifact("evaluate", *_table(_records)),
+    "attributions.csv": Artifact("explain", *_table(_records)),
+    "validation.csv": Artifact("validate", *_table(_records)),
+    "topic_scores.csv": Artifact("topic-score", *_table(_records)),
+}
+
+# The writers of the files that no stage reads back, by suffix. Each looks up
+# its function when it runs, so a wrapper on that function sees every write.
+_WRITERS: dict[str, Callable] = {
+    ".csv": lambda path, *args, **kwargs: tables.write_csv(path, *args, **kwargs),
+    ".json": lambda path, obj: tables.write_json(path, obj),
+    ".svg": lambda path, *args, **kwargs: explain_mod.render_beeswarm_svg(path, *args, **kwargs),
+    ".md": lambda path, text: path.write_text(text, encoding="utf-8"),
+}
 
 
 # The BLAS threads of each pool worker: the workers share the CPUs between them
@@ -457,23 +501,23 @@ def _worker_count(n_units: int) -> int:
 
 
 class RunContext:
-    """One run's config, the artifacts its stages read, and its worker pool.
+    """One run's config, its artifacts and its worker pool.
 
-    `read` is the one reader of artifacts. It parses each at most once and
-    keeps it until the run ends; a missing or malformed one is a StageError
-    of the running stage that names it. The corpus stage hands over the
-    corpus it wrote, the features stage the feature matrix and the train
-    stage the models, so a full run never parses ``corpus.jsonl``,
-    ``features.csv`` or a checkpoint. A context
-    serves one run, in which every artifact is written before it is read.
-    Whoever creates a context closes it, which stops the pool that `map`
+    Stages write every file through `write`, which keeps the value of each
+    artifact (an ARTIFACTS file) as its writer gives it, and read artifacts
+    through `read`, which parses a file only when no value is kept. So a full
+    run, whose stages share one context, parses no file it wrote. A missing
+    or malformed artifact is a StageError of the running stage that names it.
+    A context serves one run, in which every artifact is written before it is
+    read. Whoever creates a context closes it, which stops the pool that `map`
     may have started.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.stage = ""
-        self._loaded: dict[str, object] = {}
+        self.outputs: list[str] = []
+        self._kept: dict[str, object] = {}
         self._pool = None
 
     def map(self, fn: Callable, units) -> list:
@@ -520,87 +564,75 @@ class RunContext:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
+    def write(self, name: str, *args, **kwargs) -> None:
+        """Write the file ``name`` as an output of the running stage: an
+        artifact by its ARTIFACTS writer, whose value it keeps, and any other
+        file by the writer of its suffix."""
+        artifact = ARTIFACTS.get(name)
+        writer = artifact.write if artifact else _WRITERS[Path(name).suffix]
+        value = writer(self.cfg.path(name), *args, **kwargs)
+        if artifact:
+            self._kept[name] = value
+        self.outputs.append(name)
+
+    def _has(self, name: str) -> bool:
+        return name in self._kept or self.cfg.path(name).exists()
+
+    def _producer_hint(self, name: str) -> str:
+        # "rerun" the producer when it wrote its other artifacts but not this one
+        producer = ARTIFACTS[name].producer
+        ran = any(a.producer == producer and self._has(n) for n, a in ARTIFACTS.items())
+        return f"{'rerun' if ran else 'run'} {producer}"
+
     def read(self, *names: str, optional: bool = False):
-        """The parsed artifact ``name``, or a tuple of them for several names;
-        with ``optional`` a missing one is None. A bad corpus is a CorpusError."""
-        missing = [n for n in names if n not in self._loaded and not self.cfg.path(n).exists()]
+        """The artifact ``name``, or a tuple of them for several names; with
+        ``optional`` a missing one is None. A bad corpus is a CorpusError."""
+        missing = [n for n in names if not self._has(n)]
         if missing and not optional:
-            hints = sorted({_RERUN_HINTS[n] for n in missing if n in _RERUN_HINTS})
-            raise StageError(self.stage, "; ".join(
-                [f"missing prerequisite file(s): {', '.join(missing)}", *hints]
+            raise StageError(self.stage, "missing prerequisite file(s): " + ", ".join(
+                f"{n} ({self._producer_hint(n)})" for n in missing
             ))
         for name in names:
-            if name not in self._loaded and name not in missing:
-                self._loaded[name] = self._parse(name, self.cfg.path(name))
-        values = tuple(self._loaded.get(n) for n in names)
+            if name not in self._kept and name not in missing:
+                self._kept[name] = self._parse(name)
+        values = tuple(self._kept.get(n) for n in names)
         return values[0] if len(names) == 1 else values
 
-    def _parse(self, name: str, path: Path):
-        if name == F_CORPUS:
-            return corpus_mod.load_corpus(path, self.cfg.domain_ipc_prefix)
+    def _parse(self, name: str):
         try:
-            if name == F_LABELS:
-                return _read_labels(path)
-            if name == F_FEATURES:
-                rows = _table_rows(path)
-                if next(rows) != ["patent_id", *ind.FEATURE_NAMES]:
-                    raise ValueError("unexpected header")
-                ids, values = [], []
-                for row in rows:
-                    ids.append(row[0])
-                    values.append([float(x) for x in row[1:]])
-                matrix = np.array(values).reshape(len(values), ind.N_FEATURES)
-                # index the ids after parsing: a dict grown between the rows'
-                # allocations left the ingest-8k run's peak RSS ~4 MB higher
-                return {pid: i for i, pid in enumerate(ids)}, matrix
-            if name.endswith(".ckpt.json"):
-                return mtl_mod.load_checkpoint(path)
-            if name.endswith(".json"):
-                value = json.loads(path.read_text(encoding="utf-8"))
-                if name in _JSON_SHAPES:
-                    _check_shape(value, _JSON_SHAPES[name])
-                return value
-            return _read_csv(path)
-        # what a malformed table, JSON value or checkpoint raises while it is parsed
+            return ARTIFACTS[name].parse(self.cfg.path(name), self.cfg)
+        # what a malformed table, JSON value or checkpoint raises while it is
+        # parsed; a bad corpus is a CorpusError, which passes
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError, csv.Error) as exc:
             raise StageError(self.stage, f"cannot parse {name}: {exc}") from None
 
-    def keep(self, name: str, value) -> None:
-        """Hold ``value`` as the artifact ``name`` the running stage just wrote;
-        it must equal what parsing that file would give."""
-        self._loaded[name] = value
-
     @property
     def corpus(self) -> Corpus:
-        return self.read(F_CORPUS)
+        return self.read("corpus.jsonl")
 
     @property
     def labels(self) -> list[LabelRow]:
-        return self.read(F_LABELS)[0]
+        return self.read("labels.csv")[0]
 
     @property
     def label_by_id(self) -> dict[str, LabelRow]:
-        return self.read(F_LABELS)[1]
+        return self.read("labels.csv")[1]
 
     def feature_rows(self, ids) -> np.ndarray:
-        pos, matrix = self.read(F_FEATURES)
+        pos, matrix = self.read("features.csv")
         try:
             return matrix[[pos[p] for p in ids]]
         except KeyError as exc:
-            raise StageError(self.stage, f"{F_FEATURES} has no row for patent {exc}") from None
-
-
-# what writes the artifacts that only some configs make a run write
-_RERUN_HINTS = {F_BEST_CONFIG: "run gridsearch"} | {
-    f"stl_{h.key}.ckpt.json": "rerun train" for h in HORIZONS
-}
+            raise StageError(self.stage, f"features.csv has no row for patent {exc}") from None
 
 
 STAGES: dict[str, Callable[..., list[str]]] = {}
 
 
 def _stage(name: str):
-    """Register ``body(ctx, **kwargs)`` in STAGES as ``stage(cfg, ctx=None, **kwargs)``.
+    """Register ``body(ctx, **kwargs)``, which writes its files through
+    ``ctx.write``, in STAGES as ``stage(cfg, ctx=None, **kwargs)``, which
+    returns the names of the files written, in the order written.
 
     Without a ``ctx`` the stage runs in a context of its own, which it closes
     when it ends. A ValueError or OSError becomes a StageError; a CorpusError
@@ -616,11 +648,12 @@ def _stage(name: str):
                     return stage(cfg, own, **kwargs)
                 finally:
                     own.close()
-            ctx.stage = name
+            ctx.stage, ctx.outputs = name, []
             try:
-                return body(ctx, **kwargs)
+                body(ctx, **kwargs)
             except (ValueError, OSError) as exc:
                 raise StageError(name, str(exc)) from exc
+            return ctx.outputs
 
         STAGES[name] = stage
         return stage
@@ -633,7 +666,7 @@ def _stage(name: str):
 # --------------------------------------------------------------------------
 
 @_stage("corpus")
-def stage_corpus(ctx: RunContext) -> list[str]:
+def stage_corpus(ctx: RunContext) -> None:
     """Synthesize or ingest, then persist the normalized corpus snapshot."""
     cfg = ctx.cfg
     if cfg.synth is not None:
@@ -642,12 +675,7 @@ def stage_corpus(ctx: RunContext) -> list[str]:
         if not cfg.corpus_path.exists():
             raise StageError("corpus", f"corpus file {cfg.corpus_path} not found")
         corpus = corpus_mod.load_corpus(cfg.corpus_path, cfg.domain_ipc_prefix)
-    # in the id order that save_corpus writes and load_corpus reads back
-    records = {pid: corpus.records[pid] for pid in sorted(corpus.records)}
-    corpus = Corpus(records, corpus.domain_ipc_prefix, corpus.forward_index)
-    corpus_mod.save_corpus(corpus, cfg.path(F_CORPUS))
-    ctx.keep(F_CORPUS, corpus)
-    return [F_CORPUS]
+    ctx.write("corpus.jsonl", corpus)
 
 
 def _modeling_ids(corpus: Corpus) -> tuple[list[str], dict[str, int]]:
@@ -665,7 +693,7 @@ def _modeling_ids(corpus: Corpus) -> tuple[list[str], dict[str, int]]:
 
 
 @_stage("label")
-def stage_label(ctx: RunContext) -> list[str]:
+def stage_label(ctx: RunContext) -> None:
     """Count forward citations, derive/emit thresholds, write class labels."""
     cfg, corpus = ctx.cfg, ctx.corpus
     modeling, excluded = _modeling_ids(corpus)
@@ -685,7 +713,7 @@ def stage_label(ctx: RunContext) -> list[str]:
         except CorpusError as exc:
             raise StageError("label", f"stanine derivation failed: {exc}") from None
     thresholds = ClassThresholds(**pairs)
-    _write_json(cfg.path(F_THRESHOLDS), thresholds.to_json_obj())
+    ctx.write("thresholds.json", thresholds.to_json_obj())
 
     rows = []
     for pid in modeling:
@@ -697,8 +725,8 @@ def stage_label(ctx: RunContext) -> list[str]:
             + [c.name for c in classes]
             + [trajectory_pattern(*classes).value]
         )
-    _write_csv(
-        cfg.path(F_LABELS),
+    ctx.write(
+        "labels.csv",
         ["patent_id", "grant_year"]
         + [f"{h.key}_count" for h in HORIZONS]
         + [f"{h.key}_class" for h in HORIZONS]
@@ -706,21 +734,16 @@ def stage_label(ctx: RunContext) -> list[str]:
         rows,
     )
     log.info("labeled %d patents; exclusions per horizon: %s", len(rows), excluded)
-    return [F_THRESHOLDS, F_LABELS]
 
 
 @_stage("features")
-def stage_features(ctx: RunContext) -> list[str]:
+def stage_features(ctx: RunContext) -> None:
     """Extract the indicator matrix for every labeled patent."""
     ids = [row.patent_id for row in ctx.labels]
-    matrix = ind.extract_feature_matrix(ctx.corpus, ids, home_country=ctx.cfg.home_country)
-    _write_csv(
-        ctx.cfg.path(F_FEATURES), ["patent_id", *ind.FEATURE_NAMES],
-        ([pid, *row.tolist()] for pid, row in zip(ids, matrix)),
+    ctx.write(
+        "features.csv", ids,
+        ind.extract_feature_matrix(ctx.corpus, ids, home_country=ctx.cfg.home_country),
     )
-    # each finite double is written as its shortest repr, which parses back to its bits
-    ctx.keep(F_FEATURES, ({pid: i for i, pid in enumerate(ids)}, matrix))
-    return [F_FEATURES]
 
 
 def _temporal_split(ctx: RunContext) -> tuple[list[str], list[str], int]:
@@ -799,7 +822,7 @@ def _cross_validate(
 
 
 @_stage("gridsearch")
-def stage_gridsearch(ctx: RunContext) -> list[str]:
+def stage_gridsearch(ctx: RunContext) -> None:
     """Exhaustive hyperparameter search on the training split. A cell's score
     is its macro MCC summed over horizons and averaged over the folds; ties
     keep the first cell, with keys in the order given and candidates in list
@@ -825,8 +848,8 @@ def stage_gridsearch(ctx: RunContext) -> list[str]:
     ]
     scores = [float(np.mean(s)) for s in fold_scores]
     best = scores.index(max(scores))
-    _write_csv(
-        cfg.path(F_GRIDSEARCH),
+    ctx.write(
+        "gridsearch.csv",
         ["cell", "assignment", "score", "fold_scores"],
         (
             [
@@ -838,12 +861,11 @@ def stage_gridsearch(ctx: RunContext) -> list[str]:
             for i, (cell, score, folds) in enumerate(zip(assignments, scores, fold_scores))
         ),
     )
-    _write_json(cfg.path(F_BEST_CONFIG), {
+    ctx.write("best_config.json", {
         "score": scores[best],
         "network": mtl_mod.to_json(configs[best][0]),
         "train": mtl_mod.to_json(configs[best][1]),
     })
-    return [F_GRIDSEARCH, F_BEST_CONFIG]
 
 
 def _configs_for_training(
@@ -852,7 +874,7 @@ def _configs_for_training(
     cfg = ctx.cfg
     if cfg.grid is None:
         return cfg.network, cfg.train
-    best = ctx.read(F_BEST_CONFIG)
+    best = ctx.read("best_config.json")
     return (
         mtl_mod.from_json(mtl_mod.NetworkConfig, best["network"]),
         mtl_mod.from_json(mtl_mod.TrainConfig, best["train"], seed=cfg.train.seed),
@@ -873,18 +895,14 @@ def _fit(
 
 
 @_stage("train")
-def stage_train(ctx: RunContext) -> list[str]:
+def stage_train(ctx: RunContext) -> None:
     """Fit the standardizer and the multi-task model (plus ablations)."""
     cfg = ctx.cfg
     train_ids, test_ids, test_year = _temporal_split(ctx)
     X_train, labels = _training_set(ctx, train_ids)
 
     std = ind.fit_standardizer(X_train)
-    _write_json(
-        cfg.path(F_SPLIT),
-        {"test_year": test_year, "train_ids": train_ids, "test_ids": test_ids},
-        indent=None,
-    )
+    ctx.write("split.json", {"test_year": test_year, "train_ids": train_ids, "test_ids": test_ids})
 
     network, train_cfg = _configs_for_training(ctx)
     X = std.transform(X_train)
@@ -897,19 +915,12 @@ def stage_train(ctx: RunContext) -> list[str]:
     except RuntimeError as exc:
         raise StageError("train", str(exc)) from None
     model.standardizer = std
-    mtl_mod.save_checkpoint(cfg.path(F_MODEL), model)
-    ctx.keep(F_MODEL, model)
+    ctx.write("model.ckpt.json", model)
     # training_log.csv ends lines with LF, not CRLF; existing logs and checksums pin that
-    _write_csv(cfg.path(F_TRAINING_LOG), *mtl_mod.training_log_rows(model), lineterminator="\n")
-    outputs = [F_SPLIT, F_MODEL, F_TRAINING_LOG]
-
+    ctx.write("training_log.csv", *mtl_mod.training_log_rows(model), lineterminator="\n")
     for h, stl in zip(stl_tasks, stls):
         stl.standardizer = std
-        name = f"stl_{h.key}.ckpt.json"
-        mtl_mod.save_checkpoint(cfg.path(name), stl)
-        ctx.keep(name, stl)
-        outputs.append(name)
-    return outputs
+        ctx.write(f"stl_{h.key}.ckpt.json", stl)
 
 
 def _confusion(actual, predicted) -> metrics_mod.ConfusionMatrix3:
@@ -920,16 +931,17 @@ def _confusion(actual, predicted) -> metrics_mod.ConfusionMatrix3:
 
 
 @_stage("evaluate")
-def stage_evaluate(ctx: RunContext) -> list[str]:
+def stage_evaluate(ctx: RunContext) -> None:
     """Predict, tabulate confusion matrices, and export metric tables."""
-    cfg, (model, split), by_id = ctx.cfg, ctx.read(F_MODEL, F_SPLIT), ctx.label_by_id
+    cfg, (model, split) = ctx.cfg, ctx.read("model.ckpt.json", "split.json")
+    by_id = ctx.label_by_id
     all_ids = split["train_ids"] + split["test_ids"]
     n_train = len(split["train_ids"])
     X = model.standardizer.transform(ctx.feature_rows(all_ids))
     preds = mtl_mod.predict_batch(model, X)
 
-    _write_csv(
-        cfg.path(F_PREDICTIONS),
+    ctx.write(
+        "predictions.csv",
         ["patent_id", "split"]
         + [f"{h.key}_actual" for h in HORIZONS]
         + [f"{h.key}_predicted" for h in HORIZONS],
@@ -945,12 +957,11 @@ def stage_evaluate(ctx: RunContext) -> list[str]:
     actual = {h: [by_id[all_ids[i]].classes[h] for i in test_index] for h in HORIZONS}
     mtl_cms = {h: _confusion(actual[h], preds[h][test_index]) for h in HORIZONS}
     rows = metrics_mod.metrics_rows(mtl_cms)
-    _write_csv(cfg.path(F_METRICS), ["horizon", "class", "metric", "value"], rows)
+    ctx.write("metrics.csv", ["horizon", "class", "metric", "value"], rows)
     tree: dict[str, dict[str, dict[str, float]]] = {}
     for horizon, cls, metric, value in rows:
         tree.setdefault(horizon, {}).setdefault(cls, {})[metric] = value
-    _write_json(cfg.path(F_METRICS_JSON), tree)
-    outputs = [F_PREDICTIONS, F_METRICS, F_METRICS_JSON]
+    ctx.write("metrics.json", tree)
 
     if cfg.compare_stl:
         stls = ctx.read(*(f"stl_{h.key}.ckpt.json" for h in HORIZONS))
@@ -959,19 +970,17 @@ def stage_evaluate(ctx: RunContext) -> list[str]:
             for h, stl in zip(HORIZONS, stls)
         }
         comparison = metrics_mod.compare_models(mtl_cms, stl_cms)
-        _write_csv(
-            cfg.path(F_COMPARISON),
+        ctx.write(
+            "comparison.csv",
             ["horizon", "class", "metric", "value", "delta_vs_reference"],
             ([h.key, c.cls, c.metric, c.value, c.delta] for h in HORIZONS for c in comparison[h]),
         )
-        outputs.append(F_COMPARISON)
-    return outputs
 
 
 @_stage("explain")
-def stage_explain(ctx: RunContext) -> list[str]:
+def stage_explain(ctx: RunContext) -> None:
     """Sampled Shapley attributions for a seeded subset of test patents."""
-    cfg, (model, split) = ctx.cfg, ctx.read(F_MODEL, F_SPLIT)
+    cfg, (model, split) = ctx.cfg, ctx.read("model.ckpt.json", "split.json")
     std = model.standardizer
     seed = cfg.stage_seed("explain")
 
@@ -1007,8 +1016,7 @@ def stage_explain(ctx: RunContext) -> list[str]:
     by_target = [
         (target, [pairs[k][1][0] for pairs in per_instance]) for k, target in enumerate(targets)
     ]
-    _write_csv(cfg.path(F_ATTRIBUTIONS), *explain_mod.attribution_rows(by_target, grouping))
-    outputs = [F_ATTRIBUTIONS]
+    ctx.write("attributions.csv", *explain_mod.attribution_rows(by_target, grouping))
 
     pattern = cfg.explain.filter_pattern
     for target, att_rows in by_target:
@@ -1018,22 +1026,16 @@ def stage_explain(ctx: RunContext) -> list[str]:
         _, records = explain_mod.group_summary(att_rows, grouping, top_k=cfg.explain.top_k)
         stem = f"summary_{h.key}_{target.impact_class.name}"
         header = ["instance_id", "group", "feature_value", "phi"]
-        _write_csv(cfg.path(f"{stem}.csv"), header, ([r[k] for k in header] for r in records))
-        outputs.append(f"{stem}.csv")
+        ctx.write(f"{stem}.csv", header, ([r[k] for k in header] for r in records))
         if not records:
             log.warning(
                 "no explained %s instances with trajectory %r; skipping plot", h.key, pattern
             )
             continue
-        explain_mod.render_beeswarm_svg(
-            cfg.path(f"{stem}.svg"),
-            att_rows,
-            grouping,
-            top_k=cfg.explain.top_k,
+        ctx.write(
+            f"{stem}.svg", att_rows, grouping, top_k=cfg.explain.top_k,
             title=f"{h.key}-term {target.impact_class.name} attribution summary",
         )
-        outputs.append(f"{stem}.svg")
-    return outputs
 
 
 def _predicted_classes(
@@ -1041,15 +1043,16 @@ def _predicted_classes(
 ) -> dict[Horizon, dict[str, ImpactClass]]:
     """Classes per horizon from predictions.csv: its ``actual`` or
     ``predicted`` columns, for every patent or (``scope="test"``) the test split."""
-    rows = [r for r in ctx.read(F_PREDICTIONS) if scope == "all" or r["split"] == "test"]
+    ids, test, columns = ctx.read("predictions.csv")
+    rows = [i for i, in_test in enumerate(test) if scope == "all" or in_test]
     return {
-        h: {r["patent_id"]: ImpactClass.from_name(r[f"{h.key}_{group_by}"]) for r in rows}
+        h: {ids[i]: ImpactClass(columns[f"{h.key}_{group_by}"][i]) for i in rows}
         for h in HORIZONS
     }
 
 
 @_stage("validate")
-def stage_validate(ctx: RunContext) -> list[str]:
+def stage_validate(ctx: RunContext) -> None:
     """Ordered-trend tests of post-hoc value indicators per horizon."""
     cfg = ctx.cfg
     classes = _predicted_classes(ctx, cfg.validation.group_by, cfg.validation.scope)
@@ -1065,12 +1068,11 @@ def stage_validate(ctx: RunContext) -> list[str]:
             )
         except ValueError as exc:
             raise StageError("validate", f"{h.key}: {exc}") from None
-    _write_csv(cfg.path(F_VALIDATION), *validate_mod.validation_rows(per_horizon))
-    return [F_VALIDATION]
+    ctx.write("validation.csv", *validate_mod.validation_rows(per_horizon))
 
 
 @_stage("topic-score")
-def stage_topic_score(ctx: RunContext) -> list[str]:
+def stage_topic_score(ctx: RunContext) -> None:
     """Class-weighted topic impact scores per grant year."""
     cfg, h = ctx.cfg, ctx.cfg.topic.horizon
     if cfg.topic.group_by == "actual":
@@ -1078,27 +1080,25 @@ def stage_topic_score(ctx: RunContext) -> list[str]:
     else:
         classes = _predicted_classes(ctx, "predicted", "all")[h]
     table = validate_mod.topic_impact_scores(ctx.corpus, classes)
-    _write_csv(
-        cfg.path(F_TOPIC_CSV), ["topic", "year", "n_patents", "score"],
+    ctx.write(
+        "topic_scores.csv", ["topic", "year", "n_patents", "score"],
         ([t, y, table.counts[t, y], table.scores[t, y]] for t, y in sorted(table.scores)),
     )
     pivot: dict[str, dict[str, float]] = {}
     for (topic, year), score in table.scores.items():
         pivot.setdefault(topic, {})[str(year)] = score
-    _write_json(cfg.path(F_TOPIC_JSON), pivot)
-    return [F_TOPIC_CSV, F_TOPIC_JSON]
+    ctx.write("topic_scores.json", pivot)
 
 
 @_stage("cv")
-def stage_cv(ctx: RunContext, k: int = 5) -> list[str]:
+def stage_cv(ctx: RunContext, k: int = 5) -> None:
     """Stratified k-fold cross-validation of the configured model."""
     cfg = ctx.cfg
     (folds,) = _cross_validate(
         ctx, [_configs_for_training(ctx)], k, derive_seed(cfg.stage_seed("cv"), "folds")
     )
     rows = [[fold, *row] for fold, cms in enumerate(folds) for row in metrics_mod.metrics_rows(cms)]
-    _write_csv(cfg.path(F_CV), ["fold", "horizon", "class", "metric", "value"], rows)
-    return [F_CV]
+    ctx.write("cv_metrics.csv", ["fold", "horizon", "class", "metric", "value"], rows)
 
 
 # --------------------------------------------------------------------------
@@ -1139,12 +1139,12 @@ def _metric_tables(rows: list[dict], last: str, last_title: str, cell) -> list[s
 
 
 @_stage("report")
-def stage_report(ctx: RunContext) -> list[str]:
+def stage_report(ctx: RunContext) -> None:
     """Merge stage outputs into one human-readable markdown summary."""
     cfg = ctx.cfg
-    thresholds, (rows, _), metrics = ctx.read(F_THRESHOLDS, F_LABELS, F_METRICS)
+    thresholds, (rows, _), metrics = ctx.read("thresholds.json", "labels.csv", "metrics.csv")
     comparison, attributions, validation, topic_rows = ctx.read(
-        F_COMPARISON, F_ATTRIBUTIONS, F_VALIDATION, F_TOPIC_CSV, optional=True
+        "comparison.csv", "attributions.csv", "validation.csv", "topic_scores.csv", optional=True
     )
 
     lines = [
@@ -1220,8 +1220,7 @@ def stage_report(ctx: RunContext) -> list[str]:
             lines.append(f"| {topic} | " + " | ".join(cells) + " |")
         lines.append("")
 
-    cfg.path(F_REPORT).write_text("\n".join(lines), encoding="utf-8")
-    return [F_REPORT]
+    ctx.write("report.md", "\n".join(lines))
 
 
 # --------------------------------------------------------------------------
@@ -1283,11 +1282,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
                 outputs = STAGES[name](cfg, ctx)
             except (StageError, CorpusError) as exc:
                 manifest.error = str(exc) if isinstance(exc, StageError) else f"[{name}] {exc}"
-                _write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
+                tables.write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
                 raise
             seconds = round(time.perf_counter() - t0, 3)
             manifest.stages.append(StageRecord(name, seconds, _inventory(cfg, outputs)))
     finally:
         ctx.close()
-    _write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
+    tables.write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
     return manifest

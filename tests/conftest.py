@@ -26,8 +26,9 @@ from patimpact.corpus import (
     save_corpus,
 )
 from patimpact.mtl import _softmax_inplace
-from patimpact.pipeline import PipelineConfig, _write_csv, config_from_obj
+from patimpact.pipeline import PipelineConfig, config_from_obj
 from patimpact.synth import SynthParams, generate_synthetic
+from patimpact.tables import write_csv
 
 
 def d(iso: str) -> dt.date:
@@ -57,7 +58,7 @@ def labeled_run_dir(
     giving each patent in ``classes`` its class at every horizon, as the
     corpus and label stages would; the stages after them can run on it."""
     save_corpus(corpus, out_dir / "corpus.jsonl")
-    _write_csv(
+    write_csv(
         out_dir / "labels.csv",
         ["patent_id", "grant_year", *(f"{h.key}_class" for h in HORIZONS), "trajectory"],
         (

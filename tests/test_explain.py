@@ -29,7 +29,7 @@ from patimpact.mtl import (
     init_network,
     train,
 )
-from patimpact.pipeline import _write_csv
+from patimpact.tables import write_csv
 
 from conftest import traced_peak_bytes
 
@@ -596,7 +596,7 @@ class TestExport:
         path = tmp_path / "att.csv"
         target = AttributionTarget(horizon=Horizon.LONG, impact_class=ImpactClass.BT)
         other = AttributionTarget(horizon=Horizon.SHORT, impact_class=ImpactClass.VT)
-        _write_csv(path, *attribution_rows([(target, [row]), (other, [row])], grouping))
+        write_csv(path, *attribution_rows([(target, [row]), (other, [row])], grouping))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "instance_id,group,feature_value,phi,std_err,"

@@ -30,7 +30,7 @@ from patimpact.metrics import (
     overall_metrics,
     stratified_kfold,
 )
-from patimpact.pipeline import _write_csv
+from patimpact.tables import write_csv
 
 MTL_CM_SHORT = np.array([[2134, 7, 17], [129, 5, 2], [69, 4, 20]])
 MTL_CM_MID = np.array([[2012, 49, 14], [222, 20, 11], [41, 10, 18]])
@@ -349,7 +349,7 @@ class TestExport:
     def test_csv_written(self, tmp_path):
         path = tmp_path / "metrics.csv"
         rows = metrics_rows({Horizon.SHORT: ConfusionMatrix3(MTL_CM_SHORT)})
-        _write_csv(path, ["horizon", "class", "metric", "value"], rows)
+        write_csv(path, ["horizon", "class", "metric", "value"], rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "horizon,class,metric,value"
         assert len(lines) == 27

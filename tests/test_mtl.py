@@ -39,8 +39,8 @@ from patimpact.mtl import (
     train_stl,
     training_log_rows,
 )
-from patimpact.pipeline import _write_csv
 from patimpact.seeding import derive_seed, derived_rng
+from patimpact.tables import write_csv
 
 from conftest import softmax, traced_peak_bytes
 
@@ -993,7 +993,7 @@ class TestPersistence:
         model = init_network(small_config(seed=44))
         train(model, X, y, TrainConfig(seed=45, max_epochs=3, batch_size=16))
         path = tmp_path / "log.csv"
-        _write_csv(path, *training_log_rows(model))
+        write_csv(path, *training_log_rows(model))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "epoch,train_loss_total,val_loss_total,"

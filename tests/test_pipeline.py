@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import os
 import pickle
 import re
 import shutil
+import struct
 import sys
 import tempfile
 import threading
@@ -20,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patimpact import cli, mtl, pipeline
@@ -30,6 +32,7 @@ from patimpact.corpus import (
     HORIZONS,
     Corpus,
     HistoryOverrides,
+    Horizon,
     ImpactClass,
     PostHoc,
     load_corpus,
@@ -38,12 +41,12 @@ from patimpact.corpus import (
 from patimpact.indicators import FEATURE_NAMES, N_FEATURES, fit_standardizer
 from patimpact.metrics import stratified_kfold
 from patimpact.pipeline import (
+    ARTIFACTS,
     ConfigError,
     F_MANIFEST,
     STAGES,
     RunContext,
     StageError,
-    _write_csv,
     config_from_obj,
     load_config,
     pipeline_stage_names,
@@ -53,11 +56,25 @@ from patimpact.pipeline import (
 )
 from patimpact.seeding import derive_seed
 from patimpact.synth import SynthParams
+from patimpact.tables import write_csv
 from patimpact.validate import CLASS_ORDERED, VALUE_INDICATORS, OrderedGroups
 
 from conftest import make_patent
 from test_corpus import _field_paths, _hand_built_corpora, _json_values, _synthetic_corpora
 from test_validate import loop_permutation_p
+
+
+def _readme_artifact_table() -> dict[str, tuple[str, list[str]]]:
+    """Each file of README's Outputs table: the stage that writes it and the
+    stages that read it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Outputs", 1)[1].split("\n## ", 1)[0]
+    return {
+        name: (writer, [reader.split()[0] for reader in readers.split(", ")])
+        for name, writer, readers in re.findall(
+            r"^\| `([^`]+)` \| ([a-z-]+) \| (.+) \|$", section, re.MULTILINE
+        )
+    }
 
 
 def base_config_obj(out_dir: Path, **overrides) -> dict:
@@ -98,21 +115,45 @@ FINISHED_RUN_OVERRIDES = {
 }
 
 
+class _KeptContext(RunContext):
+    """A RunContext that remembers the last one created."""
+
+    last = None
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        _KeptContext.last = self
+
+
 @pytest.fixture(scope="module")
-def finished_runs(tmp_path_factory):
-    """The config object of a finished run of each FINISHED_RUN_OVERRIDES variant."""
-    objs = {}
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+def finished_run_records(tmp_path_factory):
+    """Per FINISHED_RUN_OVERRIDES variant: the config object of a finished run
+    on one CPU, the opens of its output directory that the run made, and the
+    run's context."""
+    records = {}
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}), mock.patch.object(
+        pipeline, "RunContext", _KeptContext
+    ):
         for name, overrides in FINISHED_RUN_OVERRIDES.items():
-            obj = base_config_obj(tmp_path_factory.mktemp(name), **overrides)
+            out = tmp_path_factory.mktemp(name)
+            obj = base_config_obj(out, **overrides)
             obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 8}
-            run_pipeline(config_from_obj(obj))
-            objs[name] = obj
-    return objs
+            _, opens = _audited(lambda: run_pipeline(config_from_obj(obj)), out)
+            records[name] = obj, opens, _KeptContext.last
+    return records
 
 
-# what the audit hook records while a test sets "dir": (name, writes, in RunContext.read)
+@pytest.fixture(scope="module")
+def finished_runs(finished_run_records):
+    """The config object of a finished run of each FINISHED_RUN_OVERRIDES variant."""
+    return {name: obj for name, (obj, _, _) in finished_run_records.items()}
+
+
+# What the audit hook records while a test sets "dir": (name, writes, via), where
+# via is "read" for an open inside RunContext.read, "hash" for one inside the
+# manifest's hashing, and None for any other
 _AUDIT: dict = {"dir": None, "opens": [], "installed": False}
+_VIA = {RunContext.read.__code__: "read", pipeline._sha256.__code__: "hash"}
 
 
 def _record_open(event, args):
@@ -121,12 +162,12 @@ def _record_open(event, args):
     path = os.fsdecode(args[0])
     if os.path.dirname(path) != _AUDIT["dir"]:
         return
-    frame, in_read = sys._getframe(1), False
-    while frame is not None and not in_read:
-        in_read = frame.f_code is RunContext.read.__code__
+    frame, via = sys._getframe(1), None
+    while frame is not None and via is None:
+        via = _VIA.get(frame.f_code)
         frame = frame.f_back
     writes = args[2] & os.O_ACCMODE != os.O_RDONLY
-    _AUDIT["opens"].append((os.path.basename(path), writes, in_read))
+    _AUDIT["opens"].append((os.path.basename(path), writes, via))
 
 
 def _audited(fn, out_dir: Path):
@@ -525,11 +566,11 @@ class TestArtifactIO:
             0.1, np.float64(0.1), np.float32(0.1), math.nan, -math.inf, -0.0, 1e16, 1e-05,
             np.float64(1e-05), 7, np.int64(8), None, "a,b",
         ]
-        _write_csv(path, ["x"] * len(cells), [cells])
+        write_csv(path, ["x"] * len(cells), [cells])
         assert path.read_bytes().split(b"\r\n")[1] == (
             b'0.1,0.1,0.10000000149011612,nan,-inf,-0.0,1e+16,1e-05,1e-05,7,8,,"a,b"'
         )
-        _write_csv(path, ["x", "y"], [[0.5, None], [1, 2.0]], lineterminator="\n")
+        write_csv(path, ["x", "y"], [[0.5, None], [1, 2.0]], lineterminator="\n")
         assert path.read_bytes() == b"x,y\n0.5,\n1,2.0\n"
 
     def test_table_headers_and_line_ends(self, completed_run):
@@ -602,6 +643,13 @@ class TestRunPipeline:
         assert unlisted == []
         unwritten = [n for n, p in patterns.items() if not any(re.fullmatch(p, f) for f in written)]
         assert unwritten == []
+
+    def test_readme_outputs_give_the_writer_of_every_artifact(self):
+        table = _readme_artifact_table()
+        assert list(table) == list(ARTIFACTS)
+        assert {name: writer for name, (writer, _) in table.items()} == {
+            name: artifact.producer for name, artifact in ARTIFACTS.items()
+        }
 
     def test_readme_library_use_runs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -790,19 +838,14 @@ class TestDeterminismAndComposability:
 
 class TestRunContext:
     def test_corpus_parsed_only_from_input_or_by_a_lone_stage(self, tmp_path, monkeypatch):
-        paths, label_reads = [], []
-        real_load, real_read_labels = corpus_mod.load_corpus, pipeline._read_labels
+        paths = []
+        real_load = corpus_mod.load_corpus
 
         def counting_load(path, *args, **kwargs):
             paths.append(Path(path).name)
             return real_load(path, *args, **kwargs)
 
-        def counting_read_labels(path):
-            label_reads.append(Path(path).name)
-            return real_read_labels(path)
-
         monkeypatch.setattr(corpus_mod, "load_corpus", counting_load)
-        monkeypatch.setattr(pipeline, "_read_labels", counting_read_labels)
         synth_dir, ingest_dir = tmp_path / "synth", tmp_path / "ingest"
         synth_dir.mkdir()
         ingest_dir.mkdir()
@@ -814,9 +857,8 @@ class TestRunContext:
         obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 16}
         cfg = config_from_obj(obj)
         run_pipeline(cfg)
-        # the corpus stage hands its records on, and the context keeps every artifact
+        # the corpus stage hands its records on
         assert paths == []
-        assert label_reads == ["labels.csv"]
 
         shutil.copy(cfg.path("corpus.jsonl"), tmp_path / "source.jsonl")
         del obj["synth"]
@@ -829,58 +871,60 @@ class TestRunContext:
         STAGES["features"](cfg)
         assert paths == ["corpus.jsonl"]
 
-    def test_a_run_parses_no_checkpoint_it_wrote(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("variant", list(FINISHED_RUN_OVERRIDES))
+    def test_a_run_opens_its_artifacts_only_to_hash_them(self, finished_run_records, variant):
+        obj, opens, _ = finished_run_records[variant]
+        manifest = json.loads((Path(obj["out_dir"]) / F_MANIFEST).read_text())
+        outputs = [o["path"] for stage in manifest["stages"] for o in stage["outputs"]]
+        # every stage's writer hands its value on, so no stage parses a file;
+        # the manifest hashes each output once
+        assert [(n, via) for n, writes, via in opens if not writes] == [
+            (n, "hash") for n in outputs
+        ]
+
+    def test_later_stages_alone_write_what_the_run_wrote(self, tmp_path, monkeypatch):
         _cpus(monkeypatch, 1)
         cfg = config_from_obj(base_config_obj(tmp_path))
-        _, opens = _audited(lambda: run_pipeline(cfg), cfg.out_dir)
-        checkpoints = sorted(["model.ckpt.json", *(f"stl_{h.key}.ckpt.json" for h in HORIZONS)])
-        opened = [(n, writes, in_read) for n, writes, in_read in opens if n.endswith(".ckpt.json")]
-        assert sorted(n for n, writes, _ in opened if writes) == checkpoints
-        # the train stage hands its models on, so no stage reads a checkpoint back
-        # (the manifest still hashes each one)
-        assert [n for n, _, in_read in opened if in_read] == []
-        # the later stages, each parsing the checkpoints alone, write the same bytes
+        run_pipeline(cfg)
+        # each later stage, parsing the checkpoints and the other artifacts
+        # alone, writes the same bytes as the run that kept them
         digests = checksums(tmp_path)
         names = pipeline_stage_names(cfg)
         for name in names[names.index("train") + 1:]:
             STAGES[name](cfg)
         assert checksums(tmp_path) == digests
 
-    def test_a_run_parses_no_feature_table_it_wrote(self, tmp_path, monkeypatch):
-        _cpus(monkeypatch, 1)
-        obj = base_config_obj(tmp_path, compare_stl=False)
-        obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 16}
-        cfg = config_from_obj(obj)
-        _, opens = _audited(lambda: run_pipeline(cfg), cfg.out_dir)
-        # the features stage hands its matrix on: features.csv is opened once
-        # to write it and once by the manifest's hashing, never by RunContext.read
-        assert [(writes, in_read) for n, writes, in_read in opens if n == "features.csv"] == [
-            (True, False), (False, False)
-        ]
+    @pytest.mark.parametrize("variant", [*FINISHED_RUN_OVERRIDES, "planted-values"])
+    def test_parsing_an_artifact_gives_what_its_writer_kept(
+        self, finished_run_records, tmp_path, monkeypatch, variant
+    ):
+        if variant == "planted-values":
+            _cpus(monkeypatch, 1)
+            extract = pipeline.ind.extract_feature_matrix
 
-    @pytest.mark.parametrize("planted", [False, True], ids=["extracted", "planted-values"])
-    def test_features_stage_keeps_what_parsing_gives(self, tmp_path, monkeypatch, planted):
-        extract = pipeline.ind.extract_feature_matrix
+            def with_planted_values(*args, **kwargs):
+                matrix = extract(*args, **kwargs)
+                # a signed zero, the smallest subnormal, the largest double and a
+                # sum whose shortest repr has 17 digits
+                matrix[0, :4] = [-0.0, 5e-324, -1.7976931348623157e308, 0.1 + 0.2]
+                return matrix
 
-        def with_planted_values(*args, **kwargs):
-            matrix = extract(*args, **kwargs)
-            # a signed zero, the smallest subnormal, the largest double and a
-            # sum whose shortest repr has 17 digits
-            matrix[0, :4] = [-0.0, 5e-324, -1.7976931348623157e308, 0.1 + 0.2]
-            return matrix
-
-        if planted:
             monkeypatch.setattr(pipeline.ind, "extract_feature_matrix", with_planted_values)
-        cfg = config_from_obj(base_config_obj(tmp_path))
-        ctx = RunContext(cfg)
-        for name in ("corpus", "label", "features"):
-            STAGES[name](cfg, ctx)
-        kept_pos, kept = ctx.read("features.csv")
-        parsed_pos, parsed = RunContext(cfg).read("features.csv")
-        assert kept_pos == parsed_pos and list(kept_pos) == list(parsed_pos)
-        assert (kept.dtype, kept.shape) == (parsed.dtype, parsed.shape)
-        assert kept.tobytes() == parsed.tobytes()
-        assert (np.signbit(kept[0, 0]) and kept[0, 1] > 0) == planted
+            monkeypatch.setattr(pipeline, "RunContext", _KeptContext)
+            obj = base_config_obj(tmp_path)
+            obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 8}
+            # the largest double overflows its column's variance
+            with np.errstate(over="ignore"):
+                run_pipeline(config_from_obj(obj))
+            ctx = _KeptContext.last
+            assert np.signbit(ctx.read("features.csv")[1][0, 0])
+        else:
+            obj, _, ctx = finished_run_records[variant]
+        cfg = config_from_obj(obj)
+        written = [name for name in ARTIFACTS if cfg.path(name).exists()]
+        assert sorted(ctx._kept) == sorted(written)
+        for name in written:
+            _assert_same(ctx._kept[name], RunContext(cfg).read(name), name)
 
     @settings(max_examples=30, deadline=None)
     @given(corpus=_hand_built_corpora() | _synthetic_corpora, data=st.data())
@@ -914,6 +958,7 @@ class TestRunContext:
     ):
         _cpus(monkeypatch, 1)
         cfg = config_from_obj(finished_runs[variant])
+        readers = {name: stages for name, (_, stages) in _readme_artifact_table().items()}
         assert len(STAGES) == 11
         for name in STAGES:
             kwargs = {"k": 2} if name == "cv" else {}
@@ -923,26 +968,13 @@ class TestRunContext:
                 assert _AUDIT["opens"] == [], name
                 continue
             outputs, opens = _audited(lambda: STAGES[name](cfg, **kwargs), cfg.out_dir)
-            reads = [(n, in_read) for n, writes, in_read in opens if not writes]
-            assert all(in_read for _, in_read in reads), (name, reads)
+            reads = [(n, via) for n, writes, via in opens if not writes]
+            assert all(via == "read" for _, via in reads), (name, reads)
             counts = Counter(n for n, _ in reads)
             assert max(counts.values(), default=1) == 1, (name, counts)
+            # README's Outputs table lists the stage among the file's readers
+            assert all(name in readers[n] for n in counts), (name, counts)
             assert {n for n, writes, _ in opens if writes} == set(outputs), name
-
-    def test_predictions_parsed_once_by_a_run(self, tmp_path, monkeypatch):
-        _cpus(monkeypatch, 1)
-        parsed = []
-        real_read_csv = pipeline._read_csv
-
-        def counting_read_csv(path):
-            parsed.append(Path(path).name)
-            return real_read_csv(path)
-
-        monkeypatch.setattr(pipeline, "_read_csv", counting_read_csv)
-        obj = base_config_obj(tmp_path, topic={"group_by": "predicted"}, compare_stl=False)
-        obj["train"] = {"max_epochs": 3, "class_weighting": True, "batch_size": 8}
-        run_pipeline(config_from_obj(obj))
-        assert parsed.count("predictions.csv") == 1
 
     @pytest.mark.parametrize(
         "stage, overrides, message",
@@ -968,6 +1000,58 @@ class TestRunContext:
             STAGES[stage](cfg, **({"k": 2} if stage == "cv" else {}))
         assert exc_info.value.stage == stage
         assert message in str(exc_info.value)
+
+
+def _assert_same(kept, parsed, where: str) -> None:
+    """Assert that ``kept`` equals ``parsed``, with floats and arrays compared
+    bit for bit; ``where`` names the part compared."""
+    assert type(kept) is type(parsed), where
+    if isinstance(kept, np.ndarray):
+        assert (kept.dtype, kept.shape) == (parsed.dtype, parsed.shape), where
+        assert kept.tobytes() == parsed.tobytes(), where
+    elif isinstance(kept, float):
+        assert struct.pack("<d", kept) == struct.pack("<d", parsed), where
+    elif isinstance(kept, dict):
+        # a map keyed by horizon has no order; the order of any other is part of its value
+        if not all(isinstance(key, Horizon) for key in kept):
+            assert list(kept) == list(parsed), where
+        assert kept.keys() == parsed.keys(), where
+        for key in kept:
+            _assert_same(kept[key], parsed[key], f"{where}[{key!r}]")
+    elif isinstance(kept, (list, tuple)):
+        assert len(kept) == len(parsed), where
+        for i, (a, b) in enumerate(zip(kept, parsed)):
+            _assert_same(a, b, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(kept):
+        for f in dataclasses.fields(kept):
+            _assert_same(getattr(kept, f.name), getattr(parsed, f.name), f"{where}.{f.name}")
+    else:
+        assert kept == parsed, where
+
+
+# each table a stage reads, and a CLI command whose stage reads it first or
+# after tables that stay whole
+_TABLE_READERS = {
+    "labels.csv": "features",
+    "features.csv": "train",
+    "predictions.csv": "jt-test",
+    **dict.fromkeys(
+        ["metrics.csv", "comparison.csv", "attributions.csv", "validation.csv",
+         "topic_scores.csv"],
+        "report",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def cut_run_config(finished_runs, tmp_path_factory):
+    """The config file of a copy of the finished grid run, whose tables a test may cut."""
+    obj = finished_runs["grid"]
+    work = tmp_path_factory.mktemp("cut")
+    shutil.copytree(obj["out_dir"], work / "out")
+    config = work / "config.json"
+    config.write_text(json.dumps({**obj, "out_dir": str(work / "out")}))
+    return str(config)
 
 
 def _cpus(monkeypatch, n: int) -> None:
@@ -1123,7 +1207,7 @@ def _separable_run_dir(out_dir: Path, n: int = 160, seed: int = 30):
     X = rng.normal(0.0, 0.5, size=(n, N_FEATURES))
     X[np.arange(n), classes] += 4.0
     ids = [f"P{i:04d}" for i in range(n)]
-    _write_csv(
+    write_csv(
         out_dir / "labels.csv",
         ["patent_id", "grant_year", *(f"{h.key}_class" for h in HORIZONS), "trajectory"],
         (
@@ -1131,7 +1215,7 @@ def _separable_run_dir(out_dir: Path, n: int = 160, seed: int = 30):
             for i, (pid, c) in enumerate(zip(ids, classes))
         ),
     )
-    _write_csv(
+    write_csv(
         out_dir / "features.csv", ["patent_id", *FEATURE_NAMES],
         ([pid, *row.tolist()] for pid, row in zip(ids, X)),
     )
@@ -1553,6 +1637,63 @@ class TestCli:
         config.write_text(json.dumps({**obj, "out_dir": str(out)}))
         assert cli.main([command, "--config", str(config)]) == 3
         assert f"cannot parse {name}" in caplog.text
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_a_table_cut_off_a_line_end_exits_3_naming_it(self, cut_run_config, data):
+        out = Path(cut_run_config).parent / "out"
+        name = data.draw(st.sampled_from(sorted(_TABLE_READERS)), label="table")
+        whole = (out / name).read_bytes()
+        # a cut anywhere, or in the last row or two
+        n = len(whole)
+        cut = data.draw(st.integers(0, n - 1) | st.integers(max(0, n - 60), n - 1), label="cut")
+        # a cut at a line end leaves a shorter table, which only recorded hashes can tell
+        assume(whole[:cut][-1:] != b"\n")
+        (out / name).write_bytes(whole[:cut])
+        try:
+            with mock.patch.object(cli.log, "error") as error:
+                assert cli.main([_TABLE_READERS[name], "--config", cut_run_config]) == 3
+            assert f"cannot parse {name}" in str(error.call_args), error.call_args
+        finally:
+            (out / name).write_bytes(whole)
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            *(("corpus.jsonl", c) for c in ("label", "features", "jt-test", "topic-score")),
+            ("thresholds.json", "report"),
+            *(("labels.csv", c) for c in (
+                "features", "gridsearch", "train", "evaluate", "explain", "topic-score", "report",
+                "cv",
+            )),
+            *(("features.csv", c) for c in ("gridsearch", "train", "evaluate", "explain", "cv")),
+            ("best_config.json", "train"),
+            ("best_config.json", "cv"),
+            ("split.json", "evaluate"),
+            ("split.json", "explain"),
+            ("model.ckpt.json", "evaluate"),
+            ("model.ckpt.json", "explain"),
+            *((f"stl_{h.key}.ckpt.json", "evaluate") for h in HORIZONS),
+            ("predictions.csv", "jt-test"),
+            ("predictions.csv", "topic-score"),
+            ("metrics.csv", "report"),
+        ],
+    )
+    def test_a_missing_artifact_exits_3_naming_the_stage_that_writes_it(
+        self, finished_runs, tmp_path, caplog, name, command
+    ):
+        obj = finished_runs["grid"]
+        out = tmp_path / "out"
+        shutil.copytree(obj["out_dir"], out)
+        (out / name).unlink()
+        # topic-score reads predictions.csv when it groups by the predicted class
+        topic = {"group_by": "predicted" if name == "predictions.csv" else "actual"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**obj, "out_dir": str(out), "topic": topic}))
+        assert cli.main([command, "--config", str(config)]) == 3
+        producer = ARTIFACTS[name].producer
+        assert re.search(rf"missing prerequisite file\(s\): .*{re.escape(name)} \((re)?run "
+                         rf"{producer}\)", caplog.text), caplog.text
 
     @pytest.mark.parametrize(
         "text", ["", "patent_id," + ",".join(FEATURE_NAMES) + "\r\n"], ids=["empty", "header-only"]

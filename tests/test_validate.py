@@ -19,7 +19,8 @@ from patimpact.validate import (
     validation_rows,
 )
 
-from patimpact.pipeline import STAGES, _write_csv
+from patimpact.pipeline import STAGES
+from patimpact.tables import write_csv
 
 from conftest import d, labeled_run_dir, make_patent
 
@@ -392,7 +393,7 @@ class TestValueIndicators:
         corpus, classes = _corpus_with_posthoc(rng, (15, 15, 15), shift=1.0)
         results = validate_value_indicators(corpus, classes)
         path = tmp_path / "validation.csv"
-        _write_csv(path, *validation_rows({"long": results}))
+        write_csv(path, *validation_rows({"long": results}))
         lines = path.read_text().splitlines()
         assert lines[0] == "horizon,indicator,jt_statistic,z,p_value,method,n_excluded"
         assert len(lines) == 4
