@@ -592,17 +592,6 @@ class ClassThresholds:
             for h in HORIZONS
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ClassThresholds":
-        return cls(
-            **{
-                h.key: ThresholdPair(
-                    bt_min=int(obj[h.key]["bt_min"]), vt_min=int(obj[h.key]["vt_min"])
-                )
-                for h in HORIZONS
-            }
-        )
-
 
 #: Case-study cut points: short >=4 BT / >=2 VT, mid >=9 / >=3, long >=24 / >=6.
 FIXED_THRESHOLDS = ClassThresholds(

@@ -541,22 +541,6 @@ def _dlogits(parts: SoftmaxParts, labels: _Labels, task_weight: float) -> np.nda
     return d
 
 
-def _batch_task_losses(
-    logits: Mapping[Horizon, np.ndarray],
-    labels: Mapping[Horizon, np.ndarray],
-    tasks: Sequence[Horizon],
-    class_weights: Optional[Mapping[Horizon, np.ndarray]] = None,
-) -> dict[Horizon, float]:
-    """Per-task mean cross-entropy over instances with a label (not -1)."""
-    out = {}
-    for task in tasks:
-        y, z = labels[task], logits[task]
-        out[task] = _task_loss(
-            _softmax_parts(z), _labels(y, (class_weights or {}).get(task), z.shape[1])
-        )
-    return out
-
-
 def _backward(model: MtlModel, ws: InferenceWorkspace, grad: MtlModel, heads: Iterable) -> None:
     """Write the gradients of the batch loss w.r.t. the trunk and ``heads``
     into ``grad``, from the activations the forward left in ``ws``. Each head
@@ -594,44 +578,36 @@ def _backward(model: MtlModel, ws: InferenceWorkspace, grad: MtlModel, heads: It
             delta = delta @ model.shared[i].W.T
 
 
-def _backward_batch(
-    model: MtlModel,
-    ws: InferenceWorkspace,
-    labels: Mapping[Horizon, np.ndarray],
-    weights: Mapping[Horizon, float],
-    tasks: Sequence[Horizon],
-    class_weights: Optional[Mapping[Horizon, np.ndarray]] = None,
-    grad: Optional[MtlModel] = None,
-) -> MtlModel:
-    """Gradients of the weighted multi-task batch loss w.r.t. every parameter,
-    from the activations that `infer_logits` of ``tasks``, in that order, left
-    in ``ws``. They are written into the layer views of ``grad``, a model of
-    the same layout (a new one by default), which is returned; a head outside
-    ``tasks`` gets zeros."""
-    grad = grad if grad is not None else _zero_model(model.config)
-    heads = []
-    for task, outs in zip(tasks, ws.heads):
-        y, weight, delta = labels[task], float(weights.get(task, 0.0)), None
-        if weight != 0.0:
-            task_labels = _labels(y, (class_weights or {}).get(task), outs[-1].shape[1])
-            if task_labels.rows.size:
-                delta = _dlogits(_softmax_parts(outs[-1]), task_labels, weight)
-        heads.append((model.heads[task], outs, grad.heads[task], delta))
-    idle = [task for task in model.tasks if task not in tasks]
-    heads += [(model.heads[t], [], grad.heads[t], None) for t in idle]
-    _backward(model, ws, grad, heads)
-    return grad
-
-
-def batch_loss(
+def _batch_step(
     model: MtlModel,
     X: np.ndarray,
-    labels: Mapping[Horizon, np.ndarray],
-    cfg: TrainConfig,
-) -> float:
-    tasks = [t for t in model.tasks if cfg.weight(t) > 0]
-    per_task = _batch_task_losses(infer_logits(model, X, tasks), labels, tasks)
-    return sum(cfg.weight(t) * per_task[t] for t in tasks)
+    tasks: Sequence[Horizon],
+    labels: Sequence[_Labels],
+    weights: Sequence[float],
+    grad: MtlModel,
+    ws: InferenceWorkspace,
+    dropout_rng: Optional[np.random.Generator] = None,
+) -> list[float]:
+    """The loss and gradient of one training batch: the forward of the heads
+    of ``tasks`` through ``ws`` (trunk dropout drawn from ``dropout_rng`` when
+    given), each task's `_task_loss` against its ``labels``, and the gradient
+    of the loss weighted by ``weights`` written into ``grad``, a model of the
+    same layout whose heads outside ``tasks`` are left as they are. Returns
+    the per-task losses in ``tasks`` order; a non-finite weighted loss is a
+    RuntimeError."""
+    heads = [model.heads[t] for t in tasks]
+    _forward(model, X, heads, ws, dropout_rng)
+    parts = [_softmax_parts(outs[-1]) for outs in ws.heads]
+    losses = [_task_loss(p, lab) for p, lab in zip(parts, labels)]
+    if not math.isfinite(sum(w * loss for w, loss in zip(weights, losses))):
+        raise RuntimeError(f"non-finite training loss: {dict(zip(tasks, losses))}")
+    deltas = [
+        _dlogits(p, lab, w) if lab.rows.size else None
+        for p, lab, w in zip(parts, labels, weights)
+    ]
+    grad_heads = [grad.heads[t] for t in tasks]
+    _backward(model, ws, grad, zip(heads, ws.heads, grad_heads, deltas))
+    return losses
 
 
 # --------------------------------------------------------------------------
@@ -758,7 +734,6 @@ def train(
     X_tr, X_val = X[train_idx], X[val_idx]
     # per-task lists, indexed like ``tasks``
     weights = [cfg.weight(t) for t in tasks]
-    heads = [model.heads[t] for t in tasks]
     n_classes = model.config.classes_per_task
     y_tr = [y[t][train_idx] for t in tasks]
     task_class_weights = [
@@ -773,7 +748,6 @@ def train(
     dropout_rng = derived_rng(cfg.seed, "dropout")
     optimizer = _Adam(model.flat, cfg)
     grad = _zero_model(model.config)
-    grad_heads = [grad.heads[t] for t in tasks]
     workspace = InferenceWorkspace()
     X_epoch = np.empty_like(X_tr)
 
@@ -793,29 +767,19 @@ def train(
         epoch_losses = [0.0] * len(tasks)
         n_batches = 0
         for start, labels_b in zip(range(0, len(order), cfg.batch_size), batches):
-            _forward(model, X_epoch[start:start + cfg.batch_size], heads, workspace, dropout_rng)
-            parts = [_softmax_parts(outs[-1]) for outs in workspace.heads]
-            per_task = [_task_loss(p, lab) for p, lab in zip(parts, labels_b)]
-            total = sum(w * loss for w, loss in zip(weights, per_task))
-            if not math.isfinite(total):
-                raise RuntimeError(
-                    f"non-finite training loss at epoch {epoch}: {dict(zip(tasks, per_task))}"
-                )
-            deltas = [
-                _dlogits(p, lab, w) if lab.rows.size else None
-                for p, lab, w in zip(parts, labels_b, weights)
-            ]
-            _backward(model, workspace, grad, zip(heads, workspace.heads, grad_heads, deltas))
+            X_b = X_epoch[start:start + cfg.batch_size]
+            per_task = _batch_step(
+                model, X_b, tasks, labels_b, weights, grad, workspace, dropout_rng
+            )
             optimizer.step(model.flat, grad.flat)
             for k, loss in enumerate(per_task):
                 epoch_losses[k] += loss
             n_batches += 1
 
         train_per_task = {t: loss / n_batches for t, loss in zip(tasks, epoch_losses)}
-        _forward(model, X_val, heads, workspace)
+        val_logits = infer_logits(model, X_val, tasks, workspace)
         val_per_task = {
-            t: _task_loss(_softmax_parts(outs[-1]), lab)
-            for t, outs, lab in zip(tasks, workspace.heads, val_labels)
+            t: _task_loss(_softmax_parts(val_logits[t]), lab) for t, lab in zip(tasks, val_labels)
         }
         val_total = sum(cfg.weight(t) * val_per_task[t] for t in tasks)
         model.history.append(
@@ -891,7 +855,9 @@ def gradient_check(
     seed: int = 0,
     jitter: float = 0.05,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between the gradient that `_batch_step`, the step
+    `train` runs, writes for one batch of every row and central differences
+    of the weighted loss it returns.
 
     Dropout must be disabled (the loss is otherwise stochastic). The loss is
     non-differentiable wherever a rectifier pre-activation is exactly zero
@@ -905,6 +871,16 @@ def gradient_check(
     X = np.asarray(X, dtype=np.float64)
     tasks = [t for t in model.tasks if cfg.weight(t) > 0]
     y = _as_label_arrays(labels, tasks, X.shape[0])
+    weights = [cfg.weight(t) for t in tasks]
+    # labels as `train` builds them: class weights from the batch, 0 where missing
+    labels_k = [
+        _labels(
+            y[t],
+            _inverse_frequency_weights(y[t]) if cfg.class_weighting else None,
+            model.config.classes_per_task,
+        )
+        for t in tasks
+    ]
 
     saved = model.flat.copy()
     try:
@@ -918,9 +894,14 @@ def gradient_check(
             else:
                 raise RuntimeError("could not find a kink-free parameter point")
 
-        workspace = InferenceWorkspace()
-        infer_logits(model, X, tasks, workspace)
-        grads = _backward_batch(model, workspace, y, cfg.task_loss_weights, tasks).flat
+        workspace, grad = InferenceWorkspace(), _zero_model(model.config)
+
+        def loss() -> float:
+            per_task = _batch_step(model, X, tasks, labels_k, weights, grad, workspace)
+            return sum(w * loss_k for w, loss_k in zip(weights, per_task))
+
+        loss()
+        grads = grad.flat.copy()
 
         params = model.flat
         rng = np.random.default_rng(seed)
@@ -929,9 +910,9 @@ def gradient_check(
         for i in picks:
             orig = params[i]
             params[i] = orig + step
-            loss_plus = batch_loss(model, X, y, cfg)
+            loss_plus = loss()
             params[i] = orig - step
-            loss_minus = batch_loss(model, X, y, cfg)
+            loss_minus = loss()
             params[i] = orig
             g_num = (loss_plus - loss_minus) / (2.0 * step)
             g_ana = grads[i]

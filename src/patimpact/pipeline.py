@@ -898,13 +898,14 @@ def _fit(
 def stage_train(ctx: RunContext) -> None:
     """Fit the standardizer and the multi-task model (plus ablations)."""
     cfg = ctx.cfg
+    # every input is read before the first write, so a failing read leaves no new split
+    network, train_cfg = _configs_for_training(ctx)
     train_ids, test_ids, test_year = _temporal_split(ctx)
     X_train, labels = _training_set(ctx, train_ids)
 
     std = ind.fit_standardizer(X_train)
     ctx.write("split.json", {"test_year": test_year, "train_ids": train_ids, "test_ids": test_ids})
 
-    network, train_cfg = _configs_for_training(ctx)
     X = std.transform(X_train)
     stl_tasks = HORIZONS if cfg.compare_stl else ()
     try:

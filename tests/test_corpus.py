@@ -19,7 +19,6 @@ from patimpact.corpus import (
     HORIZONS,
     IPC_SECTIONS,
     CitedRef,
-    ClassThresholds,
     Corpus,
     CorpusError,
     HistoryOverrides,
@@ -613,7 +612,6 @@ class TestImpactClasses:
         assert obj["short"] == {"bt_min": 4, "vt_min": 2}
         assert obj["mid"] == {"bt_min": 9, "vt_min": 3}
         assert obj["long"] == {"bt_min": 24, "vt_min": 6}
-        assert ClassThresholds.from_json_obj(obj) == FIXED_THRESHOLDS
 
 
 class TestDeriveThresholds:

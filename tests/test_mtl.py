@@ -21,11 +21,11 @@ from patimpact.mtl import (
     NetworkConfig,
     TrainConfig,
     _Adam,
-    _backward_batch,
-    _batch_task_losses,
+    _batch_step,
     _inverse_frequency_weights,
+    _labels,
     _stratified_split,
-    batch_loss,
+    _zero_model,
     from_json,
     gradient_check,
     infer_logits,
@@ -131,6 +131,19 @@ def loop_backward(model, cache, labels, weights, tasks, class_weights=None):
     return grads
 
 
+def loop_loss(logits, y, class_weights=None):
+    """Mean cross-entropy over the labelled rows of ``y``, weighted by class:
+    the log-sum-exp of the max-shifted logits less the label's shifted logit.
+    The oracle for the losses that `train` records."""
+    valid = y != MISSING_LABEL
+    if not valid.any():
+        return 0.0
+    z = logits - logits.max(axis=1, keepdims=True)
+    ce = np.log(np.exp(z).sum(axis=1))[valid] - z[valid, y[valid]]
+    w = np.ones(len(ce)) if class_weights is None else class_weights[y[valid]]
+    return float((ce * w).sum() / w.sum())
+
+
 def loop_optimizer_step(state, model, grads, cfg):
     """One Adam (or SGD) step, array by array, with moments keyed by name."""
     beta1, beta2, epsilon = 0.9, 0.999, 1e-7
@@ -182,7 +195,9 @@ def loop_train(model, X, labels, cfg):
             batch = order[start : start + cfg.batch_size]
             yb = {t: y_tr[t][batch] for t in tasks}
             cache = loop_forward(model, X_tr[batch], dropout_rng, tasks=tasks)
-            per_task = _batch_task_losses(cache.logits, yb, tasks, class_weights)
+            per_task = {
+                t: loop_loss(cache.logits[t], yb[t], (class_weights or {}).get(t)) for t in tasks
+            }
             grads = loop_backward(model, cache, yb, cfg.task_loss_weights, tasks, class_weights)
             loop_optimizer_step(state, model, grads, cfg)
             for t in tasks:
@@ -190,7 +205,10 @@ def loop_train(model, X, labels, cfg):
             n_batches += 1
         train_per_task = {t: sums[t] / n_batches for t in tasks}
         val_cache = loop_forward(model, X_val, tasks=tasks)
-        val_per_task = _batch_task_losses(val_cache.logits, y_val, tasks, class_weights)
+        val_per_task = {
+            t: loop_loss(val_cache.logits[t], y_val[t], (class_weights or {}).get(t))
+            for t in tasks
+        }
         val_total = sum(cfg.weight(t) * val_per_task[t] for t in tasks)
         model.history.append(EpochStats(
             epoch=epoch,
@@ -209,6 +227,20 @@ def loop_train(model, X, labels, cfg):
     for (_, arr), saved in zip(model.parameters(), best):
         arr[...] = saved
     return model
+
+
+def batch_step(model, X, y, weights, class_weights=None, grad=None, dropout_rng=None):
+    """`_batch_step` on one batch of every row of ``X``, for the tasks of
+    ``weights`` in model order, with labels built as `train` builds them.
+    Returns the weighted loss, the per-task losses and ``grad`` (by default a
+    new model) holding the gradient."""
+    tasks = [t for t in model.tasks if t in weights]
+    n_classes = model.config.classes_per_task
+    labels = [_labels(np.asarray(y[t]), (class_weights or {}).get(t), n_classes) for t in tasks]
+    w = [float(weights[t]) for t in tasks]
+    grad = grad if grad is not None else _zero_model(model.config)
+    losses = _batch_step(model, X, tasks, labels, w, grad, InferenceWorkspace(), dropout_rng)
+    return sum(wk * loss for wk, loss in zip(w, losses)), dict(zip(tasks, losses)), grad
 
 
 def separable_data(n=500, input_dim=10, seed=0):
@@ -298,11 +330,11 @@ class TestSoftmax:
     def test_log_softmax_never_minus_inf_for_finite_logits(self):
         # the training loss takes the log-softmax from the shifted logits,
         # so even a label 1600 nats down costs a finite amount
-        logits = {Horizon.SHORT: np.array([[800.0, 0.0, -800.0]])}
+        model = constant_logits_model([800.0, 0.0, -800.0])
         for label, want in enumerate((0.0, 800.0, 1600.0)):
             y = {Horizon.SHORT: np.array([label])}
-            loss = _batch_task_losses(logits, y, [Horizon.SHORT])[Horizon.SHORT]
-            assert loss == pytest.approx(want, abs=1e-12)
+            _, losses, _ = batch_step(model, np.zeros((1, 10)), y, {Horizon.SHORT: 1.0})
+            assert losses[Horizon.SHORT] == pytest.approx(want, abs=1e-12)
 
 
 class TestForwardPredict:
@@ -469,13 +501,12 @@ def constant_logits_model(logits):
 
 
 class TestLoss:
-    """`batch_loss` and `_batch_task_losses`, the loss that trains."""
+    """The loss of `_batch_step`, the step that trains."""
 
     def _loss(self, logits, label, weights):
         model = constant_logits_model(logits)
         labels = {h: np.full(2, int(label)) for h in HORIZONS}
-        cfg = TrainConfig(task_loss_weights=weights)
-        return batch_loss(model, np.zeros((2, 10)), labels, cfg)
+        return batch_step(model, np.zeros((2, 10)), labels, weights)[0]
 
     def test_perfect_prediction_zero_loss(self):
         weights = {h: 1.0 for h in HORIZONS}
@@ -505,7 +536,7 @@ class TestLoss:
         w_sum = {h: w1[h] + w2[h] for h in HORIZONS}
 
         def loss(weights):
-            return batch_loss(model, X, labels, TrainConfig(task_loss_weights=weights))
+            return batch_step(model, X, labels, weights)[0]
 
         assert loss(w_sum) == pytest.approx(loss(w1) + loss(w2), rel=1e-12)
 
@@ -517,12 +548,22 @@ class TestLoss:
 
 
 class TestGradients:
-    def test_small_net_below_1e4(self):
+    @pytest.mark.parametrize(
+        "class_weighting, masked",
+        [(False, 0), (True, 0), (False, 6), (True, 6)],
+        ids=["plain", "class-weighted", "masked", "class-weighted-masked"],
+    )
+    def test_small_net_below_1e4(self, class_weighting, masked):
         rng = np.random.default_rng(0)
         model = init_network(small_config(seed=3))
         X = rng.normal(size=(16, 10))
         y = {h: rng.integers(0, 3, size=16) for h in HORIZONS}
-        err = gradient_check(model, X, y, TrainConfig(seed=0), n_coordinates=250, seed=1)
+        # the classes are unbalanced, so class weighting changes the loss
+        y[Horizon.SHORT][:8] = 0
+        y[Horizon.MID][:masked] = MISSING_LABEL
+        y[Horizon.LONG][16 - masked:] = MISSING_LABEL
+        cfg = TrainConfig(seed=0, class_weighting=class_weighting)
+        err = gradient_check(model, X, y, cfg, n_coordinates=250, seed=1)
         assert err < 1e-4
 
     def test_requires_dropout_off(self):
@@ -536,9 +577,7 @@ class TestGradients:
         X = rng.normal(size=(8, 10))
         y = {h: rng.integers(0, 3, size=8) for h in HORIZONS}
         weights = {Horizon.SHORT: 1.0, Horizon.MID: 0.0, Horizon.LONG: 0.0}
-        ws = InferenceWorkspace()
-        infer_logits(model, X, workspace=ws)
-        grads = _backward_batch(model, ws, y, weights, list(HORIZONS))
+        _, _, grads = batch_step(model, X, y, weights)
         for name, g in grads.parameters():
             if name.startswith("head.mid") or name.startswith("head.long"):
                 assert np.all(g == 0.0)
@@ -554,21 +593,16 @@ class TestGradients:
             arr += rng.normal(0, 0.05, size=arr.shape)
         X = rng.normal(size=(12, 10))
         y = {h: rng.integers(0, 3, size=12) for h in HORIZONS}
-        cfg = TrainConfig(seed=0)
-        yarr = {h: np.asarray(v) for h, v in y.items()}
-        ws = InferenceWorkspace()
-        infer_logits(model, X, workspace=ws)
-        grads = dict(
-            _backward_batch(model, ws, yarr, cfg.task_loss_weights, list(HORIZONS)).parameters()
-        )
-        base = batch_loss(model, X, yarr, cfg)
+        weights = TrainConfig().task_loss_weights
+        base, _, grad = batch_step(model, X, y, weights)
+        grads = dict(grad.parameters())
         deltas = {name: rng.normal(0, 1e-6, size=arr.shape) for name, arr in model.parameters()}
         predicted_change = sum(
             float((grads[name] * deltas[name]).sum()) for name, _ in model.parameters()
         )
         for name, arr in model.parameters():
             arr += deltas[name]
-        actual_change = batch_loss(model, X, yarr, cfg) - base
+        actual_change = batch_step(model, X, y, weights)[0] - base
         assert actual_change == pytest.approx(predicted_change, rel=1e-3, abs=1e-12)
 
 
@@ -819,16 +853,13 @@ class TestFlatParameters:
         model = init_network(small_config(seed=68))
         X = rng.normal(size=(8, 10))
         y = {h: rng.integers(0, 3, size=8) for h in HORIZONS}
-        ws = InferenceWorkspace()
-        infer_logits(model, X, workspace=ws)
-        grad = _backward_batch(model, ws, y, {h: 1.0 for h in HORIZONS}, list(HORIZONS))
+        _, _, grad = batch_step(model, X, y, {h: 1.0 for h in HORIZONS})
         assert np.any(grad.heads[Horizon.LONG][0].W != 0.0)
         assert np.any(grad.heads[Horizon.MID][0].W != 0.0)
         # a second batch into the same buffer: long has weight 0, mid no valid label
         y[Horizon.MID][:] = MISSING_LABEL
         weights = {Horizon.SHORT: 1.0, Horizon.MID: 1.0, Horizon.LONG: 0.0}
-        again = _backward_batch(model, ws, y, weights, list(HORIZONS), grad=grad)
-        assert again is grad
+        batch_step(model, X, y, weights, grad=grad)
         want = loop_backward(model, loop_forward(model, X), y, weights, list(HORIZONS))
         for name, g in grad.parameters():
             assert np.array_equal(g, want[name])
@@ -853,11 +884,11 @@ class TestFlatParameters:
         y[Horizon.MID][:10] = MISSING_LABEL
         weights = {Horizon.SHORT: 1.0, Horizon.MID: 0.5, Horizon.LONG: 2.0}
         class_weights = {h: _inverse_frequency_weights(y[h]) for h in HORIZONS}
-        ws = InferenceWorkspace()
-        infer_logits(model, X, workspace=ws, dropout_rng=np.random.default_rng(74))
-        assert len(ws.masks) == 2 and any((m == 0.0).any() for m in ws.masks)
-        got = _backward_batch(model, ws, y, weights, list(HORIZONS), class_weights)
+        _, _, got = batch_step(
+            model, X, y, weights, class_weights, dropout_rng=np.random.default_rng(74)
+        )
         cache = loop_forward(model, X, np.random.default_rng(74))
+        assert any((m == 0.0).any() for m in cache.dropout_masks)
         want = loop_backward(model, cache, y, weights, list(HORIZONS), class_weights)
         for name, g in got.parameters():
             assert np.array_equal(g, want[name]), name

@@ -1695,6 +1695,19 @@ class TestCli:
         assert re.search(rf"missing prerequisite file\(s\): .*{re.escape(name)} \((re)?run "
                          rf"{producer}\)", caplog.text), caplog.text
 
+    def test_train_without_its_config_writes_no_split(self, finished_runs, tmp_path):
+        # a new split beside the old checkpoints would let evaluate pass on them
+        obj = finished_runs["grid"]
+        out = tmp_path / "out"
+        shutil.copytree(obj["out_dir"], out)
+        (out / "best_config.json").unlink()
+        split = (out / "split.json").read_bytes()
+        test_year = json.loads(split)["test_year"] - 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**obj, "out_dir": str(out), "test_year": test_year}))
+        assert cli.main(["train", "--config", str(config)]) == 3
+        assert (out / "split.json").read_bytes() == split
+
     @pytest.mark.parametrize(
         "text", ["", "patent_id," + ",".join(FEATURE_NAMES) + "\r\n"], ids=["empty", "header-only"]
     )
