@@ -13,10 +13,11 @@ import datetime as dt
 import json
 import re
 import reprlib
-import sys
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
+
+from .tables import json_finite, json_int, json_str_or_null
 
 IPC_SECTIONS = "ABCDEFGH"
 
@@ -34,7 +35,7 @@ def parse_date(s: str) -> dt.date:
     try:
         return dt.date.fromisoformat(s)
     except (ValueError, TypeError) as exc:
-        raise CorpusError(f"invalid date {s!r}: {exc}") from None
+        raise CorpusError(f"invalid date {reprlib.repr(s)}: {exc}") from None
 
 
 def add_years(d: dt.date, years: int) -> dt.date:
@@ -255,28 +256,6 @@ def _build_forward_index(
 # loading
 # --------------------------------------------------------------------------
 
-def _str_or_none(value: object, name: str) -> Optional[str]:
-    # these values key sets and dicts downstream, so a list or an object is an error
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"{name} must be a string or null, got {value!r}")
-    return value
-
-
-def _json_int(value: object, name: str) -> int:
-    # a JSON true or false is a bool, and 2.7 or "3" is not an integer
-    if type(value) is not int:
-        raise TypeError(f"{name} must be a JSON integer, got {reprlib.repr(value)}")
-    return value
-
-
-def _json_number(value: object, name: str) -> float:
-    # json.loads reads NaN, Infinity and 1e999 (as inf), and an integer past
-    # the float range cannot become the float the field holds
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite JSON number, got {reprlib.repr(value)}")
-    return float(value)
-
-
 class _Shared:
     """One load's lookup tables, which hand out one object per distinct value
     (hash-consing), so a value that repeats across records is stored once.
@@ -315,7 +294,7 @@ class _Shared:
 
     def party(self, obj: dict) -> Party:
         # save_corpus drops an empty name or cited_id, so one is read as absent
-        name = _str_or_none(obj.get("name"), "name") or None
+        name = json_str_or_null(obj.get("name"), "name") or None
         key = (str(obj.get("country", "")), name)
         party = self.parties.get(key)
         if party is None:
@@ -346,7 +325,7 @@ def _parse_record(obj: object, domain_ipc_prefix: str, shared: _Shared) -> Paten
     patent_id = obj["id"]
     # ids key the corpus and resolve citations, so none is coerced from another type
     if not isinstance(patent_id, str) or not patent_id:
-        raise CorpusError(f"id must be a non-empty JSON string, got {patent_id!r}")
+        raise CorpusError(f"id must be a non-empty JSON string, got {reprlib.repr(patent_id)}")
     try:
         return _build_record(obj, shared.string(patent_id), domain_ipc_prefix, shared)
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -376,7 +355,7 @@ def _build_record(
                     str(c.get("country", "")),
                     shared.date(c["filing_date"]),
                     ipcs,
-                    _str_or_none(c.get("cited_id"), "cited_id") or None,
+                    json_str_or_null(c.get("cited_id"), "cited_id") or None,
                     bool(in_domain),
                 ))
             )
@@ -392,11 +371,11 @@ def _build_record(
         ph = obj["post_hoc"]
         try:
             post_hoc = PostHoc(
-                maintenance_years=_json_number(
+                maintenance_years=json_finite(
                     ph["maintenance_years"], "post_hoc.maintenance_years"
                 ),
-                transfer_count=_json_int(ph["transfer_count"], "post_hoc.transfer_count"),
-                family_size=_json_int(ph["family_size"], "post_hoc.family_size"),
+                transfer_count=json_int(ph["transfer_count"], "post_hoc.transfer_count"),
+                family_size=json_int(ph["family_size"], "post_hoc.family_size"),
             )
         except KeyError as exc:
             raise CorpusError(f"{patent_id}: post_hoc missing {exc}") from None
@@ -405,7 +384,7 @@ def _build_record(
     if obj.get("history_overrides") is not None:
         ho = obj["history_overrides"]
         overrides = HistoryOverrides(**{
-            key: None if ho.get(key) is None else _json_number(ho[key], f"history_overrides.{key}")
+            key: None if ho.get(key) is None else json_finite(ho[key], f"history_overrides.{key}")
             for key in ("pk_6", "pk_7", "pk_8", "pk_9")
         })
 
@@ -415,20 +394,20 @@ def _build_record(
         grant_date=grant,
         ipc_codes=shared.ipc_codes(tuple(map(str, obj.get("ipc_codes", ())))),
         independent_claim_word_counts=tuple(
-            _json_int(count, "independent_claim_word_counts")
+            json_int(count, "independent_claim_word_counts")
             for count in obj.get("independent_claim_word_counts", ())
         ),
-        dependent_claim_count=_json_int(
+        dependent_claim_count=json_int(
             obj.get("dependent_claim_count", 0), "dependent_claim_count"
         ),
-        abstract_word_count=_json_int(obj.get("abstract_word_count", 0), "abstract_word_count"),
+        abstract_word_count=json_int(obj.get("abstract_word_count", 0), "abstract_word_count"),
         assignees=tuple(map(shared.party, obj.get("assignees", ()))),
         inventors=tuple(map(shared.party, obj.get("inventors", ()))),
         priorities=priorities,
         backward_citations=refs,
-        npl_citation_count=_json_int(obj.get("npl_citation_count", 0), "npl_citation_count"),
+        npl_citation_count=json_int(obj.get("npl_citation_count", 0), "npl_citation_count"),
         post_hoc=post_hoc,
-        topic_label=shared.string(_str_or_none(obj.get("topic_label"), "topic_label")),
+        topic_label=shared.string(json_str_or_null(obj.get("topic_label"), "topic_label")),
         history_overrides=overrides,
     )
 

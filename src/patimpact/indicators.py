@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import tables
 from .corpus import Corpus, IPC_SECTIONS, years_between
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -366,12 +367,32 @@ class Standardizer:
         ]
 
     @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "Standardizer":
-        by_name = {d["name"]: d for d in obj}
-        mean = np.array([by_name[n]["mean"] for n in FEATURE_NAMES])
-        std = np.array([by_name[n]["std"] for n in FEATURE_NAMES])
+    def from_json_obj(cls, obj, name: str = "$") -> "Standardizer":
+        """The standardizer of the JSON array that `to_json_obj` writes, its
+        features in any order; ``name`` is its JSONPath in messages."""
+        by_name = {
+            tables.json_object(item, f"{name}[{i}]", _FEATURE_FIELDS)["name"]: item
+            for i, item in enumerate(tables.json_list(obj, name))
+        }
+        mean = np.array([by_name[n]["mean"] for n in FEATURE_NAMES], dtype=np.float64)
+        std = np.array([by_name[n]["std"] for n in FEATURE_NAMES], dtype=np.float64)
         degenerate = np.array([by_name[n]["degenerate"] for n in FEATURE_NAMES], dtype=bool)
         return cls(mean=mean, std=std, degenerate=degenerate)
+
+
+def _positive(value, name: str) -> float:
+    # a fitted std is never 0 or NaN, as a zero-variance dimension keeps std 1,
+    # but it is inf where a dimension's variance overflows
+    if not tables.json_number(value, name) > 0:
+        raise tables.json_error(name, "a positive JSON number", value)
+    return value
+
+
+# the converter of each key of a feature's object in a standardizer's JSON array
+_FEATURE_FIELDS = {
+    "name": tables.json_str, "mean": tables.json_finite, "std": _positive,
+    "degenerate": tables.json_bool,
+}
 
 
 def fit_standardizer(features: Iterable[FeatureVector] | np.ndarray) -> Standardizer:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-import sys
+import reprlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import tables
 from .corpus import HORIZONS, Horizon
 from .indicators import N_FEATURES, Standardizer
 from .seeding import derive_seed, derived_rng
@@ -111,94 +113,34 @@ class EpochStats:
     val_loss_per_task: dict[Horizon, float]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    # an integer past the float range cannot become the float the field holds
-    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
-
-
-def _checked(test: Callable, what: str, decode: Callable = lambda v: v) -> Callable:
-    """A converter ``(value, name) -> decode(value)`` that raises a ValueError
-    naming ``name`` when ``test(value)`` fails; it never coerces."""
-
-    def convert(value, name: str):
-        if not test(value):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
-        return decode(value)
-
-    return convert
-
-
-json_int = _checked(_is_int, "a JSON integer")
-json_int_or_null = _checked(lambda v: v is None or _is_int(v), "a JSON integer or null")
-json_number = _checked(_is_number, "a JSON number", float)
-json_bool = _checked(lambda v: isinstance(v, bool), "true or false")
-json_str = _checked(lambda v: isinstance(v, str), "a JSON string")
-json_int_list = _checked(
-    lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of JSON integers", tuple
-)
-
-
-def json_finite(value, name: str) -> float:
-    """A JSON number that is not NaN or infinite; Python's JSON reader accepts both."""
-    number = json_number(value, name)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return number
-
-
-def json_member(enum) -> Callable:
-    """A converter of a member's name, in any case (``"mid"`` gives ``Horizon.MID``)."""
-    return _checked(
-        lambda v: isinstance(v, str) and v.upper() in enum.__members__,
-        f"one of {', '.join(enum.__members__)}",
-        lambda v: enum[v.upper()],
-    )
-
-
-def json_by_horizon(convert: Callable) -> Callable:
-    """A converter of a JSON object keyed by horizon whose values ``convert`` decodes."""
-    horizon = json_member(Horizon)
-
-    def decode(value, name: str) -> dict:
-        if not isinstance(value, dict):
-            raise ValueError(f"{name} must be a JSON object keyed by horizon, got {value!r}")
-        return {horizon(k, f"{name} key"): convert(v, f"{name}.{k}") for k, v in value.items()}
-
-    return decode
-
-
 # The JSON fields of each dataclass that checkpoints, best_config.json and the
 # config's network/train blocks hold, with the converter of the JSON value.
-_JSON_FIELDS: dict[type, dict[str, Callable]] = {
+JSON_FIELDS: dict[type, dict[str, Callable]] = {
     NetworkConfig: {
-        "input_dim": json_int,
-        "shared_layer_widths": json_int_list,
-        "task_head_widths": json_by_horizon(json_int_list),
-        "classes_per_task": json_int,
-        "shared_dropout_rate": json_finite,
-        "seed": json_int,
+        "input_dim": tables.json_int,
+        "shared_layer_widths": tables.json_int_list,
+        "task_head_widths": partial(tables.json_keyed, Horizon, tables.json_int_list),
+        "classes_per_task": tables.json_int,
+        "shared_dropout_rate": tables.json_finite,
+        "seed": tables.json_int,
     },
     TrainConfig: {
-        "learning_rate": json_finite,
-        "batch_size": json_int,
-        "max_epochs": json_int,
-        "early_stop_patience": json_int,
-        "task_loss_weights": json_by_horizon(json_finite),
-        "validation_fraction": json_finite,
-        "optimizer": json_str,
-        "class_weighting": json_bool,
+        "learning_rate": tables.json_finite,
+        "batch_size": tables.json_int,
+        "max_epochs": tables.json_int,
+        "early_stop_patience": tables.json_int,
+        "task_loss_weights": partial(tables.json_keyed, Horizon, tables.json_finite),
+        "validation_fraction": tables.json_finite,
+        "optimizer": tables.json_str,
+        "class_weighting": tables.json_bool,
     },
     # a checkpoint's history may hold a NaN loss
     EpochStats: {
-        "epoch": json_int,
-        "train_loss_total": json_number,
-        "val_loss_total": json_number,
-        "train_loss_per_task": json_by_horizon(json_number),
-        "val_loss_per_task": json_by_horizon(json_number),
+        "epoch": tables.json_int,
+        "train_loss_total": tables.json_number,
+        "val_loss_total": tables.json_number,
+        "train_loss_per_task": partial(tables.json_keyed, Horizon, tables.json_number),
+        "val_loss_per_task": partial(tables.json_keyed, Horizon, tables.json_number),
     },
 }
 
@@ -212,21 +154,7 @@ def json_value(value):
 
 def to_json(obj) -> dict:
     """The JSON fields of a NetworkConfig, TrainConfig or EpochStats."""
-    return {name: json_value(getattr(obj, name)) for name in _JSON_FIELDS[type(obj)]}
-
-
-def from_json(cls, obj, keys=None, name=None, **derived):
-    """A ``cls`` from its JSON fields plus the ``derived`` ones. A key outside
-    ``keys`` (default: every JSON field) or a value of the wrong JSON type is
-    a ValueError that names it."""
-    fields = _JSON_FIELDS[cls]
-    name = name or cls.__name__
-    if not isinstance(obj, Mapping):
-        raise TypeError(f"{name} must be a JSON object")
-    unknown = sorted(set(obj) - set(fields if keys is None else keys))
-    if unknown:
-        raise ValueError(f"unknown key(s) in {name}: {', '.join(unknown)}")
-    return cls(**derived, **{k: fields[k](v, f"{name}.{k}") for k, v in obj.items()})
+    return {name: json_value(getattr(obj, name)) for name in JSON_FIELDS[type(obj)]}
 
 
 @dataclass
@@ -271,16 +199,25 @@ def _he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarr
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _zero_model(config: NetworkConfig) -> MtlModel:
-    """An all-zero model whose every W and b is a reshaped view into one new
-    float64 vector, laid out back to back in `parameters()` order."""
+def _layer_dims(config: NetworkConfig) -> list[list[tuple[int, int]]]:
+    """The ``(fan_in, fan_out)`` of each layer of the trunk, then of each head."""
     trunk = [config.input_dim, *config.shared_layer_widths]
     chains = [trunk] + [
         [trunk[-1], *config.task_head_widths[task], config.classes_per_task]
         for task in config.tasks
     ]
-    dims = [list(zip(widths, widths[1:])) for widths in chains]
-    flat = np.zeros(sum(fan_in * fan_out + fan_out for d in dims for fan_in, fan_out in d))
+    return [list(zip(widths, widths[1:])) for widths in chains]
+
+
+def _n_values(config: NetworkConfig) -> int:
+    """The number of parameter values, every W and b, of a network."""
+    return sum(fan_in * fan_out + fan_out for d in _layer_dims(config) for fan_in, fan_out in d)
+
+
+def _zero_model(config: NetworkConfig) -> MtlModel:
+    """An all-zero model whose every W and b is a reshaped view into one new
+    float64 vector, laid out back to back in `parameters()` order."""
+    flat = np.zeros(_n_values(config))
     offset = 0
 
     def layer(fan_in: int, fan_out: int) -> DenseLayer:
@@ -290,7 +227,7 @@ def _zero_model(config: NetworkConfig) -> MtlModel:
         offset = end + fan_out
         return DenseLayer(W=W, b=flat[end:offset])
 
-    shared, *heads = [[layer(*d) for d in chain_dims] for chain_dims in dims]
+    shared, *heads = [[layer(*d) for d in chain_dims] for chain_dims in _layer_dims(config)]
     return MtlModel(config=config, shared=shared, heads=dict(zip(config.tasks, heads)), flat=flat)
 
 
@@ -930,12 +867,10 @@ def gradient_check(
 # the network fields a config and a grid may set; input_dim and the seeds are derived
 NETWORK_FIELDS = ("shared_layer_widths", "task_head_widths", "shared_dropout_rate")
 
-HYPERPARAMETERS = NETWORK_FIELDS + tuple(_JSON_FIELDS[TrainConfig])
-
-
-def decode_candidate(key: str, value, name: str):
-    """A grid candidate for hyperparameter ``key``, decoded like that field."""
-    return _JSON_FIELDS[NetworkConfig if key in NETWORK_FIELDS else TrainConfig][key](value, name)
+# the converter of each hyperparameter that a grid may search
+HYPERPARAMETERS: dict[str, Callable] = {
+    **{key: JSON_FIELDS[NetworkConfig][key] for key in NETWORK_FIELDS}, **JSON_FIELDS[TrainConfig]
+}
 
 
 # --------------------------------------------------------------------------
@@ -968,18 +903,30 @@ def save_checkpoint(path, model: MtlModel) -> None:
 
 
 def load_checkpoint(path) -> MtlModel:
+    """The model of a checkpoint; a value of the wrong JSON type, or
+    parameters that do not fit the network, is a ValueError that names it."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = tables.json_object(json.load(fh), "$")
     if obj.get("schema") != CHECKPOINT_SCHEMA:
-        raise ValueError(f"unsupported checkpoint schema {obj.get('schema')!r}")
-    model = _zero_model(from_json(NetworkConfig, obj["network"]))
+        raise ValueError(f"unsupported checkpoint schema {reprlib.repr(obj.get('schema'))}")
+    config = tables.from_json(
+        NetworkConfig, JSON_FIELDS[NetworkConfig], obj["network"], "$.network"
+    )
     by_name = {p["name"]: p for p in obj["parameters"]}
+    # a network of another size than the saved values is refused before it is allocated
+    size = _n_values(config)
+    if size != sum(len(p["data"]) for p in by_name.values()):
+        raise ValueError(f"$.parameters do not hold the {size} values of $.network")
+    model = _zero_model(config)
     for name, arr in model.parameters():
         saved = by_name[name]
         arr[...] = np.array(saved["data"]).reshape(saved["shape"])
-    if obj.get("standardizer"):
-        model.standardizer = Standardizer.from_json_obj(obj["standardizer"])
-    model.history = [from_json(EpochStats, e) for e in obj.get("history", [])]
+    if obj.get("standardizer") is not None:
+        model.standardizer = Standardizer.from_json_obj(obj["standardizer"], "$.standardizer")
+    model.history = [
+        tables.from_json(EpochStats, JSON_FIELDS[EpochStats], e, f"$.history[{i}]")
+        for i, e in enumerate(tables.json_list(obj.get("history", []), "$.history"))
+    ]
     return model
 
 

@@ -24,10 +24,11 @@ import itertools
 import json
 import logging
 import os
+import reprlib
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from functools import wraps
+from functools import partial, wraps
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -54,17 +55,22 @@ from .corpus import (
     forward_citation_count,
     trajectory_pattern,
 )
-from .mtl import (
+from .seeding import derive_seed
+from .synth import SynthParams, generate_synthetic
+from .tables import (
+    from_json,
     json_bool,
+    json_error,
     json_finite,
     json_int,
     json_int_list,
     json_int_or_null,
+    json_list,
     json_member,
+    json_object,
     json_str,
+    json_str_or_null,
 )
-from .seeding import derive_seed
-from .synth import SynthParams, generate_synthetic
 
 log = logging.getLogger(__name__)
 
@@ -116,8 +122,14 @@ class TopicSettings:
 
 @dataclass(frozen=True)
 class GridSettings:
-    space: dict[str, list]
+    space: dict[str, list] = field(default_factory=dict)
     k: int = 5
+
+    def __post_init__(self) -> None:
+        if not self.space:
+            raise ValueError("grid requires a non-empty space object")
+        if self.k < 2:
+            raise ValueError("grid.k must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -212,83 +224,39 @@ def load_config(path) -> PipelineConfig:
 
 
 def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config must be a JSON object, got {obj!r}")
-    if obj.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(
-            f"unsupported config schema {obj.get('schema')!r}; expected {CONFIG_SCHEMA}"
-        )
     base = base_dir if base_dir is not None else Path(".")
 
     def resolve(p: str) -> Path:
         path = Path(p)
         return path if path.is_absolute() else base / path
 
-    if "out_dir" not in obj:
-        raise ConfigError("config requires out_dir")
-    unknown = sorted(set(obj) - set(CONFIG_TOP_LEVEL_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-
-    def block(name: str, keys) -> dict:
-        # the config's `name` object ({} when absent); a key outside `keys` is an error
-        values = obj.get(name)
-        if values is None:
-            return {}
-        if not isinstance(values, dict):
-            raise ConfigError(f"{name} must be a JSON object")
-        unknown = sorted(set(values) - set(keys))
-        if unknown:
-            raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
-        return values
-
-    def grid_settings() -> Optional[GridSettings]:
-        if obj.get("grid") is None:
-            return None
-        g = block("grid", ("space", "k"))
-        space = g.get("space")
-        if not space or not isinstance(space, dict):
-            raise ConfigError("grid requires a non-empty space object")
-        decoded = {}
-        for key, candidates in space.items():
-            if key not in mtl_mod.HYPERPARAMETERS:
-                raise ConfigError(f"grid.space.{key} is not a hyperparameter")
-            if not isinstance(candidates, list) or not candidates:
-                raise ConfigError(f"grid.space.{key} must be a non-empty list")
-            decoded[key] = [
-                mtl_mod.decode_candidate(key, c, f"grid.space.{key}") for c in candidates
-            ]
-        k = json_int(g.get("k", 5), "grid.k")
-        if k < 2:
-            raise ConfigError("grid.k must be >= 2")
-        return GridSettings(space=decoded, k=k)
-
-    def settings(cls, name: str, derived: Optional[dict] = None, **convert):
-        # the keys the block holds, converted, plus the `derived` fields; other
-        # fields keep their defaults
-        values = block(name, convert)
-        return cls(
-            **(derived or {}), **{k: convert[k](v, f"{name}.{k}") for k, v in values.items()}
-        )
-
+    # a ConfigError raised here passes the handler below as it is
     try:
+        json_object(obj, "config")
+        if obj.get("schema") != CONFIG_SCHEMA:
+            raise ConfigError(
+                f"unsupported config schema {reprlib.repr(obj.get('schema'))}; "
+                f"expected {CONFIG_SCHEMA}"
+            )
+        if "out_dir" not in obj:
+            raise ConfigError("config requires out_dir")
+        unknown = sorted(set(obj) - set(CONFIG_TOP_LEVEL_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
         seed = json_int(obj.get("seed", 0), "seed")
         domain = json_str(obj.get("domain_ipc_prefix", "H01M"), "domain_ipc_prefix")
         synth = None
         if obj.get("synth") is not None:
             try:
-                synth = settings(
-                    SynthParams, "synth",
-                    {"seed": derive_seed(seed, "synth"), "domain_ipc_prefix": domain},
-                    n_patents=json_int, year_range=json_int_list,
-                    citation_attachment_exponent=json_finite,
-                    feature_signal_strength=json_finite, mean_internal_citations=json_finite,
-                    mean_external_citations=json_finite,
+                synth = from_json(
+                    SynthParams, _SYNTH_FIELDS, obj["synth"], "synth",
+                    seed=derive_seed(seed, "synth"), domain_ipc_prefix=domain,
                 )
                 synth.validate()
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"invalid synth params: {exc}") from None
         corpus_path = obj.get("corpus_path")
+        grid = obj.get("grid")
         cfg = PipelineConfig(
             out_dir=resolve(json_str(obj["out_dir"], "out_dir")),
             seed=seed,
@@ -300,37 +268,64 @@ def config_from_obj(obj: dict, base_dir: Optional[Path] = None) -> PipelineConfi
             home_country=json_str(obj.get("home_country", "US"), "home_country"),
             threshold_mode=json_str(obj.get("threshold_mode", "fixed"), "threshold_mode"),
             test_year=json_int_or_null(obj.get("test_year"), "test_year"),
-            network=mtl_mod.from_json(
-                mtl_mod.NetworkConfig, obj.get("network", {}), mtl_mod.NETWORK_FIELDS,
-                "network", seed=derive_seed(seed, "init"),
+            network=from_json(
+                mtl_mod.NetworkConfig, mtl_mod.JSON_FIELDS[mtl_mod.NetworkConfig],
+                obj.get("network", {}), "network", mtl_mod.NETWORK_FIELDS,
+                seed=derive_seed(seed, "init"),
             ),
-            train=mtl_mod.from_json(
-                mtl_mod.TrainConfig, obj.get("train", {}), name="train",
-                seed=derive_seed(seed, "train"),
+            train=from_json(
+                mtl_mod.TrainConfig, mtl_mod.JSON_FIELDS[mtl_mod.TrainConfig],
+                obj.get("train", {}), "train", seed=derive_seed(seed, "train"),
             ),
-            grid=grid_settings(),
+            grid=None if grid is None else from_json(GridSettings, _GRID_FIELDS, grid, "grid"),
             compare_stl=json_bool(obj.get("compare_stl", True), "compare_stl"),
-            explain=settings(
-                ExplainSettings, "explain",
-                n_instances=json_int, n_permutations=json_int, background_size=json_int,
-                top_k=json_int, target_class=json_member(ImpactClass),
-                # null is no filter; validate() checks the pattern name
-                filter_pattern=lambda v, name: v,
-            ),
-            validation=settings(
-                ValidationSettings, "validation",
-                method=json_str, n_permutations=json_int, group_by=json_str, scope=json_str,
-            ),
-            topic=settings(
-                TopicSettings, "topic",
-                horizon=json_member(Horizon), group_by=json_str,
-            ),
+            # a settings block that is absent or null keeps every default
+            **{
+                key: from_json(cls, fields, {} if obj.get(key) is None else obj[key], key)
+                for key, (cls, fields) in _SETTINGS_FIELDS.items()
+            },
             raw=obj,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     cfg.validate()
     return cfg
+
+
+def _grid_space(value, name: str) -> dict[str, list]:
+    """The candidates of each hyperparameter of a grid, each decoded like its field."""
+    if type(value) is not dict or not value:
+        raise ValueError("grid requires a non-empty space object")
+    space = {}
+    for key, candidates in value.items():
+        where = f"{name}.{key}"
+        if key not in mtl_mod.HYPERPARAMETERS:
+            raise ValueError(f"{where} is not a hyperparameter")
+        if type(candidates) is not list or not candidates:
+            raise json_error(where, "a non-empty JSON array", candidates)
+        space[key] = [mtl_mod.HYPERPARAMETERS[key](c, where) for c in candidates]
+    return space
+
+
+# The converter of each key of a config block, by block
+_SYNTH_FIELDS = {
+    "n_patents": json_int, "year_range": json_int_list,
+    "citation_attachment_exponent": json_finite, "feature_signal_strength": json_finite,
+    "mean_internal_citations": json_finite, "mean_external_citations": json_finite,
+}
+_GRID_FIELDS = {"space": _grid_space, "k": json_int}
+_SETTINGS_FIELDS: dict[str, tuple[type, dict]] = {
+    "explain": (ExplainSettings, {
+        "n_instances": json_int, "n_permutations": json_int, "background_size": json_int,
+        "top_k": json_int, "target_class": partial(json_member, ImpactClass),
+        # null is no filter; validate() checks the pattern name
+        "filter_pattern": json_str_or_null,
+    }),
+    "validation": (ValidationSettings, {
+        "method": json_str, "n_permutations": json_int, "group_by": json_str, "scope": json_str,
+    }),
+    "topic": (TopicSettings, {"horizon": partial(json_member, Horizon), "group_by": json_str}),
+}
 
 
 # --------------------------------------------------------------------------
@@ -432,14 +427,21 @@ def _write_checkpoint(path, model: mtl_mod.MtlModel) -> mtl_mod.MtlModel:
     return model
 
 
-def _json(shape, indent: Optional[int] = 2) -> tuple[Callable, Callable]:
-    """The writer and the parser of a JSON value that holds the keys of
-    ``shape``; the writer gives the value its text decodes to."""
+def _parse_checkpoint(path, cfg) -> mtl_mod.MtlModel:
+    model = mtl_mod.load_checkpoint(path)
+    # every checkpoint a run writes holds the standardizer of its training rows
+    if model.standardizer is None:
+        raise json_error("$.standardizer", "a JSON array", None)
+    return model
+
+
+def _json(fields: dict, indent: Optional[int] = 2) -> tuple[Callable, Callable]:
+    """The writer and the parser of a JSON object that holds each key of
+    ``fields`` with a value its converter accepts; the writer gives the value
+    its text decodes to."""
 
     def parse(path, cfg):
-        value = json.loads(path.read_text(encoding="utf-8"))
-        tables.check_shape(value, shape)
-        return value
+        return json_object(json.loads(path.read_text(encoding="utf-8")), "$", fields)
 
     return (lambda path, obj: json.loads(tables.write_json(path, obj, indent))), parse
 
@@ -457,19 +459,22 @@ class Artifact:
 
 # The writers and parsers look up the functions of other modules when they
 # run, as the stages do, so a wrapper on such a function sees every call.
-_CHECKPOINT = (_write_checkpoint, lambda path, cfg: mtl_mod.load_checkpoint(path))
+_CHECKPOINT = (_write_checkpoint, _parse_checkpoint)
+# the converters of one horizon's thresholds and of a list of patent ids
+_BOUNDS = partial(json_object, fields={"bt_min": json_int, "vt_min": json_int})
+_IDS = partial(json_list, convert=json_str)
 ARTIFACTS: dict[str, Artifact] = {
     "corpus.jsonl": Artifact(
         "corpus", _write_corpus,
         lambda path, cfg: corpus_mod.load_corpus(path, cfg.domain_ipc_prefix),
     ),
-    "thresholds.json": Artifact(
-        "label", *_json({h.key: {"bt_min": int, "vt_min": int} for h in HORIZONS})
-    ),
+    "thresholds.json": Artifact("label", *_json({h.key: _BOUNDS for h in HORIZONS})),
     "labels.csv": Artifact("label", *_table(_labels)),
     "features.csv": Artifact("features", _write_features, _parse_features),
-    "best_config.json": Artifact("gridsearch", *_json({"network": dict, "train": dict})),
-    "split.json": Artifact("train", *_json({"train_ids": [str], "test_ids": [str]}, None)),
+    "best_config.json": Artifact(
+        "gridsearch", *_json({"network": json_object, "train": json_object})
+    ),
+    "split.json": Artifact("train", *_json({"train_ids": _IDS, "test_ids": _IDS}, None)),
     "model.ckpt.json": Artifact("train", *_CHECKPOINT),
     **{f"stl_{h.key}.ckpt.json": Artifact("train", *_CHECKPOINT) for h in HORIZONS},
     "predictions.csv": Artifact("evaluate", *_table(_predictions)),
@@ -876,8 +881,14 @@ def _configs_for_training(
         return cfg.network, cfg.train
     best = ctx.read("best_config.json")
     return (
-        mtl_mod.from_json(mtl_mod.NetworkConfig, best["network"]),
-        mtl_mod.from_json(mtl_mod.TrainConfig, best["train"], seed=cfg.train.seed),
+        from_json(
+            mtl_mod.NetworkConfig, mtl_mod.JSON_FIELDS[mtl_mod.NetworkConfig], best["network"],
+            "best_config.json $.network",
+        ),
+        from_json(
+            mtl_mod.TrainConfig, mtl_mod.JSON_FIELDS[mtl_mod.TrainConfig], best["train"],
+            "best_config.json $.train", seed=cfg.train.seed,
+        ),
     )
 
 

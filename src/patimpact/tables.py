@@ -3,8 +3,15 @@
 Every table is written by `written_rows` and read by `table_rows`. A float
 cell is written as its shortest repr, which reads back as the same double,
 and every row ends in a line end, so a table whose last row has none was cut
-and does not read. JSON values are written with sorted keys by `write_json`;
-`check_shape` checks the keys and types that a reader indexes.
+and does not read. JSON values are written with sorted keys by `write_json`.
+
+The JSON values the program reads (the config, corpus record fields, a
+checkpoint's network, history and standardizer, and the JSON artifacts) are
+checked by the converters below. A converter
+``(value, name)`` gives the value it accepts, never coerced from another JSON
+type, and raises a ValueError that names ``name`` and shows the value through
+`reprlib.repr` otherwise. `from_json` builds a dataclass from a table of
+converters by field.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ import csv
 import itertools
 import json
 import reprlib
+import sys
 from collections import deque
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -73,24 +81,111 @@ def write_json(path, obj, indent: Optional[int] = 2) -> str:
     return text
 
 
-_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+def json_error(name: str, what: str, value) -> ValueError:
+    """The error of ``name``, which must be ``what`` but holds ``value``."""
+    return ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
 
 
-def check_shape(value, shape, where: str = "$") -> None:
-    """Raise a ValueError that names the first part of ``value`` (at the
-    JSONPath ``where``) that lacks a key of ``shape`` or holds another type.
-    A shape is a JSON type, ``[shape]`` for an array of that shape, or a dict
-    of keys and their shapes for an object."""
-    if isinstance(shape, dict):
-        check_shape(value, dict, where)
-        for key, inner in shape.items():
-            if key not in value:
-                raise ValueError(f"{where} has no key {key!r}")
-            check_shape(value[key], inner, f"{where}.{key}")
-    elif isinstance(shape, list):
-        check_shape(value, list, where)
+def json_int(value, name: str) -> int:
+    # a JSON true or false is a bool, and 2.7 or "3" is not an integer
+    if type(value) is not int:
+        raise json_error(name, "a JSON integer", value)
+    return value
+
+
+def json_int_or_null(value, name: str) -> Optional[int]:
+    if value is not None and type(value) is not int:
+        raise json_error(name, "a JSON integer or null", value)
+    return value
+
+
+def json_number(value, name: str) -> float:
+    """A JSON number, NaN and the infinities included; an integer past the
+    float range cannot become the float the field holds."""
+    if type(value) is not float and (type(value) is not int or abs(value) > sys.float_info.max):
+        raise json_error(name, "a JSON number", value)
+    return float(value)
+
+
+def json_finite(value, name: str) -> float:
+    # json.loads reads NaN, Infinity and 1e999 (as inf), and every range check
+    # is false for NaN
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise json_error(name, "a finite JSON number", value)
+    return float(value)
+
+
+def json_bool(value, name: str) -> bool:
+    if type(value) is not bool:
+        raise json_error(name, "true or false", value)
+    return value
+
+
+def json_str(value, name: str) -> str:
+    if type(value) is not str:
+        raise json_error(name, "a JSON string", value)
+    return value
+
+
+def json_str_or_null(value, name: str) -> Optional[str]:
+    # these values key sets and dicts downstream, so a list or an object is an error
+    if value is not None and type(value) is not str:
+        raise json_error(name, "a JSON string or null", value)
+    return value
+
+
+def json_int_list(value, name: str) -> tuple[int, ...]:
+    if type(value) is not list or any(type(v) is not int for v in value):
+        raise json_error(name, "a list of JSON integers", value)
+    return tuple(value)
+
+
+def json_member(enum, value, name: str):
+    """The member of ``enum`` that a string names, in any case (``"mid"``
+    gives ``Horizon.MID``)."""
+    if type(value) is not str or value.upper() not in enum.__members__:
+        raise json_error(name, f"one of {', '.join(enum.__members__)}", value)
+    return enum[value.upper()]
+
+
+def json_keyed(enum, convert: Callable, value, name: str) -> dict:
+    """A JSON object keyed by members of ``enum``, each value decoded by ``convert``."""
+    if type(value) is not dict:
+        raise json_error(name, f"a JSON object keyed by {enum.__name__.lower()}", value)
+    return {
+        json_member(enum, k, f"{name} key"): convert(v, f"{name}.{k}") for k, v in value.items()
+    }
+
+
+def json_object(value, name: str, fields: Mapping[str, Callable] = {}) -> dict:
+    """``value`` if it is a JSON object that holds every key of ``fields``,
+    each with a value that the key's converter accepts."""
+    if type(value) is not dict:
+        raise json_error(name, "a JSON object", value)
+    for key, convert in fields.items():
+        if key not in value:
+            raise ValueError(f"{name} has no key {key!r}")
+        convert(value[key], f"{name}.{key}")
+    return value
+
+
+def json_list(value, name: str, convert: Optional[Callable] = None) -> list:
+    """``value`` if it is a JSON array each of whose items ``convert`` accepts."""
+    if type(value) is not list:
+        raise json_error(name, "a JSON array", value)
+    if convert is not None:
         for i, item in enumerate(value):
-            check_shape(item, shape[0], f"{where}[{i}]")
-    # a JSON true or false is a bool, not an integer
-    elif type(value) is not shape:
-        raise ValueError(f"{where} must be {_JSON_TYPE_NAMES[shape]}, got {reprlib.repr(value)}")
+            convert(item, f"{name}[{i}]")
+    return value
+
+
+def from_json(cls, fields: Mapping[str, Callable], obj, name: str, keys=None, **derived):
+    """A ``cls`` from the JSON object ``obj``: each key decoded by its
+    converter in ``fields``, plus the ``derived`` fields; a field that ``obj``
+    lacks keeps its default. A key outside ``keys`` (default: every key of
+    ``fields``) is a ValueError that names it."""
+    json_object(obj, name)
+    unknown = sorted(set(obj) - set(fields if keys is None else keys))
+    if unknown:
+        raise ValueError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return cls(**derived, **{k: fields[k](v, f"{name}.{k}") for k, v in obj.items()})

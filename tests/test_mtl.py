@@ -18,6 +18,7 @@ from patimpact.mtl import (
     MISSING_LABEL,
     EpochStats,
     InferenceWorkspace,
+    JSON_FIELDS,
     NetworkConfig,
     TrainConfig,
     _Adam,
@@ -26,7 +27,6 @@ from patimpact.mtl import (
     _labels,
     _stratified_split,
     _zero_model,
-    from_json,
     gradient_check,
     infer_logits,
     infer_proba,
@@ -40,7 +40,7 @@ from patimpact.mtl import (
     training_log_rows,
 )
 from patimpact.seeding import derive_seed, derived_rng
-from patimpact.tables import write_csv
+from patimpact.tables import from_json, write_csv
 
 from conftest import softmax, traced_peak_bytes
 
@@ -985,7 +985,7 @@ class TestPersistence:
             "task_head_widths": {"short": [5], "mid": [5], "long": [5]},
             "classes_per_task": 3, "shared_dropout_rate": 0.25, "seed": 41,
         }
-        assert from_json(NetworkConfig, net_obj) == network
+        assert from_json(NetworkConfig, JSON_FIELDS[NetworkConfig], net_obj, "network") == network
 
         train_cfg = TrainConfig(
             learning_rate=0.01, batch_size=8, optimizer="sgd", class_weighting=True,
@@ -997,20 +997,24 @@ class TestPersistence:
             "learning_rate", "batch_size", "max_epochs", "early_stop_patience",
             "task_loss_weights", "validation_fraction", "optimizer", "class_weighting",
         }
-        assert from_json(TrainConfig, train_obj, seed=5) == train_cfg
+        train_back = from_json(TrainConfig, JSON_FIELDS[TrainConfig], train_obj, "train", seed=5)
+        assert train_back == train_cfg
 
         stats = EpochStats(
             epoch=3, train_loss_total=1.5, val_loss_total=2.25,
             train_loss_per_task={Horizon.MID: 0.5}, val_loss_per_task={Horizon.MID: 0.75},
         )
-        assert from_json(EpochStats, json.loads(json.dumps(to_json(stats)))) == stats
+        assert from_json(
+            EpochStats, JSON_FIELDS[EpochStats], json.loads(json.dumps(to_json(stats))), "epoch"
+        ) == stats
 
     def test_json_codec_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="beta1"):
-            from_json(TrainConfig, {"beta1": 0.8})
+            from_json(TrainConfig, JSON_FIELDS[TrainConfig], {"beta1": 0.8}, "train")
         with pytest.raises(ValueError, match="in network: seed"):
             from_json(
-                NetworkConfig, {"seed": 1}, keys=("shared_layer_widths",), name="network"
+                NetworkConfig, JSON_FIELDS[NetworkConfig], {"seed": 1}, "network",
+                keys=("shared_layer_widths",),
             )
 
     def test_bad_schema_rejected(self, tmp_path):

@@ -396,11 +396,11 @@ class TestConfig:
             ),
             (
                 {"space": {"learning_rate": [math.nan]}},
-                "grid.space.learning_rate must be a finite number, got nan",
+                "grid.space.learning_rate must be a finite JSON number, got nan",
             ),
             (
                 {"space": {"shared_dropout_rate": [0.1, -math.inf]}},
-                "grid.space.shared_dropout_rate must be a finite number, got -inf",
+                "grid.space.shared_dropout_rate must be a finite JSON number, got -inf",
             ),
         ],
         ids=["unknown-key", "scalar", "empty-list", "empty-space", "not-an-object", "k-1",
@@ -418,7 +418,7 @@ class TestConfig:
              "train.class_weighting must be true or false, got 'false'"),
             ("train", {"batch_size": 32.9}, "train.batch_size must be a JSON integer, got 32.9"),
             ("train", {"learning_rate": "0.01"},
-             "train.learning_rate must be a JSON number, got '0.01'"),
+             "train.learning_rate must be a finite JSON number, got '0.01'"),
             ("train", {"task_loss_weights": [1, 2, 3]},
              r"train.task_loss_weights must be a JSON object keyed by horizon, got \[1, 2, 3\]"),
             ("train", {"task_loss_weights": {"short": 1.0, "soon": 1.0}},
@@ -441,17 +441,17 @@ class TestConfig:
             # Python's JSON reader accepts NaN and Infinity, and every range check
             # is false for NaN
             ("train", {"learning_rate": math.nan},
-             "train.learning_rate must be a finite number, got nan"),
+             "train.learning_rate must be a finite JSON number, got nan"),
             ("train", {"task_loss_weights": {"short": math.nan, "mid": 1, "long": 1}},
-             "train.task_loss_weights.short must be a finite number, got nan"),
+             "train.task_loss_weights.short must be a finite JSON number, got nan"),
             ("network", {"shared_dropout_rate": math.nan},
-             "network.shared_dropout_rate must be a finite number, got nan"),
+             "network.shared_dropout_rate must be a finite JSON number, got nan"),
             ("synth", {"citation_attachment_exponent": math.inf},
-             "synth.citation_attachment_exponent must be a finite number, got inf"),
+             "synth.citation_attachment_exponent must be a finite JSON number, got inf"),
             ("synth", {"feature_signal_strength": math.nan},
-             "synth.feature_signal_strength must be a finite number, got nan"),
+             "synth.feature_signal_strength must be a finite JSON number, got nan"),
             ("synth", {"mean_external_citations": math.nan},
-             "synth.mean_external_citations must be a finite number, got nan"),
+             "synth.mean_external_citations must be a finite JSON number, got nan"),
         ],
         ids=["bool-string", "int-float", "number-string", "weights-list", "weights-key",
              "n-instances-float", "top-k-bool", "pattern-name", "class-int",
@@ -558,6 +558,51 @@ class TestArbitraryConfigValues:
         except ConfigError:
             pass
 
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """The directory of a small checkpoint's file, and the checkpoint's JSON
+    object: a 44-input network, a fitted standardizer and two epochs of history."""
+    model = mtl.init_network(mtl.NetworkConfig(
+        shared_layer_widths=(4,), task_head_widths={h: (2,) for h in HORIZONS}, seed=3,
+    ))
+    model.standardizer = fit_standardizer(np.random.default_rng(3).normal(size=(20, N_FEATURES)))
+    losses = {h: 0.5 for h in HORIZONS}
+    model.history = [mtl.EpochStats(e, 1.5, 2.0, losses, losses) for e in (1, 2)]
+    out = tmp_path_factory.mktemp("checkpoint")
+    mtl.save_checkpoint(out / "model.ckpt.json", model)
+    return out, json.loads((out / "model.ckpt.json").read_text())
+
+
+class TestArbitraryCheckpointValues:
+    """A checkpoint with any JSON value at any field of its network, history or
+    standardizer reads as a model whose standardizer maps a finite row to
+    finite values, or is a StageError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), value=_json_values)
+    def test_reads_or_raises_stage_error(self, small_checkpoint, data, value):
+        out, saved = small_checkpoint
+        path = data.draw(st.sampled_from([
+            (key, *path) for key in ("network", "history", "standardizer")
+            for path in _field_paths(saved[key])
+        ]))
+        obj = json.loads(json.dumps(saved))
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        (out / "model.ckpt.json").write_text(json.dumps(obj))
+        try:
+            model = RunContext(pipeline.PipelineConfig(out_dir=out)).read("model.ckpt.json")
+        except StageError as exc:
+            assert "cannot parse model.ckpt.json" in str(exc)
+            return
+        # the row of its own means is finite once read, and a NaN or non-positive
+        # std, or a mean that is not a number, would not map it to finite values
+        std = model.standardizer
+        assert np.isfinite(std.transform(std.mean)).all()
 
 class TestArtifactIO:
     def test_write_csv_cell_rule(self, tmp_path):
@@ -1371,6 +1416,21 @@ class TestCvStage:
                 np.testing.assert_array_equal(got, want)
 
 
+def _first_feature_set(key, value):
+    """An edit of a checkpoint that sets ``key`` of its standardizer's first feature."""
+
+    def edit(ckpt):
+        ckpt["standardizer"][0][key] = value
+        return ckpt
+
+    return edit
+
+
+def _network_set(key, value):
+    """An edit of a checkpoint that sets ``key`` of its network."""
+    return lambda ckpt: {**ckpt, "network": {**ckpt["network"], key: value}}
+
+
 class TestCli:
     def _write_config(self, tmp_path, **overrides) -> Path:
         out = tmp_path / "out"
@@ -1744,17 +1804,55 @@ class TestCli:
             assert cli.main([command, "--config", str(config), *folds]) == 3
         assert f"[{command}] non-finite training loss" in caplog.text
 
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("evaluate", lambda ckpt: [], "$ must be a JSON object, got []"),
+            ("explain", lambda ckpt: {**ckpt, "standardizer": None},
+             "$.standardizer must be a JSON array, got None"),
+            # a network past any memory is refused before it is allocated
+            ("evaluate", _network_set("input_dim", 10**12), "$.parameters do not hold the "),
+            ("evaluate", _first_feature_set("mean", "x"),
+             "$.standardizer[0].mean must be a finite JSON number, got 'x'"),
+            ("explain", _first_feature_set("mean", "x"),
+             "$.standardizer[0].mean must be a finite JSON number, got 'x'"),
+            ("evaluate", _first_feature_set("mean", None),
+             "$.standardizer[0].mean must be a finite JSON number, got None"),
+            ("evaluate", _first_feature_set("mean", math.nan),
+             "$.standardizer[0].mean must be a finite JSON number, got nan"),
+            ("explain", _first_feature_set("mean", math.nan),
+             "$.standardizer[0].mean must be a finite JSON number, got nan"),
+            ("evaluate", _first_feature_set("std", "1"),
+             "$.standardizer[0].std must be a JSON number, got '1'"),
+            ("explain", _first_feature_set("std", None),
+             "$.standardizer[0].std must be a JSON number, got None"),
+            ("evaluate", _first_feature_set("std", math.nan),
+             "$.standardizer[0].std must be a positive JSON number, got nan"),
+            ("explain", _first_feature_set("std", 0),
+             "$.standardizer[0].std must be a positive JSON number, got 0"),
+            ("evaluate", _first_feature_set("degenerate", 0),
+             "$.standardizer[0].degenerate must be true or false, got 0"),
+            ("explain", _first_feature_set("degenerate", "false"),
+             "$.standardizer[0].degenerate must be true or false, got 'false'"),
+        ],
+        ids=[
+            "array", "standardizer-null", "input-dim-huge", "mean-string-evaluate",
+            "mean-string-explain", "mean-null", "mean-nan-evaluate", "mean-nan-explain",
+            "std-string", "std-null", "std-nan", "std-zero", "degenerate-int", "degenerate-string",
+        ],
+    )
     def test_checkpoint_of_the_wrong_shape_exits_3_naming_it(
-        self, finished_runs, tmp_path, caplog
+        self, finished_runs, tmp_path, caplog, command, edit, message
     ):
         obj = finished_runs["default"]
         out = tmp_path / "out"
         shutil.copytree(obj["out_dir"], out)
-        (out / "model.ckpt.json").write_text("[]\n")
+        ckpt = out / "model.ckpt.json"
+        ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))) + "\n")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**obj, "out_dir": str(out)}))
-        assert cli.main(["evaluate", "--config", str(config)]) == 3
-        assert "cannot parse model.ckpt.json" in caplog.text
+        assert cli.main([command, "--config", str(config)]) == 3
+        assert f"cannot parse model.ckpt.json: {message}" in caplog.text
 
     @pytest.mark.parametrize(
         "name, edit, command, message",
@@ -1763,21 +1861,21 @@ class TestCli:
             ("split.json", lambda obj: {}, "explain", "$ has no key 'train_ids'"),
             (
                 "split.json", lambda obj: {**obj, "train_ids": 5}, "evaluate",
-                "$.train_ids must be an array, got 5",
+                "$.train_ids must be a JSON array, got 5",
             ),
             (
                 "split.json", lambda obj: {**obj, "test_ids": [5, *obj["test_ids"]]}, "explain",
-                "$.test_ids[0] must be a string, got 5",
+                "$.test_ids[0] must be a JSON string, got 5",
             ),
             ("thresholds.json", lambda obj: {}, "report", "$ has no key 'short'"),
             (
                 "thresholds.json", lambda obj: {**obj, "long": {"bt_min": "24", "vt_min": 6}},
-                "report", "$.long.bt_min must be an integer, got '24'",
+                "report", "$.long.bt_min must be a JSON integer, got '24'",
             ),
             ("best_config.json", lambda obj: {}, "train", "$ has no key 'network'"),
             (
                 "best_config.json", lambda obj: {**obj, "train": None}, "train",
-                "$.train must be an object, got None",
+                "$.train must be a JSON object, got None",
             ),
         ],
         ids=[
