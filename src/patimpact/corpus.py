@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterable, Optional
 
-from .tables import json_finite, json_int, json_str_or_null
+from .tables import json_bool, json_finite, json_int, json_list, json_str, json_str_or_null
 
 IPC_SECTIONS = "ABCDEFGH"
 
@@ -264,6 +264,11 @@ class _Shared:
     fields, not by the dataclass, whose generated ``__hash__`` runs Python
     code. Each kind of value has a table of its own: a shared table would
     return a Party for an IPC tuple equal to some ``(country, name)``.
+
+    The IPC-code, party and citation tables are looked up with the values as
+    the line holds them, and check their types only on a miss: a value of
+    another JSON type never equals a key (save a number for in_domain's bool,
+    which `_build_record` checks), and an array or object cannot key a table.
     """
 
     def __init__(self) -> None:
@@ -285,32 +290,41 @@ class _Shared:
             date = self.dates[value] = parse_date(value)
         return date
 
-    def ipc_codes(self, codes: tuple[str, ...]) -> tuple[str, ...]:
-        shared = self.ipc_tuples.get(codes)
+    def ipc_codes(self, codes: tuple) -> tuple[str, ...]:
+        try:
+            shared = self.ipc_tuples.get(codes)
+        except TypeError:
+            shared = None
         if shared is None:
-            shared = tuple(map(self.strings.setdefault, codes, codes))
+            shared = tuple(self.string(json_str(code, "ipc_codes")) for code in codes)
             self.ipc_tuples[shared] = shared
         return shared
 
     def party(self, obj: dict) -> Party:
         # save_corpus drops an empty name or cited_id, so one is read as absent
         name = json_str_or_null(obj.get("name"), "name") or None
-        key = (str(obj.get("country", "")), name)
-        party = self.parties.get(key)
+        key = (obj.get("country", ""), name)
+        try:
+            party = self.parties.get(key)
+        except TypeError:
+            party = None
         if party is None:
-            party = Party(*map(self.string, key))
+            party = Party(self.string(json_str(key[0], "country")), self.string(name))
             self.parties[(party.country, party.name)] = party
         return party
 
     def ref(self, key: tuple) -> CitedRef:
         """The citation of fields ``(country, filing_date, ipc_codes,
         cited_id, in_domain)``."""
-        ref = self.refs.get(key)
+        try:
+            ref = self.refs.get(key)
+        except TypeError:
+            ref = None
         if ref is None:
             country, filing_date, ipc_codes, cited_id, in_domain = key
             ref = CitedRef(
-                self.string(country), filing_date, self.ipc_codes(ipc_codes),
-                self.string(cited_id), in_domain,
+                self.string(json_str(country, "country")), filing_date,
+                self.ipc_codes(ipc_codes), self.string(cited_id), in_domain,
             )
             self.refs[(ref.country, filing_date, ref.ipc_codes, ref.cited_id, in_domain)] = ref
         return ref
@@ -340,23 +354,25 @@ def _build_record(
         grant = shared.date(obj["grant_date"])
         priorities = tuple(
             Priority(
-                country=shared.string(str(p.get("country", ""))), date=shared.date(p["date"])
+                country=shared.string(json_str(p.get("country", ""), "country")),
+                date=shared.date(p["date"]),
             )
             for p in obj.get("priorities", ())
         )
         refs = []
         for c in obj.get("backward_citations", ()):
-            ipcs = tuple(map(str, c.get("ipc_codes", ())))
+            ipcs = tuple(json_list(c.get("ipc_codes", []), "ipc_codes"))
             in_domain = c.get("in_domain")
             if in_domain is None:
-                in_domain = any(x.startswith(domain_ipc_prefix) for x in ipcs)
+                in_domain = any(x.startswith(domain_ipc_prefix) for x in shared.ipc_codes(ipcs))
             refs.append(
                 shared.ref((
-                    str(c.get("country", "")),
+                    c.get("country", ""),
                     shared.date(c["filing_date"]),
                     ipcs,
                     json_str_or_null(c.get("cited_id"), "cited_id") or None,
-                    bool(in_domain),
+                    # checked on every citation: 1 == True, so a 1 would find a True's citation
+                    json_bool(in_domain, "in_domain"),
                 ))
             )
         return filing, grant, priorities, tuple(refs)
@@ -392,7 +408,7 @@ def _build_record(
         id=patent_id,
         filing_date=filing,
         grant_date=grant,
-        ipc_codes=shared.ipc_codes(tuple(map(str, obj.get("ipc_codes", ())))),
+        ipc_codes=shared.ipc_codes(tuple(json_list(obj.get("ipc_codes", []), "ipc_codes"))),
         independent_claim_word_counts=tuple(
             json_int(count, "independent_claim_word_counts")
             for count in obj.get("independent_claim_word_counts", ())

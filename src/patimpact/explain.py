@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from . import mtl
 from .corpus import Horizon, ImpactClass
 from .indicators import FEATURE_NAMES, N_FEATURES
-from .mtl import INFERENCE_BLOCK_ROWS, InferenceWorkspace, MtlModel, infer_logits
+from .mtl import INFERENCE_BLOCK_ROWS, InferenceWorkspace, MtlModel
 from .seeding import derive_seed
 
 MAX_EXACT_GROUPS = 20
@@ -147,33 +147,21 @@ def _evaluator(
     `INFERENCE_BLOCK_ROWS` rows through a reused workspace; for a callable its
     one output, which must hold one value per row.
 
-    A trained model's probabilities take the per-row steps of `infer_proba`'s
-    softmax, in its order, so their bits are equal: the row max, ``exp`` of
-    the contiguous shifted logits, the row sum ``(e0 + e1) + e2``. Each
-    horizon does them once, and only the targets' columns are divided.
+    A trained model's probabilities are `infer_proba`'s, looked up on `mtl`
+    at each call so that a wrapper of it sees this inference too.
     """
     if isinstance(model, MtlModel):
         if not targets:
             raise ValueError("an attribution target is required for trained models")
         tasks = tuple(dict.fromkeys(t.horizon for t in targets))
-        # the (output row, class) of each target, per task
-        reads = [
-            [(k, int(t.impact_class)) for k, t in enumerate(targets) if t.horizon == task]
-            for task in tasks
-        ]
         workspace = InferenceWorkspace()
 
         def evaluate(X: np.ndarray, out: np.ndarray) -> None:
             for start in range(0, X.shape[0], INFERENCE_BLOCK_ROWS):
                 rows = slice(start, start + INFERENCE_BLOCK_ROWS)
-                logits = infer_logits(model, X[rows], tasks, workspace)
-                for z, task_reads in zip(logits.values(), reads):
-                    columns = [z[:, c] for c in range(z.shape[1])]
-                    z -= reduce(np.maximum, columns)[:, None]
-                    np.exp(z, out=z)
-                    row_sums = reduce(np.add, columns)
-                    for k, c in task_reads:
-                        np.divide(columns[c], row_sums, out=out[k, rows])
+                probs = mtl.infer_proba(model, X[rows], tasks, workspace)
+                for k, t in enumerate(targets):
+                    out[k, rows] = probs[t.horizon][:, t.impact_class]
 
         return evaluate
     if targets is not None and len(targets) > 1:

@@ -51,14 +51,8 @@ def confusion_matrix(
     pairs: Iterable[tuple[ImpactClass, ImpactClass]]
 ) -> ConfusionMatrix3:
     """Tally (actual, predicted) pairs; input order is irrelevant."""
-    counts = np.zeros((3, 3), dtype=np.int64)
-    empty = True
-    for actual, predicted in pairs:
-        counts[int(actual), int(predicted)] += 1
-        empty = False
-    if empty:
-        raise ValueError("cannot build a confusion matrix from no pairs")
-    return ConfusionMatrix3(counts=counts)
+    pairs = list(pairs)
+    return confusion_from_predictions([a for a, _ in pairs], [p for _, p in pairs])
 
 
 @dataclass(frozen=True)
@@ -373,6 +367,14 @@ def metrics_rows(
 def confusion_from_predictions(
     actual: Sequence[ImpactClass], predicted: Sequence[ImpactClass]
 ) -> ConfusionMatrix3:
-    if len(actual) != len(predicted):
+    """Tally the actual and predicted class indices of the same rows (classes
+    or integers 0-2, in sequences or arrays)."""
+    actual = np.asarray(actual, dtype=np.int64)
+    predicted = np.asarray(predicted, dtype=np.int64)
+    if actual.shape != predicted.shape:
         raise ValueError("actual/predicted length mismatch")
-    return confusion_matrix(zip(actual, predicted))
+    if actual.size == 0:
+        raise ValueError("cannot build a confusion matrix from no pairs")
+    if min(actual.min(), predicted.min()) < 0 or max(actual.max(), predicted.max()) > 2:
+        raise ValueError("a class index outside 0-2")
+    return ConfusionMatrix3(counts=np.bincount(3 * actual + predicted, minlength=9).reshape(3, 3))

@@ -168,7 +168,8 @@ class PipelineConfig:
             ),
         ):
             if value not in allowed:
-                raise ConfigError(f"{name} must be one of {list(allowed)}, not {value!r}")
+                choices = ", ".join("null" if a is None else a for a in allowed)
+                raise ConfigError(str(json_error(name, f"one of {choices}", value)))
         # evaluate and report need a head for every horizon
         grid_heads = self.grid.space.get("task_head_widths", []) if self.grid else []
         for name, heads in [
@@ -798,7 +799,8 @@ def _fold_confusions(
         network, std.transform(X_train), {h: labels[h][train_idx] for h in HORIZONS}, train_cfg
     )
     preds = mtl_mod.predict_batch(model, std.transform(X[test_idx]))
-    return {h: _confusion(labels[h][test_idx], preds[h]) for h in HORIZONS}
+    confusion = metrics_mod.confusion_from_predictions
+    return {h: confusion(labels[h][test_idx], preds[h]) for h in HORIZONS}
 
 
 def _cross_validate(
@@ -935,13 +937,6 @@ def stage_train(ctx: RunContext) -> None:
         ctx.write(f"stl_{h.key}.ckpt.json", stl)
 
 
-def _confusion(actual, predicted) -> metrics_mod.ConfusionMatrix3:
-    """Confusion matrix of two sequences of classes or class indices."""
-    return metrics_mod.confusion_from_predictions(
-        [ImpactClass(int(v)) for v in actual], [ImpactClass(int(v)) for v in predicted]
-    )
-
-
 @_stage("evaluate")
 def stage_evaluate(ctx: RunContext) -> None:
     """Predict, tabulate confusion matrices, and export metric tables."""
@@ -967,7 +962,8 @@ def stage_evaluate(ctx: RunContext) -> None:
 
     test_index = list(range(n_train, len(all_ids)))
     actual = {h: [by_id[all_ids[i]].classes[h] for i in test_index] for h in HORIZONS}
-    mtl_cms = {h: _confusion(actual[h], preds[h][test_index]) for h in HORIZONS}
+    confusion = metrics_mod.confusion_from_predictions
+    mtl_cms = {h: confusion(actual[h], preds[h][test_index]) for h in HORIZONS}
     rows = metrics_mod.metrics_rows(mtl_cms)
     ctx.write("metrics.csv", ["horizon", "class", "metric", "value"], rows)
     tree: dict[str, dict[str, dict[str, float]]] = {}
@@ -978,7 +974,7 @@ def stage_evaluate(ctx: RunContext) -> None:
     if cfg.compare_stl:
         stls = ctx.read(*(f"stl_{h.key}.ckpt.json" for h in HORIZONS))
         stl_cms = {
-            h: _confusion(actual[h], mtl_mod.predict_batch(stl, X[test_index])[h])
+            h: confusion(actual[h], mtl_mod.predict_batch(stl, X[test_index])[h])
             for h, stl in zip(HORIZONS, stls)
         }
         comparison = metrics_mod.compare_models(mtl_cms, stl_cms)

@@ -179,6 +179,23 @@ def json_list(value, name: str, convert: Optional[Callable] = None) -> list:
     return value
 
 
+def json_finite_array(value, name: str) -> np.ndarray:
+    """A JSON array of finite numbers as a float64 array. One type scan and one
+    `np.isfinite` check the whole array; only when they fail are the items
+    checked one by one, so the error names the first bad one."""
+    items = json_list(value, name)
+    try:
+        if set(map(type, items)) <= {int, float}:
+            array = np.array(items, dtype=np.float64)
+            if np.isfinite(array).all():
+                return array
+    except OverflowError:  # an integer past the float range
+        pass
+    for i, item in enumerate(items):
+        json_finite(item, f"{name}[{i}]")
+    return np.array(items, dtype=np.float64)
+
+
 def from_json(cls, fields: Mapping[str, Callable], obj, name: str, keys=None, **derived):
     """A ``cls`` from the JSON object ``obj``: each key decoded by its
     converter in ``fields``, plus the ``derived`` fields; a field that ``obj``

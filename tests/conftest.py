@@ -25,7 +25,6 @@ from patimpact.corpus import (
     Priority,
     save_corpus,
 )
-from patimpact.mtl import _softmax_inplace
 from patimpact.pipeline import PipelineConfig, config_from_obj
 from patimpact.synth import SynthParams, generate_synthetic
 from patimpact.tables import write_csv
@@ -36,8 +35,10 @@ def d(iso: str) -> dt.date:
 
 
 def softmax(logits) -> np.ndarray:
-    """Row-wise stable softmax (max-logit subtraction), computed as inference does."""
-    return _softmax_inplace(np.array(logits, dtype=np.float64))
+    """Row-wise stable softmax over the last axis, by the textbook formula:
+    subtract the max logit, exponentiate, divide by the sum."""
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def traced_peak_bytes(call) -> int:

@@ -320,8 +320,22 @@ _json_values = st.recursive(
 )
 
 
+def _json_strings(value):
+    """Every string value (not key) in a JSON value."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for child in value.values():
+            yield from _json_strings(child)
+    elif isinstance(value, list):
+        for child in value:
+            yield from _json_strings(child)
+
+
 class TestArbitraryFieldValues:
-    """A corpus line with any JSON value in any field loads or is a CorpusError."""
+    """A corpus line with any JSON value in any field loads or is a CorpusError.
+    A record that loads holds, in every string field, a string of its line or
+    the empty default country, and in every given in_domain the line's bool."""
 
     @settings(max_examples=300, deadline=None)
     @given(path=st.sampled_from(list(_field_paths(_FULL_RECORD))), value=_json_values)
@@ -340,9 +354,16 @@ class TestArbitraryFieldValues:
             corpus_path = Path(tmp) / "c.jsonl"
             _write_jsonl(corpus_path, [cited, obj])
             try:
-                load_corpus(corpus_path, "H01M")
+                corpus = load_corpus(corpus_path, "H01M")
             except CorpusError:
-                pass
+                return
+        # str() once loaded a country 5 as "5" and IPC codes "H01M" as "H", "0", ...
+        line_strings = {"", *_json_strings(cited), *_json_strings(obj)}
+        assert set(_values_by_kind(corpus)["string"]) <= line_strings
+        # ... and bool() an in_domain "no" as True
+        for c, ref in zip(obj["backward_citations"], corpus.get(obj["id"]).backward_citations):
+            if c.get("in_domain") is not None:
+                assert ref.in_domain is c["in_domain"]
 
 
     # str() once made these the ids "None", "5", "True", "[1]" and "{'a': 1}"
@@ -371,9 +392,37 @@ class TestArbitraryFieldValues:
                 "filing_date", "2003-02-30",
                 "invalid date '2003-02-30': day is out of range for month",
             ),
-            ("ipc_codes", 5, "C: malformed field value: 'int' object is not iterable"),
+            ("ipc_codes", 5, "C: malformed field value: ipc_codes must be a JSON array, got 5"),
+            # str() and bool() once loaded these as "5", "None", "['US']", the codes
+            # "H", "0", "1", "M", and in_domain True, False and True
+            ("country", 5, "C: malformed field value: country must be a JSON string, got 5"),
+            ("country", None, "C: malformed field value: country must be a JSON string, got None"),
+            (
+                "country", ["US"],
+                "C: malformed field value: country must be a JSON string, got ['US']",
+            ),
+            (
+                "ipc_codes", "H01M",
+                "C: malformed field value: ipc_codes must be a JSON array, got 'H01M'",
+            ),
+            ("ipc_codes", [5], "C: malformed field value: ipc_codes must be a JSON string, got 5"),
+            (
+                "ipc_codes", [["H01M2/10"]],
+                "C: malformed field value: ipc_codes must be a JSON string, got ['H01M2/10']",
+            ),
+            (
+                "in_domain", "no",
+                "C: malformed field value: in_domain must be true or false, got 'no'",
+            ),
+            ("in_domain", 0, "C: malformed field value: in_domain must be true or false, got 0"),
+            # 1 == True, so a 1 finds the shared citation of the True before it
+            ("in_domain", 1, "C: malformed field value: in_domain must be true or false, got 1"),
         ],
-        ids=["cited-id-int", "filing-date-list", "filing-date-invalid", "ipc-codes-int"],
+        ids=[
+            "cited-id-int", "filing-date-list", "filing-date-invalid", "ipc-codes-int",
+            "country-int", "country-null", "country-list", "ipc-codes-string", "ipc-code-int",
+            "ipc-code-list", "in-domain-string", "in-domain-zero", "in-domain-one",
+        ],
     )
     def test_repeated_citation_with_one_malformed_field(self, tmp_path, field, value, error):
         ref = _FULL_RECORD["backward_citations"][0]
@@ -388,6 +437,38 @@ class TestArbitraryFieldValues:
         with pytest.raises(CorpusError) as info:
             load_corpus(path, "H01M")
         assert str(info.value) == f"{path}:3: {error}"
+
+
+    # str() once loaded these countries as "None", "['US']" and "5", and the
+    # record's IPC codes "H01M" as the four codes "H", "0", "1", "M"
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (
+                {"priorities": [{"country": None, "date": "2003-06-01"}]},
+                "country must be a JSON string, got None",
+            ),
+            (
+                {"assignees": [{"country": ["US"], "name": "ACME"}]},
+                "country must be a JSON string, got ['US']",
+            ),
+            ({"inventors": [{"country": 5, "name": "I"}]}, "country must be a JSON string, got 5"),
+            ({"ipc_codes": "H01M"}, "ipc_codes must be a JSON array, got 'H01M'"),
+            ({"ipc_codes": ["H01M", 5]}, "ipc_codes must be a JSON string, got 5"),
+        ],
+        ids=[
+            "priority-country-null", "assignee-country-list", "inventor-country-int",
+            "ipc-codes-string", "ipc-code-int",
+        ],
+    )
+    def test_country_and_ipc_codes_are_not_coerced(self, tmp_path, edit, error):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, [
+            _record_obj("B", "2005-01-01"), _FULL_RECORD, {**_record_obj("C", "2006-01-01"), **edit}
+        ])
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path, "H01M")
+        assert str(info.value) == f"{path}:3: C: malformed field value: {error}"
 
 
 def _values_by_kind(corpus: Corpus) -> dict[str, list]:

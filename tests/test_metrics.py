@@ -69,6 +69,16 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             confusion_matrix([])
 
+    # the tally once wrapped an index of -1 around to BT
+    @pytest.mark.parametrize(
+        "actual, predicted", [([0, -1], [0, 0]), ([0, 1], [1, 3])], ids=["minus-one", "three"]
+    )
+    def test_index_outside_the_classes_rejected(self, actual, predicted):
+        with pytest.raises(ValueError, match="outside 0-2"):
+            confusion_from_predictions(actual, predicted)
+        with pytest.raises(ValueError, match="outside 0-2"):
+            confusion_matrix(zip(actual, predicted))
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ConfusionMatrix3(counts=np.array([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))

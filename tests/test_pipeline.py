@@ -427,7 +427,7 @@ class TestConfig:
              "explain.n_instances must be a JSON integer, got 2.5"),
             ("explain", {"top_k": True}, "explain.top_k must be a JSON integer, got True"),
             ("explain", {"filter_pattern": "peak"},
-             "explain.filter_pattern must be one of .*, not 'peak'"),
+             "explain.filter_pattern must be one of null, sustained, .*, got 'peak'"),
             ("explain", {"target_class": 2}, "explain.target_class must be one of MT, VT, BT"),
             ("synth", {"year_range": [1996]}, "year_range must be"),
             ("synth", {"year_range": [1996, 2000, 2010]}, "year_range must be"),
@@ -575,16 +575,17 @@ def small_checkpoint(tmp_path_factory):
 
 
 class TestArbitraryCheckpointValues:
-    """A checkpoint with any JSON value at any field of its network, history or
-    standardizer reads as a model whose standardizer maps a finite row to
-    finite values, or is a StageError."""
+    """A checkpoint with any JSON value at any field of its network, history,
+    parameters or standardizer reads as a model whose parameters are all
+    finite and whose standardizer maps a finite row to finite values, or is a
+    StageError."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), value=_json_values)
     def test_reads_or_raises_stage_error(self, small_checkpoint, data, value):
         out, saved = small_checkpoint
         path = data.draw(st.sampled_from([
-            (key, *path) for key in ("network", "history", "standardizer")
+            (key, *path) for key in ("network", "history", "parameters", "standardizer")
             for path in _field_paths(saved[key])
         ]))
         obj = json.loads(json.dumps(saved))
@@ -599,6 +600,7 @@ class TestArbitraryCheckpointValues:
         except StageError as exc:
             assert "cannot parse model.ckpt.json" in str(exc)
             return
+        assert np.isfinite(model.flat).all()
         # the row of its own means is finite once read, and a NaN or non-positive
         # std, or a mean that is not a number, would not map it to finite values
         std = model.standardizer
@@ -1426,6 +1428,16 @@ def _first_feature_set(key, value):
     return edit
 
 
+def _first_parameter_value(value):
+    """An edit of a checkpoint that sets the first value of its first parameter."""
+
+    def edit(ckpt):
+        ckpt["parameters"][0]["data"][0] = value
+        return ckpt
+
+    return edit
+
+
 def _network_set(key, value):
     """An edit of a checkpoint that sets ``key`` of its network."""
     return lambda ckpt: {**ckpt, "network": {**ckpt["network"], key: value}}
@@ -1834,11 +1846,19 @@ class TestCli:
              "$.standardizer[0].degenerate must be true or false, got 0"),
             ("explain", _first_feature_set("degenerate", "false"),
              "$.standardizer[0].degenerate must be true or false, got 'false'"),
+            # one NaN weight made every prediction MT
+            ("evaluate", _first_parameter_value(math.nan),
+             "$.parameters[0].data[0] must be a finite JSON number, got nan"),
+            ("explain", _first_parameter_value(math.inf),
+             "$.parameters[0].data[0] must be a finite JSON number, got inf"),
+            ("evaluate", _first_parameter_value(True),
+             "$.parameters[0].data[0] must be a finite JSON number, got True"),
         ],
         ids=[
             "array", "standardizer-null", "input-dim-huge", "mean-string-evaluate",
             "mean-string-explain", "mean-null", "mean-nan-evaluate", "mean-nan-explain",
             "std-string", "std-null", "std-nan", "std-zero", "degenerate-int", "degenerate-string",
+            "param-nan", "param-infinity", "param-true",
         ],
     )
     def test_checkpoint_of_the_wrong_shape_exits_3_naming_it(
