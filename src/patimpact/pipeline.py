@@ -1,12 +1,13 @@
 """End-to-end run orchestration.
 
-A single JSON config drives every stage: corpus (ingest or synthesize),
-label, features, optional grid search, train, evaluate, explain, validate,
-topic-score, report. Each stage is independently runnable, consumes only
-prior-stage files from the output directory, and derives its RNG seed from
-the global seed and its stage name, so a full run and a manual stage-by-stage
-run produce identical artifacts. ARTIFACTS declares each file that a later
-stage reads back: the stage that writes it, its writer and its parser.
+A single JSON config drives every stage. Each stage is independently
+runnable, consumes only prior-stage files from the output directory, and
+derives its RNG seed from the global seed and its stage name, so a full run
+and a manual stage-by-stage run produce identical artifacts. `_stage`
+declares each stage once: its function in STAGES, and in STAGE_SPECS, in run
+order, its CLI subcommands, their flags and whether `run` includes it.
+ARTIFACTS declares each file that a later stage reads back: the stage that
+writes it, its writer and its parser.
 Stages write and read files through a RunContext, which keeps the value of
 each artifact a stage wrote and parses only a file it holds no value of; a
 full run shares one context across its stages, so it parses no file it
@@ -30,7 +31,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial, wraps
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -179,8 +180,10 @@ class PipelineConfig:
             if set(heads) != set(HORIZONS):
                 raise ConfigError(f"{name} must give widths for short, mid and long")
         for name, value in (
+            ("explain.n_instances", self.explain.n_instances),
             ("explain.n_permutations", self.explain.n_permutations),
             ("explain.background_size", self.explain.background_size),
+            ("explain.top_k", self.explain.top_k),
             ("validation.n_permutations", self.validation.n_permutations),
         ):
             if value < 1:
@@ -585,10 +588,11 @@ class RunContext:
         return name in self._kept or self.cfg.path(name).exists()
 
     def _producer_hint(self, name: str) -> str:
-        # "rerun" the producer when it wrote its other artifacts but not this one
+        # "rerun" the producer's subcommands when it wrote its other artifacts but not this one
         producer = ARTIFACTS[name].producer
         ran = any(a.producer == producer and self._has(n) for n, a in ARTIFACTS.items())
-        return f"{'rerun' if ran else 'run'} {producer}"
+        commands = " or ".join(command for command, _, _ in STAGE_SPECS[producer].commands)
+        return f"{'rerun' if ran else 'run'} {commands}"
 
     def read(self, *names: str, optional: bool = False):
         """The artifact ``name``, or a tuple of them for several names; with
@@ -635,15 +639,31 @@ class RunContext:
 STAGES: dict[str, Callable[..., list[str]]] = {}
 
 
-def _stage(name: str):
+class StageSpec(NamedTuple):
+    """A stage's entry in STAGE_SPECS: its CLI subcommands, each (name, help,
+    required config field or None); its CLI flags, each (flag, config path or
+    stage keyword, argparse kwargs); and whether `run` includes it (in_run)."""
+
+    commands: tuple
+    flags: tuple
+    in_run: Callable[[PipelineConfig], bool]
+
+
+STAGE_SPECS: dict[str, StageSpec] = {}  # in run order
+
+
+def _stage(name: str, help_text: str = "", *, commands=(), flags=(), in_run=lambda cfg: True):
     """Register ``body(ctx, **kwargs)``, which writes its files through
     ``ctx.write``, in STAGES as ``stage(cfg, ctx=None, **kwargs)``, which
-    returns the names of the files written, in the order written.
+    returns the names of the files written, in the order written, and its
+    StageSpec in STAGE_SPECS, whose one subcommand is ``name`` with
+    ``help_text`` unless ``commands`` are given.
 
     Without a ``ctx`` the stage runs in a context of its own, which it closes
     when it ends. A ValueError or OSError becomes a StageError; a CorpusError
-    passes as is.
+    or ConfigError passes as is.
     """
+    spec = StageSpec(tuple(commands) or ((name, help_text, None),), tuple(flags), in_run)
 
     def register(body):
         @wraps(body)
@@ -662,6 +682,7 @@ def _stage(name: str):
             return ctx.outputs
 
         STAGES[name] = stage
+        STAGE_SPECS[name] = spec
         return stage
 
     return register
@@ -671,7 +692,10 @@ def _stage(name: str):
 # stages
 # --------------------------------------------------------------------------
 
-@_stage("corpus")
+@_stage("corpus", commands=[
+    ("synth", "generate the synthetic corpus snapshot", "synth"),
+    ("ingest", "normalize an existing corpus file into the run directory", "corpus_path"),
+])
 def stage_corpus(ctx: RunContext) -> None:
     """Synthesize or ingest, then persist the normalized corpus snapshot."""
     cfg = ctx.cfg
@@ -698,7 +722,8 @@ def _modeling_ids(corpus: Corpus) -> tuple[list[str], dict[str, int]]:
     return modeling, excluded
 
 
-@_stage("label")
+@_stage("label", "derive thresholds and impact classes",
+        flags=[("--mode", "threshold_mode", {"choices": ["fixed", "stanine"]})])
 def stage_label(ctx: RunContext) -> None:
     """Count forward citations, derive/emit thresholds, write class labels."""
     cfg, corpus = ctx.cfg, ctx.corpus
@@ -742,7 +767,7 @@ def stage_label(ctx: RunContext) -> None:
     log.info("labeled %d patents; exclusions per horizon: %s", len(rows), excluded)
 
 
-@_stage("features")
+@_stage("features", "extract indicator vectors for labeled patents")
 def stage_features(ctx: RunContext) -> None:
     """Extract the indicator matrix for every labeled patent."""
     ids = [row.patent_id for row in ctx.labels]
@@ -828,7 +853,8 @@ def _cross_validate(
     return [per_unit[i : i + len(splits)] for i in range(0, len(per_unit), len(splits))]
 
 
-@_stage("gridsearch")
+@_stage("gridsearch", "exhaustive hyperparameter search",
+        in_run=lambda cfg: cfg.grid is not None)
 def stage_gridsearch(ctx: RunContext) -> None:
     """Exhaustive hyperparameter search on the training split. A cell's score
     is its macro MCC summed over horizons and averaged over the folds; ties
@@ -907,7 +933,7 @@ def _fit(
     return mtl_mod.train_stl(task, X, labels[task], train_cfg, network=network)
 
 
-@_stage("train")
+@_stage("train", "fit the multi-task model (and single-task ablations)")
 def stage_train(ctx: RunContext) -> None:
     """Fit the standardizer and the multi-task model (plus ablations)."""
     cfg = ctx.cfg
@@ -937,7 +963,7 @@ def stage_train(ctx: RunContext) -> None:
         ctx.write(f"stl_{h.key}.ckpt.json", stl)
 
 
-@_stage("evaluate")
+@_stage("evaluate", "predict on the test split and export metric tables")
 def stage_evaluate(ctx: RunContext) -> None:
     """Predict, tabulate confusion matrices, and export metric tables."""
     cfg, (model, split) = ctx.cfg, ctx.read("model.ckpt.json", "split.json")
@@ -985,7 +1011,10 @@ def stage_evaluate(ctx: RunContext) -> None:
         )
 
 
-@_stage("explain")
+@_stage("explain", "Shapley attributions on test patents", flags=[
+    ("--n-permutations", "explain.n_permutations", {"metavar": "N", "type": int}),
+    ("--top-k", "explain.top_k", {"metavar": "K", "type": int}),
+])
 def stage_explain(ctx: RunContext) -> None:
     """Sampled Shapley attributions for a seeded subset of test patents."""
     cfg, (model, split) = ctx.cfg, ctx.read("model.ckpt.json", "split.json")
@@ -1059,7 +1088,10 @@ def _predicted_classes(
     }
 
 
-@_stage("validate")
+@_stage("validate", commands=[("jt-test", "ordered-trend tests of value indicators", None)], flags=[
+    ("--method", "validation.method", {"choices": validate_mod.JT_METHODS}),
+    ("--n-permutations", "validation.n_permutations", {"metavar": "N", "type": int}),
+])
 def stage_validate(ctx: RunContext) -> None:
     """Ordered-trend tests of post-hoc value indicators per horizon."""
     cfg = ctx.cfg
@@ -1079,7 +1111,8 @@ def stage_validate(ctx: RunContext) -> None:
     ctx.write("validation.csv", *validate_mod.validation_rows(per_horizon))
 
 
-@_stage("topic-score")
+@_stage("topic-score", "topic impact scores per grant year",
+        flags=[("--horizon", "topic.horizon", {"choices": ["short", "mid", "long"]})])
 def stage_topic_score(ctx: RunContext) -> None:
     """Class-weighted topic impact scores per grant year."""
     cfg, h = ctx.cfg, ctx.cfg.topic.horizon
@@ -1098,9 +1131,12 @@ def stage_topic_score(ctx: RunContext) -> None:
     ctx.write("topic_scores.json", pivot)
 
 
-@_stage("cv")
+@_stage("cv", "stratified k-fold cross-validation", in_run=lambda cfg: False,
+        flags=[("--folds", "k", {"type": int, "default": 5})])
 def stage_cv(ctx: RunContext, k: int = 5) -> None:
     """Stratified k-fold cross-validation of the configured model."""
+    if k < 2:
+        raise ConfigError(f"--folds (k) must be >= 2, got {k}")
     cfg = ctx.cfg
     (folds,) = _cross_validate(
         ctx, [_configs_for_training(ctx)], k, derive_seed(cfg.stage_seed("cv"), "folds")
@@ -1146,7 +1182,7 @@ def _metric_tables(rows: list[dict], last: str, last_title: str, cell) -> list[s
     return lines
 
 
-@_stage("report")
+@_stage("report", "merge stage outputs into report.md")
 def stage_report(ctx: RunContext) -> None:
     """Merge stage outputs into one human-readable markdown summary."""
     cfg = ctx.cfg
@@ -1269,11 +1305,7 @@ def _inventory(cfg: PipelineConfig, names: list[str]) -> list[dict]:
 
 
 def pipeline_stage_names(cfg: PipelineConfig) -> list[str]:
-    names = ["corpus", "label", "features"]
-    if cfg.grid is not None:
-        names.append("gridsearch")
-    names += ["train", "evaluate", "explain", "validate", "topic-score", "report"]
-    return names
+    return [name for name, spec in STAGE_SPECS.items() if spec.in_run(cfg)]
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:

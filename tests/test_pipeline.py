@@ -77,6 +77,20 @@ def _readme_artifact_table() -> dict[str, tuple[str, list[str]]]:
     }
 
 
+def _readme_cli_table() -> dict[str, tuple[str, str, list[tuple[str, str]]]]:
+    """Each subcommand of README's CLI table: the stage it runs, when `run`
+    includes that stage, and its flags, each with the config path or stage
+    keyword it sets."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### CLI", 1)[1].split("\n#", 1)[0]
+    return {
+        command: (stage, in_run, re.findall(r"`(--[a-z-]+)` sets [^`]*`([a-z_.]+)`", flags))
+        for command, stage, in_run, flags in re.findall(
+            r"^\| `([a-z-]+)` \| ([a-z-]+) \| ([^|]+) \|(.*)\|$", section, re.MULTILINE
+        )
+    }
+
+
 def base_config_obj(out_dir: Path, **overrides) -> dict:
     obj = {
         "schema": "patimpact-config/1",
@@ -426,6 +440,10 @@ class TestConfig:
             ("explain", {"n_instances": 2.5},
              "explain.n_instances must be a JSON integer, got 2.5"),
             ("explain", {"top_k": True}, "explain.top_k must be a JSON integer, got True"),
+            ("explain", {"top_k": 0}, "explain.top_k must be >= 1"),
+            ("explain", {"top_k": -1}, "explain.top_k must be >= 1"),
+            ("explain", {"n_instances": 0}, "explain.n_instances must be >= 1"),
+            ("explain", {"n_instances": -1}, "explain.n_instances must be >= 1"),
             ("explain", {"filter_pattern": "peak"},
              "explain.filter_pattern must be one of null, sustained, .*, got 'peak'"),
             ("explain", {"target_class": 2}, "explain.target_class must be one of MT, VT, BT"),
@@ -454,7 +472,8 @@ class TestConfig:
              "synth.mean_external_citations must be a finite JSON number, got nan"),
         ],
         ids=["bool-string", "int-float", "number-string", "weights-list", "weights-key",
-             "n-instances-float", "top-k-bool", "pattern-name", "class-int",
+             "n-instances-float", "top-k-bool", "top-k-0", "top-k-negative", "n-instances-0",
+             "n-instances-negative", "pattern-name", "class-int",
              "year-range-short", "year-range-long", "n-patents-float", "widths-float",
              "head-widths-missing-horizon", "method-int", "horizon-int", "learning-rate-nan",
              "weight-nan", "dropout-nan", "exponent-inf",
@@ -697,6 +716,20 @@ class TestRunPipeline:
         assert {name: writer for name, (writer, _) in table.items()} == {
             name: artifact.producer for name, artifact in ARTIFACTS.items()
         }
+
+    def test_readme_cli_lists_every_subcommand_and_flag(self, tmp_path):
+        grid = {"space": {"learning_rate": [1e-3]}}
+        with_grid = config_from_obj(base_config_obj(tmp_path, grid=grid))
+        without_grid = config_from_obj(base_config_obj(tmp_path))
+        expected = {}
+        for name, spec in pipeline.STAGE_SPECS.items():
+            in_run = {(True, True): "always", (True, False): "with a `grid`",
+                      (False, False): "never"}[spec.in_run(with_grid), spec.in_run(without_grid)]
+            for command, _, _ in spec.commands:
+                expected[command] = (name, in_run, [(f, t) for f, t, _ in spec.flags])
+        table = _readme_cli_table()
+        assert list(table) == list(expected)
+        assert table == expected
 
     def test_readme_library_use_runs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1483,6 +1516,66 @@ class TestCli:
         config.write_text(json.dumps(obj))
         assert cli.main(["synth", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["label", "--config", "CONFIG", "--mode", "bogus"],
+             "argument --mode: invalid choice: 'bogus'"),
+            (["explain", "--config", "CONFIG", "--top-k", "x"],
+             "argument --top-k: invalid int value: 'x'"),
+            (["corpus", "--config", "CONFIG"], "invalid choice: 'corpus'"),
+            (["train"], "the following arguments are required: --config"),
+        ],
+        ids=["bad-choice", "bad-int", "unknown-subcommand", "missing-config"],
+    )
+    def test_usage_error_exits_1_with_the_argparse_message(self, tmp_path, capsys, argv, message):
+        config = str(self._write_config(tmp_path))
+        assert cli.main([config if arg == "CONFIG" else arg for arg in argv]) == 1
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["jt-test", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: patimpact")
+
+    @pytest.mark.parametrize("folds", ["1", "0", "-3"])
+    def test_cv_with_fewer_than_2_folds_exits_1(self, tmp_path, caplog, folds):
+        config = self._write_config(tmp_path)
+        assert cli.main(["cv", "--config", str(config), "--folds", folds]) == 1
+        assert f"config error: --folds (k) must be >= 2, got {folds}" in caplog.text
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_a_registered_stage_gets_its_subcommand_flags_and_run_place(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "STAGES", dict(pipeline.STAGES))
+        monkeypatch.setattr(pipeline, "STAGE_SPECS", dict(pipeline.STAGE_SPECS))
+        calls = []
+
+        @pipeline._stage("toy", "a toy stage", in_run=lambda cfg: cfg.seed == 8, flags=[
+            ("--toy-seed", "seed", {"type": int}), ("--rounds", "n", {"type": int, "default": 1}),
+        ])
+        def stage_toy(ctx, n):
+            calls.append((ctx.cfg.seed, n))
+            ctx.write("toy.json", {"n": n})
+
+        config = self._write_config(tmp_path)
+        assert cli.main(["toy", "--config", str(config), "--toy-seed", "8", "--rounds", "3"]) == 0
+        assert calls == [(8, 3)]
+        assert json.loads((tmp_path / "out" / "toy.json").read_text()) == {"n": 3}
+        cfg = load_config(config)
+        assert "toy" not in pipeline_stage_names(cfg)
+        assert pipeline_stage_names(dataclasses.replace(cfg, seed=8))[-1] == "toy"
+
+    @pytest.mark.parametrize(
+        "name, hint", [("corpus.jsonl", "run synth or ingest"), ("validation.csv", "run jt-test")]
+    )
+    def test_a_missing_artifact_names_the_subcommands_that_write_it(self, tmp_path, name, hint):
+        ctx = RunContext(load_config(self._write_config(tmp_path)))
+        with pytest.raises(StageError, match=re.escape(f"{name} ({hint})")):
+            ctx.read(name)
+
     def test_bad_validation_settings_exit_1(self, tmp_path):
         config = self._write_config(tmp_path)
         assert cli.main(["jt-test", "--config", str(config), "--n-permutations", "-1"]) == 1
@@ -1764,8 +1857,9 @@ class TestCli:
         config.write_text(json.dumps({**obj, "out_dir": str(out), "topic": topic}))
         assert cli.main([command, "--config", str(config)]) == 3
         producer = ARTIFACTS[name].producer
+        commands = {"corpus": "synth or ingest", "validate": "jt-test"}.get(producer, producer)
         assert re.search(rf"missing prerequisite file\(s\): .*{re.escape(name)} \((re)?run "
-                         rf"{producer}\)", caplog.text), caplog.text
+                         rf"{commands}\)", caplog.text), caplog.text
 
     def test_train_without_its_config_writes_no_split(self, finished_runs, tmp_path):
         # a new split beside the old checkpoints would let evaluate pass on them
