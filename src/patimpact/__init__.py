@@ -37,8 +37,7 @@ from .metrics import (
     ClassMetrics,
     ConfusionMatrix3,
     class_metrics,
-    compare_models,
-    confusion_matrix,
+    comparison_rows,
     overall_metrics,
     stratified_kfold,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -357,41 +357,6 @@ def shapley_sampled(
             )
         )
     return rows if many else rows[0]
-
-
-def attribute_instances(
-    model: ModelLike,
-    instances: Mapping[str, np.ndarray],
-    background: BackgroundSet,
-    target: TargetSpec = None,
-    grouping: Optional[FeatureGrouping] = None,
-    n_permutations: int = 200,
-    seed: int = 0,
-    display_values: Optional[Mapping[str, np.ndarray]] = None,
-) -> Union[list[AttributionRow], list[tuple[AttributionTarget, list[AttributionRow]]]]:
-    """Sampled attribution per instance; each instance gets an independent
-    sub-seed derived from (seed, instance id), so results are order-free.
-
-    With a sequence of targets, each instance's targets share its permutations
-    and the result is one (target, rows) pair per target.
-    """
-    per_instance = [
-        shapley_sampled(
-            model,
-            instances[pid],
-            background,
-            target=target,
-            grouping=grouping,
-            n_permutations=n_permutations,
-            seed=derive_seed(seed, "shapley", pid),
-            instance_id=pid,
-            display_values=None if display_values is None else display_values.get(pid),
-        )
-        for pid in instances
-    ]
-    if target is None or isinstance(target, AttributionTarget):
-        return per_instance
-    return [(t, [rows[k] for rows in per_instance]) for k, t in enumerate(target)]
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .corpus import HORIZONS, Horizon, ImpactClass
 log = logging.getLogger(__name__)
 
 CLASS_ORDER = (ImpactClass.MT, ImpactClass.VT, ImpactClass.BT)
+METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "mcc", "dor")
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,6 @@ class ConfusionMatrix3:
         fn = int(self.counts[i, :].sum()) - tp
         tn = self.n - tp - fp - fn
         return tp, fp, fn, tn
-
-
-def confusion_matrix(
-    pairs: Iterable[tuple[ImpactClass, ImpactClass]]
-) -> ConfusionMatrix3:
-    """Tally (actual, predicted) pairs; input order is irrelevant."""
-    pairs = list(pairs)
-    return confusion_from_predictions([a for a, _ in pairs], [p for _, p in pairs])
 
 
 @dataclass(frozen=True)
@@ -123,32 +116,9 @@ def binary_metrics(tp: int, fp: int, fn: int, tn: int) -> ClassMetrics:
     )
 
 
-def class_metrics(
-    cm: ConfusionMatrix3, cls: ImpactClass, haldane: bool = False
-) -> ClassMetrics:
-    """Metrics for one class in one-vs-rest reduction.
-
-    ``haldane`` adds 0.5 to every binary cell (smoothing for DOR with empty
-    cells); off by default.
-    """
-    tp, fp, fn, tn = cm.one_vs_rest(cls)
-    if haldane:
-        counts = np.array([tp, fp, fn, tn], dtype=np.float64) + 0.5
-        n = counts.sum()
-        tp_, fp_, fn_, tn_ = counts
-        precision = tp_ / (tp_ + fp_)
-        recall = tp_ / (tp_ + fn_)
-        return ClassMetrics(
-            accuracy=(tp_ + tn_) / n,
-            precision=precision,
-            recall=recall,
-            f1=2 * tp_ / (2 * tp_ + fp_ + fn_),
-            mcc=(tp_ * tn_ - fp_ * fn_)
-            / math.sqrt((tp_ + fp_) * (tp_ + fn_) * (tn_ + fp_) * (tn_ + fn_)),
-            dor=(tp_ * tn_) / (fp_ * fn_),
-            flags=frozenset({"haldane"}),
-        )
-    return binary_metrics(tp, fp, fn, tn)
+def class_metrics(cm: ConfusionMatrix3, cls: ImpactClass) -> ClassMetrics:
+    """Metrics for one class in one-vs-rest reduction."""
+    return binary_metrics(*cm.one_vs_rest(cls))
 
 
 def macro_dor(dors: Sequence[float]) -> tuple[float, frozenset[str]]:
@@ -283,64 +253,6 @@ def stratified_kfold(
 
 
 # --------------------------------------------------------------------------
-# model comparison
-# --------------------------------------------------------------------------
-
-METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "mcc", "dor")
-
-
-@dataclass(frozen=True)
-class ComparisonCell:
-    metric: str
-    cls: str
-    value: float
-    delta: float  # challenger minus reference
-
-
-def compare_models(
-    reference_cm: dict[Horizon, ConfusionMatrix3],
-    challenger_cm: dict[Horizon, ConfusionMatrix3],
-) -> dict[Horizon, list[ComparisonCell]]:
-    """Per-horizon challenger metrics with deltas against the reference.
-
-    Matches the usual ablation-table layout: each cell holds the challenger
-    value and (challenger - reference) in parentheses.
-    """
-    if set(reference_cm) != set(challenger_cm):
-        raise ValueError("mismatched horizons between models")
-    out: dict[Horizon, list[ComparisonCell]] = {}
-    for horizon in reference_cm:
-        ref_cm = reference_cm[horizon]
-        cha_cm = challenger_cm[horizon]
-        cells = []
-        for cls in CLASS_ORDER:
-            ref = class_metrics(ref_cm, cls).as_dict()
-            cha = class_metrics(cha_cm, cls).as_dict()
-            for metric in METRIC_NAMES:
-                cells.append(
-                    ComparisonCell(
-                        metric=metric,
-                        cls=cls.name,
-                        value=cha[metric],
-                        delta=cha[metric] - ref[metric],
-                    )
-                )
-        ref_all = overall_metrics(ref_cm)
-        cha_all = overall_metrics(cha_cm)
-        for metric in METRIC_NAMES:
-            cells.append(
-                ComparisonCell(
-                    metric=metric,
-                    cls="overall",
-                    value=getattr(cha_all.macro, metric),
-                    delta=getattr(cha_all.macro, metric) - getattr(ref_all.macro, metric),
-                )
-            )
-        out[horizon] = cells
-    return out
-
-
-# --------------------------------------------------------------------------
 # report export
 # --------------------------------------------------------------------------
 
@@ -362,6 +274,22 @@ def metrics_rows(
         rows.append((horizon.key, "overall_micro", "accuracy", om.micro_accuracy))
         rows.append((horizon.key, "overall_multiclass", "mcc", om.multiclass_mcc))
     return rows
+
+
+def comparison_rows(
+    reference: Sequence[tuple[str, str, str, float]],
+    challenger: Sequence[tuple[str, str, str, float]],
+) -> list[tuple[str, str, str, float, float]]:
+    """(horizon, class, metric, challenger value, challenger - reference) for
+    two `metrics_rows` tables, as in the usual ablation table: the per-class
+    and macro rows, the macro ones as class ``overall``."""
+    if [r[:3] for r in reference] != [r[:3] for r in challenger]:
+        raise ValueError("mismatched horizons between models")
+    return [
+        (horizon, "overall" if cls == "overall_macro" else cls, metric, value, value - ref[3])
+        for (horizon, cls, metric, value), ref in zip(challenger, reference)
+        if cls not in ("overall_micro", "overall_multiclass")
+    ]
 
 
 def confusion_from_predictions(

@@ -853,7 +853,7 @@ def _cross_validate(
     return [per_unit[i : i + len(splits)] for i in range(0, len(per_unit), len(splits))]
 
 
-@_stage("gridsearch", "exhaustive hyperparameter search",
+@_stage("gridsearch", commands=[("gridsearch", "exhaustive hyperparameter search", "grid")],
         in_run=lambda cfg: cfg.grid is not None)
 def stage_gridsearch(ctx: RunContext) -> None:
     """Exhaustive hyperparameter search on the training split. A cell's score
@@ -1003,11 +1003,10 @@ def stage_evaluate(ctx: RunContext) -> None:
             h: confusion(actual[h], mtl_mod.predict_batch(stl, X[test_index])[h])
             for h, stl in zip(HORIZONS, stls)
         }
-        comparison = metrics_mod.compare_models(mtl_cms, stl_cms)
         ctx.write(
             "comparison.csv",
             ["horizon", "class", "metric", "value", "delta_vs_reference"],
-            ([h.key, c.cls, c.metric, c.value, c.delta] for h in HORIZONS for c in comparison[h]),
+            metrics_mod.comparison_rows(rows, metrics_mod.metrics_rows(stl_cms)),
         )
 
 
@@ -1041,18 +1040,16 @@ def stage_explain(ctx: RunContext) -> None:
         explain_mod.AttributionTarget(horizon=h, impact_class=cfg.explain.target_class)
         for h in HORIZONS
     ]
-    # one unit per instance; each instance's Shapley seed derives from its id
-    per_instance = ctx.map(explain_mod.attribute_instances, [
+    # one unit per instance, which gives a row per target; each instance's
+    # Shapley seed derives from its id, so the rows do not depend on the order
+    per_instance = ctx.map(explain_mod.shapley_sampled, [
         (
-            model, {pid: std.transform(x)}, background, targets, grouping,
-            cfg.explain.n_permutations, seed, {pid: x},
+            model, std.transform(x), background, targets, grouping,
+            cfg.explain.n_permutations, derive_seed(seed, "shapley", pid), pid, x,
         )
         for pid, x in zip(instance_ids, raw)
     ])
-    # each unit gives a (target, [row]) pair per target
-    by_target = [
-        (target, [pairs[k][1][0] for pairs in per_instance]) for k, target in enumerate(targets)
-    ]
+    by_target = [(t, [rows[k] for rows in per_instance]) for k, t in enumerate(targets)]
     ctx.write("attributions.csv", *explain_mod.attribution_rows(by_target, grouping))
 
     pattern = cfg.explain.filter_pattern

@@ -30,8 +30,9 @@ from patimpact.indicators import corpus_ipc_stats, extract_features
 from patimpact.metrics import (
     ConfusionMatrix3,
     class_metrics,
-    compare_models,
+    comparison_rows,
     macro_dor,
+    metrics_rows,
     overall_metrics,
 )
 from patimpact.mtl import (
@@ -89,11 +90,11 @@ def test_c01_metric_reproduction():
 
 def test_c02_stl_delta_reproduction():
     t0 = time.perf_counter()
-    comparison = compare_models(
-        {Horizon.MID: ConfusionMatrix3(MTL_CM_MID)},
-        {Horizon.MID: ConfusionMatrix3(STL_CM_MID)},
+    comparison = comparison_rows(
+        metrics_rows({Horizon.MID: ConfusionMatrix3(MTL_CM_MID)}),
+        metrics_rows({Horizon.MID: ConfusionMatrix3(STL_CM_MID)}),
     )
-    cells = {(c.cls, c.metric): c.delta for c in comparison[Horizon.MID]}
+    cells = {(cls, metric): delta for _, cls, metric, _, delta in comparison}
     assert cells[("BT", "recall")] == pytest.approx(-0.1160, abs=5e-4)
     assert cells[("BT", "f1")] == pytest.approx(-0.1214, abs=5e-4)
     _report(2, "single-task delta reproduction", t0, 1.0)

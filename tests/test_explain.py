@@ -10,7 +10,6 @@ from patimpact.explain import (
     AttributionTarget,
     BackgroundSet,
     FeatureGrouping,
-    attribute_instances,
     attribution_rows,
     default_grouping,
     global_importance,
@@ -183,20 +182,6 @@ class TestSampled:
         with pytest.raises(ValueError):
             shapley_sampled(toy_model, toy_instance, toy_background, n_permutations=0)
 
-    def test_instance_seeds_are_order_independent(self, toy_background):
-        rng = np.random.default_rng(21)
-        instances = {f"p{i}": rng.normal(size=10) for i in range(4)}
-        fwd = attribute_instances(
-            toy_model, instances, toy_background, n_permutations=30, seed=9
-        )
-        rev = attribute_instances(
-            toy_model, dict(reversed(instances.items())), toy_background,
-            n_permutations=30, seed=9,
-        )
-        fwd_by_id = {r.instance_id: r for r in fwd}
-        for r in rev:
-            np.testing.assert_array_equal(r.phi, fwd_by_id[r.instance_id].phi)
-
 
 @pytest.fixture(scope="module")
 def trained():
@@ -311,22 +296,6 @@ class TestSharedPermutations:
             assert row.model_output == pytest.approx(
                 float(prob[0, int(target.impact_class)]), abs=1e-12
             )
-
-    def test_attribute_instances_pairs_targets_with_rows(self, trained):
-        model, X = trained
-        background = BackgroundSet.sample(X, size=30, seed=3)
-        instances = {f"p{i}": X[i] for i in (7, 2, 9)}
-        pairs = attribute_instances(
-            model, instances, background, target=MULTI_TARGETS[:3], n_permutations=10, seed=8
-        )
-        assert [t for t, _ in pairs] == MULTI_TARGETS[:3]
-        for target, rows in pairs:
-            single = attribute_instances(
-                model, instances, background, target=target, n_permutations=10, seed=8
-            )
-            assert [r.instance_id for r in rows] == list(instances)
-            for r, s in zip(rows, single):
-                np.testing.assert_allclose(r.phi, s.phi, rtol=0, atol=1e-12)
 
     def test_callable_has_one_output(self, toy_background, toy_instance):
         two = [MULTI_TARGETS[0], MULTI_TARGETS[1]]

@@ -15,15 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patimpact.corpus import HORIZONS, Horizon, ImpactClass
+from patimpact.corpus import Horizon, ImpactClass
 from patimpact.metrics import (
     ClassMetrics,
     ConfusionMatrix3,
     binary_metrics,
     class_metrics,
-    compare_models,
+    comparison_rows,
     confusion_from_predictions,
-    confusion_matrix,
     macro_dor,
     metrics_rows,
     multiclass_mcc,
@@ -42,32 +41,29 @@ STL_CM_LONG = np.array([[1977, 23, 6], [291, 16, 11], [49, 12, 12]])
 
 class TestConfusionMatrix:
     def test_identity_diagonal(self):
-        pairs = [(c, c) for c in ImpactClass]
-        cm = confusion_matrix(pairs)
+        cm = confusion_from_predictions(list(ImpactClass), list(ImpactClass))
         assert np.array_equal(cm.counts, np.eye(3, dtype=int))
 
     def test_reconstruct_published_short_matrix(self):
-        pairs = []
+        actual, predicted = [], []
         for a in range(3):
             for p in range(3):
-                pairs += [(ImpactClass(a), ImpactClass(p))] * int(MTL_CM_SHORT[a, p])
-        cm = confusion_matrix(pairs)
+                actual += [ImpactClass(a)] * int(MTL_CM_SHORT[a, p])
+                predicted += [ImpactClass(p)] * int(MTL_CM_SHORT[a, p])
+        cm = confusion_from_predictions(actual, predicted)
         assert np.array_equal(cm.counts, MTL_CM_SHORT)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
-        pairs = [
-            (ImpactClass(int(a)), ImpactClass(int(p)))
-            for a, p in rng.integers(0, 3, size=(200, 2))
-        ]
-        cm1 = confusion_matrix(pairs)
-        order = rng.permutation(len(pairs))
-        cm2 = confusion_matrix([pairs[i] for i in order])
+        actual, predicted = rng.integers(0, 3, size=(2, 200))
+        cm1 = confusion_from_predictions(actual, predicted)
+        order = rng.permutation(len(actual))
+        cm2 = confusion_from_predictions(actual[order], predicted[order])
         assert np.array_equal(cm1.counts, cm2.counts)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            confusion_matrix([])
+            confusion_from_predictions([], [])
 
     # the tally once wrapped an index of -1 around to BT
     @pytest.mark.parametrize(
@@ -76,8 +72,6 @@ class TestConfusionMatrix:
     def test_index_outside_the_classes_rejected(self, actual, predicted):
         with pytest.raises(ValueError, match="outside 0-2"):
             confusion_from_predictions(actual, predicted)
-        with pytest.raises(ValueError, match="outside 0-2"):
-            confusion_matrix(zip(actual, predicted))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -137,12 +131,6 @@ class TestClassMetrics:
         assert "mcc_undefined" in m.flags
         gmcc, flags = multiclass_mcc(cm)
         assert gmcc == 0.0 and "mcc_undefined" in flags
-
-    def test_haldane_smoothing_flagged_and_finite(self):
-        cm = ConfusionMatrix3(np.array([[50, 0, 0], [30, 1, 0], [20, 0, 1]]))
-        m = class_metrics(cm, ImpactClass.BT, haldane=True)
-        assert "haldane" in m.flags
-        assert math.isfinite(m.dor)
 
     def test_bookkeeping_sums_to_n(self):
         rng = np.random.default_rng(1)
@@ -236,12 +224,11 @@ class TestRelabellingProperty:
             [ImpactClass(pi[a]) for a, _ in pairs], [ImpactClass(pi[p]) for _, p in pairs]
         )
         for c in ImpactClass:
-            for haldane in (False, True):
-                want = class_metrics(cm, c, haldane)
-                got = class_metrics(moved, ImpactClass(pi[c]), haldane)
-                assert got.flags == want.flags
-                for name, value in want.as_dict().items():
-                    assert _same(got.as_dict()[name], value), (c, haldane, name)
+            want = class_metrics(cm, c)
+            got = class_metrics(moved, ImpactClass(pi[c]))
+            assert got.flags == want.flags
+            for name, value in want.as_dict().items():
+                assert _same(got.as_dict()[name], value), (c, name)
         want, got = overall_metrics(cm), overall_metrics(moved)
         assert got.flags == want.flags and got.macro.flags == want.macro.flags
         assert got.micro_accuracy == want.micro_accuracy
@@ -304,47 +291,54 @@ class TestStratifiedKfold:
 
 
 class TestCompareModels:
-    def _cms(self, short, mid, long):
-        return {
+    def _rows(self, short, mid, long):
+        return metrics_rows({
             Horizon.SHORT: ConfusionMatrix3(short),
             Horizon.MID: ConfusionMatrix3(mid),
             Horizon.LONG: ConfusionMatrix3(long),
-        }
+        })
 
     def test_identical_matrices_zero_deltas(self):
-        cms = self._cms(MTL_CM_SHORT, MTL_CM_MID, MTL_CM_LONG)
-        comparison = compare_models(cms, cms)
-        for cells in comparison.values():
-            assert all(cell.delta == 0.0 for cell in cells)
+        rows = self._rows(MTL_CM_SHORT, MTL_CM_MID, MTL_CM_LONG)
+        comparison = comparison_rows(rows, rows)
+        # 3 horizons x (3 classes + overall) x 6 metrics
+        assert len(comparison) == 72
+        assert all(delta == 0.0 for *_, delta in comparison)
 
     def test_published_mid_horizon_deltas(self):
-        comparison = compare_models(
-            self._cms(MTL_CM_SHORT, MTL_CM_MID, MTL_CM_LONG),
-            self._cms(STL_CM_SHORT, STL_CM_MID, STL_CM_LONG),
+        comparison = comparison_rows(
+            self._rows(MTL_CM_SHORT, MTL_CM_MID, MTL_CM_LONG),
+            self._rows(STL_CM_SHORT, STL_CM_MID, STL_CM_LONG),
         )
-        cells = {(c.cls, c.metric): c for c in comparison[Horizon.MID]}
-        assert cells[("BT", "recall")].delta == pytest.approx(-0.1160, abs=5e-4)
-        assert cells[("BT", "f1")].delta == pytest.approx(-0.1214, abs=5e-4)
-        assert cells[("BT", "mcc")].delta == pytest.approx(-0.1140, abs=5e-4)
-        short_cells = {(c.cls, c.metric): c for c in comparison[Horizon.SHORT]}
-        assert short_cells[("BT", "recall")].delta == pytest.approx(-0.0860, abs=5e-4)
-        assert short_cells[("BT", "recall")].value == pytest.approx(0.1290, abs=5e-4)
+        cells = {(h, cls, metric): (value, delta) for h, cls, metric, value, delta in comparison}
+        assert cells[("mid", "BT", "recall")][1] == pytest.approx(-0.1160, abs=5e-4)
+        assert cells[("mid", "BT", "f1")][1] == pytest.approx(-0.1214, abs=5e-4)
+        assert cells[("mid", "BT", "mcc")][1] == pytest.approx(-0.1140, abs=5e-4)
+        assert cells[("short", "BT", "recall")][1] == pytest.approx(-0.0860, abs=5e-4)
+        assert cells[("short", "BT", "recall")][0] == pytest.approx(0.1290, abs=5e-4)
+
+    def test_rows_are_the_challengers_class_and_macro_rows(self):
+        reference = self._rows(MTL_CM_SHORT, MTL_CM_MID, MTL_CM_LONG)
+        challenger = self._rows(STL_CM_SHORT, STL_CM_MID, STL_CM_LONG)
+        kept = [r for r in challenger if r[1] not in ("overall_micro", "overall_multiclass")]
+        comparison = comparison_rows(reference, challenger)
+        assert [(h, cls, metric, value) for h, cls, metric, value, _ in comparison] == [
+            (h, "overall" if cls == "overall_macro" else cls, metric, value)
+            for h, cls, metric, value in kept
+        ]
 
     def test_delta_antisymmetry(self):
-        a = self._cms(MTL_CM_SHORT, MTL_CM_MID, MTL_CM_LONG)
-        b = self._cms(STL_CM_SHORT, STL_CM_MID, STL_CM_LONG)
-        fwd = compare_models(a, b)
-        rev = compare_models(b, a)
-        for h in HORIZONS:
-            for cf, cr in zip(fwd[h], rev[h]):
-                if math.isfinite(cf.delta):
-                    assert cf.delta == pytest.approx(-cr.delta, abs=1e-12)
+        a = self._rows(MTL_CM_SHORT, MTL_CM_MID, MTL_CM_LONG)
+        b = self._rows(STL_CM_SHORT, STL_CM_MID, STL_CM_LONG)
+        for fwd, rev in zip(comparison_rows(a, b), comparison_rows(b, a)):
+            if math.isfinite(fwd[4]):
+                assert fwd[4] == pytest.approx(-rev[4], abs=1e-12)
 
     def test_mismatched_horizons(self):
         with pytest.raises(ValueError):
-            compare_models(
-                {Horizon.SHORT: ConfusionMatrix3(MTL_CM_SHORT)},
-                {Horizon.MID: ConfusionMatrix3(MTL_CM_MID)},
+            comparison_rows(
+                metrics_rows({Horizon.SHORT: ConfusionMatrix3(MTL_CM_SHORT)}),
+                metrics_rows({Horizon.MID: ConfusionMatrix3(MTL_CM_MID)}),
             )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -39,7 +40,13 @@ from patimpact.corpus import (
     record_to_json_obj,
 )
 from patimpact.indicators import FEATURE_NAMES, N_FEATURES, fit_standardizer
-from patimpact.metrics import stratified_kfold
+from patimpact.metrics import (
+    CLASS_ORDER,
+    class_metrics,
+    confusion_from_predictions,
+    overall_metrics,
+    stratified_kfold,
+)
 from patimpact.pipeline import (
     ARTIFACTS,
     ConfigError,
@@ -111,6 +118,11 @@ def checksums(out_dir: Path) -> dict[str, str]:
         for p in sorted(out_dir.iterdir())
         if p.name != F_MANIFEST
     }
+
+
+def _records(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -853,6 +865,99 @@ class TestValidateStage:
                 assert row["p_value"] == repr(loop_permutation_p(groups, seed, 2000))
 
 
+class TestStageWiring:
+    """Oracles for the rows, seeds and counts that evaluate, explain and
+    report take: each recomputes part of a finished run's artifact from the
+    files that the stage reads, and compares it with the artifact as text."""
+
+    @staticmethod
+    def _feature_rows(cfg, ids: list[str]) -> np.ndarray:
+        row_of = {r["patent_id"]: r for r in _records(cfg.path("features.csv"))}
+        return np.array([[float(row_of[pid][name]) for name in FEATURE_NAMES] for pid in ids])
+
+    def test_comparison_scores_the_single_task_models_on_the_test_rows(self, completed_run):
+        cfg, _ = completed_run
+        test_ids = json.loads(cfg.path("split.json").read_text())["test_ids"]
+        labels = {r["patent_id"]: r for r in _records(cfg.path("labels.csv"))}
+        reference = {
+            (r["horizon"], r["class"], r["metric"]): float(r["value"])
+            for r in _records(cfg.path("metrics.csv"))
+        }
+        X = self._feature_rows(cfg, test_ids)
+        expected = []
+        for h in HORIZONS:
+            stl = mtl.load_checkpoint(cfg.path(f"stl_{h.key}.ckpt.json"))
+            cm = confusion_from_predictions(
+                [ImpactClass.from_name(labels[pid][f"{h.key}_class"]) for pid in test_ids],
+                mtl.predict_batch(stl, stl.standardizer.transform(X))[h],
+            )
+            scores = {c.name: (c.name, class_metrics(cm, c)) for c in CLASS_ORDER}
+            scores["overall"] = ("overall_macro", overall_metrics(cm).macro)
+            for cls, (reference_cls, scored) in scores.items():
+                for metric, value in scored.as_dict().items():
+                    delta = value - reference[(h.key, reference_cls, metric)]
+                    expected.append([h.key, cls, metric, repr(value), repr(delta)])
+        with open(cfg.path("comparison.csv"), newline="") as fh:
+            assert list(csv.reader(fh))[1:] == expected
+
+    def test_attributions_explain_test_patents_against_a_training_background(
+        self, completed_run
+    ):
+        cfg, _ = completed_run
+        split = json.loads(cfg.path("split.json").read_text())
+        written = _records(cfg.path("attributions.csv"))
+        explained = list(dict.fromkeys(r["instance_id"] for r in written))
+        assert set(explained) <= set(split["test_ids"])
+        assert len(explained) == min(cfg.explain.n_instances, len(split["test_ids"]))
+
+        model = mtl.load_checkpoint(cfg.path("model.ckpt.json"))
+        std = model.standardizer
+        seed = cfg.stage_seed("explain")
+        train_ids = split["train_ids"]
+        kept = explain_mod.BackgroundSet.sample_positions(
+            len(train_ids), cfg.explain.background_size, derive_seed(seed, "background")
+        )
+        background = explain_mod.BackgroundSet(
+            std.transform(self._feature_rows(cfg, [train_ids[i] for i in kept]))
+        )
+        pid = explained[-1]
+        (x,) = self._feature_rows(cfg, [pid])
+        targets = [
+            explain_mod.AttributionTarget(h, cfg.explain.target_class) for h in HORIZONS
+        ]
+        grouping = explain_mod.default_grouping()
+        recomputed = explain_mod.shapley_sampled(
+            model, std.transform(x), background, targets, grouping,
+            cfg.explain.n_permutations, derive_seed(seed, "shapley", pid), pid, x,
+        )
+        expected = [
+            [
+                group, repr(float(row.phi[gi])), repr(float(row.std_err[gi])),
+                repr(row.base_value), repr(row.model_output), target.horizon.key,
+                target.impact_class.name,
+            ]
+            for target, row in zip(targets, recomputed)
+            for gi, group in enumerate(grouping.names)
+        ]
+        columns = ["group", "phi", "std_err", "base_value", "model_output", "horizon", "class"]
+        assert [[r[c] for c in columns] for r in written if r["instance_id"] == pid] == expected
+
+    def test_report_lists_the_top_k_groups_of_each_horizon(self, completed_run):
+        cfg, _ = completed_run
+        phis: dict[str, dict[str, list[float]]] = {}
+        for r in _records(cfg.path("attributions.csv")):
+            phis.setdefault(r["horizon"], {}).setdefault(r["group"], []).append(
+                abs(float(r["phi"]))
+            )
+        k = min(cfg.explain.top_k, explain_mod.default_grouping().n_groups)
+        lines = cfg.path("report.md").read_text().splitlines()
+        for h in HORIZONS:
+            mean_abs = {group: sum(v) / len(v) for group, v in phis[h.key].items()}
+            top = sorted(mean_abs, key=lambda group: (-mean_abs[group], group))[:k]
+            listed = ", ".join(f"{group} ({mean_abs[group]:.4f})" for group in top)
+            assert f"- **{h.key}-term**: {listed}" in lines
+
+
 class TestDeterminismAndComposability:
     def test_rerun_and_stagewise_identical(self, tmp_path):
         cfg_obj = {
@@ -1144,10 +1249,15 @@ class TestWorkerPool:
         in_process = []
         for name, module in (("train", mtl), ("shapley_sampled", explain_mod)):
             real = getattr(module, name)
-            monkeypatch.setattr(
-                module, name,
-                lambda *a, real=real, name=name, **kw: (in_process.append(name), real(*a, **kw))[1],
-            )
+
+            # named as the function it replaces, so that a pool pickles it by
+            # that name and its workers run the real function
+            @functools.wraps(real)
+            def counted(*a, real=real, name=name, **kw):
+                in_process.append(name)
+                return real(*a, **kw)
+
+            monkeypatch.setattr(module, name, counted)
         digests, calls = {}, {}
         for workers in (1, 2):
             _cpus(monkeypatch, workers)
@@ -1515,6 +1625,12 @@ class TestCli:
         del obj["synth"]
         config.write_text(json.dumps(obj))
         assert cli.main(["synth", "--config", str(config)]) == 1
+
+    def test_gridsearch_without_grid_exits_1_and_writes_nothing(self, tmp_path, caplog):
+        config = self._write_config(tmp_path)
+        assert cli.main(["gridsearch", "--config", str(config)]) == 1
+        assert "gridsearch subcommand requires grid in the config" in caplog.text
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, message",
