@@ -49,20 +49,15 @@ class BackgroundSet:
     def n_dims(self) -> int:
         return self.matrix.shape[1]
 
-    @staticmethod
-    def sample_positions(n: int, size: int = 100, seed: int = 0) -> np.ndarray:
-        """The ascending positions, among ``n`` rows, of the rows `sample`
-        keeps: ``size`` of them drawn without replacement, or all when
-        ``n <= size``. A caller can then build only those rows."""
-        if n <= size:
-            return np.arange(n)
-        rng = np.random.default_rng(seed)
-        return np.sort(rng.choice(n, size=size, replace=False))
-
     @classmethod
     def sample(cls, X: np.ndarray, size: int = 100, seed: int = 0) -> "BackgroundSet":
+        """``size`` rows of ``X`` drawn without replacement, in their order in
+        ``X``, or all of them when ``X`` has no more than ``size`` rows."""
         X = np.asarray(X, dtype=np.float64)
-        return cls(matrix=X[cls.sample_positions(X.shape[0], size, seed)])
+        if X.shape[0] > size:
+            kept = np.random.default_rng(seed).choice(X.shape[0], size=size, replace=False)
+            X = X[np.sort(kept)]
+        return cls(matrix=X)
 
 
 @dataclass(frozen=True)
@@ -250,6 +245,7 @@ def shapley_sampled(
     seed: int = 0,
     instance_id: str = "",
     display_values: Optional[np.ndarray] = None,
+    background_size: Optional[int] = None,
 ) -> Union[AttributionRow, list[AttributionRow]]:
     """Permutation-sampling Shapley estimate with Monte-Carlo standard errors.
 
@@ -259,86 +255,121 @@ def shapley_sampled(
     sampled permutations, each coalition batch goes through the trunk once
     for all of them, and one row per target comes back, in target order.
 
+    With a ``background_size`` below the background's row count, the
+    background is a pool: right after drawing its permutation, each
+    permutation draws ``background_size`` of the pool's rows without
+    replacement from the same stream (the per-sample background of Štrumbelj
+    and Kononenko, KAIS 2014). The estimand is then the value function over
+    the whole pool, and the standard errors cover the draws as well as the
+    permutations. A permutation's samples start from its own base value, the
+    mean output of its drawn rows; `base_value` and `model_output` are the
+    means over the permutations of the first and last coalition values, so
+    the attributions still add up to their difference. Otherwise every
+    permutation uses the whole background, whose base pass runs once.
+
     The model sees each distinct coalition row once per permutation: a row
     that a group's joining leaves bit for bit as it was keeps its value, and a
     row that has become the instance takes the instance's value. The rows it
     does see go in batches of a multiple of 4 rows, padded with copies of a
-    row. On OpenBLAS 0.3.31 a row's outputs then do not depend on its
+    row; a permutation that draws sends its drawn rows at the head of its
+    batch. On OpenBLAS 0.3.31 a row's outputs then do not depend on its
     position or on the batch size (see `mtl.INFERENCE_BLOCK_ROWS`), so every
     value equals the one a full coalition batch would give.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
+    if background_size is not None and background_size < 1:
+        raise ValueError("background_size must be >= 1")
     many = target is not None and not isinstance(target, AttributionTarget)
     targets = list(target) if many else None if target is None else [target]
     instance = np.asarray(instance, dtype=np.float64).reshape(-1)
     grouping = _resolve_grouping(instance, grouping)
     g = grouping.n_groups
     evaluate = _evaluator(model, targets)
-    bg = background.matrix
-    m, d = bg.shape
+    pool = background.matrix
+    n_pool, d = pool.shape
+    draw = background_size is not None and background_size < n_pool
+    m = background_size if draw else n_pool
     n_out = len(targets) if targets else 1
     rng = np.random.default_rng(seed)
 
     member = np.zeros((g, d), dtype=bool)
     for gi, dims in enumerate(grouping.members):
         member[gi, list(dims)] = True
-    # differs[gi, r]: background row r holds other bits than the instance on
-    # group gi, so that gi's joining changes the row. A row that differs on a
-    # dim outside every group never becomes the instance: count that as one
-    # more difference, which no join removes.
-    unequal = bg.view(np.int64) != instance.view(np.int64)
+    # differs[gi, r]: pool row r holds other bits than the instance on group
+    # gi, so that gi's joining changes the row. A row that differs on a dim
+    # outside every group never becomes the instance: count that as one more
+    # difference, which no join removes.
+    unequal = pool.view(np.int64) != instance.view(np.int64)
     differs = np.array([unequal[:, list(dims)].any(axis=1) for dims in grouping.members])
     n_differs = differs.sum(axis=0) + unequal[:, ~member.any(axis=0)].any(axis=1)
 
-    # the rows the model sees, and the values of a permutation's coalition rows:
-    # the background rows' in columns 0..m-1, the instance's in column m and
-    # the rows evaluated for the permutation from column m + 1 on
-    rows = np.empty((g * m + 3, d))
-    values = np.empty((n_out, m + 1 + g * m + 3))
+    # the rows the model sees: a permutation's drawn background rows, if it
+    # draws, then its coalition rows. The values: the instance's in column 0,
+    # the background rows' in columns 4..m + 3 and the permutation's coalition
+    # rows' from column m + 4 on
+    first = m if draw else 0
+    rows = np.empty((first + g * m + 3, d))
+    values = np.empty((n_out, m + 4 + g * m + 3))
 
     def evaluate_rows(n_rows: int, column: int) -> None:
         padded = -(-n_rows // 4) * 4
         rows[n_rows:padded] = rows[0]
         evaluate(rows[:padded], values[:, column:column + padded])
 
-    rows[:m] = bg
-    evaluate_rows(m, 0)
-    base_values = values[:, :m].mean(axis=1)
+    if not draw:
+        bg, bg_differs, bg_n_differs = pool, differs, n_differs
+        rows[:m] = bg
+        evaluate_rows(m, 4)
+        base_values = values[:, 4:m + 4].mean(axis=1)
     rows[:4] = instance
-    evaluate_rows(4, m)
+    evaluate_rows(4, 0)
 
     samples = np.empty((n_out, n_permutations, g))
+    bases = np.empty((n_out, n_permutations))
+    ends = np.empty((n_out, n_permutations))
     for p in range(n_permutations):
         order = rng.permutation(g)
+        if draw:
+            drawn = rng.choice(n_pool, size=m, replace=False)
+            bg, bg_differs, bg_n_differs = pool[drawn], differs[:, drawn], n_differs[drawn]
+            rows[:m] = bg
         # coalition state after each join: step s holds the instance's values
         # on groups order[:s + 1] and the background's elsewhere
         joined = np.logical_or.accumulate(member[order], axis=0)
         # whether step s changes row r, and whether the row still differs
         # from the instance after it
-        changed = differs[order]
-        differs_after = changed.cumsum(axis=0) < n_differs
+        changed = bg_differs[order]
+        differs_after = changed.cumsum(axis=0) < bg_n_differs
         needed = changed & differs_after
         flat = np.flatnonzero(needed)
         if flat.size:
             # the indices are in range; "clip" lets take write into rows directly
-            np.take(bg, flat % m, axis=0, out=rows[:flat.size], mode="clip")
-            start = 0
+            np.take(bg, flat % m, axis=0, out=rows[first:first + flat.size], mode="clip")
+            start = first
             for s, count in enumerate(needed.sum(axis=1).tolist()):
                 np.copyto(rows[start:start + count], instance, where=joined[s])
                 start += count
-            evaluate_rows(flat.size, m + 1)
+        if first + flat.size:
+            evaluate_rows(first + flat.size, m + 4 - first)
+        if draw:
+            base_values = values[:, 4:m + 4].mean(axis=1)
         # the column of values that holds each (step, row)'s value: the row's
         # latest evaluation, or the background row before any, and the
         # instance once the row equals it
-        column = np.tile(np.arange(m), (g, 1))
-        column.flat[flat] = np.arange(m + 1, m + 1 + flat.size)
+        column = np.tile(np.arange(4, m + 4), (g, 1))
+        column.flat[flat] = np.arange(m + 4, m + 4 + flat.size)
         np.maximum.accumulate(column, axis=0, out=column)
-        column[~differs_after] = m
+        column[~differs_after] = 0
         table = values.take(column.reshape(-1), axis=1)
         step_values = table.reshape(n_out, g, m).mean(axis=2)
         samples[:, p, order] = np.diff(step_values, axis=1, prepend=base_values[:, None])
+        bases[:, p], ends[:, p] = base_values, step_values[:, -1]
 
+    if draw:
+        base_values, end_values = bases.mean(axis=1), ends.mean(axis=1)
+    else:  # every permutation starts and ends on the same values
+        end_values = ends[:, -1]
     group_values = _group_values(instance, grouping, display_values)
     rows = []
     for k in range(n_out):
@@ -351,7 +382,7 @@ def shapley_sampled(
                 instance_id=instance_id,
                 phi=samples[k].mean(axis=0),
                 base_value=float(base_values[k]),
-                model_output=float(step_values[k, -1]),
+                model_output=float(end_values[k]),
                 group_values=group_values,
                 std_err=std_err,
             )

@@ -101,7 +101,7 @@ class StageError(Exception):
 class ExplainSettings:
     n_instances: int = 20
     n_permutations: int = 100
-    background_size: int = 100
+    background_size: int = 25  # training rows drawn per permutation
     top_k: int = 10
     target_class: ImpactClass = ImpactClass.BT
     filter_pattern: Optional[str] = None
@@ -1020,13 +1020,8 @@ def stage_explain(ctx: RunContext) -> None:
     std = model.standardizer
     seed = cfg.stage_seed("explain")
 
-    train_ids = split["train_ids"]
-    kept = explain_mod.BackgroundSet.sample_positions(
-        len(train_ids), size=cfg.explain.background_size, seed=derive_seed(seed, "background")
-    )
-    background = explain_mod.BackgroundSet(
-        std.transform(ctx.feature_rows([train_ids[i] for i in kept]))
-    )
+    # the pool from which each permutation draws its background rows
+    background = explain_mod.BackgroundSet(std.transform(ctx.feature_rows(split["train_ids"])))
     rng = np.random.default_rng(derive_seed(seed, "instances"))
     test_ids = list(split["test_ids"])
     n_pick = min(cfg.explain.n_instances, len(test_ids))
@@ -1046,6 +1041,7 @@ def stage_explain(ctx: RunContext) -> None:
         (
             model, std.transform(x), background, targets, grouping,
             cfg.explain.n_permutations, derive_seed(seed, "shapley", pid), pid, x,
+            cfg.explain.background_size,
         )
         for pid, x in zip(instance_ids, raw)
     ])
@@ -1223,7 +1219,21 @@ def stage_report(ctx: RunContext) -> None:
         )
 
     if attributions is not None:
-        lines += ["## Attribution: top indicators per horizon", ""]
+        drawn = min(cfg.explain.background_size, len(ctx.read("split.json")["train_ids"]))
+        std_errs: dict[str, list[float]] = {}
+        for r in attributions:
+            std_errs.setdefault(r["horizon"], []).append(float(r["std_err"]))
+        mean_se = ", ".join(
+            f"{h.key} {sum(v) / len(v):.3g}" for h in HORIZONS if (v := std_errs.get(h.key))
+        )
+        lines += [
+            "## Attribution: top indicators per horizon",
+            "",
+            f"{len({r['instance_id'] for r in attributions})} test patents explained, "
+            f"{cfg.explain.n_permutations} permutations each, {drawn} training rows drawn "
+            f"per permutation; mean std_err: {mean_se}.",
+            "",
+        ]
         for h in HORIZONS:
             phis: dict[str, list[float]] = {}
             for r in attributions:

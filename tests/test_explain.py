@@ -282,12 +282,14 @@ class TestSharedPermutations:
             assert row.base_value == pytest.approx(single.base_value, abs=1e-12)
             assert row.model_output == pytest.approx(single.model_output, abs=1e-12)
 
-    def test_efficiency_and_model_output_per_target(self, trained):
+    @pytest.mark.parametrize("background_size", [None, 9])
+    def test_efficiency_and_model_output_per_target(self, trained, background_size):
         model, X = trained
         background = BackgroundSet.sample(X, size=40, seed=2)
         instance = X[11]
         rows = shapley_sampled(
-            model, instance, background, target=MULTI_TARGETS, n_permutations=25, seed=6
+            model, instance, background, target=MULTI_TARGETS, n_permutations=25, seed=6,
+            background_size=background_size,
         )
         for target, row in zip(MULTI_TARGETS, rows):
             assert row.efficiency_gap() < 1e-9
@@ -372,6 +374,22 @@ def sharing_backgrounds(X, instance, seed):
     return {"sharing": shared, "with-instance": with_instance, "disjoint": disjoint}
 
 
+def new_coalition_rows(bg, instance, order) -> list[np.ndarray]:
+    """The coalition rows of one permutation of singleton groups that the
+    model must see: each join's rows that differ from the row before it and
+    from the instance, in join order."""
+    before = bg.copy()
+    new_rows = []
+    for gi in order:
+        after = before.copy()
+        after[:, gi] = instance[gi]
+        for r in range(len(bg)):
+            if after[r].tobytes() not in (before[r].tobytes(), instance.tobytes()):
+                new_rows.append(after[r])
+        before = after
+    return new_rows
+
+
 class TestKnownRowsSkipped:
     """`shapley_sampled` evaluates each distinct coalition row once."""
 
@@ -451,20 +469,10 @@ class TestKnownRowsSkipped:
         assert [len(b) for b in batches[:2]] == [32, 4]
         assert np.array_equal(batches[0][:29], bg)
         assert (batches[1] == instance).all()
-        g, m = 10, len(bg)
         rng = np.random.default_rng(8)
         evaluated = iter(batches[2:])
         for _ in range(9):
-            order = rng.permutation(g)
-            before = bg.copy()
-            new_rows = []
-            for gi in order:
-                after = before.copy()
-                after[:, gi] = instance[gi]
-                for r in range(m):
-                    if after[r].tobytes() not in (before[r].tobytes(), instance.tobytes()):
-                        new_rows.append(after[r])
-                before = after
+            new_rows = new_coalition_rows(bg, instance, rng.permutation(10))
             if not new_rows:
                 continue
             batch = next(evaluated)
@@ -479,6 +487,145 @@ class TestKnownRowsSkipped:
         with pytest.raises(ValueError, match="gave 31 outputs for 32 rows"):
             shapley_sampled(
                 lambda X: toy_model(X[:-1]), toy_instance, toy_background, n_permutations=2
+            )
+
+
+def tanh_model(X: np.ndarray) -> np.ndarray:
+    """A model in which every non-dummy dim interacts with every other one, so
+    that each of their permutation samples varies; dims 7..9 are dummies."""
+    return np.tanh(X @ np.array([1.0, -0.8, 0.6, 0.5, -0.4, 0.3, 0.7, 0.0, 0.0, 0.0]))
+
+
+class TestPerPermutationBackground:
+    """With a `background_size` below the background's row count, each
+    permutation draws its own background rows from it, the pool."""
+
+    def test_each_permutation_sends_its_drawn_rows_and_only_the_coalition_rows_it_needs(
+        self, toy_background
+    ):
+        instance = np.clip(np.random.default_rng(4).normal(size=10), -1.5, 1.5)
+        pool = toy_background.matrix.copy()
+        pool[::2, :4] = instance[:4]
+        pool[3] = instance
+        batches = []
+
+        def counting_model(X):
+            batches.append(X.copy())
+            return toy_model(X)
+
+        m = 7
+        shapley_sampled(
+            counting_model, instance, BackgroundSet(pool), n_permutations=9, seed=8,
+            background_size=m,
+        )
+        # the instance once, then one batch per permutation: its drawn rows,
+        # then its coalition rows
+        assert len(batches) == 1 + 9
+        assert len(batches[0]) == 4 and (batches[0] == instance).all()
+        rng = np.random.default_rng(8)
+        for batch in batches[1:]:
+            order = rng.permutation(10)
+            bg = pool[rng.choice(len(pool), size=m, replace=False)]
+            new_rows = new_coalition_rows(bg, instance, order)
+            n = m + len(new_rows)
+            assert len(batch) == -(-n // 4) * 4
+            assert np.array_equal(batch[:m], bg)
+            assert np.array_equal(batch[m:n], np.array(new_rows).reshape(-1, 10))
+            assert all(any((row == kept).all() for kept in batch[:n]) for row in batch[n:])
+
+    @pytest.mark.parametrize("extra", [0, 1, 50])
+    def test_a_pool_no_larger_than_the_draw_gives_the_bytes_of_no_draw(
+        self, trained, toy_background, extra
+    ):
+        model, X = trained
+        instance = X[12]
+        pool = BackgroundSet(sharing_backgrounds(X, instance, 5)["with-instance"])
+        want, got = (
+            shapley_sampled(
+                model, instance, pool, target=MULTI_TARGETS, n_permutations=12, seed=6,
+                background_size=size,
+            )
+            for size in (None, len(pool.matrix) + extra)
+        )
+        for a, b in zip(want, got):
+            for field in ("phi", "std_err", "base_value", "model_output"):
+                assert bits(getattr(a, field)) == bits(getattr(b, field))
+
+        # and a callable sees the same batches
+        def batches(size) -> list[np.ndarray]:
+            seen = []
+
+            def counting_model(X):
+                seen.append(X.copy())
+                return toy_model(X)
+
+            shapley_sampled(
+                counting_model, X[0, :10], toy_background, n_permutations=5, seed=3,
+                background_size=size,
+            )
+            return seen
+
+        no_draw, undrawn = batches(None), batches(len(toy_background.matrix) + extra)
+        assert len(no_draw) == len(undrawn)
+        assert all(map(np.array_equal, no_draw, undrawn))
+
+    def test_efficiency_with_a_dim_outside_every_group(self, toy_background, toy_instance):
+        # the last coalition keeps the drawn rows' dim 6, so its value
+        # depends on the draw
+        others = [i for i in range(10) if i != 6]
+        grouping = FeatureGrouping(
+            names=tuple(f"x{i}" for i in others), members=tuple((i,) for i in others)
+        )
+        row = shapley_sampled(
+            toy_model, toy_instance, toy_background, grouping=grouping, n_permutations=20,
+            seed=2, background_size=4,
+        )
+        assert row.efficiency_gap() < 1e-9
+
+    def test_converges_to_exact_enumeration_over_the_whole_pool(
+        self, toy_background, toy_instance
+    ):
+        exact = shapley_exact(toy_model, toy_instance, toy_background)
+        sampled = shapley_sampled(
+            toy_model, toy_instance, toy_background, n_permutations=4000, seed=7,
+            background_size=5,
+        )
+        assert np.all(np.abs(sampled.phi - exact.phi) <= 4 * sampled.std_err + 1e-12)
+        np.testing.assert_allclose(sampled.phi, exact.phi, atol=0.02)
+        assert sampled.base_value == pytest.approx(exact.base_value, abs=0.02)
+        assert sampled.model_output == pytest.approx(exact.model_output, abs=1e-12)
+        assert sampled.efficiency_gap() < 1e-9
+
+    def test_standard_errors_are_calibrated_across_seeds(self):
+        pool = np.random.default_rng(0).normal(0.0, 0.8, size=(200, 10))
+        instance = np.clip(np.random.default_rng(1).normal(size=10), -1.5, 1.5)
+
+        def z_variance(estimate) -> float:
+            # z of each seed pair's difference; the dummies have std_err 0
+            z = []
+            for pair in range(20):
+                a, b = (estimate(seed) for seed in (2 * pair, 2 * pair + 1))
+                se = np.sqrt(a.std_err ** 2 + b.std_err ** 2)
+                z.extend((a.phi - b.phi)[se > 0] / se[se > 0])
+            assert len(z) == 20 * 7
+            return float(np.var(z))
+
+        drawn = z_variance(lambda seed: shapley_sampled(
+            tanh_model, instance, BackgroundSet(pool), n_permutations=40, seed=seed,
+            background_size=10,
+        ))
+        assert 0.5 <= drawn <= 2
+        # one fixed background per seed: its std_err leaves the background out
+        fixed = z_variance(lambda seed: shapley_sampled(
+            tanh_model, instance, BackgroundSet.sample(pool, size=10, seed=seed),
+            n_permutations=40, seed=seed,
+        ))
+        assert fixed > 2
+
+    def test_a_draw_size_below_one_is_an_error(self, toy_background, toy_instance):
+        with pytest.raises(ValueError, match="background_size"):
+            shapley_sampled(
+                toy_model, toy_instance, toy_background, n_permutations=2, background_size=0
             )
 
 

@@ -36,8 +36,11 @@ from patimpact.corpus import (
     Horizon,
     ImpactClass,
     PostHoc,
+    add_years,
+    forward_citation_count,
     load_corpus,
     record_to_json_obj,
+    stanine_thresholds,
 )
 from patimpact.indicators import FEATURE_NAMES, N_FEATURES, fit_standardizer
 from patimpact.metrics import (
@@ -795,7 +798,7 @@ class TestRunPipeline:
 
     def test_report_ranks_tied_groups_by_name(self, completed_run, tmp_path):
         cfg, _ = completed_run
-        for name in ("thresholds.json", "labels.csv", "metrics.csv"):
+        for name in ("thresholds.json", "labels.csv", "metrics.csv", "split.json"):
             shutil.copy(cfg.path(name), tmp_path / name)
         # mean |phi|: y 0.5, then x and z tied at 0.25
         phis = {"z": (0.25, -0.25), "y": (0.5, -0.5), "x": (-0.25, 0.25)}
@@ -875,6 +878,35 @@ class TestStageWiring:
         row_of = {r["patent_id"]: r for r in _records(cfg.path("features.csv"))}
         return np.array([[float(row_of[pid][name]) for name in FEATURE_NAMES] for pid in ids])
 
+    _COLUMNS = ["group", "phi", "std_err", "base_value", "model_output", "horizon", "class"]
+
+    def _recomputed(self, cfg, train_ids, pid, background_size) -> list[list[str]]:
+        """The `_COLUMNS` of explained patent ``pid``'s attributions.csv rows,
+        recomputed from the files explain reads, with the standardized rows of
+        ``train_ids`` as the pool and ``background_size`` as the draw size."""
+        model = mtl.load_checkpoint(cfg.path("model.ckpt.json"))
+        std = model.standardizer
+        (x,) = self._feature_rows(cfg, [pid])
+        targets = [
+            explain_mod.AttributionTarget(h, cfg.explain.target_class) for h in HORIZONS
+        ]
+        grouping = explain_mod.default_grouping()
+        rows = explain_mod.shapley_sampled(
+            model, std.transform(x),
+            explain_mod.BackgroundSet(std.transform(self._feature_rows(cfg, train_ids))),
+            targets, grouping, cfg.explain.n_permutations,
+            derive_seed(cfg.stage_seed("explain"), "shapley", pid), pid, x, background_size,
+        )
+        return [
+            [
+                group, repr(float(row.phi[gi])), repr(float(row.std_err[gi])),
+                repr(row.base_value), repr(row.model_output), target.horizon.key,
+                target.impact_class.name,
+            ]
+            for target, row in zip(targets, rows)
+            for gi, group in enumerate(grouping.names)
+        ]
+
     def test_comparison_scores_the_single_task_models_on_the_test_rows(self, completed_run):
         cfg, _ = completed_run
         test_ids = json.loads(cfg.path("split.json").read_text())["test_ids"]
@@ -910,37 +942,95 @@ class TestStageWiring:
         assert set(explained) <= set(split["test_ids"])
         assert len(explained) == min(cfg.explain.n_instances, len(split["test_ids"]))
 
-        model = mtl.load_checkpoint(cfg.path("model.ckpt.json"))
-        std = model.standardizer
-        seed = cfg.stage_seed("explain")
-        train_ids = split["train_ids"]
-        kept = explain_mod.BackgroundSet.sample_positions(
-            len(train_ids), cfg.explain.background_size, derive_seed(seed, "background")
-        )
-        background = explain_mod.BackgroundSet(
-            std.transform(self._feature_rows(cfg, [train_ids[i] for i in kept]))
-        )
+        # the pool is the whole training split; each permutation draws
+        # background_size of its rows
+        assert len(split["train_ids"]) > cfg.explain.background_size
         pid = explained[-1]
-        (x,) = self._feature_rows(cfg, [pid])
-        targets = [
-            explain_mod.AttributionTarget(h, cfg.explain.target_class) for h in HORIZONS
-        ]
-        grouping = explain_mod.default_grouping()
-        recomputed = explain_mod.shapley_sampled(
-            model, std.transform(x), background, targets, grouping,
-            cfg.explain.n_permutations, derive_seed(seed, "shapley", pid), pid, x,
+        assert [[r[c] for c in self._COLUMNS] for r in written if r["instance_id"] == pid] == (
+            self._recomputed(cfg, split["train_ids"], pid, cfg.explain.background_size)
         )
-        expected = [
-            [
-                group, repr(float(row.phi[gi])), repr(float(row.std_err[gi])),
-                repr(row.base_value), repr(row.model_output), target.horizon.key,
-                target.impact_class.name,
+
+    def test_without_a_draw_the_explain_stage_uses_the_whole_training_split(
+        self, completed_run, tmp_path
+    ):
+        cfg, _ = completed_run
+        for name in ("model.ckpt.json", "split.json", "features.csv", "labels.csv",
+                     "thresholds.json", "metrics.csv"):
+            shutil.copy(cfg.path(name), tmp_path / name)
+        train_ids = json.loads(cfg.path("split.json").read_text())["train_ids"]
+        # a draw size above the training split's size draws nothing
+        obj = base_config_obj(tmp_path)
+        obj["explain"] = {**obj["explain"], "n_instances": 1, "background_size": len(train_ids) + 1}
+        whole = config_from_obj(obj)
+        STAGES["explain"](whole)
+        written = _records(whole.path("attributions.csv"))
+        assert [[r[c] for c in self._COLUMNS] for r in written] == (
+            self._recomputed(whole, train_ids, written[0]["instance_id"], None)
+        )
+        STAGES["report"](whole)
+        assert f", {len(train_ids)} training rows drawn per permutation;" in (
+            whole.path("report.md").read_text()
+        )
+
+    def test_stanine_cuts_come_from_the_patents_with_a_full_window(
+        self, completed_run, tmp_path
+    ):
+        cfg, _ = completed_run
+        shutil.copy(cfg.path("corpus.jsonl"), tmp_path / "corpus.jsonl")
+        stanine = config_from_obj(base_config_obj(tmp_path, threshold_mode="stanine"))
+        ctx = RunContext(stanine)
+        STAGES["label"](stanine, ctx)
+        corpus = ctx.corpus
+        end = corpus.max_grant_date()
+        expected = {}
+        for h in HORIZONS:
+            full_window = [
+                pid for pid, rec in corpus.records.items()
+                if add_years(rec.grant_date, h.years) <= end
             ]
-            for target, row in zip(targets, recomputed)
-            for gi, group in enumerate(grouping.names)
-        ]
-        columns = ["group", "phi", "std_err", "base_value", "model_output", "horizon", "class"]
-        assert [[r[c] for c in columns] for r in written if r["instance_id"] == pid] == expected
+            cuts = stanine_thresholds(forward_citation_count(corpus, pid, h) for pid in full_window)
+            expected[h.key] = {"bt_min": cuts.bt_min, "vt_min": cuts.vt_min}
+        assert json.loads(stanine.path("thresholds.json").read_text()) == expected
+
+    def test_the_test_split_is_the_test_year_and_the_training_split_the_years_before(
+        self, completed_run
+    ):
+        cfg, _ = completed_run
+        year_of = {r["patent_id"]: int(r["grant_year"]) for r in _records(cfg.path("labels.csv"))}
+        last = max(year_of.values())
+
+        def expected(test_year):
+            return {
+                "test_year": test_year,
+                "train_ids": [pid for pid, year in year_of.items() if year < test_year],
+                "test_ids": [pid for pid, year in year_of.items() if year == test_year],
+            }
+
+        # the default test year is the last grant year
+        assert json.loads(cfg.path("split.json").read_text()) == expected(last)
+        # a year earlier, later patents exist and belong to neither split
+        earlier = config_from_obj(base_config_obj(cfg.out_dir, test_year=last - 1))
+        train_ids, test_ids, test_year = pipeline._temporal_split(RunContext(earlier))
+        assert {"test_year": test_year, "train_ids": train_ids, "test_ids": test_ids} == (
+            expected(last - 1)
+        )
+
+    def test_report_opens_the_attributions_with_their_precision(self, completed_run):
+        cfg, _ = completed_run
+        written = _records(cfg.path("attributions.csv"))
+        train_ids = json.loads(cfg.path("split.json").read_text())["train_ids"]
+        mean_se = []
+        for h in HORIZONS:
+            std_errs = [float(r["std_err"]) for r in written if r["horizon"] == h.key]
+            mean_se.append(f"{h.key} {sum(std_errs) / len(std_errs):.3g}")
+        lines = cfg.path("report.md").read_text().splitlines()
+        heading = lines.index("## Attribution: top indicators per horizon")
+        assert lines[heading + 2] == (
+            f"{cfg.explain.n_instances} test patents explained, "
+            f"{cfg.explain.n_permutations} permutations each, "
+            f"{min(cfg.explain.background_size, len(train_ids))} training rows drawn "
+            f"per permutation; mean std_err: {', '.join(mean_se)}."
+        )
 
     def test_report_lists_the_top_k_groups_of_each_horizon(self, completed_run):
         cfg, _ = completed_run
