@@ -45,20 +45,6 @@ class BackgroundSet:
             raise ValueError("background must be a non-empty 2-D matrix")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n_dims(self) -> int:
-        return self.matrix.shape[1]
-
-    @classmethod
-    def sample(cls, X: np.ndarray, size: int = 100, seed: int = 0) -> "BackgroundSet":
-        """``size`` rows of ``X`` drawn without replacement, in their order in
-        ``X``, or all of them when ``X`` has no more than ``size`` rows."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[0] > size:
-            kept = np.random.default_rng(seed).choice(X.shape[0], size=size, replace=False)
-            X = X[np.sort(kept)]
-        return cls(matrix=X)
-
 
 @dataclass(frozen=True)
 class FeatureGrouping:
@@ -255,26 +241,27 @@ def shapley_sampled(
     sampled permutations, each coalition batch goes through the trunk once
     for all of them, and one row per target comes back, in target order.
 
-    With a ``background_size`` below the background's row count, the
-    background is a pool: right after drawing its permutation, each
+    The background is a pool. Right after drawing its permutation, each
     permutation draws ``background_size`` of the pool's rows without
     replacement from the same stream (the per-sample background of Štrumbelj
-    and Kononenko, KAIS 2014). The estimand is then the value function over
-    the whole pool, and the standard errors cover the draws as well as the
-    permutations. A permutation's samples start from its own base value, the
-    mean output of its drawn rows; `base_value` and `model_output` are the
-    means over the permutations of the first and last coalition values, so
-    the attributions still add up to their difference. Otherwise every
-    permutation uses the whole background, whose base pass runs once.
+    and Kononenko, KAIS 2014); a pool of no more than ``background_size``
+    rows, or any pool when ``background_size`` is None, is every permutation's
+    background as it stands, and nothing is drawn. The estimand is the value
+    function over the whole pool, and the standard errors cover the draws as
+    well as the permutations. A permutation's samples start from its own base
+    value, the mean output of its background rows; `base_value` and
+    `model_output` are the means over the permutations of the first and last
+    coalition values, so the attributions add up to their difference.
 
-    The model sees each distinct coalition row once per permutation: a row
-    that a group's joining leaves bit for bit as it was keeps its value, and a
-    row that has become the instance takes the instance's value. The rows it
-    does see go in batches of a multiple of 4 rows, padded with copies of a
-    row; a permutation that draws sends its drawn rows at the head of its
-    batch. On OpenBLAS 0.3.31 a row's outputs then do not depend on its
-    position or on the batch size (see `mtl.INFERENCE_BLOCK_ROWS`), so every
-    value equals the one a full coalition batch would give.
+    The model sees the instance once, then one batch per permutation: its
+    background rows, then each distinct coalition row it needs. A row that a
+    group's joining leaves bit for bit as it was keeps its value, and a row
+    that has become the instance takes the instance's value. Batches hold a
+    multiple of 4 rows, padded with copies of a row. On OpenBLAS 0.3.31 a
+    row's outputs then do not depend on its position or on the batch size (see
+    `mtl.INFERENCE_BLOCK_ROWS`), so every value equals the one a full
+    coalition batch would give. A pool no larger than the draw costs its rows
+    once per permutation.
     """
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
@@ -288,8 +275,7 @@ def shapley_sampled(
     evaluate = _evaluator(model, targets)
     pool = background.matrix
     n_pool, d = pool.shape
-    draw = background_size is not None and background_size < n_pool
-    m = background_size if draw else n_pool
+    m = n_pool if background_size is None else min(background_size, n_pool)
     n_out = len(targets) if targets else 1
     rng = np.random.default_rng(seed)
 
@@ -304,12 +290,10 @@ def shapley_sampled(
     differs = np.array([unequal[:, list(dims)].any(axis=1) for dims in grouping.members])
     n_differs = differs.sum(axis=0) + unequal[:, ~member.any(axis=0)].any(axis=1)
 
-    # the rows the model sees: a permutation's drawn background rows, if it
-    # draws, then its coalition rows. The values: the instance's in column 0,
-    # the background rows' in columns 4..m + 3 and the permutation's coalition
-    # rows' from column m + 4 on
-    first = m if draw else 0
-    rows = np.empty((first + g * m + 3, d))
+    # the rows the model sees: a permutation's background rows, then its
+    # coalition rows. The values: the instance's in column 0, the background
+    # rows' in columns 4..m + 3 and the coalition rows' from column m + 4 on
+    rows = np.empty((m + g * m + 3, d))
     values = np.empty((n_out, m + 4 + g * m + 3))
 
     def evaluate_rows(n_rows: int, column: int) -> None:
@@ -317,23 +301,19 @@ def shapley_sampled(
         rows[n_rows:padded] = rows[0]
         evaluate(rows[:padded], values[:, column:column + padded])
 
-    if not draw:
-        bg, bg_differs, bg_n_differs = pool, differs, n_differs
-        rows[:m] = bg
-        evaluate_rows(m, 4)
-        base_values = values[:, 4:m + 4].mean(axis=1)
     rows[:4] = instance
     evaluate_rows(4, 0)
 
+    bg, bg_differs, bg_n_differs = pool, differs, n_differs
     samples = np.empty((n_out, n_permutations, g))
     bases = np.empty((n_out, n_permutations))
     ends = np.empty((n_out, n_permutations))
     for p in range(n_permutations):
         order = rng.permutation(g)
-        if draw:
+        if m < n_pool:
             drawn = rng.choice(n_pool, size=m, replace=False)
             bg, bg_differs, bg_n_differs = pool[drawn], differs[:, drawn], n_differs[drawn]
-            rows[:m] = bg
+        rows[:m] = bg
         # coalition state after each join: step s holds the instance's values
         # on groups order[:s + 1] and the background's elsewhere
         joined = np.logical_or.accumulate(member[order], axis=0)
@@ -343,17 +323,13 @@ def shapley_sampled(
         differs_after = changed.cumsum(axis=0) < bg_n_differs
         needed = changed & differs_after
         flat = np.flatnonzero(needed)
-        if flat.size:
-            # the indices are in range; "clip" lets take write into rows directly
-            np.take(bg, flat % m, axis=0, out=rows[first:first + flat.size], mode="clip")
-            start = first
-            for s, count in enumerate(needed.sum(axis=1).tolist()):
-                np.copyto(rows[start:start + count], instance, where=joined[s])
-                start += count
-        if first + flat.size:
-            evaluate_rows(first + flat.size, m + 4 - first)
-        if draw:
-            base_values = values[:, 4:m + 4].mean(axis=1)
+        # the indices are in range; "clip" lets take write into rows directly
+        np.take(bg, flat % m, axis=0, out=rows[m:m + flat.size], mode="clip")
+        start = m
+        for s, count in enumerate(needed.sum(axis=1).tolist()):
+            np.copyto(rows[start:start + count], instance, where=joined[s])
+            start += count
+        evaluate_rows(m + flat.size, 4)
         # the column of values that holds each (step, row)'s value: the row's
         # latest evaluation, or the background row before any, and the
         # instance once the row equals it
@@ -363,13 +339,10 @@ def shapley_sampled(
         column[~differs_after] = 0
         table = values.take(column.reshape(-1), axis=1)
         step_values = table.reshape(n_out, g, m).mean(axis=2)
-        samples[:, p, order] = np.diff(step_values, axis=1, prepend=base_values[:, None])
-        bases[:, p], ends[:, p] = base_values, step_values[:, -1]
+        bases[:, p] = values[:, 4:m + 4].mean(axis=1)
+        ends[:, p] = step_values[:, -1]
+        samples[:, p, order] = np.diff(step_values, axis=1, prepend=bases[:, p, None])
 
-    if draw:
-        base_values, end_values = bases.mean(axis=1), ends.mean(axis=1)
-    else:  # every permutation starts and ends on the same values
-        end_values = ends[:, -1]
     group_values = _group_values(instance, grouping, display_values)
     rows = []
     for k in range(n_out):
@@ -381,8 +354,8 @@ def shapley_sampled(
             AttributionRow(
                 instance_id=instance_id,
                 phi=samples[k].mean(axis=0),
-                base_value=float(base_values[k]),
-                model_output=float(end_values[k]),
+                base_value=float(bases[k].mean()),
+                model_output=float(ends[k].mean()),
                 group_values=group_values,
                 std_err=std_err,
             )

@@ -74,7 +74,6 @@ class TrainConfig:
     validation_fraction: float = 0.1
     optimizer: str = "adam"
     class_weighting: bool = False
-    val_stratify_task: Optional[Horizon] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -657,9 +656,7 @@ def train(
         raise ValueError("no task has positive weight")
     y = _as_label_arrays(labels, tasks, n)
 
-    stratify_task = cfg.val_stratify_task
-    if stratify_task is None or stratify_task not in tasks:
-        stratify_task = Horizon.LONG if Horizon.LONG in tasks else tasks[-1]
+    stratify_task = Horizon.LONG if Horizon.LONG in tasks else tasks[-1]
     train_idx, val_idx = _stratified_split(
         y[stratify_task], cfg.validation_fraction, derive_seed(cfg.seed, "valsplit")
     )
@@ -750,11 +747,8 @@ def train_stl(
     single = replace(
         base, task_head_widths={task: tuple(base.task_head_widths[task])}
     )
-    single_cfg = replace(
-        cfg, task_loss_weights={task: 1.0}, val_stratify_task=task
-    )
     model = init_network(single)
-    return train(model, X, {task: labels}, single_cfg)
+    return train(model, X, {task: labels}, replace(cfg, task_loss_weights={task: 1.0}))
 
 
 # --------------------------------------------------------------------------

@@ -200,7 +200,7 @@ class TestTrainedModelIntegration:
 
     def test_efficiency_against_model_probability(self, trained):
         model, X = trained
-        background = BackgroundSet.sample(X, size=40, seed=1)
+        background = BackgroundSet(X[-40:])
         target = AttributionTarget(horizon=Horizon.MID, impact_class=ImpactClass.BT)
         instance = X[3]
         row = shapley_sampled(
@@ -265,7 +265,7 @@ MULTI_TARGETS = [
 class TestSharedPermutations:
     def test_each_target_equals_its_single_target_run(self, trained):
         model, X = trained
-        background = BackgroundSet.sample(X, size=40, seed=1)
+        background = BackgroundSet(X[-40:])
         rows = shapley_sampled(
             model, X[5], background, target=MULTI_TARGETS, n_permutations=30, seed=4,
             instance_id="p5",
@@ -285,7 +285,7 @@ class TestSharedPermutations:
     @pytest.mark.parametrize("background_size", [None, 9])
     def test_efficiency_and_model_output_per_target(self, trained, background_size):
         model, X = trained
-        background = BackgroundSet.sample(X, size=40, seed=2)
+        background = BackgroundSet(X[-40:])
         instance = X[11]
         rows = shapley_sampled(
             model, instance, background, target=MULTI_TARGETS, n_permutations=25, seed=6,
@@ -305,12 +305,17 @@ class TestSharedPermutations:
             shapley_sampled(toy_model, toy_instance, toy_background, target=two, n_permutations=2)
 
 
-def every_row_shapley(model, instance, background, targets, n_permutations, seed, grouping=None):
+def every_row_shapley(
+    model, instance, background, targets, n_permutations, seed, grouping=None,
+    background_size=None,
+):
     """`shapley_sampled` that sends every coalition row of every permutation
     to the model, a trained model's probabilities read through `infer_proba`
     in blocks of INFERENCE_BLOCK_ROWS rows: the oracle for the rows that
-    `shapley_sampled` skips. Gives (phi, std_err, base_value, model_output),
-    each with one entry per target."""
+    `shapley_sampled` skips. Each permutation draws its background rows as
+    the estimator does, or takes the whole pool, and starts from their mean
+    output. Gives (phi, std_err, base_value, model_output), each with one
+    entry per target."""
     if isinstance(model, MtlModel):
         tasks = tuple(dict.fromkeys(t.horizon for t in targets))
 
@@ -329,33 +334,46 @@ def every_row_shapley(model, instance, background, targets, n_permutations, seed
         grouping = default_grouping() if instance.size == N_FEATURES else (
             FeatureGrouping.singletons([f"x{i}" for i in range(instance.size)])
         )
-    g, bg = grouping.n_groups, background.matrix
-    m, d = bg.shape
+    g, pool = grouping.n_groups, background.matrix
+    n_pool, d = pool.shape
+    m = n_pool if background_size is None else min(background_size, n_pool)
     rng = np.random.default_rng(seed)
-    base_values = f(bg).mean(axis=1)
-    n_out = base_values.size
+    n_out = 1 if targets is None else len(targets)
     member = np.zeros((g, d), dtype=bool)
     for gi, dims in enumerate(grouping.members):
         member[gi, list(dims)] = True
     composites = np.empty((g, m, d))
     samples = np.empty((n_out, n_permutations, g))
+    bases = np.empty((n_out, n_permutations))
+    ends = np.empty((n_out, n_permutations))
     for p in range(n_permutations):
         order = rng.permutation(g)
+        bg = pool[rng.choice(n_pool, m, replace=False)] if m < n_pool else pool
         joined = np.logical_or.accumulate(member[order], axis=0)
         np.copyto(composites, bg)
         np.copyto(composites, instance, where=joined[:, None, :])
         step_values = f(composites.reshape(g * m, d)).reshape(n_out, g, m).mean(axis=2)
-        samples[:, p, order] = np.diff(step_values, axis=1, prepend=base_values[:, None])
+        bases[:, p] = f(bg).mean(axis=1)
+        ends[:, p] = step_values[:, -1]
+        samples[:, p, order] = np.diff(step_values, axis=1, prepend=bases[:, p, None])
     return (
         [samples[k].mean(axis=0) for k in range(n_out)],
         [samples[k].std(axis=0, ddof=1) / np.sqrt(n_permutations) for k in range(n_out)],
-        list(base_values),
-        list(step_values[:, -1]),
+        list(bases.mean(axis=1)),
+        list(ends.mean(axis=1)),
     )
 
 
 def bits(value) -> bytes:
     return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def assert_equals_every_row_oracle(rows, oracle) -> None:
+    """Each row's four fields equal the `every_row_shapley` oracle's entries
+    for it bit for bit."""
+    for k, row in enumerate(rows):
+        for field, want in zip(("phi", "std_err", "base_value", "model_output"), oracle):
+            assert bits(getattr(row, field)) == bits(want[k]), (k, field)
 
 
 def sharing_backgrounds(X, instance, seed):
@@ -374,6 +392,25 @@ def sharing_backgrounds(X, instance, seed):
     return {"sharing": shared, "with-instance": with_instance, "disjoint": disjoint}
 
 
+def assert_batch_layout(batches, pool, instance, n_permutations, seed, m):
+    """The batches a callable saw: the instance once, then one batch per
+    permutation, its ``m`` background rows (drawn from ``pool``, or the whole
+    pool), then its new coalition rows, padded to a multiple of 4 rows with
+    copies of rows it holds."""
+    assert len(batches) == 1 + n_permutations
+    assert len(batches[0]) == 4 and (batches[0] == instance).all()
+    rng = np.random.default_rng(seed)
+    for batch in batches[1:]:
+        order = rng.permutation(instance.size)
+        bg = pool[rng.choice(len(pool), size=m, replace=False)] if m < len(pool) else pool
+        new_rows = new_coalition_rows(bg, instance, order)
+        n = m + len(new_rows)
+        assert len(batch) == -(-n // 4) * 4
+        assert np.array_equal(batch[:m], bg)
+        assert np.array_equal(batch[m:n], np.array(new_rows).reshape(-1, instance.size))
+        assert all(any((row == kept).all() for kept in batch[:n]) for row in batch[n:])
+
+
 def new_coalition_rows(bg, instance, order) -> list[np.ndarray]:
     """The coalition rows of one permutation of singleton groups that the
     model must see: each join's rows that differ from the row before it and
@@ -390,44 +427,54 @@ def new_coalition_rows(bg, instance, order) -> list[np.ndarray]:
     return new_rows
 
 
+def oracle_cases(kinds, sizes):
+    """(kind, draw size) parameters; a case without a draw keeps the kind as its id."""
+    return [
+        pytest.param(kind, size, id=kind if size is None else f"{kind}-{size}")
+        for kind in kinds for size in sizes
+    ]
+
+
 class TestKnownRowsSkipped:
     """`shapley_sampled` evaluates each distinct coalition row once."""
 
-    @pytest.mark.parametrize("kind", ["sharing", "with-instance", "disjoint"])
-    def test_trained_model_equals_every_row_oracle_bit_for_bit(self, trained, kind):
+    # draws of a multiple of 4 rows keep the oracle's own forwards under the
+    # BLAS row rule
+    @pytest.mark.parametrize(
+        "kind, size", oracle_cases(("sharing", "with-instance", "disjoint"), (None, 8, 12))
+    )
+    def test_trained_model_equals_every_row_oracle_bit_for_bit(self, trained, kind, size):
         model, X = trained
         instance = X[12]
         background = BackgroundSet(sharing_backgrounds(X, instance, 5)[kind])
         rows = shapley_sampled(
-            model, instance, background, target=MULTI_TARGETS, n_permutations=12, seed=6
+            model, instance, background, target=MULTI_TARGETS, n_permutations=12, seed=6,
+            background_size=size,
         )
-        phi, std_err, base, output = every_row_shapley(
-            model, instance, background, MULTI_TARGETS, 12, 6
-        )
-        for k, row in enumerate(rows):
-            assert bits(row.phi) == bits(phi[k])
-            assert bits(row.std_err) == bits(std_err[k])
-            assert bits(row.base_value) == bits(base[k])
-            assert bits(row.model_output) == bits(output[k])
+        assert_equals_every_row_oracle(rows, every_row_shapley(
+            model, instance, background, MULTI_TARGETS, 12, 6, background_size=size
+        ))
 
-    @pytest.mark.parametrize("kind", ["sharing", "with-instance", "disjoint"])
-    def test_callable_equals_every_row_oracle_bit_for_bit(self, toy_background, kind):
+    @pytest.mark.parametrize(
+        "kind, size",
+        oracle_cases(("sharing", "with-instance", "disjoint"), (None,))
+        + oracle_cases(("with-instance",), (7,)),
+    )
+    def test_callable_equals_every_row_oracle_bit_for_bit(self, toy_background, kind, size):
         instance = np.clip(np.random.default_rng(2).normal(size=10), -1.5, 1.5)
-        bg = toy_background.matrix.copy()  # 30 rows: padded to 32 in the base pass
+        bg = toy_background.matrix.copy()
         if kind != "disjoint":
             bg[::2, :5] = instance[:5]
             bg[1::3, 6] = instance[6]
         if kind == "with-instance":
             bg[4] = instance
         background = BackgroundSet(bg)
-        row = shapley_sampled(toy_model, instance, background, n_permutations=15, seed=3)
-        phi, std_err, base, output = every_row_shapley(
-            toy_model, instance, background, None, 15, 3
+        row = shapley_sampled(
+            toy_model, instance, background, n_permutations=15, seed=3, background_size=size
         )
-        assert bits(row.phi) == bits(phi[0])
-        assert bits(row.std_err) == bits(std_err[0])
-        assert bits(row.base_value) == bits(base[0])
-        assert bits(row.model_output) == bits(output[0])
+        assert_equals_every_row_oracle([row], every_row_shapley(
+            toy_model, instance, background, None, 15, 3, background_size=size
+        ))
 
     def test_a_dim_outside_every_group_keeps_a_row_from_becoming_the_instance(
         self, toy_background
@@ -444,12 +491,9 @@ class TestKnownRowsSkipped:
         row = shapley_sampled(
             toy_model, instance, background, grouping=grouping, n_permutations=6, seed=2
         )
-        phi, std_err, base, output = every_row_shapley(
+        assert_equals_every_row_oracle([row], every_row_shapley(
             toy_model, instance, background, None, 6, 2, grouping
-        )
-        assert bits(row.phi) == bits(phi[0])
-        assert bits(row.std_err) == bits(std_err[0])
-        assert bits(row.model_output) == bits(output[0])
+        ))
 
     def test_each_batch_holds_exactly_its_new_rows_that_are_not_the_instance(
         self, toy_background
@@ -465,26 +509,12 @@ class TestKnownRowsSkipped:
             return toy_model(X)
 
         shapley_sampled(counting_model, instance, BackgroundSet(bg), n_permutations=9, seed=8)
-        # the background pass and the instance, then one batch per permutation
-        assert [len(b) for b in batches[:2]] == [32, 4]
-        assert np.array_equal(batches[0][:29], bg)
-        assert (batches[1] == instance).all()
-        rng = np.random.default_rng(8)
-        evaluated = iter(batches[2:])
-        for _ in range(9):
-            new_rows = new_coalition_rows(bg, instance, rng.permutation(10))
-            if not new_rows:
-                continue
-            batch = next(evaluated)
-            n = len(new_rows)
-            assert len(batch) == -(-n // 4) * 4
-            assert np.array_equal(batch[:n], np.array(new_rows))
-            assert all(any((row == new).all() for new in new_rows) for row in batch[n:])
-        assert next(evaluated, None) is None
+        # every permutation sends all 29 background rows, then its new rows
+        assert_batch_layout(batches, bg, instance, n_permutations=9, seed=8, m=29)
 
     def test_callable_of_the_wrong_length_is_an_error(self, toy_background, toy_instance):
-        # 30 background rows go to the model as 32
-        with pytest.raises(ValueError, match="gave 31 outputs for 32 rows"):
+        # the instance goes to the model first, as 4 rows
+        with pytest.raises(ValueError, match="gave 3 outputs for 4 rows"):
             shapley_sampled(
                 lambda X: toy_model(X[:-1]), toy_instance, toy_background, n_permutations=2
             )
@@ -513,25 +543,11 @@ class TestPerPermutationBackground:
             batches.append(X.copy())
             return toy_model(X)
 
-        m = 7
         shapley_sampled(
             counting_model, instance, BackgroundSet(pool), n_permutations=9, seed=8,
-            background_size=m,
+            background_size=7,
         )
-        # the instance once, then one batch per permutation: its drawn rows,
-        # then its coalition rows
-        assert len(batches) == 1 + 9
-        assert len(batches[0]) == 4 and (batches[0] == instance).all()
-        rng = np.random.default_rng(8)
-        for batch in batches[1:]:
-            order = rng.permutation(10)
-            bg = pool[rng.choice(len(pool), size=m, replace=False)]
-            new_rows = new_coalition_rows(bg, instance, order)
-            n = m + len(new_rows)
-            assert len(batch) == -(-n // 4) * 4
-            assert np.array_equal(batch[:m], bg)
-            assert np.array_equal(batch[m:n], np.array(new_rows).reshape(-1, 10))
-            assert all(any((row == kept).all() for kept in batch[:n]) for row in batch[n:])
+        assert_batch_layout(batches, pool, instance, n_permutations=9, seed=8, m=7)
 
     @pytest.mark.parametrize("extra", [0, 1, 50])
     def test_a_pool_no_larger_than_the_draw_gives_the_bytes_of_no_draw(
@@ -617,7 +633,8 @@ class TestPerPermutationBackground:
         assert 0.5 <= drawn <= 2
         # one fixed background per seed: its std_err leaves the background out
         fixed = z_variance(lambda seed: shapley_sampled(
-            tanh_model, instance, BackgroundSet.sample(pool, size=10, seed=seed),
+            tanh_model, instance,
+            BackgroundSet(pool[np.random.default_rng(seed).choice(len(pool), 10, replace=False)]),
             n_permutations=40, seed=seed,
         ))
         assert fixed > 2

@@ -169,9 +169,7 @@ def loop_train(model, X, labels, cfg):
     steps: its oracle."""
     tasks = [t for t in model.tasks if cfg.weight(t) > 0]
     y = {t: np.asarray(labels[t]) for t in tasks}
-    stratify = cfg.val_stratify_task
-    if stratify is None or stratify not in tasks:
-        stratify = Horizon.LONG if Horizon.LONG in tasks else tasks[-1]
+    stratify = Horizon.LONG if Horizon.LONG in tasks else tasks[-1]
     train_idx, val_idx = _stratified_split(
         y[stratify], cfg.validation_fraction, derive_seed(cfg.seed, "valsplit")
     )
@@ -719,7 +717,6 @@ class TestStlEquivalence:
             seed=22,
             max_epochs=6,
             task_loss_weights={Horizon.MID: 1.0, Horizon.SHORT: 0.0, Horizon.LONG: 0.0},
-            val_stratify_task=Horizon.MID,
         )
         mtl_model = init_network(network)
         train(mtl_model, X, y, mtl_cfg)
@@ -786,9 +783,7 @@ class TestFlatParameters:
         cfg = TrainConfig(seed=55, max_epochs=5, batch_size=16)
         got = train_stl(Horizon.SHORT, X, y[Horizon.SHORT], cfg, network=network)
         single = replace(network, task_head_widths={Horizon.SHORT: (5,)})
-        single_cfg = replace(
-            cfg, task_loss_weights={Horizon.SHORT: 1.0}, val_stratify_task=Horizon.SHORT
-        )
+        single_cfg = replace(cfg, task_loss_weights={Horizon.SHORT: 1.0})
         want = loop_train(init_network(single), X, {Horizon.SHORT: y[Horizon.SHORT]}, single_cfg)
         self.assert_same_training(got, want)
 
