@@ -30,9 +30,16 @@ class CorpusError(Exception):
 # dates
 # --------------------------------------------------------------------------
 
+# from Python 3.11 on, date.fromisoformat also reads the basic form
+# "20200101" and week dates such as "2020-W01-1", which 3.10 refuses
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def parse_date(s: str) -> dt.date:
-    """Parse an ISO-8601 ``YYYY-MM-DD`` string."""
+    """Parse a ``YYYY-MM-DD`` string; no other ISO-8601 form is a date."""
     try:
+        if isinstance(s, str) and not _ISO_DATE.fullmatch(s):
+            raise ValueError("expected YYYY-MM-DD")
         return dt.date.fromisoformat(s)
     except (ValueError, TypeError) as exc:
         raise CorpusError(f"invalid date {reprlib.repr(s)}: {exc}") from None
@@ -90,6 +97,10 @@ class ImpactClass(IntEnum):
             return cls[name.upper()]
         except KeyError:
             raise ValueError(f"unknown impact class {name!r}") from None
+
+
+#: The classes lowest first (MT, VT, BT): the order of every per-class table.
+CLASS_ORDER = tuple(ImpactClass)
 
 
 class TrajectoryPattern(Enum):

@@ -166,22 +166,11 @@ class HistoryIndex:
     assignee_domain_grants: dict[str, list[int]]
     assignee_other_grants: dict[str, list[int]]
 
-    @staticmethod
-    def _prior(count_index: dict[str, list[int]], name: str, before: int) -> int:
-        dates = count_index.get(name)
-        return bisect_left(dates, before) if dates else 0
 
-    def inventor_prior(self, name: str, before_ordinal: int) -> int:
-        return self._prior(self.inventor_grants, name, before_ordinal)
-
-    def assignee_prior(self, name: str, before_ordinal: int) -> int:
-        return self._prior(self.assignee_grants, name, before_ordinal)
-
-    def assignee_prior_domain(self, name: str, before_ordinal: int) -> int:
-        return self._prior(self.assignee_domain_grants, name, before_ordinal)
-
-    def assignee_prior_other(self, name: str, before_ordinal: int) -> int:
-        return self._prior(self.assignee_other_grants, name, before_ordinal)
+def _prior(grants: dict[str, list[int]], name: str, before: int) -> int:
+    """How many of ``name``'s grant ordinals in ``grants`` precede ``before``."""
+    dates = grants.get(name)
+    return bisect_left(dates, before) if dates else 0
 
 
 def build_history_index(corpus: Corpus) -> HistoryIndex:
@@ -255,11 +244,12 @@ def extract_features(
     # technology environment: per-subclass yearly statistics averaged from the
     # corpus start year through the grant year, then across subclasses
     subclasses = sorted({subclass_of(c) for c in rec.ipc_codes})
-    years = range(stats.start_year, min(rec.grant_date.year, stats.end_year) + 1)
+    last_year = min(rec.grant_date.year, stats.end_year)
+    years = range(stats.start_year, last_year + 1)
     n_years = max(1, len(years))
     if subclasses:
         v[15] = statistics.fmean(
-            sum(stats.yearly_count(s, y) for y in years) / n_years for s in subclasses
+            stats.cumulative_count(s, last_year) / n_years for s in subclasses
         )
         v[16] = statistics.fmean(
             sum(stats.cumulative_count(s, y) for y in years) / n_years for s in subclasses
@@ -295,19 +285,19 @@ def extract_features(
     before = rec.grant_date.toordinal()
     if rec.inventors:
         v[39] = statistics.fmean(
-            history.inventor_prior(p.name, before) if p.name else 0
+            _prior(history.inventor_grants, p.name, before) if p.name else 0
             for p in rec.inventors
         )
     if rec.assignees:
         v[40] = statistics.fmean(
-            history.assignee_prior(p.name, before) if p.name else 0
+            _prior(history.assignee_grants, p.name, before) if p.name else 0
             for p in rec.assignees
         )
         v[41] = sum(
-            history.assignee_prior_domain(p.name, before) for p in rec.assignees if p.name
+            _prior(history.assignee_domain_grants, p.name, before) for p in rec.assignees if p.name
         )
         v[42] = sum(
-            history.assignee_prior_other(p.name, before) for p in rec.assignees if p.name
+            _prior(history.assignee_other_grants, p.name, before) for p in rec.assignees if p.name
         )
     v[43] = len(refs)
 

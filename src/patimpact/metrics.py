@@ -1,8 +1,10 @@
 """Three-class evaluation: confusion matrices, one-vs-rest metrics, folds.
 
-Degenerate denominators never raise; they produce flagged conventional
-values: precision/recall 0, MCC 0, DOR +inf when only the numerator is
-positive and NaN when both products vanish.
+Degenerate denominators never raise; they give conventional values:
+precision, recall, F1 and MCC 0, DOR +inf when only the numerator is
+positive and NaN when both products vanish. The macro DOR is +inf if any
+class's is and skips the NaN ones; Gorodkin's multi-class MCC is 0 when
+degenerate.
 """
 
 from __future__ import annotations
@@ -10,16 +12,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import HORIZONS, Horizon, ImpactClass
+from .corpus import CLASS_ORDER, HORIZONS, Horizon, ImpactClass
 
 log = logging.getLogger(__name__)
-
-CLASS_ORDER = (ImpactClass.MT, ImpactClass.VT, ImpactClass.BT)
-METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "mcc", "dor")
 
 
 @dataclass(frozen=True)
@@ -48,30 +47,20 @@ class ConfusionMatrix3:
         return tp, fp, fn, tn
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     accuracy: float
     precision: float
     recall: float
     f1: float
     mcc: float
     dor: float  # may be +inf; NaN when undefined
-    flags: frozenset[str] = frozenset()
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "mcc": self.mcc,
-            "dor": self.dor,
-        }
 
 
-def _safe_div(num: float, den: float, flags: set[str], flag: str) -> float:
+METRIC_NAMES = ClassMetrics._fields
+
+
+def _safe_div(num: float, den: float) -> float:
     if den == 0:
-        flags.add(flag)
         return 0.0
     return num / den
 
@@ -81,15 +70,13 @@ def binary_metrics(tp: int, fp: int, fn: int, tn: int) -> ClassMetrics:
     n = tp + fp + fn + tn
     if n < 1:
         raise ValueError("metrics need at least one instance")
-    flags: set[str] = set()
     accuracy = (tp + tn) / n
-    precision = _safe_div(tp, tp + fp, flags, "precision_undefined")
-    recall = _safe_div(tp, tp + fn, flags, "recall_undefined")
-    f1 = _safe_div(2 * tp, 2 * tp + fp + fn, flags, "f1_undefined")
+    precision = _safe_div(tp, tp + fp)
+    recall = _safe_div(tp, tp + fn)
+    f1 = _safe_div(2 * tp, 2 * tp + fp + fn)
 
     mcc_den_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if mcc_den_sq == 0:
-        flags.add("mcc_undefined")
         mcc = 0.0
     else:
         mcc = (tp * tn - fp * fn) / math.sqrt(mcc_den_sq)
@@ -97,23 +84,13 @@ def binary_metrics(tp: int, fp: int, fn: int, tn: int) -> ClassMetrics:
     pos = tp * tn
     neg = fp * fn
     if neg == 0 and pos > 0:
-        flags.add("dor_infinite")
         dor = math.inf
     elif neg == 0 and pos == 0:
-        flags.add("dor_undefined")
         dor = math.nan
     else:
         dor = pos / neg
 
-    return ClassMetrics(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        mcc=mcc,
-        dor=dor,
-        flags=frozenset(flags),
-    )
+    return ClassMetrics(accuracy, precision, recall, f1, mcc, dor)
 
 
 def class_metrics(cm: ConfusionMatrix3, cls: ImpactClass) -> ClassMetrics:
@@ -121,28 +98,20 @@ def class_metrics(cm: ConfusionMatrix3, cls: ImpactClass) -> ClassMetrics:
     return binary_metrics(*cm.one_vs_rest(cls))
 
 
-def macro_dor(dors: Sequence[float]) -> tuple[float, frozenset[str]]:
+def macro_dor(dors: Sequence[float]) -> float:
     """Average diagnostic odds ratios: any infinite value makes the macro
-    infinite (flagged); undefined (NaN) values are skipped (flagged)."""
-    flags: set[str] = set()
-    finite = []
-    for d in dors:
-        if math.isnan(d):
-            flags.add("dor_undefined_skipped")
-        elif math.isinf(d):
-            flags.add("dor_infinite")
-        else:
-            finite.append(d)
-    if "dor_infinite" in flags:
-        return math.inf, frozenset(flags)
+    infinite; undefined (NaN) values are skipped, and NaN is left when all
+    of them are."""
+    if any(math.isinf(d) for d in dors):
+        return math.inf
+    finite = [d for d in dors if not math.isnan(d)]
     if not finite:
-        flags.add("dor_undefined")
-        return math.nan, frozenset(flags)
-    return sum(finite) / len(finite), frozenset(flags)
+        return math.nan
+    return sum(finite) / len(finite)
 
 
-def multiclass_mcc(cm: ConfusionMatrix3) -> tuple[float, frozenset[str]]:
-    """Gorodkin's multi-class correlation; 0 (flagged) when degenerate."""
+def multiclass_mcc(cm: ConfusionMatrix3) -> float:
+    """Gorodkin's multi-class correlation; 0 when degenerate."""
     c = cm.counts.astype(np.float64)
     n = c.sum()
     trace = np.trace(c)
@@ -151,38 +120,32 @@ def multiclass_mcc(cm: ConfusionMatrix3) -> tuple[float, frozenset[str]]:
     num = trace * n - float(row @ col)
     den_sq = (n * n - float(row @ row)) * (n * n - float(col @ col))
     if den_sq <= 0:
-        return 0.0, frozenset({"mcc_undefined"})
-    return float(num / math.sqrt(den_sq)), frozenset()
+        return 0.0
+    return float(num / math.sqrt(den_sq))
 
 
-@dataclass(frozen=True)
-class OverallMetrics:
+class OverallMetrics(NamedTuple):
     """Macro-averaged one-vs-rest metrics plus the two whole-matrix scores."""
 
     macro: ClassMetrics
     micro_accuracy: float
     multiclass_mcc: float
-    flags: frozenset[str] = frozenset()
 
 
 def overall_metrics(cm: ConfusionMatrix3) -> OverallMetrics:
     per_class = [class_metrics(cm, cls) for cls in CLASS_ORDER]
-    dor, dor_flags = macro_dor([m.dor for m in per_class])
     macro = ClassMetrics(
         accuracy=sum(m.accuracy for m in per_class) / 3,
         precision=sum(m.precision for m in per_class) / 3,
         recall=sum(m.recall for m in per_class) / 3,
         f1=sum(m.f1 for m in per_class) / 3,
         mcc=sum(m.mcc for m in per_class) / 3,
-        dor=dor,
-        flags=dor_flags,
+        dor=macro_dor([m.dor for m in per_class]),
     )
-    mmcc, mmcc_flags = multiclass_mcc(cm)
     return OverallMetrics(
         macro=macro,
         micro_accuracy=float(np.trace(cm.counts) / cm.n),
-        multiclass_mcc=mmcc,
-        flags=frozenset(mmcc_flags | dor_flags),
+        multiclass_mcc=multiclass_mcc(cm),
     )
 
 
@@ -192,10 +155,9 @@ def overall_metrics(cm: ConfusionMatrix3) -> OverallMetrics:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Fold index per instance (positional), plus the stratification labels."""
+    """Fold index per instance (positional) and the number of folds."""
 
     fold_of: np.ndarray
-    labels: tuple[ImpactClass, ...]
     k: int
 
     def fold_indices(self, fold: int) -> np.ndarray:
@@ -249,7 +211,7 @@ def stratified_kfold(
         for j, pos in enumerate(order):
             fold_of[members[pos]] = (offset + j) % k
         offset = (offset + len(members)) % k
-    return FoldAssignment(fold_of=fold_of, labels=labels, k=k)
+    return FoldAssignment(fold_of=fold_of, k=k)
 
 
 # --------------------------------------------------------------------------
@@ -266,10 +228,10 @@ def metrics_rows(
             continue
         cm = per_horizon[horizon]
         for cls in CLASS_ORDER:
-            for metric, value in class_metrics(cm, cls).as_dict().items():
+            for metric, value in class_metrics(cm, cls)._asdict().items():
                 rows.append((horizon.key, cls.name, metric, value))
         om = overall_metrics(cm)
-        for metric, value in om.macro.as_dict().items():
+        for metric, value in om.macro._asdict().items():
             rows.append((horizon.key, "overall_macro", metric, value))
         rows.append((horizon.key, "overall_micro", "accuracy", om.micro_accuracy))
         rows.append((horizon.key, "overall_multiclass", "mcc", om.multiclass_mcc))

@@ -15,9 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus import Corpus, ImpactClass, PostHoc
-
-CLASS_ORDERED = (ImpactClass.MT, ImpactClass.VT, ImpactClass.BT)
+from .corpus import CLASS_ORDER, Corpus, ImpactClass, PostHoc
 
 VALUE_INDICATORS = ("maintenance_years", "transfer_count", "family_size")
 
@@ -77,10 +75,14 @@ def _pair_count(lower: np.ndarray, upper: np.ndarray) -> float:
 
 
 def jt_statistic(groups: Sequence[np.ndarray]) -> float:
+    """The statistic of groups lowest first; they are checked as
+    `OrderedGroups` checks them, so NaN, an empty group or fewer than two
+    groups raise ValueError."""
+    groups = OrderedGroups(tuple(groups)).groups
     total = 0.0
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
-            total += _pair_count(np.asarray(groups[i]), np.asarray(groups[j]))
+            total += _pair_count(groups[i], groups[j])
     return total
 
 
@@ -268,7 +270,7 @@ def validate_value_indicators(
     """
     if not classes:
         raise ValueError("no classified patents to validate")
-    members: dict[ImpactClass, list[PostHoc]] = {c: [] for c in CLASS_ORDERED}
+    members: dict[ImpactClass, list[PostHoc]] = {c: [] for c in CLASS_ORDER}
     excluded = 0
     for pid, cls in classes.items():
         post_hoc = corpus.get(pid).post_hoc
@@ -276,14 +278,14 @@ def validate_value_indicators(
             excluded += 1
         else:
             members[cls].append(post_hoc)
-    empty = [c.name for c in CLASS_ORDERED if not members[c]]
+    empty = [c.name for c in CLASS_ORDER if not members[c]]
     if empty:
         raise ValueError(f"empty class group(s) {empty} after {excluded} exclusion(s)")
     batch = [
         OrderedGroups(
             tuple(
                 np.array([float(getattr(ph, indicator)) for ph in members[c]])
-                for c in CLASS_ORDERED
+                for c in CLASS_ORDER
             )
         )
         for indicator in VALUE_INDICATORS

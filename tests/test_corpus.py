@@ -125,6 +125,17 @@ class TestLoading:
         with pytest.raises(CorpusError):
             load_corpus(path, "H01M")
 
+    # Python 3.11's date.fromisoformat reads these, and 3.10's refuses them
+    @pytest.mark.parametrize(
+        "grant", ["20050101", "2005-W01-1", "2005W011"], ids=["basic", "week", "week-basic"]
+    )
+    def test_only_yyyy_mm_dd_is_a_date(self, tmp_path, grant):
+        path = tmp_path / "c.jsonl"
+        _write_jsonl(path, [_record_obj("A", "2005-01-01"), _record_obj("B", grant)])
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path, "H01M")
+        assert str(info.value) == f"{path}:2: invalid date '{grant}': expected YYYY-MM-DD"
+
     def test_non_object_line_names_its_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("[1, 2]\n" + json.dumps(_record_obj("B", "2006-01-01")) + "\n")

@@ -117,20 +117,23 @@ class TestClassMetrics:
         m = binary_metrics(tp=5, fp=0, fn=3, tn=10)
         assert m.precision == 1.0
         assert math.isinf(m.dor)
-        assert "dor_infinite" in m.flags
 
         m = binary_metrics(tp=0, fp=0, fn=0, tn=10)
-        assert m.precision == 0.0 and "precision_undefined" in m.flags
-        assert math.isnan(m.dor) and "dor_undefined" in m.flags
-        assert m.mcc == 0.0 and "mcc_undefined" in m.flags
+        assert m.precision == 0.0
+        assert math.isnan(m.dor)
+        assert m.mcc == 0.0
 
     def test_all_one_class_predictor_mcc_zero(self):
         cm = ConfusionMatrix3(np.array([[50, 0, 0], [30, 0, 0], [20, 0, 0]]))
         m = class_metrics(cm, ImpactClass.MT)
         assert m.mcc == 0.0
-        assert "mcc_undefined" in m.flags
-        gmcc, flags = multiclass_mcc(cm)
-        assert gmcc == 0.0 and "mcc_undefined" in flags
+        assert multiclass_mcc(cm) == 0.0
+
+    def test_record_is_the_metric_values_in_table_order(self):
+        m = binary_metrics(tp=5, fp=1, fn=3, tn=10)
+        assert ClassMetrics._fields == ("accuracy", "precision", "recall", "f1", "mcc", "dor")
+        mcc = 47 / math.sqrt(6 * 8 * 11 * 13)
+        assert tuple(m) == (15 / 19, 5 / 6, 5 / 8, 10 / 14, mcc, 50 / 3)
 
     def test_bookkeeping_sums_to_n(self):
         rng = np.random.default_rng(1)
@@ -166,14 +169,15 @@ class TestOverallMetrics:
         assert om.macro.precision == pytest.approx(0.5788, abs=5e-3)
 
     def test_macro_dor_from_published_per_class_values(self):
-        dor, flags = macro_dor([13.252, 7.2211, 32.9488])
-        assert dor == pytest.approx(17.8073, abs=5e-3)
-        assert not flags
+        assert macro_dor([13.252, 7.2211, 32.9488]) == pytest.approx(17.8073, abs=5e-3)
 
     def test_macro_dor_infinite_propagates(self):
-        dor, flags = macro_dor([10.0, math.inf, 20.0])
-        assert math.isinf(dor)
-        assert "dor_infinite" in flags
+        assert math.isinf(macro_dor([10.0, math.inf, 20.0]))
+        assert math.isinf(macro_dor([math.nan, math.inf, 20.0]))
+
+    def test_macro_dor_skips_undefined_values(self):
+        assert macro_dor([math.nan, 2.0, 4.0]) == 3.0
+        assert math.isnan(macro_dor([math.nan, math.nan, math.nan]))
 
     def test_micro_accuracy_is_trace_over_n(self):
         cm = ConfusionMatrix3(MTL_CM_SHORT)
@@ -194,7 +198,7 @@ class TestOverallMetrics:
         # with one class absent everywhere the 3-class coefficient reduces
         # to the familiar binary MCC
         cm3 = ConfusionMatrix3(np.array([[40, 10, 0], [5, 45, 0], [0, 0, 0]]))
-        g, _ = multiclass_mcc(cm3)
+        g = multiclass_mcc(cm3)
         b = binary_metrics(tp=40, fp=5, fn=10, tn=45).mcc
         assert g == pytest.approx(b, abs=1e-12)
 
@@ -226,15 +230,13 @@ class TestRelabellingProperty:
         for c in ImpactClass:
             want = class_metrics(cm, c)
             got = class_metrics(moved, ImpactClass(pi[c]))
-            assert got.flags == want.flags
-            for name, value in want.as_dict().items():
-                assert _same(got.as_dict()[name], value), (c, name)
+            for name, value in want._asdict().items():
+                assert _same(got._asdict()[name], value), (c, name)
         want, got = overall_metrics(cm), overall_metrics(moved)
-        assert got.flags == want.flags and got.macro.flags == want.macro.flags
         assert got.micro_accuracy == want.micro_accuracy
         assert _same(got.multiclass_mcc, want.multiclass_mcc, rel=1e-12)
-        for name, value in want.macro.as_dict().items():
-            assert _same(got.macro.as_dict()[name], value, rel=1e-12), name
+        for name, value in want.macro._asdict().items():
+            assert _same(got.macro._asdict()[name], value, rel=1e-12), name
 
 
 class TestStratifiedKfold:

@@ -30,6 +30,7 @@ from patimpact import cli, mtl, pipeline
 from patimpact import corpus as corpus_mod
 from patimpact import explain as explain_mod
 from patimpact.corpus import (
+    CLASS_ORDER,
     HORIZONS,
     Corpus,
     HistoryOverrides,
@@ -44,7 +45,6 @@ from patimpact.corpus import (
 )
 from patimpact.indicators import FEATURE_NAMES, N_FEATURES, fit_standardizer
 from patimpact.metrics import (
-    CLASS_ORDER,
     class_metrics,
     confusion_from_predictions,
     overall_metrics,
@@ -67,7 +67,7 @@ from patimpact.pipeline import (
 from patimpact.seeding import derive_seed
 from patimpact.synth import SynthParams
 from patimpact.tables import write_csv
-from patimpact.validate import CLASS_ORDERED, VALUE_INDICATORS, OrderedGroups
+from patimpact.validate import VALUE_INDICATORS, OrderedGroups
 
 from conftest import make_patent
 from test_corpus import _field_paths, _hand_built_corpora, _json_values, _synthetic_corpora
@@ -852,7 +852,7 @@ class TestValidateStage:
             written = {(r["horizon"], r["indicator"]): r for r in csv.DictReader(fh)}
         assert len(written) == len(HORIZONS) * len(VALUE_INDICATORS)
         for h in HORIZONS:
-            members = {c: [] for c in CLASS_ORDERED}
+            members = {c: [] for c in CLASS_ORDER}
             for row in predictions:
                 post_hoc = corpus.get(row["patent_id"]).post_hoc
                 if post_hoc is not None:
@@ -861,7 +861,7 @@ class TestValidateStage:
             for indicator in VALUE_INDICATORS:
                 groups = OrderedGroups(tuple(
                     np.array([float(getattr(ph, indicator)) for ph in members[c]])
-                    for c in CLASS_ORDERED
+                    for c in CLASS_ORDER
                 ))
                 row = written[(h.key, indicator)]
                 assert row["method"] == "permutation"
@@ -926,7 +926,7 @@ class TestStageWiring:
             scores = {c.name: (c.name, class_metrics(cm, c)) for c in CLASS_ORDER}
             scores["overall"] = ("overall_macro", overall_metrics(cm).macro)
             for cls, (reference_cls, scored) in scores.items():
-                for metric, value in scored.as_dict().items():
+                for metric, value in scored._asdict().items():
                     delta = value - reference[(h.key, reference_cls, metric)]
                     expected.append([h.key, cls, metric, repr(value), repr(delta)])
         with open(cfg.path("comparison.csv"), newline="") as fh:
@@ -1869,9 +1869,10 @@ class TestCli:
             json.dumps({"id": "A", "filing_date": "2004-01-01", "grant_date": "2005-01-01",
                         "independent_claim_word_counts": [9],
                         "backward_citations": [{"country": "US", "filing_date": "2009-01-01"}]}),
+            json.dumps({"id": "A", "filing_date": "2004-W01-1", "grant_date": "2005-01-01"}),
         ],
         ids=["not-an-object", "non-numeric-count", "cited-id-list", "deep-nesting",
-             "citation-after-filing"],
+             "citation-after-filing", "week-date"],
     )
     def test_malformed_record_exits_2(self, tmp_path, bad_line):
         bad = tmp_path / "bad.jsonl"

@@ -120,6 +120,17 @@ class TestStatistic:
         arrays = [np.array(g, dtype=float) for g in groups]
         assert jt_statistic(arrays) == brute_force_jt(arrays)
 
+    # it once scored a NaN above every number, and a lone or empty group as 0
+    @pytest.mark.parametrize(
+        "groups",
+        [[np.array([1.0, np.nan]), np.array([2.0])], [np.array([1.0, 2.0])],
+         [np.array([1.0]), np.array([])]],
+        ids=["nan", "one-group", "empty-group"],
+    )
+    def test_groups_checked_as_ordered_groups(self, groups):
+        with pytest.raises(ValueError):
+            jt_statistic(groups)
+
 
 class TestPermutationCounts:
     @PROPERTY_SETTINGS
