@@ -3,9 +3,11 @@
 Plain numpy implementation: ReLU hidden layers, inverted dropout on the
 shared trunk, softmax heads trained with weighted cross-entropy (adaptive
 moment estimation by default), early stopping on the aggregate validation
-loss with best-epoch restore. Single-task ablations reuse the same machinery
-with exactly one head, and share the trunk/head init streams so a multi-task
-run with one nonzero task weight is bit-for-bit equivalent.
+loss with best-epoch restore. Models hold float64 parameters, which predict
+and are gradient-checked in float64; training steps on a float32 copy.
+Single-task ablations reuse the same machinery with exactly one head, and
+share the trunk/head init streams so a multi-task run with one nonzero task
+weight is bit-for-bit equivalent.
 """
 
 from __future__ import annotations
@@ -187,8 +189,10 @@ class MtlModel:
 
 
 def _he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """He-uniform draws rounded to float32, so that `train`'s float32 copy of
+    the parameters, and the copy written back, are exact."""
     limit = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
 
 def _layer_dims(config: NetworkConfig) -> list[list[tuple[int, int]]]:
@@ -206,10 +210,12 @@ def _n_values(config: NetworkConfig) -> int:
     return sum(fan_in * fan_out + fan_out for d in _layer_dims(config) for fan_in, fan_out in d)
 
 
-def _zero_model(config: NetworkConfig) -> MtlModel:
+def _zero_model(config: NetworkConfig, dtype=np.float64) -> MtlModel:
     """An all-zero model whose every W and b is a reshaped view into one new
-    float64 vector, laid out back to back in `parameters()` order."""
-    flat = np.zeros(_n_values(config))
+    vector of ``dtype``, laid out back to back in `parameters()` order. A
+    model is stored and inferred in float64; `train` steps on a float32 one,
+    and the forward, backward and optimizer follow the dtype they are given."""
+    flat = np.zeros(_n_values(config), dtype=dtype)
     offset = 0
 
     def layer(fan_in: int, fan_out: int) -> DenseLayer:
@@ -275,11 +281,11 @@ INFERENCE_BLOCK_ROWS = 256
 class InferenceWorkspace:
     """Activation buffers that `infer_logits` reuses from call to call.
 
-    Each layer writes into its own buffer, which grows when a batch is larger
-    than any before and is otherwise sliced to the batch's rows, so a stream
-    of batches no larger than the first allocates nothing after it. Results
-    alias the buffers and are overwritten by the next call that shares the
-    workspace.
+    Each layer writes into its own buffer, in the parameters' dtype, which
+    grows when a batch is larger than any before and is otherwise sliced to
+    the batch's rows, so a stream of batches of one dtype no larger than the
+    first allocates nothing after it. Results alias the buffers and are
+    overwritten by the next call that shares the workspace.
 
     After a call, ``trunk`` holds the input and each trunk layer's output,
     ``heads`` each requested head's layer outputs (the logits last), in the
@@ -293,10 +299,10 @@ class InferenceWorkspace:
         self.heads: list[list[np.ndarray]] = []
         self.masks: list[np.ndarray] = []
 
-    def take(self, key: tuple, rows: int, width: int) -> np.ndarray:
+    def take(self, key: tuple, rows: int, width: int, dtype) -> np.ndarray:
         buf = self._buffers.get(key)
-        if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
-            buf = np.empty((rows, width))
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != width or buf.dtype != dtype:
+            buf = np.empty((rows, width), dtype)
             self._buffers[key] = buf
         return buf[:rows]
 
@@ -317,17 +323,21 @@ def _forward(
     dropout_rng: Optional[np.random.Generator] = None,
 ) -> None:
     """`infer_logits` for heads given by their layers: it leaves everything
-    in ``ws``, and the logits of head ``k`` are ``ws.heads[k][-1]``."""
+    in ``ws``, and the logits of head ``k`` are ``ws.heads[k][-1]``. It runs
+    in the dtype of the parameters, except that dropout's uniforms are drawn
+    and compared with the rate in float64, so a mask does not depend on it."""
     rate = model.config.shared_dropout_rate
-    a = np.asarray(X, dtype=np.float64)
+    dtype = model.flat.dtype
+    a = np.asarray(X, dtype=dtype)
     n = a.shape[0]
     ws.trunk, ws.masks = [a], []
     for i, layer in enumerate(model.shared):
         width = layer.W.shape[1]
-        a = _dense_into(a, layer, ws.take(("shared", i), n, width), True)
+        a = _dense_into(a, layer, ws.take(("shared", i), n, width, dtype), True)
         if dropout_rng is not None and rate > 0.0:
-            mask = dropout_rng.random(out=ws.take(("mask", i), n, width))
-            np.greater_equal(mask, rate, out=mask)
+            uniform = dropout_rng.random(out=ws.take(("uniform", i), n, width, np.float64))
+            mask = ws.take(("mask", i), n, width, dtype)
+            np.greater_equal(uniform, rate, out=mask)
             mask /= 1.0 - rate
             a *= mask
             ws.masks.append(mask)
@@ -337,7 +347,7 @@ def _forward(
         outs = []
         a = ws.trunk[-1]
         for i, layer in enumerate(layers):
-            out = ws.take(("head", k, i), n, layer.W.shape[1])
+            out = ws.take(("head", k, i), n, layer.W.shape[1], dtype)
             a = _dense_into(a, layer, out, i < len(layers) - 1)
             outs.append(a)
         ws.heads.append(outs)
@@ -551,6 +561,8 @@ class _Adam:
 
     A step is a fixed sequence of in-place ufunc calls on whole vectors, with
     preallocated scratch, in the per-element order of the textbook update.
+    The moments and scratch take the parameters' dtype, and so does each
+    step, whose scalars are Python floats that numpy casts to that dtype.
     """
 
     BETA1 = 0.9
@@ -644,8 +656,15 @@ def train(
     ``labels`` maps each task to per-instance class indices; -1 excludes an
     instance from that task. Returns the same model object with the best
     validation epoch's parameters restored and the epoch history attached.
+
+    Every step, and each epoch's validation forward, runs in float32: on a
+    float32 copy of the parameters, with a float32 gradient, Adam moments,
+    activations and rows. The best epoch's copy is written back into the
+    model's float64 vector. That is exact, and a head outside the trained
+    tasks keeps its values bit for bit, when the model holds float32 numbers,
+    as `init_network`'s models do.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float32)
     n = X.shape[0]
     if n < 2 * cfg.batch_size:
         raise ValueError(
@@ -676,13 +695,15 @@ def train(
 
     shuffle_rng = derived_rng(cfg.seed, "shuffle")
     dropout_rng = derived_rng(cfg.seed, "dropout")
-    optimizer = _Adam(model.flat, cfg)
-    grad = _zero_model(model.config)
+    work = _zero_model(model.config, np.float32)
+    work.flat[...] = model.flat
+    optimizer = _Adam(work.flat, cfg)
+    grad = _zero_model(model.config, np.float32)
     workspace = InferenceWorkspace()
     X_epoch = np.empty_like(X_tr)
 
     best_val = math.inf
-    best_params = model.flat.copy()
+    best_params = work.flat.copy()
     epochs_since_improve = 0
     model.history = []
 
@@ -699,15 +720,15 @@ def train(
         for start, labels_b in zip(range(0, len(order), cfg.batch_size), batches):
             X_b = X_epoch[start:start + cfg.batch_size]
             per_task = _batch_step(
-                model, X_b, tasks, labels_b, weights, grad, workspace, dropout_rng
+                work, X_b, tasks, labels_b, weights, grad, workspace, dropout_rng
             )
-            optimizer.step(model.flat, grad.flat)
+            optimizer.step(work.flat, grad.flat)
             for k, loss in enumerate(per_task):
                 epoch_losses[k] += loss
             n_batches += 1
 
         train_per_task = {t: loss / n_batches for t, loss in zip(tasks, epoch_losses)}
-        val_logits = infer_logits(model, X_val, tasks, workspace)
+        val_logits = infer_logits(work, X_val, tasks, workspace)
         val_per_task = {
             t: _task_loss(_softmax_parts(val_logits[t]), lab) for t, lab in zip(tasks, val_labels)
         }
@@ -724,7 +745,7 @@ def train(
 
         if val_total < best_val:
             best_val = val_total
-            best_params = model.flat.copy()
+            best_params = work.flat.copy()
             epochs_since_improve = 0
         else:
             epochs_since_improve += 1
@@ -919,6 +940,19 @@ def load_checkpoint(path) -> MtlModel:
         for i, e in enumerate(tables.json_list(obj.get("history", []), "$.history"))
     ]
     return model
+
+
+def training_summary(model: MtlModel, max_epochs: int) -> dict:
+    """From a trained model's history: the epochs run, the best epoch (the
+    first with the lowest validation loss, whose parameters `train` restored;
+    None if every validation loss was NaN or infinite) and whether training
+    stopped before ``max_epochs``."""
+    best_epoch, best_val = None, math.inf
+    for e in model.history:
+        if e.val_loss_total < best_val:
+            best_epoch, best_val = e.epoch, e.val_loss_total
+    epochs = len(model.history)
+    return {"epochs_run": epochs, "best_epoch": best_epoch, "stopped_early": epochs < max_epochs}
 
 
 def training_log_rows(model: MtlModel) -> tuple[list[str], list[list]]:

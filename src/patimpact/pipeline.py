@@ -519,13 +519,15 @@ class RunContext:
     or malformed artifact is a StageError of the running stage that names it.
     A context serves one run, in which every artifact is written before it is
     read. Whoever creates a context closes it, which stops the pool that `map`
-    may have started.
+    may have started. A stage puts what its manifest record reports beside
+    its outputs, such as the training summary, in ``diagnostics``.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.stage = ""
         self.outputs: list[str] = []
+        self.diagnostics: dict = {}
         self._kept: dict[str, object] = {}
         self._pool = None
 
@@ -674,7 +676,7 @@ def _stage(name: str, help_text: str = "", *, commands=(), flags=(), in_run=lamb
                     return stage(cfg, own, **kwargs)
                 finally:
                     own.close()
-            ctx.stage, ctx.outputs = name, []
+            ctx.stage, ctx.outputs, ctx.diagnostics = name, [], {}
             try:
                 body(ctx, **kwargs)
             except (ValueError, OSError) as exc:
@@ -958,9 +960,14 @@ def stage_train(ctx: RunContext) -> None:
     ctx.write("model.ckpt.json", model)
     # training_log.csv ends lines with LF, not CRLF; existing logs and checksums pin that
     ctx.write("training_log.csv", *mtl_mod.training_log_rows(model), lineterminator="\n")
-    for h, stl in zip(stl_tasks, stls):
+    stl_names = [f"stl_{h.key}.ckpt.json" for h in stl_tasks]
+    for name, stl in zip(stl_names, stls):
         stl.standardizer = std
-        ctx.write(f"stl_{h.key}.ckpt.json", stl)
+        ctx.write(name, stl)
+    ctx.diagnostics["training"] = {
+        name: mtl_mod.training_summary(m, train_cfg.max_epochs)
+        for name, m in zip(["model.ckpt.json", *stl_names], [model, *stls])
+    }
 
 
 @_stage("evaluate", "predict on the test split and export metric tables")
@@ -1283,6 +1290,7 @@ class StageRecord:
     name: str
     seconds: float
     outputs: list[dict]
+    diagnostics: dict
 
 
 @dataclass
@@ -1332,7 +1340,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
                 tables.write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())
                 raise
             seconds = round(time.perf_counter() - t0, 3)
-            manifest.stages.append(StageRecord(name, seconds, _inventory(cfg, outputs)))
+            manifest.stages.append(
+                StageRecord(name, seconds, _inventory(cfg, outputs), ctx.diagnostics)
+            )
     finally:
         ctx.close()
     tables.write_json(cfg.path(F_MANIFEST), manifest.to_json_obj())

@@ -10,9 +10,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patimpact.corpus import Corpus, ImpactClass
 from patimpact.indicators import (
+    FEATURE_INDEX,
     FEATURE_NAMES,
     FeatureVector,
     Standardizer,
@@ -23,6 +26,7 @@ from patimpact.indicators import (
     fit_standardizer,
 )
 from patimpact.pipeline import STAGES, RunContext
+from patimpact.synth import SynthParams, generate_synthetic
 
 from conftest import d, labeled_run_dir, make_patent
 
@@ -256,6 +260,43 @@ class TestInvariants:
         assert fv["PK_8"] == 7.0
         # non-overridden dims still corpus-derived (ACME granted Y in 2007)
         assert fv["PK_7"] == 1.0
+
+
+TE_SIZE = [FEATURE_INDEX[name] for name in ("TE_1", "TE_2", "TE_3")]
+NOT_TE_SIZE = [i for i in range(len(FEATURE_NAMES)) if i not in TE_SIZE]
+
+
+class TestNoLookAhead:
+    """What of the corpus a patent's features see. TE_1-TE_3 count the whole
+    of its grant year; every other feature sees no patent granted after it,
+    nor another one granted the same day."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_patents=st.integers(10, 80),
+        # few grant years, so that grant days and parties repeat
+        n_years=st.integers(1, 3),
+    )
+    def test_features_equal_those_of_the_corpus_cut_at_the_grant(self, seed, n_patents, n_years):
+        corpus = generate_synthetic(
+            SynthParams(n_patents=n_patents, year_range=(2001, 2000 + n_years), seed=seed)
+        )
+        full = extract_feature_matrix(corpus, corpus.ids())
+
+        def features_on(pid, keep) -> np.ndarray:
+            records = {i: r for i, r in corpus.records.items() if keep(r)}
+            cut = Corpus(records=records, domain_ipc_prefix=corpus.domain_ipc_prefix)
+            return extract_feature_matrix(cut, [pid])[0]
+
+        for row, (pid, rec) in zip(full, corpus.records.items()):
+            grant = rec.grant_date
+            on_or_before = features_on(pid, lambda r: r.grant_date <= grant)
+            before = features_on(pid, lambda r: r.grant_date < grant or r is rec)
+            grant_year = features_on(pid, lambda r: r.grant_date.year <= grant.year)
+            assert np.array_equal(on_or_before[NOT_TE_SIZE], row[NOT_TE_SIZE]), pid
+            assert np.array_equal(before[NOT_TE_SIZE], row[NOT_TE_SIZE]), pid
+            assert np.array_equal(grant_year[TE_SIZE], row[TE_SIZE]), pid
 
 
 class TestStandardizer:

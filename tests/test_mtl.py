@@ -16,9 +16,11 @@ from patimpact.mtl import (
     CHECKPOINT_SCHEMA,
     INFERENCE_BLOCK_ROWS,
     MISSING_LABEL,
+    DenseLayer,
     EpochStats,
     InferenceWorkspace,
     JSON_FIELDS,
+    MtlModel,
     NetworkConfig,
     TrainConfig,
     _Adam,
@@ -60,11 +62,13 @@ def small_config(seed=0, dropout=0.0, input_dim=10):
 def loop_forward(model, X, dropout_rng=None, tasks=None):
     """An allocating forward that keeps every layer's input and pre-activation
     and draws a new dropout mask array per layer: the oracle for
-    `infer_logits` and for the activations it leaves in its workspace."""
+    `infer_logits` and for the activations it leaves in its workspace. It
+    runs in the dtype of the model's weights; dropout's uniforms are float64
+    draws compared with the rate in float64."""
     rate = model.config.shared_dropout_rate
     cache = SimpleNamespace(shared_inputs=[], shared_pre=[], dropout_masks=[],
                             head_inputs={}, head_pre={}, logits={})
-    a = np.asarray(X, dtype=np.float64)
+    a = np.asarray(X, dtype=model.shared[0].W.dtype)
     for layer in model.shared:
         cache.shared_inputs.append(a)
         z = a @ layer.W + layer.b
@@ -72,7 +76,7 @@ def loop_forward(model, X, dropout_rng=None, tasks=None):
         a = np.maximum(z, 0.0)
         mask = None
         if dropout_rng is not None and rate > 0.0:
-            mask = (dropout_rng.random(a.shape) >= rate) / (1.0 - rate)
+            mask = (dropout_rng.random(a.shape) >= rate).astype(a.dtype) / (1.0 - rate)
             a = a * mask
         cache.dropout_masks.append(mask)
     cache.trunk_out = a
@@ -109,7 +113,8 @@ def loop_backward(model, cache, labels, weights, tasks, class_weights=None):
             dlogits *= (w_task / w_inst.sum()) * w_inst[:, None]
         else:
             dlogits[~valid] = 0.0
-            dlogits *= w_task / int(valid.sum())
+            # the scale is a float64 column, as `train`'s per-row loss weights are
+            dlogits *= np.full((len(y), 1), w_task / int(valid.sum()))
         layers = model.heads[task]
         delta = dlogits
         for i in range(len(layers) - 1, -1, -1):
@@ -164,9 +169,20 @@ def loop_optimizer_step(state, model, grads, cfg):
         arr -= cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + epsilon)
 
 
+def float32_copy(model):
+    """A model of float32 copies of ``model``'s weights, each its own array."""
+    def copies(layers):
+        return [DenseLayer(W=layer.W.astype(np.float32), b=layer.b.astype(np.float32))
+                for layer in layers]
+
+    return MtlModel(config=model.config, shared=copies(model.shared),
+                    heads={t: copies(model.heads[t]) for t in model.tasks}, flat=None)
+
+
 def loop_train(model, X, labels, cfg):
     """`train` with the allocating forward, per-array gradients and optimizer
-    steps: its oracle."""
+    steps: its oracle. It steps on a float32 copy of the model's weights and
+    writes the best epoch's copy back."""
     tasks = [t for t in model.tasks if cfg.weight(t) > 0]
     y = {t: np.asarray(labels[t]) for t in tasks}
     stratify = Horizon.LONG if Horizon.LONG in tasks else tasks[-1]
@@ -183,7 +199,8 @@ def loop_train(model, X, labels, cfg):
     dropout_rng = derived_rng(cfg.seed, "dropout")
     state = {"t": 0, "m": {}, "v": {}}
     best_val, since = math.inf, 0
-    best = [arr.copy() for _, arr in model.parameters()]
+    work = float32_copy(model)
+    best = [arr.copy() for _, arr in work.parameters()]
     model.history = []
     for epoch in range(cfg.max_epochs):
         order = shuffle_rng.permutation(len(X_tr))
@@ -192,17 +209,17 @@ def loop_train(model, X, labels, cfg):
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             yb = {t: y_tr[t][batch] for t in tasks}
-            cache = loop_forward(model, X_tr[batch], dropout_rng, tasks=tasks)
+            cache = loop_forward(work, X_tr[batch], dropout_rng, tasks=tasks)
             per_task = {
                 t: loop_loss(cache.logits[t], yb[t], (class_weights or {}).get(t)) for t in tasks
             }
-            grads = loop_backward(model, cache, yb, cfg.task_loss_weights, tasks, class_weights)
-            loop_optimizer_step(state, model, grads, cfg)
+            grads = loop_backward(work, cache, yb, cfg.task_loss_weights, tasks, class_weights)
+            loop_optimizer_step(state, work, grads, cfg)
             for t in tasks:
                 sums[t] += per_task[t]
             n_batches += 1
         train_per_task = {t: sums[t] / n_batches for t in tasks}
-        val_cache = loop_forward(model, X_val, tasks=tasks)
+        val_cache = loop_forward(work, X_val, tasks=tasks)
         val_per_task = {
             t: loop_loss(val_cache.logits[t], y_val[t], (class_weights or {}).get(t))
             for t in tasks
@@ -217,7 +234,7 @@ def loop_train(model, X, labels, cfg):
         ))
         if val_total < best_val:
             best_val, since = val_total, 0
-            best = [arr.copy() for _, arr in model.parameters()]
+            best = [arr.copy() for _, arr in work.parameters()]
         else:
             since += 1
             if since > cfg.early_stop_patience:
@@ -231,12 +248,12 @@ def batch_step(model, X, y, weights, class_weights=None, grad=None, dropout_rng=
     """`_batch_step` on one batch of every row of ``X``, for the tasks of
     ``weights`` in model order, with labels built as `train` builds them.
     Returns the weighted loss, the per-task losses and ``grad`` (by default a
-    new model) holding the gradient."""
+    new model of ``model``'s dtype) holding the gradient."""
     tasks = [t for t in model.tasks if t in weights]
     n_classes = model.config.classes_per_task
     labels = [_labels(np.asarray(y[t]), (class_weights or {}).get(t), n_classes) for t in tasks]
     w = [float(weights[t]) for t in tasks]
-    grad = grad if grad is not None else _zero_model(model.config)
+    grad = grad if grad is not None else _zero_model(model.config, model.flat.dtype)
     losses = _batch_step(model, X, tasks, labels, w, grad, InferenceWorkspace(), dropout_rng)
     return sum(wk * loss for wk, loss in zip(w, losses)), dict(zip(tasks, losses)), grad
 
@@ -898,6 +915,42 @@ class TestFlatParameters:
         for name, arr in model.parameters():
             unchanged = np.array_equal(arr, before[name])
             assert unchanged == name.startswith(("head.short", "head.long"))
+
+
+def float32_numbers(values) -> bool:
+    return np.array_equal(values.astype(np.float32).astype(values.dtype), values)
+
+
+class TestFloat32Training:
+    """`train` steps in float32 on a copy of the float64 parameters."""
+
+    def test_float32_step_gradient_is_the_checked_float64_gradient(self):
+        network = NetworkConfig(seed=80, shared_dropout_rate=0.0)
+        model = init_network(network)
+        rng = np.random.default_rng(81)
+        # a point away from the rectifiers' kinks, still of float32 numbers
+        model.flat[...] = (model.flat + rng.normal(0.0, 0.05, model.flat.size)).astype(np.float32)
+        X = rng.normal(size=(64, 44))
+        y = {h: rng.integers(0, 3, size=64) for h in HORIZONS}
+        cfg = TrainConfig(class_weighting=True)
+        assert gradient_check(model, X, y, cfg, jitter=0.0, seed=82) < 1e-4
+        # the class weights gradient_check builds, so the float64 gradient is the one it checked
+        class_weights = {h: _inverse_frequency_weights(y[h]) for h in HORIZONS}
+        _, _, want = batch_step(model, X, y, cfg.task_loss_weights, class_weights)
+        copy32 = _zero_model(network, np.float32)
+        copy32.flat[...] = model.flat
+        _, _, got = batch_step(copy32, X, y, cfg.task_loss_weights, class_weights)
+        assert got.flat.dtype == np.float32
+        relative = np.linalg.norm(got.flat - want.flat) / np.linalg.norm(want.flat)
+        assert relative < 1e-5
+
+    def test_init_and_trained_parameters_are_float32_numbers(self):
+        model = init_network(NetworkConfig(seed=83))
+        assert model.flat.dtype == np.float64 and float32_numbers(model.flat)
+        X, y = noisy_labels(150, seed=84)
+        cfg = TrainConfig(seed=85, max_epochs=3, batch_size=16, class_weighting=True)
+        trained = train(init_network(small_config(seed=86, dropout=0.5)), X, y, cfg)
+        assert trained.flat.dtype == np.float64 and float32_numbers(trained.flat)
 
 
 class TestPersistence:

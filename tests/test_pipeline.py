@@ -1362,6 +1362,32 @@ class TestWorkerPool:
         # one process trains 4 models and explains 3 instances; a pool leaves none to it
         assert calls == {1: ["shapley_sampled"] * 3 + ["train"] * 4, 2: []}
 
+    def test_training_summary_does_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        diagnostics = {}
+        for workers in (1, 2):
+            _cpus(monkeypatch, workers)
+            out = tmp_path / f"workers-{workers}"
+            out.mkdir()
+            run_pipeline(config_from_obj(base_config_obj(out)))
+            stages = json.loads((out / F_MANIFEST).read_text())["stages"]
+            diagnostics[workers] = {stage["name"]: stage["diagnostics"] for stage in stages}
+        assert diagnostics[2] == diagnostics[1]
+        training = diagnostics[1].pop("train")["training"]
+        assert all(d == {} for d in diagnostics[1].values())
+        checkpoints = ["model.ckpt.json", *(f"stl_{h.key}.ckpt.json" for h in HORIZONS)]
+        assert sorted(training) == sorted(checkpoints)
+        # the multi-task model's summary from the log; every model's from its checkpoint
+        val = [float(r["val_loss_total"]) for r in _records(out / "training_log.csv")]
+        assert training["model.ckpt.json"]["best_epoch"] == int(np.argmin(val))
+        assert training["model.ckpt.json"]["epochs_run"] == len(val)
+        for name in checkpoints:
+            val = [e.val_loss_total for e in mtl.load_checkpoint(out / name).history]
+            # base_config_obj trains at most 20 epochs
+            assert training[name] == {
+                "epochs_run": len(val), "best_epoch": int(np.argmin(val)),
+                "stopped_early": len(val) < 20,
+            }
+
     def test_kfold_bytes_do_not_depend_on_the_worker_count(
         self, completed_run, tmp_path, monkeypatch
     ):
