@@ -19,7 +19,7 @@ import numpy as np
 from . import mtl
 from .corpus import Horizon, ImpactClass
 from .indicators import FEATURE_NAMES, N_FEATURES
-from .mtl import INFERENCE_BLOCK_ROWS, InferenceWorkspace, MtlModel
+from .mtl import INFERENCE_BLOCK_ROWS, MtlModel
 from .seeding import derive_seed
 
 MAX_EXACT_GROUPS = 20
@@ -125,8 +125,8 @@ def _evaluator(
     """A function ``evaluate(X, out)`` that writes the outputs of (rows, dims)
     inputs into the (n_outputs, rows) array ``out``: for a trained model one
     output per target, all read from one trunk pass per block of
-    `INFERENCE_BLOCK_ROWS` rows through a reused workspace; for a callable its
-    one output, which must hold one value per row.
+    `INFERENCE_BLOCK_ROWS` rows; for a callable its one output, which must
+    hold one value per row.
 
     A trained model's probabilities are `infer_proba`'s, looked up on `mtl`
     at each call so that a wrapper of it sees this inference too.
@@ -135,12 +135,11 @@ def _evaluator(
         if not targets:
             raise ValueError("an attribution target is required for trained models")
         tasks = tuple(dict.fromkeys(t.horizon for t in targets))
-        workspace = InferenceWorkspace()
 
         def evaluate(X: np.ndarray, out: np.ndarray) -> None:
             for start in range(0, X.shape[0], INFERENCE_BLOCK_ROWS):
                 rows = slice(start, start + INFERENCE_BLOCK_ROWS)
-                probs = mtl.infer_proba(model, X[rows], tasks, workspace)
+                probs = mtl.infer_proba(model, X[rows], tasks)
                 for k, t in enumerate(targets):
                     out[k, rows] = probs[t.horizon][:, t.impact_class]
 

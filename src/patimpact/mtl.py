@@ -278,37 +278,19 @@ def init_network(config: NetworkConfig) -> MtlModel:
 INFERENCE_BLOCK_ROWS = 256
 
 
-class InferenceWorkspace:
-    """Activation buffers that `infer_logits` reuses from call to call.
+class Activations(NamedTuple):
+    """What `_forward` computes and `_backward` reads. ``trunk`` holds the
+    input and each trunk layer's output, ``heads`` each head's layer outputs
+    (the logits last) in the order the heads were given, and ``masks`` the
+    trunk's dropout masks (none without dropout)."""
 
-    Each layer writes into its own buffer, in the parameters' dtype, which
-    grows when a batch is larger than any before and is otherwise sliced to
-    the batch's rows, so a stream of batches of one dtype no larger than the
-    first allocates nothing after it. Results alias the buffers and are
-    overwritten by the next call that shares the workspace.
-
-    After a call, ``trunk`` holds the input and each trunk layer's output,
-    ``heads`` each requested head's layer outputs (the logits last), in the
-    order the heads were requested, and ``masks`` the trunk's dropout masks
-    (none without dropout): what `_backward` reads.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[tuple, np.ndarray] = {}
-        self.trunk: list[np.ndarray] = []
-        self.heads: list[list[np.ndarray]] = []
-        self.masks: list[np.ndarray] = []
-
-    def take(self, key: tuple, rows: int, width: int, dtype) -> np.ndarray:
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape[0] < rows or buf.shape[1] != width or buf.dtype != dtype:
-            buf = np.empty((rows, width), dtype)
-            self._buffers[key] = buf
-        return buf[:rows]
+    trunk: list[np.ndarray]
+    heads: list[list[np.ndarray]]
+    masks: list[np.ndarray]
 
 
-def _dense_into(a: np.ndarray, layer: DenseLayer, out: np.ndarray, rectify: bool) -> np.ndarray:
-    np.matmul(a, layer.W, out=out)
+def _dense(a: np.ndarray, layer: DenseLayer, rectify: bool) -> np.ndarray:
+    out = a @ layer.W
     out += layer.b
     if rectify:
         np.maximum(out, 0.0, out=out)
@@ -319,69 +301,50 @@ def _forward(
     model: MtlModel,
     X: np.ndarray,
     heads: Sequence[list[DenseLayer]],
-    ws: InferenceWorkspace,
     dropout_rng: Optional[np.random.Generator] = None,
-) -> None:
-    """`infer_logits` for heads given by their layers: it leaves everything
-    in ``ws``, and the logits of head ``k`` are ``ws.heads[k][-1]``. It runs
-    in the dtype of the parameters, except that dropout's uniforms are drawn
-    and compared with the rate in float64, so a mask does not depend on it."""
+) -> Activations:
+    """The forward of the heads given by their layers, from one trunk pass.
+    It runs in the dtype of the parameters, except that dropout's uniforms
+    are drawn and compared with the rate in float64, so a mask does not
+    depend on it. Trunk dropout is drawn only when given a ``dropout_rng``,
+    as in training."""
     rate = model.config.shared_dropout_rate
     dtype = model.flat.dtype
     a = np.asarray(X, dtype=dtype)
-    n = a.shape[0]
-    ws.trunk, ws.masks = [a], []
-    for i, layer in enumerate(model.shared):
-        width = layer.W.shape[1]
-        a = _dense_into(a, layer, ws.take(("shared", i), n, width, dtype), True)
+    trunk, masks = [a], []
+    for layer in model.shared:
+        a = _dense(a, layer, True)
         if dropout_rng is not None and rate > 0.0:
-            uniform = dropout_rng.random(out=ws.take(("uniform", i), n, width, np.float64))
-            mask = ws.take(("mask", i), n, width, dtype)
-            np.greater_equal(uniform, rate, out=mask)
+            mask = (dropout_rng.random(a.shape) >= rate).astype(dtype)
             mask /= 1.0 - rate
             a *= mask
-            ws.masks.append(mask)
-        ws.trunk.append(a)
-    ws.heads = []
-    for k, layers in enumerate(heads):
-        outs = []
-        a = ws.trunk[-1]
+            masks.append(mask)
+        trunk.append(a)
+    outs = []
+    for layers in heads:
+        a, head = trunk[-1], []
         for i, layer in enumerate(layers):
-            out = ws.take(("head", k, i), n, layer.W.shape[1], dtype)
-            a = _dense_into(a, layer, out, i < len(layers) - 1)
-            outs.append(a)
-        ws.heads.append(outs)
+            a = _dense(a, layer, i < len(layers) - 1)
+            head.append(a)
+        outs.append(head)
+    return Activations(trunk, outs, masks)
 
 
 def infer_logits(
-    model: MtlModel,
-    X: np.ndarray,
-    tasks: Optional[Sequence[Horizon]] = None,
-    workspace: Optional[InferenceWorkspace] = None,
-    dropout_rng: Optional[np.random.Generator] = None,
+    model: MtlModel, X: np.ndarray, tasks: Optional[Sequence[Horizon]] = None
 ) -> dict[Horizon, np.ndarray]:
-    """The forward: one trunk pass feeding every requested head.
-
-    Does the bias add, ReLU and dropout in place, so with a reused workspace
-    it allocates no activations. Trunk dropout is drawn only when given a
-    ``dropout_rng``, as in training; the workspace then holds everything the
-    backward pass needs.
-    """
-    ws = workspace if workspace is not None else InferenceWorkspace()
+    """The logits of every requested task, from one trunk pass (no dropout)."""
     tasks = tuple(tasks) if tasks is not None else model.tasks
-    _forward(model, X, [model.heads[task] for task in tasks], ws, dropout_rng)
-    return {task: outs[-1] for task, outs in zip(tasks, ws.heads)}
+    acts = _forward(model, X, [model.heads[task] for task in tasks])
+    return {task: outs[-1] for task, outs in zip(tasks, acts.heads)}
 
 
 def infer_proba(
-    model: MtlModel,
-    X: np.ndarray,
-    tasks: Optional[Sequence[Horizon]] = None,
-    workspace: Optional[InferenceWorkspace] = None,
+    model: MtlModel, X: np.ndarray, tasks: Optional[Sequence[Horizon]] = None
 ) -> dict[Horizon, np.ndarray]:
     """(n, 3) class probabilities of every requested task from one trunk pass:
     ``exp(z)`` over its row sums, from `_softmax_parts`."""
-    logits = infer_logits(model, X, tasks, workspace)
+    logits = infer_logits(model, X, tasks)
     return {task: np.divide(*_softmax_parts(z)[1:]) for task, z in logits.items()}
 
 
@@ -390,16 +353,15 @@ def predict_batch(
 ) -> dict[Horizon, np.ndarray]:
     """Predicted class index per row of every requested task.
 
-    The forward runs over blocks of `INFERENCE_BLOCK_ROWS` rows through one
-    reused workspace, so its activations stay bounded whatever the row count.
+    The forward runs over blocks of `INFERENCE_BLOCK_ROWS` rows, so its
+    activations stay bounded whatever the row count.
     """
     X = np.asarray(X, dtype=np.float64)
     tasks = tuple(tasks) if tasks is not None else model.tasks
     preds = {task: np.empty(X.shape[0], dtype=np.intp) for task in tasks}
-    workspace = InferenceWorkspace()
     for start in range(0, X.shape[0], INFERENCE_BLOCK_ROWS):
         rows = slice(start, start + INFERENCE_BLOCK_ROWS)
-        for task, logits in infer_logits(model, X[rows], tasks, workspace).items():
+        for task, logits in infer_logits(model, X[rows], tasks).items():
             np.argmax(logits, axis=1, out=preds[task][rows])
     return preds
 
@@ -483,38 +445,37 @@ def _dlogits(parts: SoftmaxParts, labels: _Labels, task_weight: float) -> np.nda
     return d
 
 
-def _backward(model: MtlModel, ws: InferenceWorkspace, grad: MtlModel, heads: Iterable) -> None:
+def _backward(model: MtlModel, acts: Activations, grad: MtlModel, heads: Iterable) -> None:
     """Write the gradients of the batch loss w.r.t. the trunk and ``heads``
-    into ``grad``, from the activations the forward left in ``ws``. Each head
-    is (its layers, the outputs the forward left, its layers in ``grad``, the
-    gradient of its logits); a head whose logit gradient is None gets zeros.
-    Every other gradient is written with ``out=``, so ``grad`` needs no
-    clearing. A rectifier passes gradient
-    where its output is positive: every dropout scale is at least 1, so that
-    is exactly where its pre-activation is."""
-    d_trunk = np.zeros_like(ws.trunk[-1])
+    into ``grad``, from the forward's activations ``acts``. Each head is (its
+    layers, its outputs in ``acts``, its layers in ``grad``, the gradient of
+    its logits); a head whose logit gradient is None gets zeros. Every other
+    gradient is written with ``out=``, so ``grad`` needs no clearing. A
+    rectifier passes gradient where its output is positive: every dropout
+    scale is at least 1, so that is exactly where its pre-activation is."""
+    d_trunk = np.zeros_like(acts.trunk[-1])
     for layers, outs, grad_layers, delta in heads:
         if delta is None:
             for layer in grad_layers:
                 layer.W.fill(0.0)
                 layer.b.fill(0.0)
             continue
-        # acts[i] is the input of head layer i
-        acts = [ws.trunk[-1], *outs]
+        # inputs[i] is the input of head layer i
+        inputs = [acts.trunk[-1], *outs]
         for i in range(len(layers) - 1, -1, -1):
-            np.matmul(acts[i].T, delta, out=grad_layers[i].W)
+            np.matmul(inputs[i].T, delta, out=grad_layers[i].W)
             np.add.reduce(delta, axis=0, out=grad_layers[i].b)
             delta = delta @ layers[i].W.T
             if i > 0:
-                delta *= acts[i] > 0
+                delta *= inputs[i] > 0
         d_trunk += delta
 
     delta = d_trunk
     for i in range(len(model.shared) - 1, -1, -1):
-        if ws.masks:
-            delta *= ws.masks[i]
-        delta *= ws.trunk[i + 1] > 0
-        np.matmul(ws.trunk[i].T, delta, out=grad.shared[i].W)
+        if acts.masks:
+            delta *= acts.masks[i]
+        delta *= acts.trunk[i + 1] > 0
+        np.matmul(acts.trunk[i].T, delta, out=grad.shared[i].W)
         np.add.reduce(delta, axis=0, out=grad.shared[i].b)
         if i > 0:
             delta = delta @ model.shared[i].W.T
@@ -527,19 +488,17 @@ def _batch_step(
     labels: Sequence[_Labels],
     weights: Sequence[float],
     grad: MtlModel,
-    ws: InferenceWorkspace,
     dropout_rng: Optional[np.random.Generator] = None,
 ) -> list[float]:
     """The loss and gradient of one training batch: the forward of the heads
-    of ``tasks`` through ``ws`` (trunk dropout drawn from ``dropout_rng`` when
-    given), each task's `_task_loss` against its ``labels``, and the gradient
-    of the loss weighted by ``weights`` written into ``grad``, a model of the
-    same layout whose heads outside ``tasks`` are left as they are. Returns
-    the per-task losses in ``tasks`` order; a non-finite weighted loss is a
-    RuntimeError."""
+    of ``tasks`` (trunk dropout drawn from ``dropout_rng`` when given), each
+    task's `_task_loss` against its ``labels``, and the gradient of the loss
+    weighted by ``weights`` written into ``grad``, a model of the same layout
+    whose heads outside ``tasks`` are left as they are. Returns the per-task
+    losses in ``tasks`` order; a non-finite weighted loss is a RuntimeError."""
     heads = [model.heads[t] for t in tasks]
-    _forward(model, X, heads, ws, dropout_rng)
-    parts = [_softmax_parts(outs[-1]) for outs in ws.heads]
+    acts = _forward(model, X, heads, dropout_rng)
+    parts = [_softmax_parts(outs[-1]) for outs in acts.heads]
     losses = [_task_loss(p, lab) for p, lab in zip(parts, labels)]
     if not math.isfinite(sum(w * loss for w, loss in zip(weights, losses))):
         raise RuntimeError(f"non-finite training loss: {dict(zip(tasks, losses))}")
@@ -548,7 +507,7 @@ def _batch_step(
         for p, lab, w in zip(parts, labels, weights)
     ]
     grad_heads = [grad.heads[t] for t in tasks]
-    _backward(model, ws, grad, zip(heads, ws.heads, grad_heads, deltas))
+    _backward(model, acts, grad, zip(heads, acts.heads, grad_heads, deltas))
     return losses
 
 
@@ -699,7 +658,6 @@ def train(
     work.flat[...] = model.flat
     optimizer = _Adam(work.flat, cfg)
     grad = _zero_model(model.config, np.float32)
-    workspace = InferenceWorkspace()
     X_epoch = np.empty_like(X_tr)
 
     best_val = math.inf
@@ -719,16 +677,14 @@ def train(
         n_batches = 0
         for start, labels_b in zip(range(0, len(order), cfg.batch_size), batches):
             X_b = X_epoch[start:start + cfg.batch_size]
-            per_task = _batch_step(
-                work, X_b, tasks, labels_b, weights, grad, workspace, dropout_rng
-            )
+            per_task = _batch_step(work, X_b, tasks, labels_b, weights, grad, dropout_rng)
             optimizer.step(work.flat, grad.flat)
             for k, loss in enumerate(per_task):
                 epoch_losses[k] += loss
             n_batches += 1
 
         train_per_task = {t: loss / n_batches for t, loss in zip(tasks, epoch_losses)}
-        val_logits = infer_logits(work, X_val, tasks, workspace)
+        val_logits = infer_logits(work, X_val, tasks)
         val_per_task = {
             t: _task_loss(_softmax_parts(val_logits[t]), lab) for t, lab in zip(tasks, val_labels)
         }
@@ -842,10 +798,10 @@ def gradient_check(
             else:
                 raise RuntimeError("could not find a kink-free parameter point")
 
-        workspace, grad = InferenceWorkspace(), _zero_model(model.config)
+        grad = _zero_model(model.config)
 
         def loss() -> float:
-            per_task = _batch_step(model, X, tasks, labels_k, weights, grad, workspace)
+            per_task = _batch_step(model, X, tasks, labels_k, weights, grad)
             return sum(w * loss_k for w, loss_k in zip(weights, per_task))
 
         loss()

@@ -100,13 +100,10 @@ def _draw_without_replacement(
             p[found[:n_found]] = 0
         cdf = np.cumsum(p)
         cdf /= cdf[-1]
-        new = cdf.searchsorted(x, side="right")
         # first occurrence of each index, kept in draw order
-        _, first = np.unique(new, return_index=True)
-        first.sort()
-        new = new.take(first)
-        found[n_found : n_found + new.size] = new
-        n_found += new.size
+        new = list(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+        found[n_found : n_found + len(new)] = new
+        n_found += len(new)
     return found
 
 
@@ -264,9 +261,8 @@ def generate_synthetic(params: SynthParams) -> Corpus:
     records: dict[str, PatentRecord] = {}
     for i, p in enumerate(patents):
         cited_total = int(popularity[i]) - 1
-        maintenance = float(
-            np.clip(rng.normal(4.0 + 2.0 * np.log1p(cited_total), 2.2), 0.5, 20.0)
-        )
+        maintenance = float(rng.normal(4.0 + 2.0 * np.log1p(cited_total), 2.2))
+        maintenance = min(max(maintenance, 0.5), 20.0)
         post_hoc = PostHoc(
             maintenance_years=round(maintenance, 2),
             transfer_count=int(rng.poisson(0.15 + 0.10 * cited_total)),

@@ -18,13 +18,13 @@ from patimpact.mtl import (
     MISSING_LABEL,
     DenseLayer,
     EpochStats,
-    InferenceWorkspace,
     JSON_FIELDS,
     MtlModel,
     NetworkConfig,
     TrainConfig,
     _Adam,
     _batch_step,
+    _forward,
     _inverse_frequency_weights,
     _labels,
     _stratified_split,
@@ -62,9 +62,9 @@ def small_config(seed=0, dropout=0.0, input_dim=10):
 def loop_forward(model, X, dropout_rng=None, tasks=None):
     """An allocating forward that keeps every layer's input and pre-activation
     and draws a new dropout mask array per layer: the oracle for
-    `infer_logits` and for the activations it leaves in its workspace. It
-    runs in the dtype of the model's weights; dropout's uniforms are float64
-    draws compared with the rate in float64."""
+    `infer_logits` and for the activations `_forward` returns. It runs in
+    the dtype of the model's weights; dropout's uniforms are float64 draws
+    compared with the rate in float64."""
     rate = model.config.shared_dropout_rate
     cache = SimpleNamespace(shared_inputs=[], shared_pre=[], dropout_masks=[],
                             head_inputs={}, head_pre={}, logits={})
@@ -254,7 +254,7 @@ def batch_step(model, X, y, weights, class_weights=None, grad=None, dropout_rng=
     labels = [_labels(np.asarray(y[t]), (class_weights or {}).get(t), n_classes) for t in tasks]
     w = [float(weights[t]) for t in tasks]
     grad = grad if grad is not None else _zero_model(model.config, model.flat.dtype)
-    losses = _batch_step(model, X, tasks, labels, w, grad, InferenceWorkspace(), dropout_rng)
+    losses = _batch_step(model, X, tasks, labels, w, grad, dropout_rng)
     return sum(wk * loss for wk, loss in zip(w, losses)), dict(zip(tasks, losses)), grad
 
 
@@ -386,21 +386,26 @@ class TestForwardPredict:
     def test_dropout_only_in_training(self):
         model = init_network(small_config(seed=1, dropout=0.5))
         X = np.ones((4, 10))
-        ws = InferenceWorkspace()
-        plain = {h: z.copy() for h, z in infer_logits(model, X, workspace=ws).items()}
-        assert ws.masks == []
-        c = {h: z.copy() for h, z in infer_logits(model, X, None, ws, np.random.default_rng(0)).items()}
-        c_masks = [m.copy() for m in ws.masks]
-        d = infer_logits(model, X, None, ws, np.random.default_rng(0))
+        heads = [model.heads[h] for h in HORIZONS]
+        plain = _forward(model, X, heads)
+        assert plain.masks == []
+        c = _forward(model, X, heads, np.random.default_rng(0))
+        d = _forward(model, X, heads, np.random.default_rng(0))
         ref = loop_forward(model, X, np.random.default_rng(0))
-        assert len(c_masks) == len(model.shared)
-        for got, want in zip(c_masks, ref.dropout_masks):
+        assert len(c.masks) == len(model.shared)
+        for got, want in zip(c.masks, ref.dropout_masks):
             assert np.array_equal(got, want)
-        for h in HORIZONS:
-            np.testing.assert_array_equal(plain[h], loop_forward(model, X).logits[h])
-            np.testing.assert_array_equal(c[h], d[h])
-            np.testing.assert_array_equal(c[h], ref.logits[h])
-            assert not np.array_equal(c[h], plain[h])
+        inferred = infer_logits(model, X)
+        for k, h in enumerate(HORIZONS):
+            np.testing.assert_array_equal(plain.heads[k][-1], loop_forward(model, X).logits[h])
+            np.testing.assert_array_equal(inferred[h], plain.heads[k][-1])
+            np.testing.assert_array_equal(c.heads[k][-1], d.heads[k][-1])
+            np.testing.assert_array_equal(c.heads[k][-1], ref.logits[h])
+            assert not np.array_equal(c.heads[k][-1], plain.heads[k][-1])
+        # a rate of 0 draws no masks, even given a dropout stream
+        model = init_network(small_config(seed=1, dropout=0.0))
+        heads = [model.heads[h] for h in HORIZONS]
+        assert _forward(model, X, heads, np.random.default_rng(0)).masks == []
 
 
 class TestInferenceForward:
@@ -417,16 +422,15 @@ class TestInferenceForward:
         ],
         ids=["mtl-default", "stl-mid", "custom-heads"],
     )
-    def test_equals_forward_batch_through_a_reused_workspace(self, config):
+    def test_equals_loop_forward(self, config):
         model = init_network(config)
         rng = np.random.default_rng(8)
         for _, arr in model.parameters():  # nonzero biases exercise the bias add
             arr += rng.normal(0.0, 0.1, size=arr.shape)
-        workspace = InferenceWorkspace()
-        for n in (3000, 100, 3000):  # a shrink then a regrow catches stale rows
+        for n in (3000, 100, 3000):
             X = rng.normal(size=(n, config.input_dim))
             ref = loop_forward(model, X)
-            got = infer_proba(model, X, workspace=workspace)
+            got = infer_proba(model, X)
             assert list(got) == list(model.tasks)
             for task in model.tasks:
                 assert got[task].shape == (n, 3)
@@ -880,7 +884,7 @@ class TestFlatParameters:
             else:
                 assert np.any(g != 0.0)
 
-    def test_backward_from_a_dropout_workspace_matches_loop_oracle(self):
+    def test_backward_with_dropout_matches_loop_oracle(self):
         # two trunk layers and two-layer heads: every rectifier is gated by
         # its output, which dropout only ever scales up or zeroes
         network = NetworkConfig(
