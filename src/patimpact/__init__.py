@@ -30,6 +30,7 @@ from .indicators import (
     IpcStats,
     Standardizer,
     corpus_ipc_stats,
+    extract_feature_matrix,
     extract_features,
     fit_standardizer,
 )

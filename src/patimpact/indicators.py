@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,66 +88,42 @@ def section_of(code: str) -> str:
 # corpus-level IPC statistics
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class IpcStats:
-    """Grant-year issuance statistics per IPC subclass."""
+    """Running grant-year totals per IPC subclass.
+
+    ``totals[subclass]`` holds three tuples indexed by ``year - start_year``
+    over ``start_year`` .. ``end_year``: the subclass's patents granted
+    through the year, the sum of those through-year counts, and the sum of
+    each year's distinct named applicants. A subclass with no patent is
+    absent.
+    """
 
     start_year: int
     end_year: int
-    yearly_counts: dict[str, dict[int, int]]
-    yearly_applicants: dict[str, dict[int, int]]
-    cumulative_counts: dict[str, dict[int, int]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.cumulative_counts:
-            for sub, per_year in self.yearly_counts.items():
-                total = 0
-                cum = {}
-                for year in range(self.start_year, self.end_year + 1):
-                    total += per_year.get(year, 0)
-                    cum[year] = total
-                self.cumulative_counts[sub] = cum
-
-    def yearly_count(self, subclass: str, year: int) -> int:
-        return self.yearly_counts.get(subclass, {}).get(year, 0)
-
-    def cumulative_count(self, subclass: str, year: int) -> int:
-        cum = self.cumulative_counts.get(subclass)
-        if not cum:
-            return 0
-        if year < self.start_year:
-            return 0
-        return cum[min(year, self.end_year)]
-
-    def applicant_count(self, subclass: str, year: int) -> int:
-        return self.yearly_applicants.get(subclass, {}).get(year, 0)
+    totals: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
 
 
 def corpus_ipc_stats(corpus: Corpus) -> IpcStats:
-    """Tally yearly issuance and distinct named applicants per IPC subclass."""
+    """Tally the running issuance and named-applicant totals per IPC subclass."""
     if not corpus.records:
         raise ValueError("cannot build IPC statistics from an empty corpus")
     start_year, end_year = corpus.grant_year_range()
-    counts: dict[str, dict[int, int]] = {}
-    applicant_names: dict[str, dict[int, set[str]]] = {}
+    n_years = end_year - start_year + 1
+    granted: dict[str, list[int]] = defaultdict(lambda: [0] * n_years)
+    applicants: dict[str, list[set[str]]] = defaultdict(lambda: [set() for _ in range(n_years)])
     for rec in corpus.records.values():
-        year = rec.grant_date.year
-        for sub in sorted({subclass_of(c) for c in rec.ipc_codes}):
-            counts.setdefault(sub, {}).setdefault(year, 0)
-            counts[sub][year] += 1
-            names = {a.name for a in rec.assignees if a.name}
-            if names:
-                applicant_names.setdefault(sub, {}).setdefault(year, set()).update(names)
-    applicants = {
-        sub: {year: len(names) for year, names in per_year.items()}
-        for sub, per_year in applicant_names.items()
-    }
-    return IpcStats(
-        start_year=start_year,
-        end_year=end_year,
-        yearly_counts=counts,
-        yearly_applicants=applicants,
-    )
+        at = rec.grant_date.year - start_year
+        names = {a.name for a in rec.assignees if a.name}
+        for sub in {subclass_of(c) for c in rec.ipc_codes}:
+            granted[sub][at] += 1
+            applicants[sub][at] |= names
+    totals = {}
+    for sub, per_year in granted.items():
+        through = tuple(accumulate(per_year))
+        named = tuple(accumulate(map(len, applicants[sub])))
+        totals[sub] = (through, tuple(accumulate(through)), named)
+    return IpcStats(start_year=start_year, end_year=end_year, totals=totals)
 
 
 # --------------------------------------------------------------------------
@@ -241,22 +219,21 @@ def extract_features(
     v[13] = (rec.grant_date - rec.filing_date).days
     v[14] = rec.abstract_word_count
 
-    # technology environment: per-subclass yearly statistics averaged from the
-    # corpus start year through the grant year, then across subclasses
+    # technology environment: per-subclass running totals through the grant
+    # year, averaged over the years from the statistics' start year, then
+    # across subclasses; a subclass the statistics lack, or a grant before
+    # their start year, adds 0
     subclasses = sorted({subclass_of(c) for c in rec.ipc_codes})
-    last_year = min(rec.grant_date.year, stats.end_year)
-    years = range(stats.start_year, last_year + 1)
-    n_years = max(1, len(years))
+    at = min(rec.grant_date.year, stats.end_year) - stats.start_year
+    n_years = max(1, at + 1)
     if subclasses:
-        v[15] = statistics.fmean(
-            stats.cumulative_count(s, last_year) / n_years for s in subclasses
-        )
-        v[16] = statistics.fmean(
-            sum(stats.cumulative_count(s, y) for y in years) / n_years for s in subclasses
-        )
-        v[17] = statistics.fmean(
-            sum(stats.applicant_count(s, y) for y in years) / n_years for s in subclasses
-        )
+        v[15:18] = [
+            statistics.fmean(
+                stats.totals[s][dim][at] / n_years if at >= 0 and s in stats.totals else 0.0
+                for s in subclasses
+            )
+            for dim in range(3)
+        ]
     for code in rec.ipc_codes:
         section = section_of(code)
         if section in IPC_SECTIONS:

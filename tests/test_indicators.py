@@ -7,6 +7,8 @@ conftest.py (day counts, set intersections, per-year tallies).
 from __future__ import annotations
 
 import json
+import statistics
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from patimpact.indicators import (
     extract_feature_matrix,
     extract_features,
     fit_standardizer,
+    subclass_of,
 )
 from patimpact.pipeline import STAGES, RunContext
 from patimpact.synth import SynthParams, generate_synthetic
@@ -52,6 +55,19 @@ class TestLayout:
             FeatureVector(values=np.full(44, np.nan))
 
 
+def per_year_recount(corpus: Corpus) -> tuple[Counter, dict]:
+    """Patents granted and distinct named applicants per (subclass, year),
+    counted straight from the records."""
+    granted: Counter = Counter()
+    named: dict[tuple[str, int], set[str]] = defaultdict(set)
+    for rec in corpus.records.values():
+        for sub in {subclass_of(c) for c in rec.ipc_codes}:
+            key = (sub, rec.grant_date.year)
+            granted[key] += 1
+            named[key] |= {a.name for a in rec.assignees if a.name}
+    return granted, named
+
+
 class TestIpcStats:
     def test_three_patent_example(self):
         records = {
@@ -60,34 +76,93 @@ class TestIpcStats:
             "C": make_patent("C", grant_date=d("2007-02-01"), filing_date=d("2005-01-01")),
         }
         stats = corpus_ipc_stats(Corpus(records=records, domain_ipc_prefix="H01M"))
-        assert stats.yearly_count("H01M", 2006) == 2
-        assert stats.yearly_count("H01M", 2007) == 1
-        assert stats.cumulative_count("H01M", 2006) == 2
-        assert stats.cumulative_count("H01M", 2007) == 3
+        assert (stats.start_year, stats.end_year) == (2006, 2007)
+        through, through_sum, applicants = stats.totals["H01M"]
+        assert through == (2, 3)  # 2 granted in 2006, 1 in 2007
+        assert through_sum == (2, 5)
+        assert applicants == (1, 2)  # ACME in each year
 
     def test_two_subclasses_count_once_each(self, crafted_corpus):
         stats = corpus_ipc_stats(crafted_corpus)
-        # P-I carries H01M and H01G in 2008
-        assert stats.yearly_count("H01G", 2008) == 1
-        assert stats.yearly_count("H01M", 2008) == 3  # P-A, P-F, P-I
+        # P-I carries H01M and H01G in 2008; P-A carries two H01M codes
+        at = 2008 - stats.start_year
+        h01g, h01m = stats.totals["H01G"][0], stats.totals["H01M"][0]
+        assert h01g[at] - h01g[at - 1] == 1
+        assert h01m[at] - h01m[at - 1] == 3  # P-A, P-F, P-I
 
-    def test_empty_subclass_is_zero(self, crafted_corpus):
+    def test_absent_subclass_has_no_totals(self, crafted_corpus):
         stats = corpus_ipc_stats(crafted_corpus)
-        assert stats.yearly_count("Z999", 2008) == 0
-        assert stats.cumulative_count("Z999", 2008) == 0
-        assert stats.applicant_count("Z999", 2008) == 0
+        assert "Z999" not in stats.totals
+        assert set(stats.totals) == {"H01M", "C08J", "G06F", "H01G"}
 
-    def test_cumulative_is_prefix_sum(self, synth_corpus_small):
+    def test_running_totals_equal_a_recount(self, synth_corpus_small):
         stats = corpus_ipc_stats(synth_corpus_small)
-        for sub, per_year in stats.yearly_counts.items():
-            running = 0
-            for year in range(stats.start_year, stats.end_year + 1):
-                running += per_year.get(year, 0)
-                assert stats.cumulative_count(sub, year) == running
+        granted, named = per_year_recount(synth_corpus_small)
+        assert set(stats.totals) == {sub for sub, _ in granted}
+        years = range(stats.start_year, stats.end_year + 1)
+        for sub, (through, through_sum, applicants) in stats.totals.items():
+            assert len(through) == len(through_sum) == len(applicants) == len(years)
+            running = running_sum = running_named = 0
+            for at, year in enumerate(years):
+                running += granted[sub, year]
+                running_sum += running
+                running_named += len(named[sub, year])
+                assert (through[at], through_sum[at], applicants[at]) == (
+                    running, running_sum, running_named
+                )
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             corpus_ipc_stats(Corpus(records={}, domain_ipc_prefix="H01M"))
+
+
+class TestFieldStatisticsFeatures:
+    """TE_1-TE_3 against a per-year recount from the records."""
+
+    def test_equal_a_per_year_recount(self, synth_corpus_small):
+        corpus = synth_corpus_small
+        granted, named = per_year_recount(corpus)
+        start_year, end_year = corpus.grant_year_range()
+        X = extract_feature_matrix(corpus, corpus.ids())
+        for row, rec in zip(X, corpus.records.values()):
+            subclasses = sorted({subclass_of(c) for c in rec.ipc_codes})
+            last_year = min(rec.grant_date.year, end_year)
+            years = range(start_year, last_year + 1)
+            n_years = max(1, len(years))
+
+            def through(sub, year):
+                return sum(granted[sub, y] for y in range(start_year, year + 1))
+
+            expected = [0.0, 0.0, 0.0]
+            if subclasses:
+                expected = [
+                    statistics.fmean(through(s, last_year) / n_years for s in subclasses),
+                    statistics.fmean(
+                        sum(through(s, y) for y in years) / n_years for s in subclasses
+                    ),
+                    statistics.fmean(
+                        sum(len(named[s, y]) for y in years) / n_years for s in subclasses
+                    ),
+                ]
+            assert np.array_equal(row[TE_SIZE], expected), rec.id
+
+    def test_statistics_that_do_not_cover_the_patent_read_zero(self):
+        focal = make_patent(
+            "F", grant_date=d("2005-06-01"), ipc_codes=("H01M10/05", "G06F17/00")
+        )
+        corpus = Corpus(records={"F": focal}, domain_ipc_prefix="H01M")
+
+        def te_against(*others):
+            other = Corpus(records={r.id: r for r in others}, domain_ipc_prefix="H01M")
+            return extract_features(corpus, "F", corpus_ipc_stats(other)).values[TE_SIZE]
+
+        assert te_against(focal).tolist() == [1.0] * 3
+        # a subclass the statistics lack adds 0 to the mean over subclasses
+        assert te_against(make_patent("H", grant_date=d("2005-01-01"))).tolist() == [0.5] * 3
+        other_field = make_patent("C", ipc_codes=("C08J5/22",), grant_date=d("2004-01-01"))
+        assert te_against(other_field).tolist() == [0.0] * 3
+        # statistics whose first year is after the grant year
+        assert te_against(make_patent("L", grant_date=d("2007-01-01"))).tolist() == [0.0] * 3
 
 
 @pytest.fixture(scope="module")
